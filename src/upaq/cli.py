@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .compressed import decompress_model
 from .container import (
     compressed_payload_nbytes,
     dense_payload_nbytes,
@@ -28,7 +29,7 @@ from .errors import FormatError, ValidationError
 from .evaluate import evaluate_fidelity
 from .fixtures import ARCH_NAMES, gen_fixture
 from .grouping import find_root_groups
-from .inference import forward, forward_compressed, load_activations, save_activations
+from .inference import forward_batch, load_activations, save_activations
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,11 +166,10 @@ def _cmd_run(args) -> int:
     inputs = load_activations(args.inputs)
     kind = sniff_format(args.model)
     if kind == "dense":
-        model = load_model(args.model)
-        outputs = [forward(model, act) for act in inputs]
+        outputs = forward_batch(load_model(args.model), inputs)
     else:
-        cm = load_compressed(args.model)
-        outputs = [forward_compressed(cm, act) for act in inputs]
+        # decompress once, then skip the pruned cells: the same bits as the dense path
+        outputs = forward_batch(decompress_model(load_compressed(args.model)), inputs, sparse=True)
     save_activations(args.out, outputs)
     print(json.dumps({
         "model": str(args.model),

@@ -76,16 +76,20 @@ class AnalyticCostModel:
     mode = "analytic"
 
     def latency(self, model, bits: dict[str, int] | None = None) -> float:
-        total = 0.0
-        for _, _, nnz, b, oh, ow in _conv_stats(model, bits):
-            total += nnz * (b / 32.0) * oh * ow
-        return total
+        return _analytic_totals(model, bits)[0]
 
     def energy(self, model, bits: dict[str, int] | None = None) -> float | None:
-        moved_bytes = 0.0
-        for _, _, nnz, b, _, _ in _conv_stats(model, bits):
-            moved_bytes += nnz * b / 8.0
-        return self.latency(model, bits) * E_MAC + moved_bytes * E_BYTE
+        latency, moved_bytes = _analytic_totals(model, bits)
+        return latency * E_MAC + moved_bytes * E_BYTE
+
+
+def _analytic_totals(model, bits) -> tuple[float, float]:
+    """Latency and moved bytes, summed in layer order in one walk."""
+    latency = moved_bytes = 0.0
+    for _, _, nnz, b, oh, ow in _conv_stats(model, bits):
+        latency += nnz * (b / 32.0) * oh * ow
+        moved_bytes += nnz * b / 8.0
+    return latency, moved_bytes
 
 
 class MeasuredCostModel:

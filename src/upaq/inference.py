@@ -1,16 +1,33 @@
 """Minimal CPU forward pass for dense and compressed models.
 
-Convolution is direct (no im2col/FFT) with a fixed accumulation order: the
-output plane for each output channel starts at the bias and accumulates one
-``weight * shifted-input`` product per (in_ch, row, col) step, in that loop
-order.  The sparse path for compressed models walks the same loops but skips
-zero weights, so it is bit-identical to the densified reference whenever the
-summation order matches.
+The engine runs a batch of inputs.  Convolution is direct (no im2col/FFT)
+with a fixed accumulation order: every output element starts at its bias and
+accumulates one ``weight * input`` product per (in_ch, row, col) step, in
+that loop order.  Each step is one numpy operation over all output channels
+and every input of a chunk, which leaves the order per element unchanged,
+so the result is bit-identical to a straight scalar loop.
+
+The pattern-skipping path (``sparse=True``) does not execute a
+(in_ch, row, col) step whose weight is zero for every output channel.  All
+slices of a compressed group share one pattern, so on a pattern-pruned layer
+only the retained cells run: 2 of 9 per 3x3 slice under ``hck``.  Skipping
+is exact: adding a +-0.0 product leaves every float32 accumulator unchanged
+except -0.0 (``-0.0 + 0.0`` is ``+0.0``), and ``0 * inf`` is NaN.  So a layer
+skips nothing when one of its bias entries is -0.0 or its input holds a
+non-finite value; an accumulator can only be -0.0 if it started at a -0.0
+bias.
+
+Batches run in chunks of at most ``CHUNK_BYTES`` per activation, and each
+activation is dropped once its last consumer has run.  ``upaq run`` and
+``upaq evaluate`` decompress a compressed model once and send the whole
+batch through :func:`forward_batch` on the skipping path.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +35,11 @@ import numpy as np
 
 from .compressed import CompressedModel, decompress_model
 from .errors import FormatError, ValidationError
-from .model import LayerSpec, ModelGraph
+from .model import LayerSpec, ModelGraph, infer_shapes
+
+# Bytes one activation of a chunk may take: the chunk size is this over the
+# model's largest per-input activation, so memory stays bounded for any batch.
+CHUNK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -42,108 +63,131 @@ class Activation:
 
 def forward(model: ModelGraph, input_act: Activation) -> Activation:
     """Run the dense model; returns the sink layer's activation."""
-    return _run(model, input_act, skip_zeros=False)
+    return forward_batch(model, [input_act])[0]
 
 
 def forward_compressed(cm: CompressedModel, input_act: Activation, sparse: bool = False) -> Activation:
-    """Run a compressed model on dequantized weights.
+    """Run a compressed model on one input, on dequantized weights.
 
-    The reference path densifies (zeros at pruned positions) and runs the
-    dense engine; ``sparse=True`` skips zero weights instead, matching the
-    reference bit-for-bit under the shared loop order.
+    This decompresses on every call; to run a batch, decompress once and
+    call :func:`forward_batch` (as ``upaq run`` and ``upaq evaluate`` do).
+    The reference path runs the densified model (zeros at pruned
+    positions); ``sparse=True`` skips the pruned kernel cells instead, which
+    is exact (see the module docstring, including the -0.0 bias rule).
     """
-    dense = decompress_model(cm)
-    return _run(dense, input_act, skip_zeros=sparse)
+    return forward_batch(decompress_model(cm), [input_act], sparse=sparse)[0]
 
 
-def _run(model: ModelGraph, input_act: Activation, skip_zeros: bool) -> Activation:
-    if input_act.shape != model.input_shape:
-        raise ValidationError(
-            f"input shape {input_act.shape} does not match model input {model.input_shape}"
-        )
-    acts: dict[str, np.ndarray] = {}
+def forward_batch(model: ModelGraph, inputs: Sequence[Activation], sparse: bool = False) -> list[Activation]:
+    """Run the model over a batch; returns one sink activation per input.
+
+    ``sparse=True`` skips kernel cells that are zero for every output
+    channel; the outputs are bit-identical either way.
+    """
+    shapes = infer_shapes(model)
+    for idx, act in enumerate(inputs):
+        if act.shape != model.input_shape:
+            raise ValidationError(
+                f"input shape {act.shape} of input {idx} does not match model input {model.input_shape}"
+            )
+    largest = max(math.prod(shape) for shape in (model.input_shape, *shapes.values()))
+    chunk = max(1, CHUNK_BYTES // (4 * largest))
+    steps = {layer.id: _conv_steps(layer, sparse) for layer in model.conv_layers()}
+    last_use = {src: idx for idx, layer in enumerate(model.layers) for src in layer.inputs}
     sink_id = model.sink().id
-    for layer in model.layers:
-        srcs = [acts[s] for s in layer.inputs] if layer.inputs else [input_act.data]
-        x = srcs[0]
+    outputs: list[Activation] = []
+    for lo in range(0, len(inputs), chunk):
+        x = np.stack([act.data for act in inputs[lo:lo + chunk]])
+        out = _run(model, x, steps, last_use)[sink_id]
+        outputs.extend(Activation(row) for row in out)
+    return outputs
+
+
+def _run(model: ModelGraph, x: np.ndarray, steps, last_use: dict[str, int]) -> dict[str, np.ndarray]:
+    """One chunk ``(n, c, h, w)`` through every layer; returns the live activations."""
+    acts: dict[str, np.ndarray] = {}
+    for idx, layer in enumerate(model.layers):
+        srcs = [acts[s] for s in layer.inputs] if layer.inputs else [x]
         if layer.kind == "conv2d":
-            out = _conv2d(x, layer, skip_zeros)
+            out = _conv2d(srcs[0], layer, *steps[layer.id])
         elif layer.kind == "relu":
-            out = np.maximum(x, np.float32(0.0))
+            out = np.maximum(srcs[0], np.float32(0.0))
         elif layer.kind == "add":
-            if srcs[0].shape != srcs[1].shape:
-                raise ValidationError(f"layer {layer.id!r}: add operand shapes differ")
             out = srcs[0] + srcs[1]
         elif layer.kind == "global_avg_pool":
-            c = x.shape[0]
-            out = np.empty((c, 1, 1), dtype=np.float32)
-            denom = np.float32(x.shape[1] * x.shape[2])
-            for ch in range(c):
-                # sequential row-major accumulation, matching the engine's
-                # fixed-summation-order contract
-                acc = np.float32(0.0)
-                for v in x[ch].reshape(-1):
-                    acc += v
-                out[ch, 0, 0] = acc / denom
+            n, c, h, w = srcs[0].shape
+            # add.accumulate sums strictly in row-major order; the trailing
+            # + 0.0 turns an all -0.0 sum into the +0.0 of a sum started at 0.0
+            total = np.add.accumulate(srcs[0].reshape(n, c, h * w), axis=2)[:, :, -1] + np.float32(0.0)
+            out = (total / np.float32(h * w)).reshape(n, c, 1, 1)
         elif layer.kind == "linear":
-            out = _linear(x, layer)
+            out = _linear(srcs[0], layer)
         else:  # pragma: no cover - validated earlier
             raise ValidationError(f"layer {layer.id!r}: unknown kind {layer.kind!r}")
         acts[layer.id] = out
-    return Activation(acts[sink_id])
+        for src in layer.inputs:
+            if last_use[src] == idx:
+                acts.pop(src, None)
+    return acts
 
 
-def _conv2d(x: np.ndarray, layer: LayerSpec, skip_zeros: bool) -> np.ndarray:
+def _conv_steps(layer: LayerSpec, sparse: bool):
+    """The (in_ch, row, col, weight column) steps of one conv layer, in loop order.
+
+    Returns ``(all steps, steps to run on a finite input)``.  The second
+    drops the columns that are zero for every output channel when
+    ``sparse`` is set and no bias entry is -0.0.
+    """
     wt = layer.weights
     assert wt is not None
-    in_ch, h, w = x.shape
-    if in_ch != wt.in_ch:
-        raise ValidationError(f"layer {layer.id!r}: expects {wt.in_ch} input channels, got {in_ch}")
+    cols = wt.data.reshape(wt.out_ch, -1)
+    every = [
+        (i, r, c, np.ascontiguousarray(cols[:, k]).reshape(1, wt.out_ch, 1))
+        for k, (i, r, c) in enumerate(np.ndindex(wt.in_ch, wt.kh, wt.kw))
+    ]
+    negative_zero_bias = layer.bias is not None and bool(np.any((layer.bias == 0) & np.signbit(layer.bias)))
+    if not sparse or negative_zero_bias:
+        return every, every
+    live = np.any(cols != 0, axis=0)
+    if live.all():
+        return every, every
+    return every, [step for step, keep in zip(every, live) if keep]
+
+
+def _conv2d(x: np.ndarray, layer: LayerSpec, every, skipping) -> np.ndarray:
+    wt = layer.weights
+    assert wt is not None
+    n, in_ch, h, w = x.shape
     s, p = layer.stride, layer.padding
     oh = (h + 2 * p - wt.kh) // s + 1
     ow = (w + 2 * p - wt.kw) // s + 1
-    if oh < 1 or ow < 1:
-        raise ValidationError(f"layer {layer.id!r}: kernel larger than padded input")
     if p > 0:
-        xp = np.zeros((in_ch, h + 2 * p, w + 2 * p), dtype=np.float32)
-        xp[:, p:p + h, p:p + w] = x
+        xp = np.zeros((n, in_ch, h + 2 * p, w + 2 * p), dtype=np.float32)
+        xp[:, :, p:p + h, p:p + w] = x
     else:
         xp = x
-    out = np.empty((wt.out_ch, oh, ow), dtype=np.float32)
-    wdata = wt.data
-    for o in range(wt.out_ch):
-        if layer.bias is not None:
-            acc = np.full((oh, ow), layer.bias[o], dtype=np.float32)
-        else:
-            acc = np.zeros((oh, ow), dtype=np.float32)
-        for i in range(in_ch):
-            plane = xp[i]
-            for r in range(wt.kh):
-                for c in range(wt.kw):
-                    wv = wdata[o, i, r, c]
-                    if skip_zeros and wv == 0.0:
-                        continue
-                    acc += wv * plane[r::s, c::s][:oh, :ow]
-        out[o] = acc
-    return out
+    acc = np.empty((n, wt.out_ch, oh * ow), dtype=np.float32)
+    acc[...] = layer.bias[:, None] if layer.bias is not None else np.float32(0.0)
+    product = np.empty_like(acc)
+    # 0 * inf is NaN, so a zero column only skips over a finite input
+    for i, r, c, wcol in (skipping if skipping is every or np.isfinite(x).all() else every):
+        plane = xp[:, i, r:r + s * (oh - 1) + 1:s, c:c + s * (ow - 1) + 1:s].reshape(n, 1, oh * ow)
+        np.multiply(wcol, plane, out=product)
+        np.add(acc, product, out=acc)
+    return acc.reshape(n, wt.out_ch, oh, ow)
 
 
 def _linear(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     wt = layer.weights
     assert wt is not None
-    flat = x.reshape(-1)
-    if flat.shape[0] != wt.in_ch:
-        raise ValidationError(
-            f"layer {layer.id!r}: expects {wt.in_ch} input features, got {flat.shape[0]}"
-        )
+    n = x.shape[0]
+    flat = x.reshape(n, -1)
     wmat = wt.data.reshape(wt.out_ch, wt.in_ch)
-    if layer.bias is not None:
-        acc = layer.bias.copy()
-    else:
-        acc = np.zeros(wt.out_ch, dtype=np.float32)
+    acc = np.empty((n, wt.out_ch), dtype=np.float32)
+    acc[...] = layer.bias if layer.bias is not None else np.float32(0.0)
     for j in range(wt.in_ch):
-        acc += wmat[:, j] * flat[j]
-    return acc.reshape(wt.out_ch, 1, 1)
+        acc += wmat[:, j] * flat[:, j:j + 1]
+    return acc.reshape(n, wt.out_ch, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,29 @@ def test_unknown_arch_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen-fixture", "toy-unknown", "-o", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_run_and_evaluate_match_single_input_api(tmp_path, monkeypatch):
+    import upaq
+    from upaq import evaluate as evaluate_module
+    from upaq.inference import forward, forward_compressed, load_activations
+
+    model_path, inputs_path = _gen(tmp_path, arch="toy-residual")
+    out_model = tmp_path / "m.upaqc"
+    assert main(["compress", str(model_path), "-o", str(out_model), "--profile", "lck"]) == 0
+    out_blob = tmp_path / "out.bin"
+    report_path = tmp_path / "report.json"
+    assert main(["run", str(out_model), "--inputs", str(inputs_path), "--out", str(out_blob)]) == 0
+    assert main(["evaluate", str(model_path), str(out_model), "--inputs", str(inputs_path),
+                 "-o", str(report_path)]) == 0
+
+    cm = upaq.load_compressed(out_model)
+    inputs = load_activations(inputs_path)
+    expected = b"".join(forward_compressed(cm, act).data.astype("<f4").tobytes() for act in inputs)
+    assert out_blob.read_bytes() == expected
+
+    # the same report, with every forward pass made one input at a time
+    monkeypatch.setattr(evaluate_module, "forward_batch",
+                        lambda model, acts, sparse=False: [forward(model, act) for act in acts])
+    single = evaluate_module.evaluate_fidelity(upaq.load_model(model_path), cm, inputs)
+    assert report_path.read_text() == single.to_json() + "\n"

@@ -115,3 +115,16 @@ def test_measured_mode_reports_no_energy(toy_cnn):
     assert cost.latency(model) > 0.0
     assert cost.energy(model) is None
     assert AnalyticCostModel().energy(model) is not None
+
+
+def test_energy_walks_the_model_once(toy_cnn_hck, monkeypatch):
+    from upaq import cost as cost_module
+
+    calls = []
+    real = cost_module.decompress_model
+    monkeypatch.setattr(cost_module, "decompress_model", lambda cm: calls.append(1) or real(cm))
+    cost = AnalyticCostModel()
+    energy = cost.energy(toy_cnn_hck)
+    assert len(calls) == 1
+    moved = sum(nnz * b / 8.0 for _, _, nnz, b, _, _ in cost_module._conv_stats(toy_cnn_hck))
+    assert energy == cost.latency(toy_cnn_hck) * 1.0 + moved * 0.1
