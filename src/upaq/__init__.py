@@ -56,7 +56,7 @@ from .patterns import (
     generate_pattern,
     split_seed,
 )
-from .quantizer import QuantResult, dequantize, mp_quantize
+from .quantizer import QuantResult, dequantize, mp_quantize, quantize_slices
 
 __version__ = "0.1.0"
 
@@ -110,6 +110,7 @@ __all__ = [
     "load_compressed",
     "load_model",
     "mp_quantize",
+    "quantize_slices",
     "save_compressed",
     "save_model",
     "split_seed",

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ValidationError
 from .model import LayerSpec, ModelGraph, Tensor4, check_structure, infer_shapes
 from .patterns import KernelPattern
-from .quantizer import dequantize
 
 
 @dataclass(frozen=True)
@@ -165,24 +164,32 @@ def decompress_model(cm: CompressedModel) -> ModelGraph:
     return dense
 
 
+def slice_stack(w: np.ndarray, block_k: int | None) -> np.ndarray:
+    """View an (out, in, kh, kw) tensor as the stack of slices its payload
+    stores: the ``out*in`` kernel slices of a k x k layer in (out, in)
+    order, or, for a 1 x 1 layer with ``block_k``, its row-major flat
+    weights zero-padded to ``ceil(out*in / k^2)`` blocks of k x k.
+    """
+    if block_k is None:
+        out_ch, in_ch, kh, kw = w.shape
+        return w.reshape(out_ch * in_ch, kh, kw)
+    flat = w.reshape(-1)
+    cells = block_k * block_k
+    padded = np.zeros(-(-flat.size // cells) * cells, dtype=w.dtype)
+    padded[: flat.size] = flat
+    return padded.reshape(-1, block_k, block_k)
+
+
+def unstack(stack: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
+    """Inverse of :func:`slice_stack`: drop the pad cells, restore ``shape``."""
+    return stack.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def dequantized_weights(qc: QuantizedConv) -> np.ndarray:
     """Float32 weight tensor reconstructed from one quantized payload."""
-    out_ch, in_ch, kh, kw = qc.shape
-    if qc.block_k is None:
-        flat = qc.q.reshape(out_ch * in_ch, kh * kw)
-        deq = np.empty_like(flat, dtype=np.float32)
-        for s in range(flat.shape[0]):
-            deq[s] = dequantize(flat[s], float(qc.scales[s]))
-        return deq.reshape(qc.shape)
-    k = qc.block_k
-    count = out_ch * in_ch
-    flat = qc.q.reshape(-1)
-    deq = np.zeros(count, dtype=np.float32)
-    for b in range(qc.scales.shape[0]):
-        lo = b * k * k
-        hi = min(lo + k * k, count)
-        deq[lo:hi] = dequantize(flat[lo:hi], float(qc.scales[b]))
-    return deq.reshape(qc.shape)
+    q = slice_stack(qc.q, qc.block_k)
+    deq = (q * qc.scales.astype(np.float64)[:, None, None]).astype(np.float32)
+    return unstack(deq, qc.shape)
 
 
 def stored_value_count(qc: QuantizedConv, pattern: KernelPattern) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressed import CompressedGroup, CompressedModel, ProfileInfo, QuantizedConv
+from .compressed import CompressedGroup, CompressedModel, ProfileInfo, QuantizedConv, slice_stack, unstack
 from .container import dense_payload_nbytes
 from .cost import AnalyticCostModel
 from .errors import ValidationError
@@ -23,12 +23,11 @@ from .grouping import RootGroup, find_root_groups
 from .model import ModelGraph, Tensor4, deep_copy
 from .patterns import (
     KernelPattern,
-    apply_pattern,
     enumerate_all_patterns,
     generate_pattern,
     split_seed,
 )
-from .quantizer import SQNR_CAP_DB, dequantize, mp_quantize
+from .quantizer import SQNR_CAP_DB, quantize_slices
 
 BLOCK_K = 3  # block edge for the 1x1 -> k x k transformation
 
@@ -181,16 +180,7 @@ def blocks_from_1x1(weights: Tensor4, k: int) -> list[np.ndarray]:
         raise ValueError("block edge must be >= 2")
     if weights.kh != 1 or weights.kw != 1:
         raise ValueError("block transformation applies to 1x1 kernels only")
-    flat = weights.data.reshape(-1)
-    blocks: list[np.ndarray] = []
-    for lo in range(0, flat.shape[0], k * k):
-        chunk = flat[lo:lo + k * k]
-        if chunk.shape[0] < k * k:
-            padded = np.zeros(k * k, dtype=np.float32)
-            padded[: chunk.shape[0]] = chunk
-            chunk = padded
-        blocks.append(chunk.reshape(k, k).copy())
-    return blocks
+    return list(slice_stack(weights.data, k))
 
 
 def flatten_blocks_to_1x1(blocks: list[np.ndarray], original_count: int) -> np.ndarray:
@@ -212,50 +202,19 @@ def flatten_blocks_to_1x1(blocks: list[np.ndarray], original_count: int) -> np.n
     return flat[:original_count].astype(np.float32, copy=True)
 
 
-def _quantize_kxk(weights: Tensor4, pattern: KernelPattern, bits: int):
-    """Mask and quantize every slice.
+def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int, block_k: int | None):
+    """Mask and quantize a layer's slice stack (see :func:`slice_stack`) in
+    one pass: one scale per kernel slice, or per block when ``block_k`` is set.
 
     Returns (QuantizedConv, mean sqnr_db, dense float32 reconstruction).
     """
-    out_ch, in_ch, kh, kw = weights.shape
-    q = np.zeros(weights.shape, dtype=np.int32)
-    scales = np.empty(out_ch * in_ch, dtype=np.float32)
-    deq = np.zeros(weights.shape, dtype=np.float32)
-    db = []
-    for o in range(out_ch):
-        for i in range(in_ch):
-            masked = apply_pattern(weights.data[o, i], pattern)
-            qr = mp_quantize(masked, bits)
-            q[o, i] = qr.q_values
-            scales[o * in_ch + i] = qr.scale
-            deq[o, i] = dequantize(qr.q_values, qr.scale)
-            db.append(qr.sqnr_db)
-    qc = QuantizedConv(shape=weights.shape, bitwidth=bits, q=q, scales=scales)
-    return qc, float(np.mean(db)), deq
-
-
-def _quantize_1x1(weights: Tensor4, pattern: KernelPattern, bits: int, k: int):
-    """Blockwise variant of :func:`_quantize_kxk` for 1x1 layers."""
-    count = weights.out_ch * weights.in_ch
-    blocks = blocks_from_1x1(weights, k)
-    q_flat = np.zeros(count, dtype=np.int32)
-    scales = np.empty(len(blocks), dtype=np.float32)
-    deq_blocks = []
-    db = []
-    for j, block in enumerate(blocks):
-        masked = apply_pattern(block, pattern)
-        qr = mp_quantize(masked, bits)
-        scales[j] = qr.scale
-        db.append(qr.sqnr_db)
-        deq_blocks.append(dequantize(qr.q_values, qr.scale))
-        qb = qr.q_values.reshape(-1)
-        lo = j * k * k
-        hi = min(lo + k * k, count)
-        q_flat[lo:hi] = qb[: hi - lo]
-    deq = flatten_blocks_to_1x1(deq_blocks, count).reshape(weights.shape)
-    qc = QuantizedConv(shape=weights.shape, bitwidth=bits, q=q_flat.reshape(weights.shape),
-                       scales=scales, block_k=k)
-    return qc, float(np.mean(db)), deq
+    stack = np.where(pattern.mask(), slice_stack(weights.data, block_k), 0)
+    q, scale, _, sqnr_db = quantize_slices(stack, bits)
+    # scored with the float64 scale; the container stores it as float32 (ROADMAP item 4)
+    deq = (q * scale[:, None, None]).astype(np.float32)
+    qc = QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape),
+                       scales=scale, block_k=block_k)
+    return qc, float(np.mean(sqnr_db)), unstack(deq, weights.shape)
 
 
 def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.random.Generator):
@@ -271,8 +230,8 @@ def _search_group(
     cost,
     baseline: ModelCost,
     rng: np.random.Generator,
-    quantize,
     d: int,
+    block_k: int | None,
 ) -> GroupDecision:
     """Shared search loop: candidates are scored on the root, first strict
     maximum wins, then the decision is replicated to the leaves."""
@@ -285,7 +244,7 @@ def _search_group(
     best: tuple[KernelPattern, int, EfficiencyScore, QuantizedConv] | None = None
     for pattern in _candidate_patterns(n, d, profile, rng):
         for bits in profile.quant_bits:
-            qc, mean_db, deq = quantize(root_layer.weights, pattern, bits)
+            qc, mean_db, deq = _quantize_layer(root_layer.weights, pattern, bits, block_k)
             candidate_root.weights = Tensor4(deq)
             score = calculate_es(
                 candidate_model, mean_db, cost, baseline, profile.es_weights,
@@ -300,7 +259,7 @@ def _search_group(
     for leaf_id in group.leaf_ids:
         leaf = model.by_id(leaf_id)
         assert leaf.weights is not None
-        payloads[leaf_id], _, _ = quantize(leaf.weights, pattern, bits)
+        payloads[leaf_id], _, _ = _quantize_layer(leaf.weights, pattern, bits, block_k)
     return GroupDecision(
         root_id=group.root_id, leaf_ids=group.leaf_ids,
         pattern=pattern, bitwidth=bits, score=score, payloads=payloads,
@@ -325,7 +284,7 @@ def compress_kxk_group(
         raise ValidationError("k x k compression requires spatial dimension > 1")
     if baseline is None:
         baseline = model_cost(model, cost)
-    return _search_group(group, model, profile, cost, baseline, rng, _quantize_kxk, d)
+    return _search_group(group, model, profile, cost, baseline, rng, d, None)
 
 
 def compress_1x1_group(
@@ -344,11 +303,7 @@ def compress_1x1_group(
     k = profile.block_k
     if baseline is None:
         baseline = model_cost(model, cost)
-
-    def quantize(weights, pattern, bits):
-        return _quantize_1x1(weights, pattern, bits, k)
-
-    return _search_group(group, model, profile, cost, baseline, rng, quantize, k)
+    return _search_group(group, model, profile, cost, baseline, rng, k, k)
 
 
 def compress_model(

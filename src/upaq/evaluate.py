@@ -15,14 +15,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .compressed import CompressedModel, decompress_model, dequantized_weights
+from .compressed import CompressedModel, decompress_model, dequantized_weights, slice_stack
 from .container import compressed_payload_nbytes, dense_payload_nbytes, packed_layer_nbytes
 from .cost import AnalyticCostModel, compression_ratio
-from .compressor import ModelCost, blocks_from_1x1, calculate_es
+from .compressor import ModelCost, calculate_es
 from .errors import ValidationError
 from .inference import Activation, forward_batch
 from .model import ModelGraph
-from .patterns import apply_pattern
 from .quantizer import ERR_VAR_FLOOR, SQNR_CAP, SQNR_CAP_DB
 
 _NORM_FLOOR = 1e-30
@@ -114,36 +113,22 @@ def model_sqnr_db(base: ModelGraph, cm: CompressedModel) -> float:
             if wt is None:
                 raise ValidationError(f"layer {member!r}: base model has no weights")
             qc = cm.qlayers[member]
-            deq = dequantized_weights(qc)
-            if qc.block_k is None:
-                for o in range(wt.out_ch):
-                    for i in range(wt.in_ch):
-                        masked = apply_pattern(wt.data[o, i], group.pattern)
-                        db.append(_slice_sqnr_db(masked, deq[o, i]))
-            else:
-                k = qc.block_k
-                base_blocks = blocks_from_1x1(wt, k)
-                deq_flat = deq.reshape(-1)
-                count = wt.out_ch * wt.in_ch
-                for j, block in enumerate(base_blocks):
-                    masked = apply_pattern(block, group.pattern)
-                    recon = np.zeros(k * k, dtype=np.float32)
-                    lo = j * k * k
-                    hi = min(lo + k * k, count)
-                    recon[: hi - lo] = deq_flat[lo:hi]
-                    db.append(_slice_sqnr_db(masked, recon.reshape(k, k)))
+            if wt.shape != qc.shape:
+                raise ValidationError(f"layer {member!r}: base weights {wt.shape} != compressed {qc.shape}")
+            x = np.where(group.pattern.mask(), slice_stack(wt.data, qc.block_k), 0).astype(np.float64)
+            err = x - slice_stack(dequantized_weights(qc), qc.block_k)
+            signal_var = np.var(x.reshape(len(x), -1), axis=1).tolist()
+            err_var = np.var(err.reshape(len(x), -1), axis=1).tolist()
+            db.extend(_slice_sqnr_db(s, e) for s, e in zip(signal_var, err_var))
     if not db:
         return SQNR_CAP_DB
     return float(np.mean(db))
 
 
-def _slice_sqnr_db(x: np.ndarray, recon: np.ndarray) -> float:
-    x64 = x.astype(np.float64)
-    err = x64 - recon.astype(np.float64)
-    err_var = float(np.var(err))
+def _slice_sqnr_db(signal_var: float, err_var: float) -> float:
     if err_var < ERR_VAR_FLOOR:
         return SQNR_CAP_DB
-    linear = min(float(np.var(x64)) / err_var, SQNR_CAP)
+    linear = min(signal_var / err_var, SQNR_CAP)
     return 10.0 * math.log10(linear) if linear > 0 else -math.inf
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import upaq
-from upaq.compressed import dequantized_weights
+from upaq.compressed import dequantized_weights, slice_stack
 from upaq.compressor import (
     CompressionProfile,
     ModelCost,
@@ -19,6 +19,7 @@ from upaq.errors import ValidationError
 from upaq.grouping import find_root_groups
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import KernelPattern, generate_pattern, split_seed
+from upaq.quantizer import dequantize
 
 
 class StubCost:
@@ -252,22 +253,44 @@ def test_all_zero_1x1_layer_takes_first_candidate(toy_1x1):
     assert not cm.qlayers["conv_b"].q.any()
 
 
-def test_leaves_requantize_with_own_scales(toy_residual):
+def _dequantize_loop(qc):
+    """Per-slice (or per-block) dequantize over a payload, scale by scale."""
+    if qc.block_k is None:
+        flat = qc.q.reshape(-1, qc.shape[2] * qc.shape[3])
+        return np.stack([dequantize(flat[s], float(qc.scales[s])) for s in range(flat.shape[0])]).reshape(qc.shape)
+    cells = qc.block_k ** 2
+    flat = qc.q.reshape(-1)
+    parts = [dequantize(flat[b * cells:(b + 1) * cells], float(qc.scales[b])) for b in range(qc.scales.shape[0])]
+    return np.concatenate(parts).reshape(qc.shape)
+
+
+def test_leaves_requantize_with_own_scales(toy_cnn, toy_residual, toy_1x1):
+    """Every group member, roots and 1x1 block layers included, holds what
+    quantizing its masked slices (or blocks) one at a time gives, and
+    decompresses to the slice-by-slice dequantization of that payload."""
     from upaq.patterns import apply_pattern
     from upaq.quantizer import mp_quantize
 
-    model, _ = toy_residual
-    cm = compress_model(model, hck_profile(seed=42))
-    group = cm.groups[0]
-    for leaf in group.leaf_ids:
-        w = model.by_id(leaf).weights
-        qc = cm.qlayers[leaf]
-        assert qc.scales.shape == (w.out_ch * w.in_ch,)
-        for o in range(w.out_ch):
-            for i in range(w.in_ch):
-                expect = mp_quantize(apply_pattern(w.data[o, i], group.pattern), group.bitwidth)
-                assert qc.scales[o * w.in_ch + i] == np.float32(expect.scale)
-                assert np.array_equal(qc.q[o, i], expect.q_values)
+    for model, _ in (toy_cnn, toy_residual, toy_1x1):
+        for profile in (hck_profile, lck_profile):
+            cm = compress_model(model, profile(seed=42))
+            dense = upaq.decompress_model(cm)
+            for group in cm.groups:
+                for member in group.member_ids:
+                    w = model.by_id(member).weights
+                    qc = cm.qlayers[member]
+                    if qc.block_k is None:
+                        slices = [w.data[o, i] for o in range(w.out_ch) for i in range(w.in_ch)]
+                        q_slices = qc.q.reshape(len(slices), w.kh, w.kw)
+                    else:
+                        slices = blocks_from_1x1(w, qc.block_k)
+                        q_slices = slice_stack(qc.q, qc.block_k)
+                    assert qc.scales.shape == (len(slices),)
+                    for s, sl in enumerate(slices):
+                        expect = mp_quantize(apply_pattern(sl, group.pattern), group.bitwidth)
+                        assert qc.scales[s] == np.float32(expect.scale)
+                        assert np.array_equal(q_slices[s], expect.q_values)
+                    assert np.array_equal(dense.by_id(member).weights.data, _dequantize_loop(qc))
 
 
 def test_compression_is_deterministic(toy_cnn):

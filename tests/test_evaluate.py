@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -132,3 +133,55 @@ def test_report_metrics_recomputable_from_run_blobs(tmp_path, toy_cnn, toy_cnn_h
     assert report.mean_rel_err == pytest.approx(np.mean(rel), abs=1e-9)
     assert report.top1_agreement == pytest.approx(top1, abs=0)
     assert report.cosine_sim == pytest.approx(np.mean(cos), abs=1e-9)
+
+
+def _model_sqnr_db_loop(base, cm):
+    """Slice-by-slice mean SQNR: mask, reconstruct and score one slice at a time."""
+    from upaq.compressed import dequantized_weights
+    from upaq.compressor import blocks_from_1x1
+    from upaq.patterns import apply_pattern
+
+    db = []
+    for group in cm.groups:
+        for member in group.member_ids:
+            w = base.by_id(member).weights
+            qc = cm.qlayers[member]
+            deq = dequantized_weights(qc)
+            if qc.block_k is None:
+                pairs = [(w.data[o, i], deq[o, i]) for o in range(w.out_ch) for i in range(w.in_ch)]
+            else:
+                flat = np.zeros(qc.scales.size * qc.block_k ** 2, dtype=np.float32)
+                flat[: deq.size] = deq.reshape(-1)
+                recon = flat.reshape(-1, qc.block_k, qc.block_k)
+                pairs = list(zip(blocks_from_1x1(w, qc.block_k), recon))
+            for sl, rec in pairs:
+                x = apply_pattern(sl, group.pattern).astype(np.float64)
+                err_var = float(np.var(x - rec.astype(np.float64)))
+                if err_var < 1e-30:
+                    db.append(SQNR_CAP_DB)
+                    continue
+                linear = min(float(np.var(x)) / err_var, 1e12)
+                db.append(10.0 * math.log10(linear) if linear > 0 else -math.inf)
+    return float(np.mean(db))
+
+
+def test_model_sqnr_db_equals_slice_loop(toy_cnn, toy_residual, toy_1x1):
+    from upaq.compressor import compress_model, hck_profile, lck_profile
+
+    for model, _ in (toy_cnn, toy_residual, toy_1x1):
+        for profile in (hck_profile, lck_profile):
+            cm = compress_model(model, profile(seed=42))
+            assert model_sqnr_db(model, cm) == _model_sqnr_db_loop(model, cm)
+    base, lossless, _ = _lossless_pair()
+    assert model_sqnr_db(base, lossless) == _model_sqnr_db_loop(base, lossless) == SQNR_CAP_DB
+
+
+def test_model_sqnr_db_rejects_mismatched_base(toy_cnn, toy_cnn_hck):
+    from upaq.model import deep_copy
+
+    model, _ = toy_cnn
+    other = deep_copy(model)
+    root = other.by_id(toy_cnn_hck.groups[0].root_id)
+    root.weights = Tensor4(root.weights.data[:1])  # one out-channel fewer than the payload
+    with pytest.raises(ValidationError, match="base weights"):
+        model_sqnr_db(other, toy_cnn_hck)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import quantize_reference
-from upaq.quantizer import SQNR_CAP, SQNR_CAP_DB, dequantize, mp_quantize
+from upaq.quantizer import SQNR_CAP, SQNR_CAP_DB, dequantize, mp_quantize, quantize_slices
 
 WORKED_X = np.array([[1.0, -2.0], [0.5, 0.0]], dtype=np.float32)
 
@@ -121,3 +121,72 @@ def test_half_away_from_zero_tie_handling():
     assert qr.scale == 1.0
     assert qr.q_values.reshape(-1).tolist() == [64, -64, 127, 0]
     assert 10.0 * math.log10(qr.sqnr_linear) == pytest.approx(qr.sqnr_db)
+
+
+# ---------------------------------------------------------------------------
+# batched slice stacks
+# ---------------------------------------------------------------------------
+
+def _edge_stacks():
+    """Random stacks with the awkward rows mixed in: all-zero and all -0.0
+    slices, -0.0 cells, values near 1e-20, a lone tiny cell, and ties."""
+    rng = np.random.default_rng(31)
+    for shape in ((3, 3), (5, 5), (2, 2), (2, 3)):
+        x = (rng.normal(size=(48,) + shape) * rng.uniform(1e-3, 1e3, (48, 1, 1))).astype(np.float32)
+        x[0] = 0.0
+        x[1] = -0.0
+        x[2, 0, 0] = -0.0
+        x[3] *= np.float32(1e-20)
+        x[4] = 0.0
+        x[4, -1, -1] = 1e-20
+        x[5] = 0.0
+        x[5, 0, :2] = (62.5, -127.0)  # 8 bits: scale 1, a tie that ties-to-even would round down
+        x[6, 0, 0] = -np.abs(x[6]).max() * 2  # the negative cell sets alpha
+        yield x
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_quantize_slices_matches_per_slice_loop(bits):
+    for x in _edge_stacks():
+        q, scale, sqnr_linear, sqnr_db = quantize_slices(x, bits)
+        assert q.shape == x.shape and q.dtype == np.int32
+        for arr in (scale, sqnr_linear, sqnr_db):
+            assert arr.shape == (x.shape[0],) and arr.dtype == np.float64
+        for s in range(x.shape[0]):
+            qr = mp_quantize(x[s], bits)
+            assert np.array_equal(q[s], qr.q_values)
+            assert scale[s] == qr.scale
+            assert sqnr_linear[s] == qr.sqnr_linear
+            assert sqnr_db[s] == qr.sqnr_db
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_quantize_slices_matches_reference(bits):
+    for x in _edge_stacks():
+        q, scale, _, sqnr_db = quantize_slices(x, bits)
+        for s in range(x.shape[0]):
+            q_ref, scale_ref, sqnr_ref = quantize_reference(x[s].reshape(-1).tolist(), bits)
+            assert q[s].reshape(-1).tolist() == q_ref
+            assert scale[s] == scale_ref
+            # the reference sums variances in plain Python, numpy sums pairwise
+            assert sqnr_db[s] == pytest.approx(10.0 * math.log10(sqnr_ref), rel=1e-12)
+        assert scale[0] == scale[1] == 1.0 and not q[:2].any()
+        assert sqnr_db[0] == sqnr_db[1] == sqnr_db[3] == sqnr_db[4] == SQNR_CAP_DB
+
+
+def test_quantize_slices_and_mp_quantize_reject_bad_input():
+    stack = np.zeros((2, 3, 3), dtype=np.float32)
+    with pytest.raises(ValueError, match="unsupported bitwidth"):
+        quantize_slices(stack, 2)
+    with pytest.raises(ValueError, match="3-D"):
+        quantize_slices(stack[0], 8)
+    stack[1, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_slices(stack, 8)
+    with pytest.raises(ValueError, match="non-finite"):
+        mp_quantize(np.array([[0.0, -np.inf]], dtype=np.float32), 4)
+    with pytest.raises(ValueError, match="unsupported bitwidth"):
+        mp_quantize(np.ones((3, 3), dtype=np.float32), 32)
+    for bad in (np.ones(9, dtype=np.float32), np.ones((1, 3, 3), dtype=np.float32), np.float32(1.0)):
+        with pytest.raises(ValueError, match="2-D"):
+            mp_quantize(bad, 8)
