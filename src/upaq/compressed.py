@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import LayerSpec, ModelGraph, Tensor4, check_structure, infer_shapes
+from .model import LayerSpec, ModelGraph, Tensor4, check_structure
 from .patterns import KernelPattern
 
 
@@ -140,15 +140,11 @@ def _check_payload(layer: LayerSpec, qc: QuantizedConv, group: CompressedGroup) 
             raise ValidationError(f"layer {layer.id!r}: block payload on a non-1x1 layer")
         if group.pattern.d != k:
             raise ValidationError(f"layer {layer.id!r}: pattern d={group.pattern.d} != block edge {k}")
-        count = out_ch * in_ch
-        n_blocks = math.ceil(count / (k * k))
+        n_blocks = math.ceil(out_ch * in_ch / (k * k))
         if qc.scales.shape[0] != n_blocks:
             raise ValidationError(f"layer {layer.id!r}: expected {n_blocks} block scales")
-        flat = qc.q.reshape(-1)
-        keep_in_block = mask.reshape(-1)
-        for f in range(count):
-            if not keep_in_block[f % (k * k)] and flat[f] != 0:
-                raise ValidationError(f"layer {layer.id!r}: nonzero value outside the block pattern")
+        if np.any(slice_stack(qc.q, k)[:, ~mask]):
+            raise ValidationError(f"layer {layer.id!r}: nonzero value outside the block pattern")
 
 
 def decompress_model(cm: CompressedModel) -> ModelGraph:
@@ -196,22 +192,8 @@ def stored_value_count(qc: QuantizedConv, pattern: KernelPattern) -> int:
     """Structural nonzero slots of one payload: the values actually stored.
 
     This is the sparsity a pattern-skipping engine sees; a retained weight
-    that happens to quantize to integer zero still occupies a slot.
+    that happens to quantize to integer zero still occupies a slot.  The pad
+    cells of a 1 x 1 layer's last block hold no weight and store nothing.
     """
-    out_ch, in_ch, _, _ = qc.shape
-    if qc.block_k is None:
-        return out_ch * in_ch * pattern.n
-    k = qc.block_k
-    count = out_ch * in_ch
-    keep = [r * k + c for r, c in pattern.positions]
-    total = 0
-    for j in range(qc.scales.shape[0]):
-        lo = j * k * k
-        total += sum(1 for idx in keep if lo + idx < count)
-    return total
-
-
-def compressed_conv_shapes(cm: CompressedModel) -> dict[str, tuple[int, int, int]]:
-    """Activation shapes of the compressed graph (same algorithm as dense)."""
-    probe = decompress_model(cm)
-    return infer_shapes(probe)
+    weights = slice_stack(np.ones(qc.shape, dtype=bool), qc.block_k)
+    return int(np.count_nonzero(weights[:, pattern.mask()]))

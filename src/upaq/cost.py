@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressed import CompressedModel, decompress_model, stored_value_count
+from .compressed import CompressedModel, stored_value_count
 from .model import infer_shapes
 
 E_MAC = 1.0
@@ -46,28 +46,19 @@ def _conv_stats(model, bits=None):
     one whose weight quantized to integer zero.
     """
     bits = dict(bits) if bits else {}
-    if isinstance(model, CompressedModel):
-        for g in model.groups:
-            for m in g.member_ids:
-                bits.setdefault(m, g.bitwidth)
-        nnz_by_layer = {
-            lid: stored_value_count(qc, model.group_for(lid).pattern)
-            for lid, qc in model.qlayers.items()
-        }
-        dense = decompress_model(model)
-    else:
-        nnz_by_layer = {}
-        dense = model
-    shapes = infer_shapes(dense)
-    for layer in dense.conv_layers():
-        assert layer.weights is not None
-        if layer.id in nnz_by_layer:
-            nnz = nnz_by_layer[layer.id]
+    qlayers = model.qlayers if isinstance(model, CompressedModel) else {}
+    # shapes come from the layer specs and payload shapes: nothing is dequantized
+    shapes = infer_shapes(model, {lid: qc.shape for lid, qc in qlayers.items()})
+    for layer in (l for l in model.layers if l.kind == "conv2d"):
+        if layer.id in qlayers:
+            qc, group = qlayers[layer.id], model.group_for(layer.id)
+            shape, nnz = qc.shape, stored_value_count(qc, group.pattern)
+            bits.setdefault(layer.id, group.bitwidth)
         else:
-            nnz = int(np.count_nonzero(layer.weights.data))
+            assert layer.weights is not None
+            shape, nnz = layer.weights.shape, int(np.count_nonzero(layer.weights.data))
         _, oh, ow = shapes[layer.id]
-        kernels = layer.weights.out_ch * layer.weights.in_ch
-        yield layer.id, kernels, nnz, int(bits.get(layer.id, DENSE_BITS)), oh, ow
+        yield layer.id, shape[0] * shape[1], nnz, int(bits.get(layer.id, DENSE_BITS)), oh, ow
 
 
 class AnalyticCostModel:

@@ -121,12 +121,6 @@ class ModelGraph:
             raise ValidationError(f"expected exactly one sink layer, found {len(sinks)}")
         return sinks[0]
 
-    def topo_index(self, layer_id: str) -> int:
-        for idx, layer in enumerate(self.layers):
-            if layer.id == layer_id:
-                return idx
-        raise ValidationError(f"unknown layer id {layer_id!r}")
-
     def validate(self) -> None:
         check_structure(self.layers)
         infer_shapes(self)
@@ -188,10 +182,13 @@ def check_structure(layers: list[LayerSpec], weightless_ids: frozenset[str] = fr
         raise ValidationError(f"expected exactly one sink layer, found {len(sinks)}: {sinks}")
 
 
-def infer_shapes(model: ModelGraph) -> dict[str, tuple[int, int, int]]:
+def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[int, int, int]]:
     """Propagate activation shapes (c, h, w) through the graph.
 
-    Raises ValidationError naming the offending layer on any mismatch.
+    ``model`` needs ``input_shape`` and ``layers``; ``weight_shapes`` gives
+    the (out, in, kh, kw) of layers that carry no dense weights, such as the
+    quantized layers of a compressed model.  Raises ValidationError naming
+    the offending layer on any mismatch.
     """
     shapes: dict[str, tuple[int, int, int]] = {}
     for layer in model.layers:
@@ -200,18 +197,18 @@ def infer_shapes(model: ModelGraph) -> dict[str, tuple[int, int, int]]:
         else:
             in_shapes = [model.input_shape]
         c, h, w = in_shapes[0]
+        if layer.kind in WEIGHTED_KINDS:
+            out_ch, in_ch, kh, kw = layer.weights.shape if layer.weights is not None else weight_shapes[layer.id]
         if layer.kind == "conv2d":
-            wt = layer.weights
-            assert wt is not None
-            if wt.in_ch != c:
+            if in_ch != c:
                 raise ValidationError(
-                    f"layer {layer.id!r}: expects {wt.in_ch} input channels, got {c}"
+                    f"layer {layer.id!r}: expects {in_ch} input channels, got {c}"
                 )
-            oh = (h + 2 * layer.padding - wt.kh) // layer.stride + 1
-            ow = (w + 2 * layer.padding - wt.kw) // layer.stride + 1
+            oh = (h + 2 * layer.padding - kh) // layer.stride + 1
+            ow = (w + 2 * layer.padding - kw) // layer.stride + 1
             if oh < 1 or ow < 1:
                 raise ValidationError(f"layer {layer.id!r}: kernel larger than padded input")
-            shapes[layer.id] = (wt.out_ch, oh, ow)
+            shapes[layer.id] = (out_ch, oh, ow)
         elif layer.kind == "relu":
             shapes[layer.id] = (c, h, w)
         elif layer.kind == "add":
@@ -223,15 +220,13 @@ def infer_shapes(model: ModelGraph) -> dict[str, tuple[int, int, int]]:
         elif layer.kind == "global_avg_pool":
             shapes[layer.id] = (c, 1, 1)
         elif layer.kind == "linear":
-            wt = layer.weights
-            assert wt is not None
-            if wt.kh != 1 or wt.kw != 1:
+            if kh != 1 or kw != 1:
                 raise ValidationError(f"layer {layer.id!r}: linear weights must be (out, in, 1, 1)")
-            if c * h * w != wt.in_ch:
+            if c * h * w != in_ch:
                 raise ValidationError(
-                    f"layer {layer.id!r}: expects {wt.in_ch} input features, got {c * h * w}"
+                    f"layer {layer.id!r}: expects {in_ch} input features, got {c * h * w}"
                 )
-            shapes[layer.id] = (wt.out_ch, 1, 1)
+            shapes[layer.id] = (out_ch, 1, 1)
         else:  # pragma: no cover - kinds checked in check_structure
             raise ValidationError(f"layer {layer.id!r}: unknown kind {layer.kind!r}")
     return shapes

@@ -171,6 +171,25 @@ def test_compressed_1x1_roundtrip(toy_1x1):
         assert np.array_equal(dequantized_weights(cm.qlayers[lid]), dequantized_weights(cm2.qlayers[lid]))
 
 
+def test_1x1_payload_rejects_nonzero_off_pattern_cell_in_last_partial_block():
+    # 3 x 4 = 12 weights: one full 3x3 block and a last block holding 3 of its 9 cells
+    rng = np.random.default_rng(35)
+    layer = upaq.LayerSpec("pw", "conv2d", (), upaq.Tensor4(rng.uniform(-1, 1, (3, 4, 1, 1)).astype(np.float32)),
+                           rng.uniform(-1, 1, 3).astype(np.float32))
+    model = upaq.ModelGraph("pointwise", (4, 5, 5), [layer])
+    model.validate()
+    cm = upaq.compress_model(model, upaq.hck_profile(seed=42))
+    qc = cm.qlayers["pw"]
+    assert qc.block_k == 3 and qc.scales.shape == (2,)
+    cm.validate()  # the pad cells past the 12th weight are not checked as payload
+    keep = cm.group_for("pw").pattern.mask().reshape(-1)
+    off = [f for f in range(9, 12) if not keep[f - 9]]
+    assert off, "hck keeps 2 cells, so one of the last block's 3 cells is off-pattern"
+    qc.q.reshape(-1)[off[0]] = 1
+    with pytest.raises(ValidationError, match="outside the block pattern"):
+        cm.validate()
+
+
 def test_truncated_compressed_rejected(toy_cnn_hck):
     data = serialize_compressed(toy_cnn_hck)
     with pytest.raises(FormatError, match="truncated"):

@@ -118,13 +118,41 @@ def test_measured_mode_reports_no_energy(toy_cnn):
 
 
 def test_energy_walks_the_model_once(toy_cnn_hck, monkeypatch):
+    from upaq import compressed as compressed_module
     from upaq import cost as cost_module
 
-    calls = []
-    real = cost_module.decompress_model
-    monkeypatch.setattr(cost_module, "decompress_model", lambda cm: calls.append(1) or real(cm))
+    dequantized, walks = [], []
+    real_dequantized = compressed_module.dequantized_weights
+    real_infer_shapes = cost_module.infer_shapes
+    monkeypatch.setattr(compressed_module, "dequantized_weights",
+                        lambda qc: dequantized.append(1) or real_dequantized(qc))
+    monkeypatch.setattr(cost_module, "infer_shapes", lambda *a: walks.append(1) or real_infer_shapes(*a))
     cost = AnalyticCostModel()
     energy = cost.energy(toy_cnn_hck)
-    assert len(calls) == 1
+    assert len(walks) == 1
+    assert not dequantized  # shapes come from the payload shapes, nothing is decompressed
     moved = sum(nnz * b / 8.0 for _, _, nnz, b, _, _ in cost_module._conv_stats(toy_cnn_hck))
     assert energy == cost.latency(toy_cnn_hck) * 1.0 + moved * 0.1
+
+
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])
+@pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
+def test_compressed_conv_stats_match_the_decompressed_graph(arch, profile):
+    from upaq.compressed import stored_value_count
+    from upaq.cost import _conv_stats
+    from upaq.model import infer_shapes
+
+    model, _ = upaq.gen_fixture(arch, 42)
+    cm = upaq.compress_model(model, profile(seed=42))
+    dense = upaq.decompress_model(cm)
+    shapes = infer_shapes(dense)
+    expected = []
+    for layer in dense.conv_layers():
+        wt = layer.weights
+        if layer.id in cm.qlayers:
+            group = cm.group_for(layer.id)
+            nnz, bits = stored_value_count(cm.qlayers[layer.id], group.pattern), group.bitwidth
+        else:
+            nnz, bits = int(np.count_nonzero(wt.data)), 32
+        expected.append((layer.id, wt.out_ch * wt.in_ch, nnz, bits, *shapes[layer.id][1:]))
+    assert list(_conv_stats(cm)) == expected

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,3 +255,122 @@ def test_batch_input_shape_mismatch_names_index(toy_cnn):
     bad = Activation(np.zeros((2, 16, 16), dtype=np.float32))
     with pytest.raises(ValidationError, match="of input 2 "):
         forward_batch(model, [inputs[0], inputs[1], bad])
+
+
+# ---------------------------------------------------------------------------
+# channel-major layout: flatten order, out-channel tiles, windows, chunk edges
+# ---------------------------------------------------------------------------
+
+def _conv(rng, lid, out_ch, in_ch, k, inputs=(), stride=1, padding=0, pruned=()):
+    weights = rng.uniform(-1, 1, (out_ch, in_ch, k, k)).astype(np.float32)
+    for r, c in pruned:  # a cell zero in every slice, which the skipping path drops
+        weights[:, :, r, c] = 0.0
+    return LayerSpec(lid, "conv2d", inputs, Tensor4(weights), rng.uniform(-1, 1, out_ch).astype(np.float32),
+                     stride, padding)
+
+
+def _assert_engine_matches(model, xs, oracle_idx):
+    singles = [forward(model, x).data.tobytes() for x in xs]
+    for idx in oracle_idx:
+        assert singles[idx] == forward_reference(model, xs[idx].data).tobytes()
+    for sparse in (False, True):
+        assert [out.data.tobytes() for out in forward_batch(model, xs, sparse=sparse)] == singles
+    return singles
+
+
+def _inputs(rng, shape, count):
+    return [Activation(rng.uniform(-1, 1, shape).astype(np.float32)) for _ in range(count)]
+
+
+def test_linear_on_spatial_activation_flattens_in_chw_order():
+    rng = np.random.default_rng(36)
+    layers = [
+        _conv(rng, "c", 3, 2, 3, padding=1, pruned=[(0, 0)]),
+        LayerSpec("r", "relu", ("c",)),
+        LayerSpec("fc", "linear", ("r",), Tensor4(rng.uniform(-1, 1, (5, 3 * 4 * 5, 1, 1)).astype(np.float32)),
+                  rng.uniform(-1, 1, 5).astype(np.float32)),
+    ]
+    model = ModelGraph("spatial-fc", (2, 4, 5), layers)
+    model.validate()
+    _assert_engine_matches(model, _inputs(rng, (2, 4, 5), 3), oracle_idx=(0, 2))
+
+
+@pytest.mark.parametrize("out_ch", [10, 24])
+@pytest.mark.parametrize("tile", [1, 4, 7, None], ids=lambda t: f"tile-{t or 'default'}")
+def test_out_channels_not_a_multiple_of_the_tile(out_ch, tile, monkeypatch):
+    rng = np.random.default_rng(37)
+    model = ModelGraph("tiles", (3, 6, 6), [_conv(rng, "c", out_ch, 3, 3, padding=1, pruned=[(1, 1)])])
+    model.validate()
+    xs = _inputs(rng, (3, 6, 6), 3)
+    if tile is not None:  # all three inputs share one chunk: rows of 3 * 6 * 6
+        monkeypatch.setattr(inference, "TILE_BYTES", tile * 8 * 3 * 36)
+    _assert_engine_matches(model, xs, oracle_idx=(1,))
+
+
+@pytest.mark.parametrize("k, stride, padding, hw", [
+    (3, 2, 1, (7, 8)), (3, 3, 2, (7, 8)), (3, 2, 3, (7, 8)), (2, 1, 2, (7, 8)), (5, 2, 1, (7, 8)),
+    (3, 20, 3, (7, 8)),  # one output pixel, over the padding for every kernel cell
+    (9, 3, 3, (5, 6)), (10, 2, 3, (4, 5)),  # kernel rows whose window holds no output row
+])
+def test_strided_padded_windows_against_reference(k, stride, padding, hw):
+    # a kernel cell over the padding reads zeros: its products still accumulate
+    rng = np.random.default_rng(38)
+    model = ModelGraph("windows", (2, *hw), [_conv(rng, "c", 4, 2, k, stride=stride, padding=padding,
+                                                 pruned=[(0, k - 1), (k - 1, 0)])])
+    model.validate()
+    _assert_engine_matches(model, _inputs(rng, (2, *hw), 2), oracle_idx=(0, 1))
+
+
+def test_batch_sizes_around_the_chunk_on_a_32_channel_model():
+    rng = np.random.default_rng(39)
+    layers = [
+        _conv(rng, "a", 32, 2, 3, padding=1, pruned=[(0, 1)]),
+        LayerSpec("ra", "relu", ("a",)),
+        _conv(rng, "b", 32, 32, 3, ("ra",), padding=1, pruned=[(2, 2)]),
+        LayerSpec("sum", "add", ("b", "ra")),
+        _conv(rng, "c", 10, 32, 3, ("sum",), stride=2, padding=1),
+        LayerSpec("fc", "linear", ("c",), Tensor4(rng.uniform(-1, 1, (4, 10 * 3 * 3, 1, 1)).astype(np.float32))),
+    ]
+    model = ModelGraph("wide-small", (2, 6, 6), layers)
+    model.validate()
+    chunk = inference.CHUNK_BYTES // (4 * _largest_activation(model))
+    assert chunk > 2
+    xs = _inputs(rng, (2, 6, 6), chunk + 1)
+    singles = _assert_engine_matches(model, xs, oracle_idx=(0, chunk))
+    for size in (1, chunk - 1, chunk):
+        for sparse in (False, True):
+            outs = forward_batch(model, xs[:size], sparse=sparse)
+            assert [out.data.tobytes() for out in outs] == singles[:size]
+
+
+def test_conv_restores_the_ufunc_buffer_size():
+    rng = np.random.default_rng(41)
+    model = ModelGraph("short-rows", (2, 5, 5), [_conv(rng, "c", 4, 2, 3, padding=1)])
+    model.validate()
+    before = np.getbufsize()
+    forward_batch(model, _inputs(rng, (2, 5, 5), 2))  # rows of 50 run with a smaller buffer
+    assert np.getbufsize() == before
+
+
+def _traced_peak(model, xs):
+    tracemalloc.start()
+    try:
+        outs = forward_batch(model, xs)
+        return tracemalloc.get_traced_memory()[1], outs
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_stays_bounded_for_any_batch():
+    rng = np.random.default_rng(40)
+    model = ModelGraph("bounded", (1, 32, 32), [_conv(rng, "c", 32, 1, 3, padding=1)])
+    model.validate()
+    chunk = inference.CHUNK_BYTES // (4 * _largest_activation(model))
+    xs = _inputs(rng, (1, 32, 32), 4 * chunk)
+    forward_batch(model, xs[:chunk])  # warm up
+    one_peak, one_out = _traced_peak(model, xs[:chunk])
+    four_peak, four_out = _traced_peak(model, xs)
+    row = one_out[0].data.nbytes
+    # the three extra chunks may only add their output rows, not chunk working memory
+    assert four_peak - one_peak <= 3 * chunk * row + 64 * 1024
+    assert [o.data.tobytes() for o in four_out[:chunk]] == [o.data.tobytes() for o in one_out]
