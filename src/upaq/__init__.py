@@ -37,7 +37,6 @@ from .container import (
 )
 from .cost import (
     AnalyticCostModel,
-    MeasuredCostModel,
     compression_ratio,
     computational_cost,
     estimate_energy,
@@ -73,7 +72,6 @@ __all__ = [
     "GroupDecision",
     "KernelPattern",
     "LayerSpec",
-    "MeasuredCostModel",
     "ModelGraph",
     "ProfileInfo",
     "QuantResult",

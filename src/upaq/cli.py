@@ -23,7 +23,7 @@ from .container import (
     save_model,
     sniff_format,
 )
-from .cost import AnalyticCostModel, MeasuredCostModel, compression_ratio, computational_cost
+from .cost import AnalyticCostModel, compression_ratio, computational_cost
 from .compressor import PROFILE_FACTORIES, compress_with_decisions, compression_decisions
 from .errors import FormatError, ValidationError
 from .evaluate import evaluate_fidelity
@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=sorted(PROFILE_FACTORIES), default="hck")
     p.add_argument("--patterns", default="16", help="candidate patterns per group, or 'all' for exhaustive search")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cost", choices=("analytic", "measured"), default="analytic")
     p.add_argument("--workers", type=int, default=1, help="parallel group searches (output is identical for any value)")
     p.add_argument("--report", help="also write the JSON report to this path")
 
@@ -130,8 +129,7 @@ def _cmd_compress(args) -> int:
     model = load_model(args.model)
     candidates, exhaustive = _parse_patterns(args.patterns)
     profile = PROFILE_FACTORIES[args.profile](seed=args.seed, candidates=candidates, exhaustive=exhaustive)
-    cost = MeasuredCostModel() if args.cost == "measured" else AnalyticCostModel()
-    cm, decisions = compress_with_decisions(model, profile, cost=cost, workers=args.workers)
+    cm, decisions = compress_with_decisions(model, profile, workers=args.workers)
     save_compressed(cm, args.out)
 
     analytic = AnalyticCostModel()
@@ -142,7 +140,6 @@ def _cmd_compress(args) -> int:
         "profile": args.profile,
         "seed": args.seed,
         "patterns": "all" if exhaustive else candidates,
-        "cost_mode": args.cost,
         "groups": compression_decisions(cm, decisions),
         "compression_ratio": compression_ratio(dense_payload_nbytes(model), compressed_payload_nbytes(cm)),
         "computational_cost": {

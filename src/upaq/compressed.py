@@ -65,7 +65,6 @@ class ProfileInfo:
     candidates: int
     exhaustive: bool
     block_k: int
-    cost_mode: str = "analytic"
 
 
 @dataclass
@@ -117,34 +116,23 @@ class CompressedModel:
 
 
 def _check_payload(layer: LayerSpec, qc: QuantizedConv, group: CompressedGroup) -> None:
-    out_ch, in_ch, kh, kw = qc.shape
     max_value = 2 ** (qc.bitwidth - 1) - 1
     if qc.q.shape != qc.shape:
         raise ValidationError(f"layer {layer.id!r}: q shape {qc.q.shape} != declared {qc.shape}")
     if qc.bitwidth != group.bitwidth:
         raise ValidationError(f"layer {layer.id!r}: bitwidth differs from its group")
+    if qc.block_k is not None and qc.shape[2:] != (1, 1):
+        raise ValidationError(f"layer {layer.id!r}: block payload on a non-1x1 layer")
+    try:
+        slots = stored_slots(qc.shape, qc.block_k, group.pattern)
+    except ValidationError as exc:
+        raise ValidationError(f"layer {layer.id!r}: {exc}") from None
+    if qc.scales.shape[0] != len(slots):
+        raise ValidationError(f"layer {layer.id!r}: expected {len(slots)} scales, one per stacked slice")
     if int(np.abs(qc.q).max(initial=0)) > max_value:
         raise ValidationError(f"layer {layer.id!r}: quantized value outside symmetric {qc.bitwidth}-bit range")
-    mask = group.pattern.mask()
-    if qc.block_k is None:
-        if (kh, kw) != (group.pattern.d, group.pattern.d):
-            raise ValidationError(f"layer {layer.id!r}: kernel dims {kh}x{kw} != pattern d={group.pattern.d}")
-        if qc.scales.shape[0] != out_ch * in_ch:
-            raise ValidationError(f"layer {layer.id!r}: expected {out_ch * in_ch} slice scales")
-        off = qc.q.reshape(out_ch * in_ch, kh, kw)[:, ~mask]
-        if off.size and np.any(off != 0):
-            raise ValidationError(f"layer {layer.id!r}: nonzero value outside the group pattern")
-    else:
-        k = qc.block_k
-        if (kh, kw) != (1, 1):
-            raise ValidationError(f"layer {layer.id!r}: block payload on a non-1x1 layer")
-        if group.pattern.d != k:
-            raise ValidationError(f"layer {layer.id!r}: pattern d={group.pattern.d} != block edge {k}")
-        n_blocks = math.ceil(out_ch * in_ch / (k * k))
-        if qc.scales.shape[0] != n_blocks:
-            raise ValidationError(f"layer {layer.id!r}: expected {n_blocks} block scales")
-        if np.any(slice_stack(qc.q, k)[:, ~mask]):
-            raise ValidationError(f"layer {layer.id!r}: nonzero value outside the block pattern")
+    if np.any(slice_stack(qc.q, qc.block_k).reshape(slots.shape)[~slots]):
+        raise ValidationError(f"layer {layer.id!r}: nonzero value outside the block pattern")
 
 
 def decompress_model(cm: CompressedModel) -> ModelGraph:
@@ -188,6 +176,20 @@ def dequantized_weights(qc: QuantizedConv) -> np.ndarray:
     return unstack(deq, qc.shape)
 
 
+def stored_slots(shape: tuple[int, int, int, int], block_k: int | None, pattern: KernelPattern) -> np.ndarray:
+    """The cells a payload stores, as an ``(S, d*d)`` bool array over its
+    slice stack: ``pattern.mask() & valid``, where the pad cells of a 1 x 1
+    layer's last block are not valid.  Each row lists its slice's cells in
+    row-major order, the order the container packs the stored values in.
+    """
+    valid = slice_stack(np.ones(shape, dtype=bool), block_k)
+    if valid.shape[1:] != (pattern.d, pattern.d):
+        raise ValidationError(
+            f"a {tuple(shape)} payload with block_k={block_k} does not stack into {pattern.d}x{pattern.d} slices"
+        )
+    return (valid & pattern.mask()).reshape(len(valid), -1)
+
+
 def stored_value_count(qc: QuantizedConv, pattern: KernelPattern) -> int:
     """Structural nonzero slots of one payload: the values actually stored.
 
@@ -195,5 +197,4 @@ def stored_value_count(qc: QuantizedConv, pattern: KernelPattern) -> int:
     that happens to quantize to integer zero still occupies a slot.  The pad
     cells of a 1 x 1 layer's last block hold no weight and store nothing.
     """
-    weights = slice_stack(np.ones(qc.shape, dtype=bool), qc.block_k)
-    return int(np.count_nonzero(weights[:, pattern.mask()]))
+    return int(stored_slots(qc.shape, qc.block_k, pattern).sum())

@@ -379,7 +379,6 @@ def compress_with_decisions(
             candidates=profile.candidates,
             exhaustive=profile.exhaustive,
             block_k=profile.block_k,
-            cost_mode=getattr(cost, "mode", "analytic"),
         ),
         base_payload_nbytes=dense_payload_nbytes(model),
     )

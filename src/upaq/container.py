@@ -7,10 +7,18 @@ then a single binary payload.  All multi-byte values are little-endian.
 Dense payload: float32 weight and bias arrays, laid out per layer in list
 order (weights then bias).  Compressed payload: per layer in list order, the
 float32 bias, then either dense float32 weights (uncompressed layers) or the
-float32 scale table followed by bit-packed two's-complement integers (4/8/16
-bit lanes, each slice or block padded to a byte boundary); after the layer
-sections come the per-group pattern masks, one bit per kernel cell in
-row-major order, LSB first.
+float32 scale table followed by the packed integers; after the layer sections
+come the per-group pattern masks, one bit per kernel cell in row-major order,
+LSB first.
+
+A compressed layer has one stored-slot layout whatever its kernel shape: its
+weights form a stack of ``d x d`` slices (the kernel slices of a k x k layer,
+or the zero-padded blocks of a 1 x 1 layer's flat weights), one scale per
+slice, and :func:`~upaq.compressed.stored_slots` marks the cells stored in
+each slice: the group pattern's cells, less the pad cells of the last block.
+Each slice's stored values are written in row-major cell order as
+two's-complement 4/8/16-bit fields, LSB first, and each slice is padded to a
+byte boundary.
 
 Compression ratios compare payload lengths only; headers are excluded.
 """
@@ -24,10 +32,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .compressed import CompressedGroup, CompressedModel, ProfileInfo, QuantizedConv
-from .errors import FormatError
+from .compressed import (
+    CompressedGroup,
+    CompressedModel,
+    ProfileInfo,
+    QuantizedConv,
+    slice_stack,
+    stored_slots,
+    unstack,
+)
+from .errors import FormatError, ValidationError
 from .model import LayerSpec, ModelGraph, Tensor4
 from .patterns import KernelPattern
+from .quantizer import SUPPORTED_BITS
 
 MAGIC_DENSE = b"UPAQ1"
 MAGIC_COMPRESSED = b"UPQC1"
@@ -38,43 +55,40 @@ FORMAT_VERSION = 1
 # bit packing
 # ---------------------------------------------------------------------------
 
-def pack_ints(values, bits: int) -> bytes:
-    """Pack signed integers as two's-complement fields, LSB first, byte-padded."""
-    mask = (1 << bits) - 1
-    acc = 0
-    pos = 0
-    out = bytearray()
-    for v in values:
-        acc |= (int(v) & mask) << pos
-        pos += bits
-        while pos >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            pos -= 8
-    if pos > 0:
-        out.append(acc & 0xFF)
-    return bytes(out)
+def _row_nbytes(slots: np.ndarray, bits: int) -> np.ndarray:
+    """Packed bytes of each slice: its stored values, padded to a byte."""
+    return -(-slots.sum(axis=1) * bits // 8)
 
 
-def unpack_ints(data: bytes, count: int, bits: int) -> list[int]:
-    """Inverse of :func:`pack_ints` for ``count`` fields."""
-    if len(data) * 8 < count * bits:
-        raise FormatError(f"packed section holds {len(data)} bytes, needs {count} x {bits}-bit fields")
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    out = []
-    acc = 0
-    pos = 0
-    it = iter(data)
-    for _ in range(count):
-        while pos < bits:
-            acc |= next(it) << pos
-            pos += 8
-        raw = acc & (full - 1)
-        acc >>= bits
-        pos -= bits
-        out.append(raw - full if raw >= half else raw)
-    return out
+def _field_bits(slots: np.ndarray, bits: int) -> np.ndarray:
+    """Bit index of every bit of every stored field, ``(N, bits)``, in the
+    order ``stack[slots]`` lists the values; each slice starts on a byte."""
+    row_nbytes = _row_nbytes(slots, bits)
+    row_start = 8 * (np.cumsum(row_nbytes) - row_nbytes)
+    rank = (np.cumsum(slots, axis=1) - 1)[slots]
+    first = row_start[np.nonzero(slots)[0]] + rank * bits
+    return first[:, None] + np.arange(bits)
+
+
+def pack_slots(stack: np.ndarray, slots: np.ndarray, bits: int) -> bytes:
+    """Pack the stored cells of an ``(S, d*d)`` integer stack as
+    two's-complement ``bits``-wide fields, LSB first, each slice byte-padded."""
+    fields = (stack[slots].astype(np.int64)[:, None] >> np.arange(bits)) & 1
+    bitstream = np.zeros(8 * int(_row_nbytes(slots, bits).sum()), dtype=np.uint8)
+    bitstream[_field_bits(slots, bits)] = fields
+    return np.packbits(bitstream, bitorder="little").tobytes()
+
+
+def unpack_slots(data: bytes, slots: np.ndarray, bits: int) -> np.ndarray:
+    """Inverse of :func:`pack_slots`: an int32 ``(S, d*d)`` stack, zero off the slots.
+
+    ``data`` must hold exactly the packed bytes of ``slots`` at ``bits``.
+    """
+    bitstream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    raw = (bitstream[_field_bits(slots, bits)].astype(np.int32) << np.arange(bits)).sum(axis=1)
+    stack = np.zeros(slots.shape, dtype=np.int32)
+    stack[slots] = raw - ((raw >> (bits - 1)) << bits)  # sign-extend the top bit
+    return stack
 
 
 def pack_mask(pattern: KernelPattern) -> bytes:
@@ -192,20 +206,8 @@ def load_model(path) -> ModelGraph:
 # ---------------------------------------------------------------------------
 
 def packed_layer_nbytes(qc: QuantizedConv, pattern: KernelPattern) -> int:
-    """Packed-integer byte count for one layer (each unit byte-padded)."""
-    out_ch, in_ch, _, _ = qc.shape
-    if qc.block_k is None:
-        per_slice = math.ceil(pattern.n * qc.bitwidth / 8)
-        return out_ch * in_ch * per_slice
-    k = qc.block_k
-    count = out_ch * in_ch
-    keep = sorted(r * k + c for r, c in pattern.positions)
-    total = 0
-    for j in range(qc.scales.shape[0]):
-        lo = j * k * k
-        survivors = sum(1 for idx in keep if lo + idx < count)
-        total += math.ceil(survivors * qc.bitwidth / 8)
-    return total
+    """Packed-integer byte count for one layer (each slice byte-padded)."""
+    return int(_row_nbytes(stored_slots(qc.shape, qc.block_k, pattern), qc.bitwidth).sum())
 
 
 def compressed_payload_nbytes(cm: CompressedModel) -> int:
@@ -223,23 +225,6 @@ def compressed_payload_nbytes(cm: CompressedModel) -> int:
     for group in cm.groups:
         total += math.ceil(group.pattern.d ** 2 / 8)
     return total
-
-
-def _packed_values(qc: QuantizedConv, pattern: KernelPattern):
-    """Retained integers in canonical order, one list per slice or block."""
-    out_ch, in_ch, kh, kw = qc.shape
-    if qc.block_k is None:
-        flat = qc.q.reshape(out_ch * in_ch, kh, kw)
-        for s in range(out_ch * in_ch):
-            yield [int(flat[s, r, c]) for r, c in pattern.positions]
-    else:
-        k = qc.block_k
-        count = out_ch * in_ch
-        q_flat = qc.q.reshape(-1)
-        keep = sorted(r * k + c for r, c in pattern.positions)
-        for j in range(qc.scales.shape[0]):
-            lo = j * k * k
-            yield [int(q_flat[lo + idx]) for idx in keep if lo + idx < count]
 
 
 def serialize_compressed(cm: CompressedModel) -> bytes:
@@ -275,9 +260,8 @@ def serialize_compressed(cm: CompressedModel) -> bytes:
             scales_raw = qc.scales.astype("<f4").tobytes()
             scales_ref = {"offset": len(blob), "nbytes": len(scales_raw)}
             blob += scales_raw
-            packed = bytearray()
-            for values in _packed_values(qc, pattern):
-                packed += pack_ints(values, qc.bitwidth)
+            slots = stored_slots(qc.shape, qc.block_k, pattern)
+            packed = pack_slots(slice_stack(qc.q, qc.block_k).reshape(slots.shape), slots, qc.bitwidth)
             packed_ref = {"offset": len(blob), "nbytes": len(packed)}
             blob += packed
             entry["quantized"] = {
@@ -317,7 +301,6 @@ def serialize_compressed(cm: CompressedModel) -> bytes:
             "candidates": cm.profile.candidates,
             "exhaustive": cm.profile.exhaustive,
             "block_k": cm.profile.block_k,
-            "cost_mode": cm.profile.cost_mode,
         },
         "base_payload_nbytes": cm.base_payload_nbytes,
         "layers": layer_entries,
@@ -389,7 +372,6 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
             candidates=profile["candidates"],
             exhaustive=profile["exhaustive"],
             block_k=profile["block_k"],
-            cost_mode=profile["cost_mode"],
         ),
         base_payload_nbytes=header["base_payload_nbytes"],
     )
@@ -398,38 +380,29 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
 
 
 def _read_quantized(blob: bytes, entry: dict, pattern: KernelPattern) -> QuantizedConv:
-    meta = entry["quantized"]
-    shape = tuple(meta["shape"])
-    bits = meta["bitwidth"]
-    scales = _read_f32(blob, meta["scales"], entry["id"])
-    packed = _read_raw(blob, meta["packed"]["offset"], meta["packed"]["nbytes"], entry["id"])
-    out_ch, in_ch, kh, kw = shape
-    q = np.zeros(shape, dtype=np.int32)
-    cursor = 0
-    if meta["block_k"] is None:
-        per_slice = math.ceil(pattern.n * bits / 8)
-        flat = q.reshape(out_ch * in_ch, kh, kw)
-        for s in range(out_ch * in_ch):
-            values = unpack_ints(packed[cursor:cursor + per_slice], pattern.n, bits)
-            cursor += per_slice
-            for (r, c), v in zip(pattern.positions, values):
-                flat[s, r, c] = v
-    else:
-        k = meta["block_k"]
-        count = out_ch * in_ch
-        keep = sorted(r * k + c for r, c in pattern.positions)
-        q_flat = q.reshape(-1)
-        for j in range(scales.size):
-            lo = j * k * k
-            idxs = [lo + idx for idx in keep if lo + idx < count]
-            nbytes = math.ceil(len(idxs) * bits / 8)
-            values = unpack_ints(packed[cursor:cursor + nbytes], len(idxs), bits)
-            cursor += nbytes
-            for f, v in zip(idxs, values):
-                q_flat[f] = v
-    if cursor != len(packed):
-        raise FormatError(f"layer {entry['id']!r}: packed section has {len(packed) - cursor} stray bytes")
-    return QuantizedConv(shape=shape, bitwidth=bits, q=q, scales=scales, block_k=meta["block_k"])
+    meta, layer_id = entry["quantized"], entry["id"]
+    shape, bits, block_k = meta["shape"], meta["bitwidth"], meta["block_k"]
+    # header fields are checked before anything is allocated from them
+    if type(bits) is not int or bits not in SUPPORTED_BITS:
+        raise FormatError(f"layer {layer_id!r}: bitwidth {bits!r} is not one of {SUPPORTED_BITS}")
+    if block_k is not None and (type(block_k) is not int or block_k != pattern.d):
+        raise FormatError(f"layer {layer_id!r}: block_k {block_k!r} is neither null nor the pattern d={pattern.d}")
+    if not (isinstance(shape, list) and len(shape) == 4 and all(type(v) is int and v > 0 for v in shape)):
+        raise FormatError(f"layer {layer_id!r}: payload shape {shape!r} is not 4 positive integers")
+    scales = _read_f32(blob, meta["scales"], layer_id)
+    if scales.size != -(-math.prod(shape) // pattern.d ** 2):
+        raise FormatError(f"layer {layer_id!r}: {scales.size} scales do not fit a {shape} payload")
+    try:
+        slots = stored_slots(tuple(shape), block_k, pattern)
+    except ValidationError as exc:
+        raise FormatError(f"layer {layer_id!r}: {exc}") from None
+    nbytes = int(_row_nbytes(slots, bits).sum())
+    if meta["packed"]["nbytes"] != nbytes:
+        raise FormatError(f"layer {layer_id!r}: packed section holds {meta['packed']['nbytes']} bytes, expected {nbytes}")
+    packed = _read_raw(blob, meta["packed"]["offset"], nbytes, layer_id)
+    stack = unpack_slots(packed, slots, bits)
+    q = unstack(stack.reshape(-1, pattern.d, pattern.d), tuple(shape))
+    return QuantizedConv(shape=tuple(shape), bitwidth=bits, q=q, scales=scales, block_k=block_k)
 
 
 def save_compressed(cm: CompressedModel, path) -> None:

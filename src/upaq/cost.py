@@ -8,13 +8,11 @@ cost model is a documented closed form over nonzero multiply-accumulates:
     moved_bytes = sum over conv layers of nnz(W) * bits / 8
 
 with E_MAC = 1 and E_BYTE = 0.1 in arbitrary units.  Dense float32 layers
-count as 32-bit.  A measured mode (wall-clock over the bundled inference
-engine) can be swapped in; it reports energy as unavailable.
+count as 32-bit.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +62,6 @@ def _conv_stats(model, bits=None):
 class AnalyticCostModel:
     """Deterministic closed-form cost; the default for compression search."""
 
-    mode = "analytic"
-
     def latency(self, model, bits: dict[str, int] | None = None) -> float:
         return _analytic_totals(model, bits)[0]
 
@@ -81,41 +77,6 @@ def _analytic_totals(model, bits) -> tuple[float, float]:
         latency += nnz * (b / 32.0) * oh * ow
         moved_bytes += nnz * b / 8.0
     return latency, moved_bytes
-
-
-class MeasuredCostModel:
-    """Wall-clock latency over the bundled engine; energy is unavailable.
-
-    Nondeterministic by nature: compression runs using this mode are not
-    expected to be byte-reproducible.
-    """
-
-    mode = "measured"
-
-    def __init__(self, repeats: int = 3):
-        self.repeats = max(1, repeats)
-
-    def latency(self, model, bits: dict[str, int] | None = None) -> float:
-        from .inference import Activation, forward, forward_compressed
-
-        probe = Activation(np.zeros(model.input_shape, dtype=np.float32))
-
-        def run():
-            if isinstance(model, CompressedModel):
-                forward_compressed(model, probe, sparse=True)
-            else:
-                forward(model, probe)
-
-        samples = []
-        for _ in range(self.repeats):
-            t0 = time.perf_counter()
-            run()
-            samples.append(time.perf_counter() - t0)
-        samples.sort()
-        return samples[len(samples) // 2]
-
-    def energy(self, model, bits: dict[str, int] | None = None) -> float | None:
-        return None
 
 
 def estimate_latency(model, bits: dict[str, int] | None = None) -> float:

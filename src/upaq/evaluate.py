@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .compressed import CompressedModel, decompress_model, dequantized_weights, slice_stack
-from .container import compressed_payload_nbytes, dense_payload_nbytes, packed_layer_nbytes
+from .container import compressed_payload_nbytes, dense_payload_nbytes
 from .cost import AnalyticCostModel, compression_ratio
 from .compressor import ModelCost, calculate_es
 from .errors import ValidationError
@@ -130,25 +130,3 @@ def _slice_sqnr_db(signal_var: float, err_var: float) -> float:
         return SQNR_CAP_DB
     linear = min(signal_var / err_var, SQNR_CAP)
     return 10.0 * math.log10(linear) if linear > 0 else -math.inf
-
-
-def recount_payload_nbytes(cm: CompressedModel) -> int:
-    """Independent payload recount: groups plus the dense remainder.
-
-    Sums pattern masks, scale tables, and packed integers per group member,
-    then adds uncompressed weights and all biases; must equal the container
-    payload length exactly.
-    """
-    total = 0
-    for group in cm.groups:
-        total += math.ceil(group.pattern.d ** 2 / 8)
-        for member in group.member_ids:
-            qc = cm.qlayers[member]
-            total += 4 * qc.scales.size
-            total += packed_layer_nbytes(qc, group.pattern)
-    for layer in cm.layers:
-        if layer.weights is not None:
-            total += 4 * layer.weights.data.size
-        if layer.bias is not None:
-            total += 4 * layer.bias.size
-    return total

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,12 @@ def single_conv_model(seed=42, out_ch=4, in_ch=4, k=3, hw=8):
     model = upaq.ModelGraph(name="single-conv", input_shape=(in_ch, hw, hw), layers=[layer])
     model.validate()
     return model
+
+
+def patch_header(data, edit):
+    """Container bytes with ``edit(header)`` applied to the JSON header."""
+    (hlen,) = struct.unpack("<I", data[5:9])
+    header = json.loads(data[9:9 + hlen])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return data[:5] + struct.pack("<I", len(raw)) + raw + data[9 + hlen:]

@@ -222,3 +222,86 @@ def recount_compressed_payload(path):
             total += 4 * shape[0]
     assert total == len(payload), (total, len(payload))
     return total
+
+
+# ---------------------------------------------------------------------------
+# per-slice bit packing and payload recount
+# ---------------------------------------------------------------------------
+
+def pack_ints(values, bits):
+    """Pack signed integers as two's-complement fields, LSB first, byte-padded."""
+    mask = (1 << bits) - 1
+    acc = 0
+    pos = 0
+    out = bytearray()
+    for v in values:
+        acc |= (int(v) & mask) << pos
+        pos += bits
+        while pos >= 8:
+            out.append(acc & 0xFF)
+            acc >>= 8
+            pos -= 8
+    if pos > 0:
+        out.append(acc & 0xFF)
+    return bytes(out)
+
+
+def unpack_ints(data, count, bits):
+    """Inverse of :func:`pack_ints` for ``count`` fields."""
+    if len(data) * 8 < count * bits:
+        raise ValueError(f"packed section holds {len(data)} bytes, needs {count} x {bits}-bit fields")
+    half = 1 << (bits - 1)
+    full = 1 << bits
+    out = []
+    acc = 0
+    pos = 0
+    it = iter(data)
+    for _ in range(count):
+        while pos < bits:
+            acc |= next(it) << pos
+            pos += 8
+        raw = acc & (full - 1)
+        acc >>= bits
+        pos -= bits
+        out.append(raw - full if raw >= half else raw)
+    return out
+
+
+def stored_values_reference(q, pattern, block_k):
+    """Stored integers of one payload in container order, one list per slice
+    (k x k layers) or per k x k block of the flat weights (1 x 1 layers)."""
+    out_ch, in_ch, kh, kw = q.shape
+    if block_k is None:
+        flat = q.reshape(out_ch * in_ch, kh, kw)
+        return [[int(flat[s, r, c]) for r, c in pattern.positions] for s in range(out_ch * in_ch)]
+    keep = sorted(r * block_k + c for r, c in pattern.positions)
+    count = out_ch * in_ch
+    q_flat = q.reshape(-1)
+    n_blocks = math.ceil(count / (block_k * block_k))
+    return [
+        [int(q_flat[j * block_k * block_k + idx]) for idx in keep if j * block_k * block_k + idx < count]
+        for j in range(n_blocks)
+    ]
+
+
+def recount_payload_nbytes(cm):
+    """Independent payload recount: groups plus the dense remainder.
+
+    Sums pattern masks, scale tables, and per-slice byte-padded integers per
+    group member, then adds uncompressed weights and all biases; must equal
+    the container payload length exactly.
+    """
+    total = 0
+    for group in cm.groups:
+        total += math.ceil(group.pattern.d ** 2 / 8)
+        for member in group.member_ids:
+            qc = cm.qlayers[member]
+            total += 4 * qc.scales.size
+            for values in stored_values_reference(qc.q, group.pattern, qc.block_k):
+                total += math.ceil(len(values) * qc.bitwidth / 8)
+    for layer in cm.layers:
+        if layer.weights is not None:
+            total += 4 * layer.weights.data.size
+        if layer.bias is not None:
+            total += 4 * layer.bias.size
+    return total

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import patch_header
 from upaq.cli import main
 
 
@@ -97,6 +98,21 @@ def test_truncated_file_exits_1(tmp_path, capsys):
     clipped = tmp_path / "clipped.upaq"
     clipped.write_bytes(data[:-16])
     assert main(["run", str(clipped), "--inputs", "x", "--out", "y"]) == 1
+
+
+def test_bad_bitwidth_in_compressed_file_exits_1(tmp_path, capsys):
+    model_path, inputs_path = _gen(tmp_path, arch="toy-1x1")
+    good = tmp_path / "good.upaqc"
+    assert main(["compress", str(model_path), "-o", str(good)]) == 0
+
+    def zero_bits(header):
+        header["layers"][0]["quantized"]["bitwidth"] = 0
+
+    bad = tmp_path / "bad.upaqc"
+    bad.write_bytes(patch_header(good.read_bytes(), zero_bits))
+    capsys.readouterr()
+    assert main(["run", str(bad), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]) == 1
+    assert "bitwidth 0" in capsys.readouterr().err
 
 
 def test_bad_patterns_value_exits_2(tmp_path, capsys):

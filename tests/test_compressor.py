@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import upaq
-from upaq.compressed import dequantized_weights, slice_stack
+from upaq.compressed import dequantized_weights, slice_stack, stored_slots
 from upaq.compressor import (
     CompressionProfile,
     ModelCost,
@@ -14,7 +14,7 @@ from upaq.compressor import (
     hck_profile,
     lck_profile,
 )
-from upaq.container import _packed_values, serialize_compressed
+from upaq.container import serialize_compressed
 from upaq.errors import ValidationError
 from upaq.grouping import find_root_groups
 from upaq.model import LayerSpec, ModelGraph, Tensor4
@@ -201,8 +201,7 @@ def test_hck_structure_on_toy_cnn(toy_cnn, toy_cnn_hck):
         qc = cm.qlayers[member]
         per_slice = qc.q.reshape(-1, 3, 3)
         assert not per_slice[:, ~mask].any()  # zeros everywhere off-pattern
-        for values in _packed_values(qc, group.pattern):
-            assert len(values) == 2
+        assert set(stored_slots(qc.shape, qc.block_k, group.pattern).sum(axis=1).tolist()) == {2}
 
 
 def test_lck_structure_on_toy_cnn(toy_cnn_lck):
@@ -210,8 +209,8 @@ def test_lck_structure_on_toy_cnn(toy_cnn_lck):
     group = toy_cnn_lck.groups[0]
     assert group.bitwidth in (8, 16)
     assert group.pattern.n == 3
-    for values in _packed_values(toy_cnn_lck.qlayers[group.root_id], group.pattern):
-        assert len(values) == 3
+    qc = toy_cnn_lck.qlayers[group.root_id]
+    assert set(stored_slots(qc.shape, qc.block_k, group.pattern).sum(axis=1).tolist()) == {3}
 
 
 def test_lck_1x1_blockwise_density(toy_1x1):
@@ -219,7 +218,7 @@ def test_lck_1x1_blockwise_density(toy_1x1):
     cm = compress_model(model, lck_profile(seed=42))
     group = cm.group_for("conv_b")
     qc = cm.qlayers["conv_b"]
-    counts = [len(v) for v in _packed_values(qc, group.pattern)]
+    counts = stored_slots(qc.shape, qc.block_k, group.pattern).sum(axis=1).tolist()
     assert counts == [3, 3]  # two full blocks, ceil-blockwise 3 survivors each
 
 

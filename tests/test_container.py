@@ -3,23 +3,34 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import upaq
-from oracles import read_container, recount_compressed_payload, recount_dense_payload
-from upaq.compressed import dequantized_weights
+from conftest import patch_header
+from oracles import (
+    pack_ints,
+    read_container,
+    recount_compressed_payload,
+    recount_dense_payload,
+    recount_payload_nbytes,
+    stored_values_reference,
+    unpack_ints,
+)
+from upaq.compressed import dequantized_weights, slice_stack, stored_slots
 from upaq.container import (
     compressed_payload_nbytes,
     dense_payload_nbytes,
     deserialize_compressed,
     deserialize_model,
     load_model,
-    pack_ints,
     pack_mask,
+    pack_slots,
     save_compressed,
     save_model,
     serialize_compressed,
     serialize_model,
-    unpack_ints,
+    unpack_slots,
 )
 from upaq.errors import FormatError, ValidationError
 from upaq.patterns import enumerate_all_patterns
@@ -45,6 +56,53 @@ def test_pack_roundtrip_random():
             packed = pack_ints(values, bits)
             assert len(packed) == (n * bits + 7) // 8
             assert unpack_ints(packed, n, bits) == values
+
+
+def _check_stack_packing(q, pattern, block_k, bits):
+    """Stack pack equals the per-slice oracle, and unpack restores the slots."""
+    slots = stored_slots(q.shape, block_k, pattern)
+    reference = stored_values_reference(q, pattern, block_k)
+    packed = pack_slots(slice_stack(q, block_k).reshape(slots.shape), slots, bits)
+    assert packed == b"".join(pack_ints(values, bits) for values in reference)
+    stack = unpack_slots(packed, slots, bits)
+    assert stack.dtype == np.int32
+    assert [row[keep].tolist() for row, keep in zip(stack, slots)] == reference
+    assert not stack[~slots].any()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pack_slots_every_pattern_and_partial_block(d):
+    rng = np.random.default_rng(d)
+    for n in range(1, d + 1):
+        for pattern in enumerate_all_patterns(n, d):
+            for bits in (4, 8, 16):
+                top = 2 ** (bits - 1) - 1
+                # a k x k layer, then 1 x 1 layers leaving every remainder 0 .. d*d-1
+                shapes = [((2, 3, d, d), None)] + [((1, d * d + r, 1, 1), d) for r in range(d * d)]
+                for shape, block_k in shapes:
+                    q = rng.integers(-top, top + 1, shape)
+                    q = np.where(rng.random(shape) < 0.5, rng.choice([-top, top], shape), q)
+                    _check_stack_packing(q.astype(np.int32), pattern, block_k, bits)
+
+
+@st.composite
+def _stacks(draw):
+    d = draw(st.integers(2, 5))
+    pattern = draw(st.sampled_from([p for n in range(1, d + 1) for p in enumerate_all_patterns(n, d)]))
+    bits = draw(st.sampled_from((4, 8, 16)))
+    if draw(st.booleans()):
+        shape, block_k = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), d, d), None
+    else:
+        shape, block_k = (draw(st.integers(1, 4)), draw(st.integers(1, 12)), 1, 1), d
+    top = 2 ** (bits - 1) - 1
+    values = draw(st.lists(st.integers(-top, top), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=np.int32).reshape(shape), pattern, block_k, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+def test_pack_slots_property(case):
+    _check_stack_packing(*case)
 
 
 def test_mask_roundtrip_all_patterns():
@@ -149,8 +207,6 @@ def test_compressed_roundtrip_preserves_dequantized_weights(toy_cnn_hck, tmp_pat
 
 
 def test_compressed_payload_matches_recounts(toy_cnn_hck, toy_cnn_lck, tmp_path):
-    from upaq.evaluate import recount_payload_nbytes
-
     for name, cm in (("hck", toy_cnn_hck), ("lck", toy_cnn_lck)):
         path = tmp_path / f"{name}.upaqc"
         save_compressed(cm, path)
@@ -194,3 +250,55 @@ def test_truncated_compressed_rejected(toy_cnn_hck):
     data = serialize_compressed(toy_cnn_hck)
     with pytest.raises(FormatError, match="truncated"):
         deserialize_compressed(data[:-4])
+
+
+def test_v1_header_with_cost_mode_loads_to_the_same_model(toy_cnn_hck):
+    data = serialize_compressed(toy_cnn_hck)
+    for mode in ("analytic", "measured"):
+        older = patch_header(data, lambda h: h["profile"].update(cost_mode=mode))
+        assert older != data
+        assert serialize_compressed(deserialize_compressed(older)) == data
+
+
+@pytest.fixture(scope="module")
+def toy_1x1_lck_bytes(toy_1x1):
+    cm = upaq.compress_model(toy_1x1[0], upaq.lck_profile(seed=42))
+    assert (cm.qlayers["conv_a"].block_k, cm.qlayers["conv_b"].block_k) == (None, 3)
+    return serialize_compressed(cm)
+
+
+def _set_quantized(layer_id, field, value):
+    def edit(header):
+        (meta,) = [e["quantized"] for e in header["layers"] if e["id"] == layer_id]
+        if field == "packed_nbytes":
+            meta["packed"]["nbytes"] += value
+        else:
+            meta[field] = value
+    return edit
+
+
+def test_kernel_dims_off_the_pattern_name_the_layer(toy_1x1_lck_bytes, toy_1x1):
+    # 9x1x1x9 keeps conv_a's 81 cells and 9 scales, but its slices are 1x9, not 3x3
+    def flatten_kernel(header):
+        header["layers"][0]["quantized"]["shape"] = [9, 1, 1, 9]
+
+    with pytest.raises(FormatError, match="layer 'conv_a': .* does not stack into 3x3 slices"):
+        deserialize_compressed(patch_header(toy_1x1_lck_bytes, flatten_kernel))
+    cm = upaq.compress_model(toy_1x1[0], upaq.lck_profile(seed=42))
+    qc = cm.qlayers["conv_a"]
+    qc.shape, qc.q = (9, 1, 1, 9), qc.q.reshape(9, 1, 1, 9)
+    with pytest.raises(ValidationError, match="layer 'conv_a': .* does not stack into 3x3 slices"):
+        cm.validate()
+
+
+@pytest.mark.parametrize("layer_id", ["conv_a", "conv_b"])  # a 3x3 layer and a 1x1 block layer
+@pytest.mark.parametrize("field,value", [
+    ("bitwidth", 0), ("bitwidth", -3), ("bitwidth", 64), ("bitwidth", 10**12),
+    ("block_k", 0), ("block_k", -1), ("block_k", 2),
+    ("packed_nbytes", 1), ("packed_nbytes", -1),
+])
+def test_hostile_quantized_header_raises_format_error(toy_1x1_lck_bytes, layer_id, field, value):
+    message = {"bitwidth": f"bitwidth {value} is not", "block_k": f"block_k {value} is neither",
+               "packed_nbytes": "packed section holds"}[field]
+    with pytest.raises(FormatError, match=f"layer '{layer_id}': {message}"):
+        deserialize_compressed(patch_header(toy_1x1_lck_bytes, _set_quantized(layer_id, field, value)))

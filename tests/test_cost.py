@@ -5,7 +5,6 @@ import upaq
 from oracles import latency_reference
 from upaq.cost import (
     AnalyticCostModel,
-    MeasuredCostModel,
     compression_ratio,
     computational_cost,
     estimate_energy,
@@ -107,14 +106,6 @@ def test_compression_ratio_errors():
     with pytest.raises(ValueError):
         compression_ratio(0, 100)
     assert compression_ratio(100, 25) == 4.0
-
-
-def test_measured_mode_reports_no_energy(toy_cnn):
-    model, _ = toy_cnn
-    cost = MeasuredCostModel(repeats=1)
-    assert cost.latency(model) > 0.0
-    assert cost.energy(model) is None
-    assert AnalyticCostModel().energy(model) is not None
 
 
 def test_energy_walks_the_model_once(toy_cnn_hck, monkeypatch):

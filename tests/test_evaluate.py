@@ -8,7 +8,8 @@ from upaq.compressed import CompressedGroup, CompressedModel, ProfileInfo, Quant
 from upaq.container import compressed_payload_nbytes, dense_payload_nbytes
 from upaq.cost import compression_ratio
 from upaq.errors import ValidationError
-from upaq.evaluate import evaluate_fidelity, model_sqnr_db, recount_payload_nbytes
+from oracles import recount_payload_nbytes
+from upaq.evaluate import evaluate_fidelity, model_sqnr_db
 from upaq.inference import Activation
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import KernelPattern
