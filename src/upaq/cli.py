@@ -23,7 +23,7 @@ from .container import (
     save_model,
     sniff_format,
 )
-from .cost import AnalyticCostModel, compression_ratio, computational_cost
+from .cost import compression_ratio, computational_cost, model_cost
 from .compressor import PROFILE_FACTORIES, compress_with_decisions, compression_decisions
 from .errors import FormatError, ValidationError
 from .evaluate import evaluate_fidelity
@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=sorted(PROFILE_FACTORIES), default="hck")
     p.add_argument("--patterns", default="16", help="candidate patterns per group, or 'all' for exhaustive search")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1, help="parallel group searches (output is identical for any value)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="must be >= 1; groups are searched in one thread, so it changes neither the output nor the speed")
     p.add_argument("--report", help="also write the JSON report to this path")
 
     p = sub.add_parser("run", help="run a model over an input batch")
@@ -132,8 +133,8 @@ def _cmd_compress(args) -> int:
     cm, decisions = compress_with_decisions(model, profile, workers=args.workers)
     save_compressed(cm, args.out)
 
-    analytic = AnalyticCostModel()
     summary = computational_cost(cm)
+    base_cost, comp_cost = model_cost(model), model_cost(cm)
     report = {
         "model": model.name,
         "output": str(args.out),
@@ -149,8 +150,8 @@ def _cmd_compress(args) -> int:
             "product": summary.product,
             "total_nnz": summary.total_nnz,
         },
-        "latency_units": {"base": analytic.latency(model), "compressed": analytic.latency(cm)},
-        "energy_units": {"base": analytic.energy(model), "compressed": analytic.energy(cm)},
+        "latency_units": {"base": base_cost.latency, "compressed": comp_cost.latency},
+        "energy_units": {"base": base_cost.energy, "compressed": comp_cost.energy},
     }
     text = json.dumps(report, indent=2)
     print(text)

@@ -1,26 +1,32 @@
 """Per-group search over (pattern, bitwidth) driven by an efficiency score.
 
 For every root-leaf group the search samples candidate patterns, quantizes
-the masked root slices at each allowed bitwidth, scores the resulting model
-against the dense baseline, and keeps the strict argmax.  The winning
-pattern and bitwidth are then replicated to the leaves, each leaf keeping
-its own per-slice (or per-block) scales.  1 x 1 layers are first regrouped
-into 3 x 3 blocks so the same pattern machinery applies.
+the masked root slices at each allowed bitwidth, and keeps the strict argmax
+of the efficiency score.  The winning pattern and bitwidth are then
+replicated to the leaves, each leaf keeping its own per-slice (or per-block)
+scales.  1 x 1 layers are first regrouped into 3 x 3 blocks so the same
+pattern machinery applies.
+
+A candidate is scored from numbers, with no candidate model: each conv
+layer's ``(nnz, bits, out_h, out_w)`` is taken once from the dense model,
+and a candidate replaces only its root's entry with the stored-slot count
+of its pattern (what the container ships) and its bitwidth.  A drawn
+pattern whose cells were already scored is skipped: it would score the
+same and cannot beat the first under the strict argmax.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressed import CompressedGroup, CompressedModel, ProfileInfo, QuantizedConv, slice_stack, unstack
+from .compressed import CompressedGroup, CompressedModel, ProfileInfo, QuantizedConv, slice_stack, stored_slots, unstack
 from .container import dense_payload_nbytes
-from .cost import AnalyticCostModel
+from .cost import ModelCost, layer_costs, sum_costs
 from .errors import ValidationError
 from .grouping import RootGroup, find_root_groups
-from .model import ModelGraph, Tensor4, deep_copy
+from .model import ModelGraph, Tensor4
 from .patterns import (
     KernelPattern,
     enumerate_all_patterns,
@@ -106,12 +112,6 @@ PROFILE_FACTORIES = {"hck": hck_profile, "lck": lck_profile}
 
 
 @dataclass
-class ModelCost:
-    latency: float
-    energy: float | None
-
-
-@dataclass
 class EfficiencyScore:
     """Weighted sum of reconstruction quality and baseline-relative cost."""
 
@@ -133,37 +133,26 @@ class GroupDecision:
     payloads: dict[str, QuantizedConv]
 
 
-def model_cost(model, cost, bits: dict[str, int] | None = None) -> ModelCost:
-    return ModelCost(latency=cost.latency(model, bits), energy=cost.energy(model, bits))
-
-
 def calculate_es(
-    candidate: ModelGraph,
     mean_sqnr_db: float,
-    cost,
+    candidate: ModelCost,
     baseline: ModelCost,
     weights: tuple[float, float, float],
-    bits: dict[str, int] | None = None,
 ) -> EfficiencyScore:
-    """Score one candidate model against the dense baseline.
+    """Score one candidate's cost and SQNR against the dense baseline.
 
     The SQNR addend is the capped mean dB over the group's slices divided by
     40; the cost addends are baseline/candidate ratios, so improvements push
-    them above 1.  When a cost model cannot report energy the energy addend
-    is zero.
+    them above 1.
     """
-    cand = model_cost(candidate, cost, bits)
-    if cand.latency <= 0.0:
+    if candidate.latency <= 0.0:
         raise ValueError("candidate model has zero latency cost")
+    if candidate.energy <= 0.0:
+        raise ValueError("candidate model has zero energy cost")
     alpha, beta, gamma = weights
     sqnr_term = min(mean_sqnr_db, SQNR_CAP_DB) / SQNR_TERM_SCALE
-    latency_term = baseline.latency / cand.latency
-    if baseline.energy is None or cand.energy is None:
-        energy_term = 0.0
-    else:
-        if cand.energy <= 0.0:
-            raise ValueError("candidate model has zero energy cost")
-        energy_term = baseline.energy / cand.energy
+    latency_term = baseline.latency / candidate.latency
+    energy_term = baseline.energy / candidate.energy
     total = alpha * sqnr_term + beta * latency_term + gamma * energy_term
     return EfficiencyScore(sqnr_term, latency_term, energy_term, total)
 
@@ -206,15 +195,16 @@ def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int, block_k
     """Mask and quantize a layer's slice stack (see :func:`slice_stack`) in
     one pass: one scale per kernel slice, or per block when ``block_k`` is set.
 
-    Returns (QuantizedConv, mean sqnr_db, dense float32 reconstruction).
+    Returns (QuantizedConv, mean sqnr_db).
     """
     stack = np.where(pattern.mask(), slice_stack(weights.data, block_k), 0)
     q, scale, _, sqnr_db = quantize_slices(stack, bits)
-    # scored with the float64 scale; the container stores it as float32 (ROADMAP item 4)
-    deq = (q * scale[:, None, None]).astype(np.float32)
+    # The SQNR is scored with the float64 scale, while the payload stores it
+    # as float32.  Scoring with the float32 scale moves no decision on the
+    # fixtures or the wide model, so the search keeps the exact one.
     qc = QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape),
                        scales=scale, block_k=block_k)
-    return qc, float(np.mean(sqnr_db)), unstack(deq, weights.shape)
+    return qc, float(np.mean(sqnr_db))
 
 
 def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.random.Generator):
@@ -227,29 +217,37 @@ def _search_group(
     group: RootGroup,
     model: ModelGraph,
     profile: CompressionProfile,
-    cost,
-    baseline: ModelCost,
     rng: np.random.Generator,
+    costs: dict[str, tuple[int, int, int, int]] | None,
     d: int,
     block_k: int | None,
 ) -> GroupDecision:
-    """Shared search loop: candidates are scored on the root, first strict
-    maximum wins, then the decision is replicated to the leaves."""
-    n = profile.n_for(d)
-    root_layer = model.by_id(group.root_id)
-    assert root_layer.weights is not None
-    candidate_model = deep_copy(model)
-    candidate_root = candidate_model.by_id(group.root_id)
+    """Shared search loop: each distinct mask is scored once on the root,
+    first strict maximum wins, then the decision is replicated to the leaves.
 
+    ``costs`` holds every conv layer's dense ``(nnz, bits, out_h, out_w)``
+    (see :func:`~upaq.cost.layer_costs`); a candidate replaces the root's
+    entry with its stored-slot count and bitwidth.
+    """
+    n = profile.n_for(d)
+    if costs is None:
+        costs = layer_costs(model)
+    baseline = sum_costs(costs)
+    root = model.by_id(group.root_id).weights
+    assert root is not None
+    _, _, oh, ow = costs[group.root_id]
+
+    seen: set[tuple[tuple[int, int], ...]] = set()
     best: tuple[KernelPattern, int, EfficiencyScore, QuantizedConv] | None = None
     for pattern in _candidate_patterns(n, d, profile, rng):
+        if pattern.positions in seen:
+            continue
+        seen.add(pattern.positions)
+        slots = int(stored_slots(root.shape, block_k, pattern).sum())
         for bits in profile.quant_bits:
-            qc, mean_db, deq = _quantize_layer(root_layer.weights, pattern, bits, block_k)
-            candidate_root.weights = Tensor4(deq)
-            score = calculate_es(
-                candidate_model, mean_db, cost, baseline, profile.es_weights,
-                bits={group.root_id: bits},
-            )
+            qc, mean_db = _quantize_layer(root, pattern, bits, block_k)
+            candidate = sum_costs({**costs, group.root_id: (slots, bits, oh, ow)})
+            score = calculate_es(mean_db, candidate, baseline, profile.es_weights)
             if best is None or score.total > best[2].total:
                 best = (pattern, bits, score, qc)
     assert best is not None
@@ -259,7 +257,7 @@ def _search_group(
     for leaf_id in group.leaf_ids:
         leaf = model.by_id(leaf_id)
         assert leaf.weights is not None
-        payloads[leaf_id], _, _ = _quantize_layer(leaf.weights, pattern, bits, block_k)
+        payloads[leaf_id], _ = _quantize_layer(leaf.weights, pattern, bits, block_k)
     return GroupDecision(
         root_id=group.root_id, leaf_ids=group.leaf_ids,
         pattern=pattern, bitwidth=bits, score=score, payloads=payloads,
@@ -270,9 +268,8 @@ def compress_kxk_group(
     group: RootGroup,
     model: ModelGraph,
     profile: CompressionProfile,
-    cost,
     rng: np.random.Generator,
-    baseline: ModelCost | None = None,
+    costs: dict[str, tuple[int, int, int, int]] | None = None,
 ) -> GroupDecision:
     """Search one group of k x k conv layers (k > 1)."""
     root = model.by_id(group.root_id)
@@ -282,18 +279,15 @@ def compress_kxk_group(
     d = root.weights.kw
     if d <= 1:
         raise ValidationError("k x k compression requires spatial dimension > 1")
-    if baseline is None:
-        baseline = model_cost(model, cost)
-    return _search_group(group, model, profile, cost, baseline, rng, d, None)
+    return _search_group(group, model, profile, rng, costs, d, None)
 
 
 def compress_1x1_group(
     group: RootGroup,
     model: ModelGraph,
     profile: CompressionProfile,
-    cost,
     rng: np.random.Generator,
-    baseline: ModelCost | None = None,
+    costs: dict[str, tuple[int, int, int, int]] | None = None,
 ) -> GroupDecision:
     """Search one group of 1x1 conv layers via the block transformation."""
     root = model.by_id(group.root_id)
@@ -301,66 +295,46 @@ def compress_1x1_group(
     if (root.weights.kh, root.weights.kw) != (1, 1):
         raise ValidationError(f"layer {group.root_id!r}: expected a 1x1 kernel")
     k = profile.block_k
-    if baseline is None:
-        baseline = model_cost(model, cost)
-    return _search_group(group, model, profile, cost, baseline, rng, k, k)
+    return _search_group(group, model, profile, rng, costs, k, k)
 
 
-def compress_model(
-    model: ModelGraph,
-    profile: CompressionProfile,
-    cost=None,
-    workers: int = 1,
-) -> CompressedModel:
+def compress_model(model: ModelGraph, profile: CompressionProfile, workers: int = 1) -> CompressedModel:
     """Compress every conv group of a model under one profile.
 
-    Groups are independent search tasks: each draws its randomness from a
-    seed split on (profile seed, root id) and scores candidates against the
-    immutable dense baseline, so output bytes do not depend on ``workers``.
+    Each group draws its randomness from a seed split on (profile seed, root
+    id) and is scored against the dense baseline.  The groups are searched
+    in one thread; ``workers`` is validated but changes neither the output
+    nor the speed.
     """
-    cm, _ = compress_with_decisions(model, profile, cost=cost, workers=workers)
+    cm, _ = compress_with_decisions(model, profile, workers=workers)
     return cm
 
 
 def compress_with_decisions(
     model: ModelGraph,
     profile: CompressionProfile,
-    cost=None,
     workers: int = 1,
 ) -> tuple[CompressedModel, list[GroupDecision]]:
     """Like :func:`compress_model`, but also returns the per-group decisions
     (pattern, bitwidth, efficiency-score terms) for reporting."""
+    if workers < 1:
+        raise ValidationError(f"worker count must be >= 1, got {workers}")
     model.validate()
     profile.validate()
-    if cost is None:
-        cost = AnalyticCostModel()
-    groups = find_root_groups(model)
-    baseline = model_cost(model, cost)
-
-    def run(group: RootGroup) -> GroupDecision:
+    costs = layer_costs(model)  # one shape walk over the dense model
+    decisions = []
+    for group in find_root_groups(model):
         rng = np.random.default_rng(split_seed(profile.seed, group.root_id))
         root = model.by_id(group.root_id)
         assert root.weights is not None
-        if root.weights.kw > 1:
-            return compress_kxk_group(group, model, profile, cost, rng, baseline)
-        return compress_1x1_group(group, model, profile, cost, rng, baseline)
+        search = compress_kxk_group if root.weights.kw > 1 else compress_1x1_group
+        decisions.append(search(group, model, profile, rng, costs))
 
-    if workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decisions = list(pool.map(run, groups))
-    else:
-        decisions = [run(g) for g in groups]
-
-    layers = []
-    qlayers: dict[str, QuantizedConv] = {}
-    compressed_ids = {m for dec in decisions for m in dec.payloads}
-    for layer in model.layers:
-        copy = layer.copy()
-        if layer.id in compressed_ids:
-            copy.weights = None
-        layers.append(copy)
-    for dec in decisions:
-        qlayers.update(dec.payloads)
+    qlayers = {lid: qc for dec in decisions for lid, qc in dec.payloads.items()}
+    layers = [layer.copy() for layer in model.layers]
+    for layer in layers:
+        if layer.id in qlayers:
+            layer.weights = None
 
     cm = CompressedModel(
         name=model.name,

@@ -316,10 +316,13 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
     patterns: dict[str, KernelPattern] = {}
     for entry in header["groups"]:
         pat = entry["pattern"]
-        mask = _read_raw(blob, pat["mask_offset"], pat["mask_nbytes"], entry["root"])
-        pattern = KernelPattern(
-            kind=pat["kind"], d=pat["d"], positions=_positions_from_mask(mask, pat["d"])
-        )
+        mask, d = _read_raw(blob, pat["mask_offset"], pat["mask_nbytes"], entry["root"]), pat["d"]
+        if type(d) is not int or d < 1 or len(mask) != -(-d * d // 8):
+            raise FormatError(f"group {entry['root']!r}: pattern d={d!r} does not fit its {len(mask)}-byte mask")
+        try:
+            pattern = KernelPattern(kind=pat["kind"], d=d, positions=_positions_from_mask(mask, d))
+        except ValueError as exc:
+            raise FormatError(f"group {entry['root']!r}: bad pattern: {exc}") from None
         group = CompressedGroup(
             root_id=entry["root"],
             leaf_ids=tuple(entry["leaves"]),
@@ -455,6 +458,8 @@ def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
 
 
 def _read_raw(blob: bytes, offset: int, nbytes: int, layer_id: str) -> bytes:
+    if type(offset) is not int or type(nbytes) is not int:
+        raise FormatError(f"layer {layer_id!r}: section offset {offset!r} or size {nbytes!r} is not an integer")
     if offset < 0 or nbytes < 0 or offset + nbytes > len(blob):
         raise FormatError(f"layer {layer_id!r}: section [{offset}, {offset + nbytes}) outside payload")
     return blob[offset:offset + nbytes]

@@ -59,24 +59,42 @@ def _conv_stats(model, bits=None):
         yield layer.id, shape[0] * shape[1], nnz, int(bits.get(layer.id, DENSE_BITS)), oh, ow
 
 
-class AnalyticCostModel:
-    """Deterministic closed-form cost; the default for compression search."""
+@dataclass
+class ModelCost:
+    """Analytic latency and energy of one model, in arbitrary units."""
 
-    def latency(self, model, bits: dict[str, int] | None = None) -> float:
-        return _analytic_totals(model, bits)[0]
-
-    def energy(self, model, bits: dict[str, int] | None = None) -> float | None:
-        latency, moved_bytes = _analytic_totals(model, bits)
-        return latency * E_MAC + moved_bytes * E_BYTE
+    latency: float
+    energy: float
 
 
-def _analytic_totals(model, bits) -> tuple[float, float]:
-    """Latency and moved bytes, summed in layer order in one walk."""
+def layer_costs(model, bits: dict[str, int] | None = None) -> dict[str, tuple[int, int, int, int]]:
+    """Each conv layer's ``(nnz, bits, out_h, out_w)``, in layer order, from
+    one shape walk."""
+    return {lid: (nnz, b, oh, ow) for lid, _, nnz, b, oh, ow in _conv_stats(model, bits)}
+
+
+def sum_costs(costs: dict[str, tuple[int, int, int, int]]) -> ModelCost:
+    """Latency and energy of per-layer stats, summed in layer order."""
     latency = moved_bytes = 0.0
-    for _, _, nnz, b, oh, ow in _conv_stats(model, bits):
+    for nnz, b, oh, ow in costs.values():
         latency += nnz * (b / 32.0) * oh * ow
         moved_bytes += nnz * b / 8.0
-    return latency, moved_bytes
+    return ModelCost(latency, latency * E_MAC + moved_bytes * E_BYTE)
+
+
+def model_cost(model, bits: dict[str, int] | None = None) -> ModelCost:
+    """Latency and energy of a dense or compressed model, in one walk."""
+    return sum_costs(layer_costs(model, bits))
+
+
+class AnalyticCostModel:
+    """Deterministic closed-form cost of a dense or compressed model."""
+
+    def latency(self, model, bits: dict[str, int] | None = None) -> float:
+        return model_cost(model, bits).latency
+
+    def energy(self, model, bits: dict[str, int] | None = None) -> float:
+        return model_cost(model, bits).energy
 
 
 def estimate_latency(model, bits: dict[str, int] | None = None) -> float:
@@ -86,9 +104,7 @@ def estimate_latency(model, bits: dict[str, int] | None = None) -> float:
 
 def estimate_energy(model, bits: dict[str, int] | None = None) -> float:
     """Analytical energy of a dense or compressed model (default cost model)."""
-    energy = AnalyticCostModel().energy(model, bits)
-    assert energy is not None
-    return energy
+    return AnalyticCostModel().energy(model, bits)
 
 
 def computational_cost(model) -> CostSummary:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .compressed import CompressedModel, decompress_model, dequantized_weights, slice_stack
 from .container import compressed_payload_nbytes, dense_payload_nbytes
-from .cost import AnalyticCostModel, compression_ratio
-from .compressor import ModelCost, calculate_es
+from .cost import compression_ratio, model_cost
+from .compressor import calculate_es
 from .errors import ValidationError
 from .inference import Activation, forward_batch
 from .model import ModelGraph
@@ -76,25 +76,18 @@ def evaluate_fidelity(base: ModelGraph, cm: CompressedModel, inputs: list[Activa
         if int(np.argmax(yb)) == int(np.argmax(yc)):
             agreements += 1
 
-    cost = AnalyticCostModel()
-    base_latency = cost.latency(base)
-    base_energy = cost.energy(base)
-    comp_latency = cost.latency(cm)
-    comp_energy = cost.energy(cm)
+    base_cost, comp_cost = model_cost(base), model_cost(cm)
     ratio = compression_ratio(dense_payload_nbytes(base), compressed_payload_nbytes(cm))
-    es = calculate_es(
-        cm, model_sqnr_db(base, cm), cost,
-        ModelCost(base_latency, base_energy), cm.profile.es_weights,
-    )
+    es = calculate_es(model_sqnr_db(base, cm), comp_cost, base_cost, cm.profile.es_weights)
     return FidelityReport(
         mean_rel_err=float(np.mean(rel_errs)),
         top1_agreement=agreements / len(inputs),
         cosine_sim=float(np.mean(cosines)),
         compression_ratio=ratio,
-        latency_units_base=base_latency,
-        latency_units_compressed=comp_latency,
-        energy_units_base=base_energy,
-        energy_units_compressed=comp_energy,
+        latency_units_base=base_cost.latency,
+        latency_units_compressed=comp_cost.latency,
+        energy_units_base=base_cost.energy,
+        energy_units_compressed=comp_cost.energy,
         es_total=es.total,
         n_inputs=len(inputs),
     )

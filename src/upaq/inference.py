@@ -248,11 +248,15 @@ def save_activations(path, acts: list[Activation]) -> None:
 def load_activations(path) -> list[Activation]:
     try:
         meta = json.loads(sidecar_path(path).read_text())
-        shape = tuple(meta["shape"])
-        count = meta["count"]
+        shape, count = meta["shape"], meta["count"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{sidecar_path(path)}: bad shape sidecar: {exc}") from exc
-    per = int(np.prod(shape))
+    if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)):
+        raise FormatError(f"{sidecar_path(path)}: shape {shape!r} is not 3 positive integers")
+    if type(count) is not int or count < 1:
+        raise FormatError(f"{sidecar_path(path)}: count {count!r} is not a positive integer")
+    shape = tuple(shape)
+    per = math.prod(shape)
     raw = Path(path).read_bytes()
     expected = count * per * 4
     if len(raw) != expected:

@@ -14,11 +14,12 @@ import upaq
 from conftest import single_conv_model
 from oracles import recount_compressed_payload, recount_dense_payload
 from upaq.cli import main
-from upaq.compressor import CompressionProfile, blocks_from_1x1, calculate_es, flatten_blocks_to_1x1, model_cost
+from upaq.compressed import CompressedGroup, CompressedModel, QuantizedConv
+from upaq.compressor import CompressionProfile, blocks_from_1x1, calculate_es, flatten_blocks_to_1x1
 from upaq.container import save_compressed, save_model
-from upaq.cost import AnalyticCostModel, estimate_latency
+from upaq.cost import AnalyticCostModel, ModelCost, estimate_latency
 from upaq.grouping import find_root_groups
-from upaq.model import LayerSpec, ModelGraph, Tensor4, deep_copy
+from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import enumerate_all_patterns, generate_pattern
 from upaq.quantizer import dequantize, mp_quantize
 
@@ -116,21 +117,25 @@ def test_criterion_3_oracle_equivalence():
     profile = CompressionProfile(
         name="custom", quant_bits=(4, 8, 16), n_map={3: 2}, seed=42, exhaustive=True,
     )
-    cost = AnalyticCostModel()
-    cm = upaq.compress_model(model, profile, cost=cost)
+    cm = upaq.compress_model(model, profile)
     group = find_root_groups(model)[0]
     rng = np.random.default_rng(0)  # unused in exhaustive mode
-    decision = upaq.compress_kxk_group(group, model, profile, cost, rng)
+    decision = upaq.compress_kxk_group(group, model, profile, rng)
 
-    # brute force: own loops, own masking, own argmax; scoring primitives shared
-    baseline = model_cost(model, cost)
+    # brute force: own loops, own masking, own argmax; scoring primitives
+    # shared.  Each candidate is costed as the model that ships it: the root's
+    # payload in a compressed model holding one group with no leaves.
+    cost = AnalyticCostModel()
+    baseline = ModelCost(cost.latency(model), cost.energy(model))
     weights = model.by_id("conv").weights
+    layer = model.by_id("conv").copy()
+    layer.weights = None
     best = None
     for pattern in enumerate_all_patterns(2, 3):
         for bits in (4, 8, 16):
             dbs = []
-            candidate = deep_copy(model)
-            cw = candidate.by_id("conv").weights.data
+            q = np.zeros(weights.shape, dtype=np.int32)
+            scales = np.zeros((weights.out_ch, weights.in_ch))
             for o in range(weights.out_ch):
                 for i in range(weights.in_ch):
                     masked = np.zeros((3, 3), dtype=np.float32)
@@ -138,9 +143,16 @@ def test_criterion_3_oracle_equivalence():
                         masked[r, c] = weights.data[o, i, r, c]
                     res = mp_quantize(masked, bits)
                     dbs.append(res.sqnr_db)
-                    cw[o, i] = dequantize(res.q_values, res.scale)
-            es = calculate_es(candidate, sum(dbs) / len(dbs), cost, baseline,
-                              profile.es_weights, bits={"conv": bits})
+                    q[o, i], scales[o, i] = res.q_values, res.scale
+            shipped = CompressedModel(
+                name=model.name, input_shape=model.input_shape, layers=[layer],
+                groups=[CompressedGroup("conv", (), pattern, bits)],
+                qlayers={"conv": QuantizedConv(weights.shape, bits, q, scales.reshape(-1))},
+                profile=cm.profile,
+            )
+            shipped.validate()
+            candidate = ModelCost(cost.latency(shipped), cost.energy(shipped))
+            es = calculate_es(sum(dbs) / len(dbs), candidate, baseline, profile.es_weights)
             if best is None or es.total > best[2]:
                 best = (pattern, bits, es.total)
 

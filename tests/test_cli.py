@@ -115,6 +115,39 @@ def test_bad_bitwidth_in_compressed_file_exits_1(tmp_path, capsys):
     assert "bitwidth 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(d=5),  # 25 cells do not fit the 2-byte mask
+    lambda p: p.update(d="3"),
+    lambda p: p.update(kind="column"),  # the mask's cells are one row's
+], ids=["d5", "d-str", "kind"])
+def test_bad_group_pattern_exits_1(tmp_path, capsys, edit):
+    model_path, _ = _gen(tmp_path)
+    capsys.readouterr()
+    good = tmp_path / "good.upaqc"
+    assert main(["compress", str(model_path), "-o", str(good), "--profile", "hck", "--seed", "42"]) == 0
+    assert json.loads(capsys.readouterr().out)["groups"][0]["pattern"]["kind"] == "row"
+    bad = tmp_path / "bad.upaqc"
+    bad.write_bytes(patch_header(good.read_bytes(), lambda h: edit(h["groups"][0]["pattern"])))
+    assert main(["inspect", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("upaq: error: group 'conv1'") and "Traceback" not in err
+
+
+def test_bad_sidecar_shape_exits_1(tmp_path, capsys):
+    model_path, inputs_path = _gen(tmp_path)
+    sidecar = inputs_path.parent / "inputs.bin.json"
+    sidecar.write_text(json.dumps({"count": 64, "shape": ["x", 2]}))
+    capsys.readouterr()
+    assert main(["run", str(model_path), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]) == 1
+    assert "is not 3 positive integers" in capsys.readouterr().err
+
+
+def test_worker_count_below_one_exits_2(tmp_path, capsys):
+    model_path, _ = _gen(tmp_path)
+    assert main(["compress", str(model_path), "-o", str(tmp_path / "x.upaqc"), "--workers", "0"]) == 2
+    assert "worker count" in capsys.readouterr().err
+
+
 def test_bad_patterns_value_exits_2(tmp_path, capsys):
     model_path, _ = _gen(tmp_path)
     assert main(["compress", str(model_path), "-o", str(tmp_path / "x.upaqc"),

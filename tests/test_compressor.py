@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import upaq
-from upaq.compressed import dequantized_weights, slice_stack, stored_slots
+from upaq.compressed import CompressedGroup, CompressedModel, dequantized_weights, slice_stack, stored_slots
 from upaq.compressor import (
     CompressionProfile,
     ModelCost,
@@ -10,32 +10,18 @@ from upaq.compressor import (
     calculate_es,
     compress_kxk_group,
     compress_model,
+    compress_with_decisions,
     flatten_blocks_to_1x1,
     hck_profile,
     lck_profile,
 )
 from upaq.container import serialize_compressed
+from upaq.cost import AnalyticCostModel
 from upaq.errors import ValidationError
 from upaq.grouping import find_root_groups
 from upaq.model import LayerSpec, ModelGraph, Tensor4
-from upaq.patterns import KernelPattern, generate_pattern, split_seed
-from upaq.quantizer import dequantize
-
-
-class StubCost:
-    """Fixed-cost model for direct efficiency-score arithmetic checks."""
-
-    mode = "stub"
-
-    def __init__(self, latency, energy):
-        self._latency = latency
-        self._energy = energy
-
-    def latency(self, model, bits=None):
-        return self._latency
-
-    def energy(self, model, bits=None):
-        return self._energy
+from upaq.patterns import KernelPattern, enumerate_all_patterns, generate_pattern, split_seed
+from upaq.quantizer import dequantize, quantize_slices
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +57,10 @@ def test_profile_validation():
 # efficiency score
 # ---------------------------------------------------------------------------
 
-def test_calculate_es_worked_example(toy_cnn):
-    model, _ = toy_cnn
-    cost = StubCost(latency=100.0, energy=100.0)
+def test_calculate_es_worked_example():
+    candidate = ModelCost(latency=100.0, energy=100.0)
     baseline = ModelCost(latency=200.0, energy=250.0)
-    es = calculate_es(model, 20.0, cost, baseline, (0.3, 0.4, 0.3))
+    es = calculate_es(20.0, candidate, baseline, (0.3, 0.4, 0.3))
     assert es.sqnr_term == 0.5
     assert es.latency_term == 2.0
     assert es.energy_term == 2.5
@@ -83,34 +68,24 @@ def test_calculate_es_worked_example(toy_cnn):
     assert es.total == pytest.approx(1.70)
 
 
-def test_calculate_es_degenerate_weights(toy_cnn):
-    model, _ = toy_cnn
-    es = calculate_es(model, 20.0, StubCost(100.0, 100.0), ModelCost(200.0, 250.0), (1.0, 0.0, 0.0))
+def test_calculate_es_degenerate_weights():
+    es = calculate_es(20.0, ModelCost(100.0, 100.0), ModelCost(200.0, 250.0), (1.0, 0.0, 0.0))
     assert es.total == es.sqnr_term == 0.5
 
 
-def test_calculate_es_monotone_in_sqnr(toy_cnn):
-    model, _ = toy_cnn
-    cost = StubCost(100.0, 100.0)
+def test_calculate_es_monotone_in_sqnr():
+    candidate = ModelCost(100.0, 100.0)
     baseline = ModelCost(200.0, 250.0)
-    lo = calculate_es(model, 20.0, cost, baseline, (0.3, 0.4, 0.3))
-    hi = calculate_es(model, 30.0, cost, baseline, (0.3, 0.4, 0.3))
+    lo = calculate_es(20.0, candidate, baseline, (0.3, 0.4, 0.3))
+    hi = calculate_es(30.0, candidate, baseline, (0.3, 0.4, 0.3))
     assert hi.total > lo.total
 
 
-def test_calculate_es_caps_sqnr_and_rejects_zero_cost(toy_cnn):
-    model, _ = toy_cnn
-    capped = calculate_es(model, 500.0, StubCost(1.0, 1.0), ModelCost(1.0, 1.0), (1.0, 0.0, 0.0))
+def test_calculate_es_caps_sqnr_and_rejects_zero_cost():
+    capped = calculate_es(500.0, ModelCost(1.0, 1.0), ModelCost(1.0, 1.0), (1.0, 0.0, 0.0))
     assert capped.sqnr_term == 120.0 / 40.0
     with pytest.raises(ValueError, match="zero latency"):
-        calculate_es(model, 10.0, StubCost(0.0, 1.0), ModelCost(1.0, 1.0), (0.3, 0.4, 0.3))
-
-
-def test_calculate_es_without_energy(toy_cnn):
-    model, _ = toy_cnn
-    es = calculate_es(model, 20.0, StubCost(100.0, None), ModelCost(200.0, None), (0.3, 0.4, 0.3))
-    assert es.energy_term == 0.0
-    assert es.total == 0.3 * 0.5 + 0.4 * 2.0
+        calculate_es(10.0, ModelCost(0.0, 1.0), ModelCost(1.0, 1.0), (0.3, 0.4, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +281,66 @@ def test_worker_count_does_not_change_bytes(toy_1x1):
     assert a == b
 
 
+def test_worker_count_below_one_rejected(toy_1x1):
+    model, _ = toy_1x1
+    for workers in (0, -2):
+        with pytest.raises(ValidationError, match="worker count"):
+            compress_model(model, hck_profile(seed=42), workers=workers)
+
+
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])
+@pytest.mark.parametrize("profile", [hck_profile, lck_profile], ids=["hck", "lck"])
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["16", "all"])
+def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
+    """The winner's cost terms are those of the model that ships its root
+    payload, its SQNR term is that of the shipped root's slices, and each
+    distinct drawn mask is quantized once per bitwidth."""
+    from upaq import compressor as compressor_module
+
+    model, _ = upaq.gen_fixture(arch, 42)
+    prof = profile(seed=42, candidates=16, exhaustive=exhaustive)
+    calls = []
+    real_quantize_slices = compressor_module.quantize_slices
+    monkeypatch.setattr(compressor_module, "quantize_slices",
+                        lambda x, bits: calls.append(bits) or real_quantize_slices(x, bits))
+    cm, decisions = compress_with_decisions(model, prof)
+    monkeypatch.undo()
+
+    cost = AnalyticCostModel()
+    base_latency, base_energy = cost.latency(model), cost.energy(model)
+    expected_calls = 0
+    for dec in decisions:
+        root_qc = dec.payloads[dec.root_id]
+        layers = [layer.copy() for layer in model.layers]
+        for layer in layers:
+            if layer.id == dec.root_id:
+                layer.weights = None
+        shipped = CompressedModel(
+            name=model.name, input_shape=model.input_shape, layers=layers,
+            groups=[CompressedGroup(dec.root_id, (), dec.pattern, dec.bitwidth)],
+            qlayers={dec.root_id: root_qc}, profile=cm.profile,
+        )
+        shipped.validate()
+        assert dec.score.latency_term == base_latency / cost.latency(shipped)
+        assert dec.score.energy_term == base_energy / cost.energy(shipped)
+
+        w = model.by_id(dec.root_id).weights
+        masked = np.where(dec.pattern.mask(), slice_stack(w.data, root_qc.block_k), 0)
+        sqnr_db = quantize_slices(masked, dec.bitwidth)[3]
+        assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0
+
+        d = w.kw if w.kw > 1 else prof.block_k
+        if exhaustive:
+            drawn = enumerate_all_patterns(prof.n_for(d), d)
+        else:
+            rng = np.random.default_rng(split_seed(42, dec.root_id))
+            drawn = [generate_pattern(prof.n_for(d), d, rng) for _ in range(16)]
+        masks = {p.positions for p in drawn}
+        assert len(masks) < 16 or exhaustive  # 16 draws of a 3x3 pattern repeat some mask
+        expected_calls += len(masks) * len(prof.quant_bits) + len(dec.leaf_ids)
+    assert len(calls) == expected_calls
+
+
 def test_decompressed_weights_match_payload(toy_cnn, toy_cnn_hck):
     dense = upaq.decompress_model(toy_cnn_hck)
     for lid, qc in toy_cnn_hck.qlayers.items():
@@ -321,10 +356,8 @@ def test_kxk_path_rejects_1x1_roots(toy_1x1):
     groups = find_root_groups(model)
     g1x1 = next(g for g in groups if g.root_id == "conv_b")
     rng = np.random.default_rng(0)
-    from upaq.cost import AnalyticCostModel
-
     with pytest.raises(ValidationError, match="spatial dimension"):
-        compress_kxk_group(g1x1, model, hck_profile(), AnalyticCostModel(), rng)
+        compress_kxk_group(g1x1, model, hck_profile(), rng)
 
 
 def test_non_square_kernel_rejected():

@@ -302,3 +302,26 @@ def test_hostile_quantized_header_raises_format_error(toy_1x1_lck_bytes, layer_i
                "packed_nbytes": "packed section holds"}[field]
     with pytest.raises(FormatError, match=f"layer '{layer_id}': {message}"):
         deserialize_compressed(patch_header(toy_1x1_lck_bytes, _set_quantized(layer_id, field, value)))
+
+
+@pytest.mark.parametrize("d", [5, 0, -3, 10**9, True, "3", None])
+def test_group_pattern_d_off_its_mask_raises_format_error(toy_cnn_hck, d):
+    data = serialize_compressed(toy_cnn_hck)
+    with pytest.raises(FormatError, match="group 'conv1': pattern d=.* does not fit its 2-byte mask"):
+        deserialize_compressed(patch_header(data, lambda h: h["groups"][0]["pattern"].update(d=d)))
+
+
+@pytest.mark.parametrize("kind", ["column", "main_diagonal", "spiral", 7])
+def test_group_pattern_kind_off_its_mask_raises_format_error(toy_cnn_hck, kind):
+    assert toy_cnn_hck.groups[0].pattern.kind == "row"
+    data = serialize_compressed(toy_cnn_hck)
+    with pytest.raises(FormatError, match="group 'conv1': bad pattern"):
+        deserialize_compressed(patch_header(data, lambda h: h["groups"][0]["pattern"].update(kind=kind)))
+
+
+@pytest.mark.parametrize("field", ["mask_offset", "mask_nbytes"])
+@pytest.mark.parametrize("value", ["0", None, 1.5, [2]])
+def test_group_mask_section_not_an_int_raises_format_error(toy_cnn_hck, field, value):
+    data = serialize_compressed(toy_cnn_hck)
+    with pytest.raises(FormatError, match="layer 'conv1': section offset .* is not an integer"):
+        deserialize_compressed(patch_header(data, lambda h: h["groups"][0]["pattern"].update({field: value})))

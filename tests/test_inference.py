@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 import upaq
 from oracles import forward_reference
 from upaq import inference
-from upaq.errors import ValidationError
+from upaq.errors import FormatError, ValidationError
 from upaq.inference import (
     Activation,
     forward,
@@ -140,6 +141,26 @@ def test_activation_batch_roundtrip(tmp_path, toy_cnn):
     assert len(back) == 5
     for a, b in zip(inputs[:5], back):
         assert a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("meta,message", [
+    ({"count": 5, "shape": ["x", 2]}, "shape"),
+    ({"count": 5, "shape": [1, 16]}, "shape"),
+    ({"count": 5, "shape": [1, 16, 0]}, "shape"),
+    ({"count": 5, "shape": [1, 16, 16.0]}, "shape"),
+    ({"count": 5, "shape": [1, True, 16]}, "shape"),
+    ({"count": 5, "shape": "1x16x16"}, "shape"),
+    ({"count": 0, "shape": [1, 16, 16]}, "count"),
+    ({"count": -5, "shape": [1, 16, 16]}, "count"),
+    ({"count": "5", "shape": [1, 16, 16]}, "count"),
+    ({"count": 5.0, "shape": [1, 16, 16]}, "count"),
+])
+def test_hostile_sidecar_raises_format_error(tmp_path, toy_cnn, meta, message):
+    path = tmp_path / "inputs.bin"
+    save_activations(path, toy_cnn[1][:5])
+    inference.sidecar_path(path).write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=f"{message} .* is not"):
+        load_activations(path)
 
 
 def test_activation_batch_shape_consistency(tmp_path):
