@@ -19,13 +19,11 @@ from .compressor import (
     CompressionProfile,
     EfficiencyScore,
     GroupDecision,
-    blocks_from_1x1,
     calculate_es,
     compress_1x1_group,
     compress_kxk_group,
     compress_model,
     compress_with_decisions,
-    flatten_blocks_to_1x1,
     hck_profile,
     lck_profile,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "UpaqError",
     "ValidationError",
     "apply_pattern",
-    "blocks_from_1x1",
     "build_coupling_graph",
     "calculate_es",
     "compress_1x1_group",
@@ -98,7 +95,6 @@ __all__ = [
     "estimate_latency",
     "evaluate_fidelity",
     "find_root_groups",
-    "flatten_blocks_to_1x1",
     "forward",
     "forward_compressed",
     "gen_fixture",

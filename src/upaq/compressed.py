@@ -2,10 +2,10 @@
 
 A compressed model keeps the graph topology, biases, and any uncompressed
 weights dense at float32, while every compressed conv layer is replaced by
-integer weights plus quantization scales: one scale per (out, in) kernel
-slice for k x k layers, one scale per 3 x 3 block for 1 x 1 layers that went
-through the block transformation.  Group records tie each root and its
-leaves to the single shared pattern and bitwidth.
+integer weights plus quantization scales: its row-major weights cut into
+``d x d`` slices, ``d`` being its group pattern's edge (see
+:func:`slice_stack`), with one scale per slice.  Group records tie each
+root and its leaves to the single shared pattern and bitwidth.
 """
 
 from __future__ import annotations
@@ -37,16 +37,14 @@ class QuantizedConv:
     """Integer payload of one compressed conv layer.
 
     ``q`` holds zeros at pruned positions and the signed quantized values at
-    retained positions.  ``block_k`` is None for k x k layers; for 1 x 1
-    layers it records the block edge used by the flatten transformation, and
-    ``scales`` then has one entry per block instead of per slice.
+    retained positions.  ``scales`` has one entry per ``d x d`` slice of
+    :func:`slice_stack`, ``d`` being the group pattern's edge.
     """
 
     shape: tuple[int, int, int, int]
     bitwidth: int
     q: np.ndarray  # int32, shape == shape
     scales: np.ndarray  # float32 1-D
-    block_k: int | None = None
 
     def __post_init__(self) -> None:
         self.q = np.ascontiguousarray(self.q, dtype=np.int32)
@@ -64,7 +62,6 @@ class ProfileInfo:
     seed: int
     candidates: int
     exhaustive: bool
-    block_k: int
 
 
 @dataclass
@@ -121,17 +118,15 @@ def _check_payload(layer: LayerSpec, qc: QuantizedConv, group: CompressedGroup) 
         raise ValidationError(f"layer {layer.id!r}: q shape {qc.q.shape} != declared {qc.shape}")
     if qc.bitwidth != group.bitwidth:
         raise ValidationError(f"layer {layer.id!r}: bitwidth differs from its group")
-    if qc.block_k is not None and qc.shape[2:] != (1, 1):
-        raise ValidationError(f"layer {layer.id!r}: block payload on a non-1x1 layer")
     try:
-        slots = stored_slots(qc.shape, qc.block_k, group.pattern)
+        slots = stored_slots(qc.shape, group.pattern)
     except ValidationError as exc:
         raise ValidationError(f"layer {layer.id!r}: {exc}") from None
     if qc.scales.shape[0] != len(slots):
         raise ValidationError(f"layer {layer.id!r}: expected {len(slots)} scales, one per stacked slice")
     if int(np.abs(qc.q).max(initial=0)) > max_value:
         raise ValidationError(f"layer {layer.id!r}: quantized value outside symmetric {qc.bitwidth}-bit range")
-    if np.any(slice_stack(qc.q, qc.block_k).reshape(slots.shape)[~slots]):
+    if np.any(slice_stack(qc.q, group.pattern.d).reshape(slots.shape)[~slots]):
         raise ValidationError(f"layer {layer.id!r}: nonzero value outside the block pattern")
 
 
@@ -141,27 +136,26 @@ def decompress_model(cm: CompressedModel) -> ModelGraph:
     for layer in cm.layers:
         copy = layer.copy()
         if layer.id in cm.qlayers:
-            copy.weights = Tensor4(dequantized_weights(cm.qlayers[layer.id]))
+            d = cm.group_for(layer.id).pattern.d
+            copy.weights = Tensor4(dequantized_weights(cm.qlayers[layer.id], d))
         layers.append(copy)
     dense = ModelGraph(name=cm.name, input_shape=cm.input_shape, layers=layers)
     dense.validate()
     return dense
 
 
-def slice_stack(w: np.ndarray, block_k: int | None) -> np.ndarray:
-    """View an (out, in, kh, kw) tensor as the stack of slices its payload
-    stores: the ``out*in`` kernel slices of a k x k layer in (out, in)
-    order, or, for a 1 x 1 layer with ``block_k``, its row-major flat
-    weights zero-padded to ``ceil(out*in / k^2)`` blocks of k x k.
-    """
-    if block_k is None:
-        out_ch, in_ch, kh, kw = w.shape
-        return w.reshape(out_ch * in_ch, kh, kw)
+def slice_stack(w: np.ndarray, d: int) -> np.ndarray:
+    """``w``'s row-major values as the stack of ``d x d`` slices a payload
+    stores: a view when they fill whole slices, else a copy whose last slice
+    is zero-padded.  Slice ``o*in + i`` of an (out, in, d, d) tensor is its
+    kernel slice ``(o, i)``."""
     flat = w.reshape(-1)
-    cells = block_k * block_k
+    cells = d * d
+    if flat.size % cells == 0:
+        return flat.reshape(-1, d, d)
     padded = np.zeros(-(-flat.size // cells) * cells, dtype=w.dtype)
     padded[: flat.size] = flat
-    return padded.reshape(-1, block_k, block_k)
+    return padded.reshape(-1, d, d)
 
 
 def unstack(stack: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
@@ -169,24 +163,26 @@ def unstack(stack: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
     return stack.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def dequantized_weights(qc: QuantizedConv) -> np.ndarray:
-    """Float32 weight tensor reconstructed from one quantized payload."""
-    q = slice_stack(qc.q, qc.block_k)
+def dequantized_weights(qc: QuantizedConv, d: int) -> np.ndarray:
+    """Float32 weights of one payload whose group pattern has edge ``d``."""
+    q = slice_stack(qc.q, d)
     deq = (q * qc.scales.astype(np.float64)[:, None, None]).astype(np.float32)
     return unstack(deq, qc.shape)
 
 
-def stored_slots(shape: tuple[int, int, int, int], block_k: int | None, pattern: KernelPattern) -> np.ndarray:
+def stored_slots(shape: tuple[int, int, int, int], pattern: KernelPattern) -> np.ndarray:
     """The cells a payload stores, as an ``(S, d*d)`` bool array over its
     slice stack: ``pattern.mask() & valid``, where the pad cells of a 1 x 1
     layer's last block are not valid.  Each row lists its slice's cells in
     row-major order, the order the container packs the stored values in.
+    Only a 1 x 1 or a ``d x d`` kernel stacks into the pattern's slices.
     """
-    valid = slice_stack(np.ones(shape, dtype=bool), block_k)
-    if valid.shape[1:] != (pattern.d, pattern.d):
+    d = pattern.d
+    if tuple(shape[2:]) not in ((1, 1), (d, d)):
         raise ValidationError(
-            f"a {tuple(shape)} payload with block_k={block_k} does not stack into {pattern.d}x{pattern.d} slices"
+            f"a {tuple(shape)} payload does not stack into {d}x{d} slices: its kernel is not 1x1 or {d}x{d}"
         )
+    valid = slice_stack(np.ones(shape, dtype=bool), d)
     return (valid & pattern.mask()).reshape(len(valid), -1)
 
 
@@ -197,4 +193,4 @@ def stored_value_count(qc: QuantizedConv, pattern: KernelPattern) -> int:
     that happens to quantize to integer zero still occupies a slot.  The pad
     cells of a 1 x 1 layer's last block hold no weight and store nothing.
     """
-    return int(stored_slots(qc.shape, qc.block_k, pattern).sum())
+    return int(stored_slots(qc.shape, pattern).sum())

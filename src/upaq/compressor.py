@@ -3,9 +3,9 @@
 For every root-leaf group the search samples candidate patterns, quantizes
 the masked root slices at each allowed bitwidth, and keeps the strict argmax
 of the efficiency score.  The winning pattern and bitwidth are then
-replicated to the leaves, each leaf keeping its own per-slice (or per-block)
-scales.  1 x 1 layers are first regrouped into 3 x 3 blocks so the same
-pattern machinery applies.
+replicated to the leaves, each leaf keeping its own per-slice scales.  A
+1 x 1 group draws ``BLOCK_K`` x ``BLOCK_K`` patterns over blocks of its flat
+weights (see :func:`~upaq.compressed.slice_stack`).
 
 A candidate is scored from numbers, with no candidate model: each conv
 layer's ``(nnz, bits, out_h, out_w)`` is taken once from the dense model,
@@ -35,7 +35,7 @@ from .patterns import (
 )
 from .quantizer import SQNR_CAP_DB, quantize_slices
 
-BLOCK_K = 3  # block edge for the 1x1 -> k x k transformation
+BLOCK_K = 3  # pattern edge of 1x1 groups: their slices are 3x3 blocks of the flat weights
 
 SQNR_TERM_SCALE = 40.0  # dB divisor that normalizes the SQNR addend
 
@@ -56,7 +56,6 @@ class CompressionProfile:
     es_weights: tuple[float, float, float] = (0.3, 0.4, 0.3)
     seed: int = 0
     exhaustive: bool = False
-    block_k: int = BLOCK_K
 
     def validate(self) -> None:
         if not self.quant_bits:
@@ -72,8 +71,6 @@ class CompressionProfile:
                 raise ValidationError(f"efficiency-score weight {w} outside [0, 1]")
         if a + b + g <= 0.0:
             raise ValidationError("efficiency-score weights must not all be zero")
-        if self.block_k < 2:
-            raise ValidationError("block edge for 1x1 transformation must be >= 2")
         for d, n in self.n_map.items():
             if not (1 <= n <= d):
                 raise ValidationError(f"profile keeps n={n} of a {d}x{d} kernel edge")
@@ -157,53 +154,18 @@ def calculate_es(
     return EfficiencyScore(sqnr_term, latency_term, energy_term, total)
 
 
-def blocks_from_1x1(weights: Tensor4, k: int) -> list[np.ndarray]:
-    """Regroup a 1x1 conv's weights into k x k blocks.
-
-    Weights are flattened in (out, in) row-major order and chopped into
-    consecutive chunks of k*k values; each chunk reshapes row-major into a
-    k x k block.  A trailing partial chunk is zero-padded with the real
-    values occupying the leading row-major cells.
-    """
-    if k < 2:
-        raise ValueError("block edge must be >= 2")
-    if weights.kh != 1 or weights.kw != 1:
-        raise ValueError("block transformation applies to 1x1 kernels only")
-    return list(slice_stack(weights.data, k))
-
-
-def flatten_blocks_to_1x1(blocks: list[np.ndarray], original_count: int) -> np.ndarray:
-    """Inverse of :func:`blocks_from_1x1`: first ``original_count`` values back.
-
-    Returns the flat row-major weight vector; pad cells beyond the original
-    count are discarded.  Callers reshape to the layer's (out, in, 1, 1).
-    """
-    if not blocks:
-        raise ValueError("no blocks to flatten")
-    k = blocks[0].shape[0]
-    for b in blocks:
-        if b.shape != (k, k):
-            raise ValueError(f"inconsistent block shape {b.shape}, expected {(k, k)}")
-    capacity = len(blocks) * k * k
-    if not (capacity - k * k < original_count <= capacity):
-        raise ValueError(f"{len(blocks)} blocks of {k}x{k} cannot hold {original_count} values")
-    flat = np.concatenate([b.reshape(-1) for b in blocks])
-    return flat[:original_count].astype(np.float32, copy=True)
-
-
-def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int, block_k: int | None):
-    """Mask and quantize a layer's slice stack (see :func:`slice_stack`) in
-    one pass: one scale per kernel slice, or per block when ``block_k`` is set.
+def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int):
+    """Mask and quantize a layer's stack of ``pattern.d x pattern.d`` slices
+    (see :func:`slice_stack`) in one pass, one scale per slice.
 
     Returns (QuantizedConv, mean sqnr_db).
     """
-    stack = np.where(pattern.mask(), slice_stack(weights.data, block_k), 0)
+    stack = np.where(pattern.mask(), slice_stack(weights.data, pattern.d), 0)
     q, scale, _, sqnr_db = quantize_slices(stack, bits)
     # The SQNR is scored with the float64 scale, while the payload stores it
     # as float32.  Scoring with the float32 scale moves no decision on the
     # fixtures or the wide model, so the search keeps the exact one.
-    qc = QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape),
-                       scales=scale, block_k=block_k)
+    qc = QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape), scales=scale)
     return qc, float(np.mean(sqnr_db))
 
 
@@ -220,7 +182,6 @@ def _search_group(
     rng: np.random.Generator,
     costs: dict[str, tuple[int, int, int, int]] | None,
     d: int,
-    block_k: int | None,
 ) -> GroupDecision:
     """Shared search loop: each distinct mask is scored once on the root,
     first strict maximum wins, then the decision is replicated to the leaves.
@@ -243,9 +204,9 @@ def _search_group(
         if pattern.positions in seen:
             continue
         seen.add(pattern.positions)
-        slots = int(stored_slots(root.shape, block_k, pattern).sum())
+        slots = int(stored_slots(root.shape, pattern).sum())
         for bits in profile.quant_bits:
-            qc, mean_db = _quantize_layer(root, pattern, bits, block_k)
+            qc, mean_db = _quantize_layer(root, pattern, bits)
             candidate = sum_costs({**costs, group.root_id: (slots, bits, oh, ow)})
             score = calculate_es(mean_db, candidate, baseline, profile.es_weights)
             if best is None or score.total > best[2].total:
@@ -257,7 +218,7 @@ def _search_group(
     for leaf_id in group.leaf_ids:
         leaf = model.by_id(leaf_id)
         assert leaf.weights is not None
-        payloads[leaf_id], _ = _quantize_layer(leaf.weights, pattern, bits, block_k)
+        payloads[leaf_id], _ = _quantize_layer(leaf.weights, pattern, bits)
     return GroupDecision(
         root_id=group.root_id, leaf_ids=group.leaf_ids,
         pattern=pattern, bitwidth=bits, score=score, payloads=payloads,
@@ -279,7 +240,7 @@ def compress_kxk_group(
     d = root.weights.kw
     if d <= 1:
         raise ValidationError("k x k compression requires spatial dimension > 1")
-    return _search_group(group, model, profile, rng, costs, d, None)
+    return _search_group(group, model, profile, rng, costs, d)
 
 
 def compress_1x1_group(
@@ -294,8 +255,7 @@ def compress_1x1_group(
     assert root.weights is not None
     if (root.weights.kh, root.weights.kw) != (1, 1):
         raise ValidationError(f"layer {group.root_id!r}: expected a 1x1 kernel")
-    k = profile.block_k
-    return _search_group(group, model, profile, rng, costs, k, k)
+    return _search_group(group, model, profile, rng, costs, BLOCK_K)
 
 
 def compress_model(model: ModelGraph, profile: CompressionProfile, workers: int = 1) -> CompressedModel:
@@ -352,7 +312,6 @@ def compress_with_decisions(
             seed=profile.seed,
             candidates=profile.candidates,
             exhaustive=profile.exhaustive,
-            block_k=profile.block_k,
         ),
         base_payload_nbytes=dense_payload_nbytes(model),
     )

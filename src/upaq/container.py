@@ -12,10 +12,11 @@ come the per-group pattern masks, one bit per kernel cell in row-major order,
 LSB first.
 
 A compressed layer has one stored-slot layout whatever its kernel shape: its
-weights form a stack of ``d x d`` slices (the kernel slices of a k x k layer,
-or the zero-padded blocks of a 1 x 1 layer's flat weights), one scale per
-slice, and :func:`~upaq.compressed.stored_slots` marks the cells stored in
-each slice: the group pattern's cells, less the pad cells of the last block.
+row-major weights form a stack of ``d x d`` slices, ``d`` being its group
+pattern's edge (the kernel slices of a d x d layer, or the zero-padded
+blocks of a 1 x 1 layer's flat weights), one scale per slice, and
+:func:`~upaq.compressed.stored_slots` marks the cells stored in each slice:
+the group pattern's cells, less the pad cells of the last block.
 Each slice's stored values are written in row-major cell order as
 two's-complement 4/8/16-bit fields, LSB first, and each slice is padded to a
 byte boundary.
@@ -167,9 +168,7 @@ def deserialize_model(data: bytes) -> ModelGraph:
     for entry in header["layers"]:
         weights = None
         if entry["weights"] is not None:
-            weights = Tensor4(
-                _read_f32(blob, entry["weights"], entry["id"]).reshape(entry["weights"]["shape"])
-            )
+            weights = _read_weights(blob, entry["weights"], entry["id"])
         bias = None
         if entry["bias"] is not None:
             bias = _read_f32(blob, entry["bias"], entry["id"])
@@ -207,7 +206,7 @@ def load_model(path) -> ModelGraph:
 
 def packed_layer_nbytes(qc: QuantizedConv, pattern: KernelPattern) -> int:
     """Packed-integer byte count for one layer (each slice byte-padded)."""
-    return int(_row_nbytes(stored_slots(qc.shape, qc.block_k, pattern), qc.bitwidth).sum())
+    return int(_row_nbytes(stored_slots(qc.shape, pattern), qc.bitwidth).sum())
 
 
 def compressed_payload_nbytes(cm: CompressedModel) -> int:
@@ -260,14 +259,13 @@ def serialize_compressed(cm: CompressedModel) -> bytes:
             scales_raw = qc.scales.astype("<f4").tobytes()
             scales_ref = {"offset": len(blob), "nbytes": len(scales_raw)}
             blob += scales_raw
-            slots = stored_slots(qc.shape, qc.block_k, pattern)
-            packed = pack_slots(slice_stack(qc.q, qc.block_k).reshape(slots.shape), slots, qc.bitwidth)
+            slots = stored_slots(qc.shape, pattern)
+            packed = pack_slots(slice_stack(qc.q, pattern.d).reshape(slots.shape), slots, qc.bitwidth)
             packed_ref = {"offset": len(blob), "nbytes": len(packed)}
             blob += packed
             entry["quantized"] = {
                 "shape": list(qc.shape),
                 "bitwidth": qc.bitwidth,
-                "block_k": qc.block_k,
                 "scales": scales_ref,
                 "packed": packed_ref,
             }
@@ -300,7 +298,6 @@ def serialize_compressed(cm: CompressedModel) -> bytes:
             "seed": cm.profile.seed,
             "candidates": cm.profile.candidates,
             "exhaustive": cm.profile.exhaustive,
-            "block_k": cm.profile.block_k,
         },
         "base_payload_nbytes": cm.base_payload_nbytes,
         "layers": layer_entries,
@@ -338,9 +335,7 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
     for entry in header["layers"]:
         weights = None
         if entry["weights"] is not None:
-            weights = Tensor4(
-                _read_f32(blob, entry["weights"], entry["id"]).reshape(entry["weights"]["shape"])
-            )
+            weights = _read_weights(blob, entry["weights"], entry["id"])
         bias = None
         if entry["bias"] is not None:
             bias = _read_f32(blob, entry["bias"], entry["id"])
@@ -374,7 +369,6 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
             seed=profile["seed"],
             candidates=profile["candidates"],
             exhaustive=profile["exhaustive"],
-            block_k=profile["block_k"],
         ),
         base_payload_nbytes=header["base_payload_nbytes"],
     )
@@ -384,19 +378,17 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
 
 def _read_quantized(blob: bytes, entry: dict, pattern: KernelPattern) -> QuantizedConv:
     meta, layer_id = entry["quantized"], entry["id"]
-    shape, bits, block_k = meta["shape"], meta["bitwidth"], meta["block_k"]
+    shape, bits = meta["shape"], meta["bitwidth"]
     # header fields are checked before anything is allocated from them
     if type(bits) is not int or bits not in SUPPORTED_BITS:
         raise FormatError(f"layer {layer_id!r}: bitwidth {bits!r} is not one of {SUPPORTED_BITS}")
-    if block_k is not None and (type(block_k) is not int or block_k != pattern.d):
-        raise FormatError(f"layer {layer_id!r}: block_k {block_k!r} is neither null nor the pattern d={pattern.d}")
-    if not (isinstance(shape, list) and len(shape) == 4 and all(type(v) is int and v > 0 for v in shape)):
+    if not _is_shape4(shape):
         raise FormatError(f"layer {layer_id!r}: payload shape {shape!r} is not 4 positive integers")
     scales = _read_f32(blob, meta["scales"], layer_id)
     if scales.size != -(-math.prod(shape) // pattern.d ** 2):
         raise FormatError(f"layer {layer_id!r}: {scales.size} scales do not fit a {shape} payload")
     try:
-        slots = stored_slots(tuple(shape), block_k, pattern)
+        slots = stored_slots(tuple(shape), pattern)
     except ValidationError as exc:
         raise FormatError(f"layer {layer_id!r}: {exc}") from None
     nbytes = int(_row_nbytes(slots, bits).sum())
@@ -404,8 +396,8 @@ def _read_quantized(blob: bytes, entry: dict, pattern: KernelPattern) -> Quantiz
         raise FormatError(f"layer {layer_id!r}: packed section holds {meta['packed']['nbytes']} bytes, expected {nbytes}")
     packed = _read_raw(blob, meta["packed"]["offset"], nbytes, layer_id)
     stack = unpack_slots(packed, slots, bits)
-    q = unstack(stack.reshape(-1, pattern.d, pattern.d), tuple(shape))
-    return QuantizedConv(shape=tuple(shape), bitwidth=bits, q=q, scales=scales, block_k=block_k)
+    q = unstack(stack, tuple(shape))
+    return QuantizedConv(shape=tuple(shape), bitwidth=bits, q=q, scales=scales)
 
 
 def save_compressed(cm: CompressedModel, path) -> None:
@@ -446,6 +438,8 @@ def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
         header = json.loads(data[9:9 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{what} header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{what} header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"format-version mismatch: file has {version}, expected {FORMAT_VERSION}")
@@ -466,5 +460,19 @@ def _read_raw(blob: bytes, offset: int, nbytes: int, layer_id: str) -> bytes:
 
 
 def _read_f32(blob: bytes, ref: dict, layer_id: str) -> np.ndarray:
-    raw = _read_raw(blob, ref["offset"], ref["nbytes"], layer_id)
+    nbytes = ref["nbytes"]
+    if type(nbytes) is int and nbytes % 4:
+        raise FormatError(f"layer {layer_id!r}: float32 section of {nbytes} bytes is not a multiple of 4")
+    raw = _read_raw(blob, ref["offset"], nbytes, layer_id)
     return np.frombuffer(raw, dtype="<f4").astype(np.float32)
+
+
+def _is_shape4(shape) -> bool:
+    return isinstance(shape, list) and len(shape) == 4 and all(type(v) is int and v > 0 for v in shape)
+
+
+def _read_weights(blob: bytes, ref: dict, layer_id: str) -> Tensor4:
+    shape = ref["shape"]
+    if not _is_shape4(shape) or 4 * math.prod(shape) != ref["nbytes"]:
+        raise FormatError(f"layer {layer_id!r}: weight shape {shape!r} does not fit a {ref['nbytes']!r}-byte section")
+    return Tensor4(_read_f32(blob, ref, layer_id).reshape(shape))

@@ -101,6 +101,7 @@ def model_sqnr_db(base: ModelGraph, cm: CompressedModel) -> float:
     """
     db: list[float] = []
     for group in cm.groups:
+        d = group.pattern.d
         for member in group.member_ids:
             wt = base.by_id(member).weights
             if wt is None:
@@ -108,8 +109,8 @@ def model_sqnr_db(base: ModelGraph, cm: CompressedModel) -> float:
             qc = cm.qlayers[member]
             if wt.shape != qc.shape:
                 raise ValidationError(f"layer {member!r}: base weights {wt.shape} != compressed {qc.shape}")
-            x = np.where(group.pattern.mask(), slice_stack(wt.data, qc.block_k), 0).astype(np.float64)
-            err = x - slice_stack(dequantized_weights(qc), qc.block_k)
+            x = np.where(group.pattern.mask(), slice_stack(wt.data, d), 0).astype(np.float64)
+            err = x - slice_stack(dequantized_weights(qc, d), d)
             signal_var = np.var(x.reshape(len(x), -1), axis=1).tolist()
             err_var = np.var(err.reshape(len(x), -1), axis=1).tolist()
             db.extend(_slice_sqnr_db(s, e) for s, e in zip(signal_var, err_var))

@@ -203,16 +203,15 @@ def recount_compressed_payload(path):
             shape = entry["quantized"]["shape"]
             o, i, kh, kw = shape
             d, n, keep, bits = pattern_by_member[entry["id"]]
-            if entry["quantized"]["block_k"] is None:
+            if (kh, kw) == (d, d):
                 total += 4 * o * i  # one scale per slice
                 total += o * i * math.ceil(n * bits / 8)
-            else:
-                k = entry["quantized"]["block_k"]
+            else:  # a 1x1 layer: d x d blocks of its flat weights
                 count = o * i
-                n_blocks = math.ceil(count / (k * k))
+                n_blocks = math.ceil(count / (d * d))
                 total += 4 * n_blocks
                 for j in range(n_blocks):
-                    survivors = sum(1 for idx in keep if j * k * k + idx < count)
+                    survivors = sum(1 for idx in keep if j * d * d + idx < count)
                     total += math.ceil(survivors * bits / 8)
         if entry["weights"] is not None:
             shape = entry["weights"]["shape"]
@@ -267,19 +266,21 @@ def unpack_ints(data, count, bits):
     return out
 
 
-def stored_values_reference(q, pattern, block_k):
+def stored_values_reference(q, pattern):
     """Stored integers of one payload in container order, one list per slice
-    (k x k layers) or per k x k block of the flat weights (1 x 1 layers)."""
+    (d x d layers) or per d x d block of the flat weights (1 x 1 layers),
+    d being the pattern's edge."""
     out_ch, in_ch, kh, kw = q.shape
-    if block_k is None:
+    if (kh, kw) == (pattern.d, pattern.d):
         flat = q.reshape(out_ch * in_ch, kh, kw)
         return [[int(flat[s, r, c]) for r, c in pattern.positions] for s in range(out_ch * in_ch)]
-    keep = sorted(r * block_k + c for r, c in pattern.positions)
+    k = pattern.d
+    keep = sorted(r * k + c for r, c in pattern.positions)
     count = out_ch * in_ch
     q_flat = q.reshape(-1)
-    n_blocks = math.ceil(count / (block_k * block_k))
+    n_blocks = math.ceil(count / (k * k))
     return [
-        [int(q_flat[j * block_k * block_k + idx]) for idx in keep if j * block_k * block_k + idx < count]
+        [int(q_flat[j * k * k + idx]) for idx in keep if j * k * k + idx < count]
         for j in range(n_blocks)
     ]
 
@@ -297,7 +298,7 @@ def recount_payload_nbytes(cm):
         for member in group.member_ids:
             qc = cm.qlayers[member]
             total += 4 * qc.scales.size
-            for values in stored_values_reference(qc.q, group.pattern, qc.block_k):
+            for values in stored_values_reference(qc.q, group.pattern):
                 total += math.ceil(len(values) * qc.bitwidth / 8)
     for layer in cm.layers:
         if layer.weights is not None:

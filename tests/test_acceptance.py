@@ -14,8 +14,8 @@ import upaq
 from conftest import single_conv_model
 from oracles import recount_compressed_payload, recount_dense_payload
 from upaq.cli import main
-from upaq.compressed import CompressedGroup, CompressedModel, QuantizedConv
-from upaq.compressor import CompressionProfile, blocks_from_1x1, calculate_es, flatten_blocks_to_1x1
+from upaq.compressed import CompressedGroup, CompressedModel, QuantizedConv, slice_stack, unstack
+from upaq.compressor import CompressionProfile, calculate_es
 from upaq.container import save_compressed, save_model
 from upaq.cost import AnalyticCostModel, ModelCost, estimate_latency
 from upaq.grouping import find_root_groups
@@ -288,13 +288,13 @@ def test_criterion_9_block_transform_roundtrip():
         in_ch = int(rng.integers(1, 13))
         count = out_ch * in_ch
         w = Tensor4(rng.normal(size=(out_ch, in_ch, 1, 1)).astype(np.float32))
-        blocks = blocks_from_1x1(w, 3)
-        assert len(blocks) == math.ceil(count / 9)
-        flat = flatten_blocks_to_1x1(blocks, count)
-        assert np.array_equal(flat, w.data.reshape(-1))  # exact
+        blocks = slice_stack(w.data, 3)
+        assert blocks.shape == (math.ceil(count / 9), 3, 3)
+        flat = unstack(blocks, w.shape)
+        assert np.array_equal(flat, w.data)  # exact
         if count % 9:
             checked_remainders += 1
-            pad = np.concatenate([b.reshape(-1) for b in blocks])[count:]
+            pad = blocks.reshape(-1)[count:]
             assert not pad.any()
 
         n = int(rng.integers(1, 4))
@@ -306,7 +306,7 @@ def test_criterion_9_block_transform_roundtrip():
             for r, c in pattern.positions:
                 m[r, c] = b[r, c]
             masked.append(m)
-        pruned = flatten_blocks_to_1x1(masked, count)
+        pruned = unstack(np.stack(masked), w.shape).reshape(-1)
         src = w.data.reshape(-1)
         for f in range(count):
             expect = src[f] if f % 9 in keep else 0.0

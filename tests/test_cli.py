@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import pytest
 
@@ -131,6 +132,35 @@ def test_bad_group_pattern_exits_1(tmp_path, capsys, edit):
     assert main(["inspect", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("upaq: error: group 'conv1'") and "Traceback" not in err
+
+
+def _non_object_header(data):
+    (hlen,) = struct.unpack("<I", data[5:9])
+    return data[:5] + struct.pack("<I", 2) + b"[]" + data[9 + hlen:]
+
+
+def _short_bias(data):
+    def edit(header):
+        header["layers"][-1]["bias"]["nbytes"] -= 1
+    return patch_header(data, edit)
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+@pytest.mark.parametrize("corrupt,message", [
+    (_non_object_header, "header is not a JSON object"),
+    (_short_bias, "layer 'fc': float32 section of 15 bytes is not a multiple of 4"),
+], ids=["non-object-header", "short-bias"])
+def test_hostile_header_exits_1_with_one_line(tmp_path, capsys, compressed, corrupt, message):
+    path, _ = _gen(tmp_path)
+    if compressed:
+        dense, path = path, tmp_path / "m.upaqc"
+        assert main(["compress", str(dense), "-o", str(path)]) == 0
+    bad = tmp_path / f"bad{path.suffix}"
+    bad.write_bytes(corrupt(path.read_bytes()))
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("upaq: error: ") and err.count("\n") == 1 and message in err
 
 
 def test_bad_sidecar_shape_exits_1(tmp_path, capsys):

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 import upaq
-from upaq.compressed import CompressedGroup, CompressedModel, dequantized_weights, slice_stack, stored_slots
+from upaq.compressed import CompressedGroup, CompressedModel, dequantized_weights, slice_stack, stored_slots, unstack
 from upaq.compressor import (
+    BLOCK_K,
     CompressionProfile,
     ModelCost,
-    blocks_from_1x1,
     calculate_es,
     compress_kxk_group,
     compress_model,
     compress_with_decisions,
-    flatten_blocks_to_1x1,
     hck_profile,
     lck_profile,
 )
@@ -101,7 +100,7 @@ def test_blocks_from_18_weights(toy_1x1):
     model, _ = toy_1x1
     w = model.by_id("conv_b").weights
     assert w.shape == (2, 9, 1, 1)
-    blocks = blocks_from_1x1(w, 3)
+    blocks = slice_stack(w.data, 3)
     assert len(blocks) == 2
     flat = w.data.reshape(-1)
     assert np.array_equal(blocks[0][0], flat[0:3])
@@ -109,14 +108,14 @@ def test_blocks_from_18_weights(toy_1x1):
 
 
 def test_blocks_remainder_is_zero_padded():
-    blocks = blocks_from_1x1(_t1x1(range(1, 11)), 3)
+    blocks = slice_stack(_t1x1(range(1, 11)).data, 3)
     assert len(blocks) == 2
     assert blocks[1][0, 0] == 10.0
     assert np.count_nonzero(blocks[1]) == 1
 
 
 def test_blocks_constant_input():
-    blocks = blocks_from_1x1(_t1x1([2.5] * 9), 3)
+    blocks = slice_stack(_t1x1([2.5] * 9).data, 3)
     assert len(blocks) == 1
     assert np.all(blocks[0] == 2.5)
 
@@ -125,7 +124,7 @@ def test_flatten_roundtrip_identity():
     rng = np.random.default_rng(21)
     for count in (1, 5, 9, 10, 18, 26, 81):
         w = _t1x1(rng.normal(size=count).astype(np.float32))
-        flat = flatten_blocks_to_1x1(blocks_from_1x1(w, 3), count)
+        flat = unstack(slice_stack(w.data, 3), w.shape).reshape(-1)
         assert flat.shape == (count,)
         assert np.array_equal(flat, w.data.reshape(-1))
 
@@ -138,8 +137,8 @@ def test_flatten_masked_blocks_zero_the_right_flat_positions():
     keep_in_block = {r * 3 + c for r, c in pat.positions}
     for count in (9, 10, 20):
         w = _t1x1(rng.uniform(1, 2, count).astype(np.float32))  # nonzero everywhere
-        masked = [apply_pattern(b, pat) for b in blocks_from_1x1(w, 3)]
-        flat = flatten_blocks_to_1x1(masked, count)
+        masked = [apply_pattern(b, pat) for b in slice_stack(w.data, 3)]
+        flat = unstack(np.stack(masked), w.shape).reshape(-1)
         for f in range(count):
             if f % 9 in keep_in_block:
                 assert flat[f] == w.data.reshape(-1)[f]
@@ -147,18 +146,27 @@ def test_flatten_masked_blocks_zero_the_right_flat_positions():
                 assert flat[f] == 0.0
     # the 9-weight case keeps exactly flat indices {0, 4, 8}
     w9 = _t1x1(rng.uniform(1, 2, 9).astype(np.float32))
-    masked9 = [apply_pattern(b, pat) for b in blocks_from_1x1(w9, 3)]
-    assert set(np.nonzero(flatten_blocks_to_1x1(masked9, 9))[0].tolist()) == {0, 4, 8}
+    masked9 = [apply_pattern(b, pat) for b in slice_stack(w9.data, 3)]
+    assert set(np.nonzero(unstack(np.stack(masked9), w9.shape).reshape(-1))[0].tolist()) == {0, 4, 8}
 
 
-def test_flatten_errors():
-    with pytest.raises(ValueError):
-        flatten_blocks_to_1x1([], 5)
-    blocks = blocks_from_1x1(_t1x1(range(9)), 3)
-    with pytest.raises(ValueError):
-        flatten_blocks_to_1x1(blocks, 25)  # more values than one block holds
-    with pytest.raises(ValueError):
-        flatten_blocks_to_1x1([np.zeros((3, 3)), np.zeros((2, 2))], 10)
+@pytest.mark.parametrize("k", [3, 5])
+def test_kxk_slice_stack_is_a_view_of_the_kernel_slices(k):
+    w = np.random.default_rng(k).normal(size=(4, 3, k, k)).astype(np.float32)
+    stack = slice_stack(w, k)
+    assert np.array_equal(stack, w.reshape(12, k, k))
+    assert np.shares_memory(stack, w)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_1x1_slice_stack_round_trips_every_remainder(d):
+    rng = np.random.default_rng(d)
+    for r in range(d * d):
+        w = rng.normal(size=(1, d * d + r, 1, 1)).astype(np.float32)
+        stack = slice_stack(w, d)
+        assert stack.shape == (1 + (r > 0), d, d)
+        assert not stack.reshape(-1)[w.size:].any()
+        assert np.array_equal(unstack(stack, w.shape), w)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +184,7 @@ def test_hck_structure_on_toy_cnn(toy_cnn, toy_cnn_hck):
         qc = cm.qlayers[member]
         per_slice = qc.q.reshape(-1, 3, 3)
         assert not per_slice[:, ~mask].any()  # zeros everywhere off-pattern
-        assert set(stored_slots(qc.shape, qc.block_k, group.pattern).sum(axis=1).tolist()) == {2}
+        assert set(stored_slots(qc.shape, group.pattern).sum(axis=1).tolist()) == {2}
 
 
 def test_lck_structure_on_toy_cnn(toy_cnn_lck):
@@ -185,7 +193,7 @@ def test_lck_structure_on_toy_cnn(toy_cnn_lck):
     assert group.bitwidth in (8, 16)
     assert group.pattern.n == 3
     qc = toy_cnn_lck.qlayers[group.root_id]
-    assert set(stored_slots(qc.shape, qc.block_k, group.pattern).sum(axis=1).tolist()) == {3}
+    assert set(stored_slots(qc.shape, group.pattern).sum(axis=1).tolist()) == {3}
 
 
 def test_lck_1x1_blockwise_density(toy_1x1):
@@ -193,7 +201,7 @@ def test_lck_1x1_blockwise_density(toy_1x1):
     cm = compress_model(model, lck_profile(seed=42))
     group = cm.group_for("conv_b")
     qc = cm.qlayers["conv_b"]
-    counts = stored_slots(qc.shape, qc.block_k, group.pattern).sum(axis=1).tolist()
+    counts = stored_slots(qc.shape, group.pattern).sum(axis=1).tolist()
     assert counts == [3, 3]  # two full blocks, ceil-blockwise 3 survivors each
 
 
@@ -227,12 +235,12 @@ def test_all_zero_1x1_layer_takes_first_candidate(toy_1x1):
     assert not cm.qlayers["conv_b"].q.any()
 
 
-def _dequantize_loop(qc):
+def _dequantize_loop(qc, d):
     """Per-slice (or per-block) dequantize over a payload, scale by scale."""
-    if qc.block_k is None:
+    if qc.shape[2:] == (d, d):
         flat = qc.q.reshape(-1, qc.shape[2] * qc.shape[3])
         return np.stack([dequantize(flat[s], float(qc.scales[s])) for s in range(flat.shape[0])]).reshape(qc.shape)
-    cells = qc.block_k ** 2
+    cells = d ** 2
     flat = qc.q.reshape(-1)
     parts = [dequantize(flat[b * cells:(b + 1) * cells], float(qc.scales[b])) for b in range(qc.scales.shape[0])]
     return np.concatenate(parts).reshape(qc.shape)
@@ -253,18 +261,19 @@ def test_leaves_requantize_with_own_scales(toy_cnn, toy_residual, toy_1x1):
                 for member in group.member_ids:
                     w = model.by_id(member).weights
                     qc = cm.qlayers[member]
-                    if qc.block_k is None:
+                    d = group.pattern.d
+                    if (w.kh, w.kw) == (d, d):
                         slices = [w.data[o, i] for o in range(w.out_ch) for i in range(w.in_ch)]
                         q_slices = qc.q.reshape(len(slices), w.kh, w.kw)
                     else:
-                        slices = blocks_from_1x1(w, qc.block_k)
-                        q_slices = slice_stack(qc.q, qc.block_k)
+                        slices = slice_stack(w.data, d)
+                        q_slices = slice_stack(qc.q, d)
                     assert qc.scales.shape == (len(slices),)
                     for s, sl in enumerate(slices):
                         expect = mp_quantize(apply_pattern(sl, group.pattern), group.bitwidth)
                         assert qc.scales[s] == np.float32(expect.scale)
                         assert np.array_equal(q_slices[s], expect.q_values)
-                    assert np.array_equal(dense.by_id(member).weights.data, _dequantize_loop(qc))
+                    assert np.array_equal(dense.by_id(member).weights.data, _dequantize_loop(qc, d))
 
 
 def test_compression_is_deterministic(toy_cnn):
@@ -325,11 +334,11 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
         assert dec.score.energy_term == base_energy / cost.energy(shipped)
 
         w = model.by_id(dec.root_id).weights
-        masked = np.where(dec.pattern.mask(), slice_stack(w.data, root_qc.block_k), 0)
+        masked = np.where(dec.pattern.mask(), slice_stack(w.data, dec.pattern.d), 0)
         sqnr_db = quantize_slices(masked, dec.bitwidth)[3]
         assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0
 
-        d = w.kw if w.kw > 1 else prof.block_k
+        d = w.kw if w.kw > 1 else BLOCK_K
         if exhaustive:
             drawn = enumerate_all_patterns(prof.n_for(d), d)
         else:
@@ -344,7 +353,8 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
 def test_decompressed_weights_match_payload(toy_cnn, toy_cnn_hck):
     dense = upaq.decompress_model(toy_cnn_hck)
     for lid, qc in toy_cnn_hck.qlayers.items():
-        assert np.array_equal(dense.by_id(lid).weights.data, dequantized_weights(qc))
+        d = toy_cnn_hck.group_for(lid).pattern.d
+        assert np.array_equal(dense.by_id(lid).weights.data, dequantized_weights(qc, d))
 
 
 # ---------------------------------------------------------------------------

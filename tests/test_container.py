@@ -58,11 +58,11 @@ def test_pack_roundtrip_random():
             assert unpack_ints(packed, n, bits) == values
 
 
-def _check_stack_packing(q, pattern, block_k, bits):
+def _check_stack_packing(q, pattern, bits):
     """Stack pack equals the per-slice oracle, and unpack restores the slots."""
-    slots = stored_slots(q.shape, block_k, pattern)
-    reference = stored_values_reference(q, pattern, block_k)
-    packed = pack_slots(slice_stack(q, block_k).reshape(slots.shape), slots, bits)
+    slots = stored_slots(q.shape, pattern)
+    reference = stored_values_reference(q, pattern)
+    packed = pack_slots(slice_stack(q, pattern.d).reshape(slots.shape), slots, bits)
     assert packed == b"".join(pack_ints(values, bits) for values in reference)
     stack = unpack_slots(packed, slots, bits)
     assert stack.dtype == np.int32
@@ -78,11 +78,11 @@ def test_pack_slots_every_pattern_and_partial_block(d):
             for bits in (4, 8, 16):
                 top = 2 ** (bits - 1) - 1
                 # a k x k layer, then 1 x 1 layers leaving every remainder 0 .. d*d-1
-                shapes = [((2, 3, d, d), None)] + [((1, d * d + r, 1, 1), d) for r in range(d * d)]
-                for shape, block_k in shapes:
+                shapes = [(2, 3, d, d)] + [(1, d * d + r, 1, 1) for r in range(d * d)]
+                for shape in shapes:
                     q = rng.integers(-top, top + 1, shape)
                     q = np.where(rng.random(shape) < 0.5, rng.choice([-top, top], shape), q)
-                    _check_stack_packing(q.astype(np.int32), pattern, block_k, bits)
+                    _check_stack_packing(q.astype(np.int32), pattern, bits)
 
 
 @st.composite
@@ -91,12 +91,12 @@ def _stacks(draw):
     pattern = draw(st.sampled_from([p for n in range(1, d + 1) for p in enumerate_all_patterns(n, d)]))
     bits = draw(st.sampled_from((4, 8, 16)))
     if draw(st.booleans()):
-        shape, block_k = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), d, d), None
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), d, d)
     else:
-        shape, block_k = (draw(st.integers(1, 4)), draw(st.integers(1, 12)), 1, 1), d
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 12)), 1, 1)
     top = 2 ** (bits - 1) - 1
     values = draw(st.lists(st.integers(-top, top), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
-    return np.array(values, dtype=np.int32).reshape(shape), pattern, block_k, bits
+    return np.array(values, dtype=np.int32).reshape(shape), pattern, bits
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,7 +203,8 @@ def test_compressed_roundtrip_preserves_dequantized_weights(toy_cnn_hck, tmp_pat
     save_compressed(toy_cnn_hck, path)
     reloaded = upaq.load_compressed(path)
     for layer_id, qc in toy_cnn_hck.qlayers.items():
-        assert np.array_equal(dequantized_weights(qc), dequantized_weights(reloaded.qlayers[layer_id]))
+        d = toy_cnn_hck.group_for(layer_id).pattern.d
+        assert np.array_equal(dequantized_weights(qc, d), dequantized_weights(reloaded.qlayers[layer_id], d))
 
 
 def test_compressed_payload_matches_recounts(toy_cnn_hck, toy_cnn_lck, tmp_path):
@@ -224,7 +225,8 @@ def test_compressed_1x1_roundtrip(toy_1x1):
     cm2 = deserialize_compressed(data)
     assert serialize_compressed(cm2) == data
     for lid in cm.qlayers:
-        assert np.array_equal(dequantized_weights(cm.qlayers[lid]), dequantized_weights(cm2.qlayers[lid]))
+        d = cm.group_for(lid).pattern.d
+        assert np.array_equal(dequantized_weights(cm.qlayers[lid], d), dequantized_weights(cm2.qlayers[lid], d))
 
 
 def test_1x1_payload_rejects_nonzero_off_pattern_cell_in_last_partial_block():
@@ -236,7 +238,7 @@ def test_1x1_payload_rejects_nonzero_off_pattern_cell_in_last_partial_block():
     model.validate()
     cm = upaq.compress_model(model, upaq.hck_profile(seed=42))
     qc = cm.qlayers["pw"]
-    assert qc.block_k == 3 and qc.scales.shape == (2,)
+    assert cm.group_for("pw").pattern.d == 3 and qc.scales.shape == (2,)
     cm.validate()  # the pad cells past the 12th weight are not checked as payload
     keep = cm.group_for("pw").pattern.mask().reshape(-1)
     off = [f for f in range(9, 12) if not keep[f - 9]]
@@ -252,33 +254,50 @@ def test_truncated_compressed_rejected(toy_cnn_hck):
         deserialize_compressed(data[:-4])
 
 
-def test_v1_header_with_cost_mode_loads_to_the_same_model(toy_cnn_hck):
+@pytest.fixture(scope="module")
+def toy_1x1_lck_bytes(toy_1x1):
+    cm = upaq.compress_model(toy_1x1[0], upaq.lck_profile(seed=42))
+    assert [(cm.qlayers[lid].shape[2:], cm.group_for(lid).pattern.d) for lid in ("conv_a", "conv_b")] == [
+        ((3, 3), 3), ((1, 1), 3),
+    ]
+    return serialize_compressed(cm)
+
+
+def test_v1_header_with_cost_mode_loads_to_the_same_model(toy_cnn_hck, toy_1x1_lck_bytes):
+    """Keys that older writers emitted, ``profile.cost_mode``,
+    ``profile.block_k`` and each quantized layer's ``block_k``, are ignored."""
     data = serialize_compressed(toy_cnn_hck)
     for mode in ("analytic", "measured"):
         older = patch_header(data, lambda h: h["profile"].update(cost_mode=mode))
         assert older != data
         assert serialize_compressed(deserialize_compressed(older)) == data
 
+    def with_block_k(value):
+        def edit(header):
+            header["profile"]["block_k"] = 3
+            for entry in header["layers"]:
+                if entry["quantized"] is not None:
+                    entry["quantized"]["block_k"] = value
+        return edit
 
-@pytest.fixture(scope="module")
-def toy_1x1_lck_bytes(toy_1x1):
-    cm = upaq.compress_model(toy_1x1[0], upaq.lck_profile(seed=42))
-    assert (cm.qlayers["conv_a"].block_k, cm.qlayers["conv_b"].block_k) == (None, 3)
-    return serialize_compressed(cm)
+    for value in (None, 3, 0, -1, 2, "x"):
+        older = patch_header(toy_1x1_lck_bytes, with_block_k(value))
+        assert older != toy_1x1_lck_bytes
+        assert serialize_compressed(deserialize_compressed(older)) == toy_1x1_lck_bytes
 
 
 def _set_quantized(layer_id, field, value):
     def edit(header):
         (meta,) = [e["quantized"] for e in header["layers"] if e["id"] == layer_id]
-        if field == "packed_nbytes":
-            meta["packed"]["nbytes"] += value
+        if field.endswith("_nbytes"):
+            meta[field[:-len("_nbytes")]]["nbytes"] += value
         else:
             meta[field] = value
     return edit
 
 
 def test_kernel_dims_off_the_pattern_name_the_layer(toy_1x1_lck_bytes, toy_1x1):
-    # 9x1x1x9 keeps conv_a's 81 cells and 9 scales, but its slices are 1x9, not 3x3
+    # 9x1x1x9 keeps conv_a's 81 cells and 9 scales, but its 1x9 kernel is neither 1x1 nor 3x3
     def flatten_kernel(header):
         header["layers"][0]["quantized"]["shape"] = [9, 1, 1, 9]
 
@@ -294,14 +313,55 @@ def test_kernel_dims_off_the_pattern_name_the_layer(toy_1x1_lck_bytes, toy_1x1):
 @pytest.mark.parametrize("layer_id", ["conv_a", "conv_b"])  # a 3x3 layer and a 1x1 block layer
 @pytest.mark.parametrize("field,value", [
     ("bitwidth", 0), ("bitwidth", -3), ("bitwidth", 64), ("bitwidth", 10**12),
-    ("block_k", 0), ("block_k", -1), ("block_k", 2),
-    ("packed_nbytes", 1), ("packed_nbytes", -1),
+    ("packed_nbytes", 1), ("packed_nbytes", -1), ("scales_nbytes", -1), ("scales_nbytes", 2),
 ])
 def test_hostile_quantized_header_raises_format_error(toy_1x1_lck_bytes, layer_id, field, value):
-    message = {"bitwidth": f"bitwidth {value} is not", "block_k": f"block_k {value} is neither",
-               "packed_nbytes": "packed section holds"}[field]
+    message = {"bitwidth": f"bitwidth {value} is not", "packed_nbytes": "packed section holds",
+               "scales_nbytes": "float32 section of .* bytes is not a multiple of 4"}[field]
     with pytest.raises(FormatError, match=f"layer '{layer_id}': {message}"):
         deserialize_compressed(patch_header(toy_1x1_lck_bytes, _set_quantized(layer_id, field, value)))
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+@pytest.mark.parametrize("header", [[], 3, "x", None])
+def test_non_object_header_raises_format_error(toy_cnn, toy_cnn_hck, compressed, header):
+    data = serialize_compressed(toy_cnn_hck) if compressed else serialize_model(toy_cnn[0])
+    (hlen,) = struct.unpack("<I", data[5:9])
+    raw = json.dumps(header).encode()
+    patched = data[:5] + struct.pack("<I", len(raw)) + raw + data[9 + hlen:]
+    with pytest.raises(FormatError, match="header is not a JSON object"):
+        (deserialize_compressed if compressed else deserialize_model)(patched)
+
+
+def _edit_fc(section, field, value):
+    """Header edit of the dense ``fc`` layer's weights or bias reference."""
+    def edit(header):
+        (entry,) = [e for e in header["layers"] if e["id"] == "fc"]
+        if field == "nbytes":
+            entry[section]["nbytes"] += value
+        else:
+            entry[section][field] = value
+    return edit
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+@pytest.mark.parametrize("section,field,value,message", [
+    ("bias", "nbytes", -1, "float32 section of 15 bytes is not a multiple of 4"),
+    ("bias", "nbytes", 2, "float32 section of 18 bytes is not a multiple of 4"),
+    ("weights", "nbytes", -1, r"weight shape \[4, 8, 1, 1\] does not fit a 127-byte section"),
+    ("weights", "nbytes", -4, r"weight shape \[4, 8, 1, 1\] does not fit a 124-byte section"),
+    ("weights", "shape", [4, 8, 2, 1], r"weight shape .* does not fit a 128-byte section"),
+    ("weights", "shape", [32, 1, 1], r"weight shape .* does not fit a 128-byte section"),
+    ("weights", "shape", [4, 8, 1, 0], r"weight shape .* does not fit a 128-byte section"),
+    ("weights", "shape", [4, 8, 1, True], r"weight shape .* does not fit a 128-byte section"),
+    ("weights", "shape", "4x8", r"weight shape .* does not fit a 128-byte section"),
+])
+def test_bad_f32_section_raises_format_error(toy_cnn, toy_cnn_hck, compressed, section, field, value, message):
+    data = serialize_compressed(toy_cnn_hck) if compressed else serialize_model(toy_cnn[0])
+    with pytest.raises(FormatError, match=f"layer 'fc': {message}"):
+        (deserialize_compressed if compressed else deserialize_model)(
+            patch_header(data, _edit_fc(section, field, value))
+        )
 
 
 @pytest.mark.parametrize("d", [5, 0, -3, 10**9, True, "3", None])

@@ -116,7 +116,7 @@ def test_energy_walks_the_model_once(toy_cnn_hck, monkeypatch):
     real_dequantized = compressed_module.dequantized_weights
     real_infer_shapes = cost_module.infer_shapes
     monkeypatch.setattr(compressed_module, "dequantized_weights",
-                        lambda qc: dequantized.append(1) or real_dequantized(qc))
+                        lambda *a: dequantized.append(1) or real_dequantized(*a))
     monkeypatch.setattr(cost_module, "infer_shapes", lambda *a: walks.append(1) or real_infer_shapes(*a))
     cost = AnalyticCostModel()
     energy = cost.energy(toy_cnn_hck)

@@ -48,7 +48,7 @@ def _lossless_pair(seed=51):
         ],
         groups=[CompressedGroup("c", (), pattern, bits)],
         qlayers={"c": QuantizedConv((2, 1, 3, 3), bits, q, scales)},
-        profile=ProfileInfo("custom", (8,), (0.3, 0.4, 0.3), 0, 1, True, 3),
+        profile=ProfileInfo("custom", (8,), (0.3, 0.4, 0.3), 0, 1, True),
         base_payload_nbytes=dense_payload_nbytes(base),
     )
     cm.validate()
@@ -139,22 +139,24 @@ def test_report_metrics_recomputable_from_run_blobs(tmp_path, toy_cnn, toy_cnn_h
 def _model_sqnr_db_loop(base, cm):
     """Slice-by-slice mean SQNR: mask, reconstruct and score one slice at a time."""
     from upaq.compressed import dequantized_weights
-    from upaq.compressor import blocks_from_1x1
     from upaq.patterns import apply_pattern
 
     db = []
     for group in cm.groups:
+        d = group.pattern.d
         for member in group.member_ids:
             w = base.by_id(member).weights
             qc = cm.qlayers[member]
-            deq = dequantized_weights(qc)
-            if qc.block_k is None:
+            deq = dequantized_weights(qc, d)
+            if (w.kh, w.kw) == (d, d):
                 pairs = [(w.data[o, i], deq[o, i]) for o in range(w.out_ch) for i in range(w.in_ch)]
-            else:
-                flat = np.zeros(qc.scales.size * qc.block_k ** 2, dtype=np.float32)
-                flat[: deq.size] = deq.reshape(-1)
-                recon = flat.reshape(-1, qc.block_k, qc.block_k)
-                pairs = list(zip(blocks_from_1x1(w, qc.block_k), recon))
+            else:  # a 1x1 layer: zero-padded d x d blocks of the flat weights
+                blocks = []
+                for arr in (w.data, deq):
+                    flat = np.zeros(qc.scales.size * d * d, dtype=np.float32)
+                    flat[: arr.size] = arr.reshape(-1)
+                    blocks.append(flat.reshape(-1, d, d))
+                pairs = list(zip(*blocks))
             for sl, rec in pairs:
                 x = apply_pattern(sl, group.pattern).astype(np.float64)
                 err_var = float(np.var(x - rec.astype(np.float64)))
