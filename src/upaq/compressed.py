@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import LayerSpec, ModelGraph, Tensor4, check_structure
+from .model import LayerSpec, ModelGraph, Tensor4, check_structure, infer_shapes
 from .patterns import KernelPattern
 
 
@@ -104,6 +104,7 @@ class CompressedModel:
         for group in self.groups:
             for member in group.member_ids:
                 _check_payload(self.by_id(member), self.qlayers[member], group)
+        infer_shapes(self, {layer_id: qc.shape for layer_id, qc in self.qlayers.items()})
 
     def group_for(self, layer_id: str) -> CompressedGroup:
         for group in self.groups:
@@ -126,8 +127,16 @@ def _check_payload(layer: LayerSpec, qc: QuantizedConv, group: CompressedGroup) 
         raise ValidationError(f"layer {layer.id!r}: expected {len(slots)} scales, one per stacked slice")
     if int(np.abs(qc.q).max(initial=0)) > max_value:
         raise ValidationError(f"layer {layer.id!r}: quantized value outside symmetric {qc.bitwidth}-bit range")
-    if np.any(slice_stack(qc.q, group.pattern.d).reshape(slots.shape)[~slots]):
+    stack = slice_stack(qc.q, group.pattern.d).reshape(slots.shape)
+    if np.any(stack[~slots]):
         raise ValidationError(f"layer {layer.id!r}: nonzero value outside the block pattern")
+    # only a non-finite scale, or one above float32 max / max_value, can dequantize past float32
+    scales = qc.scales.astype(np.float64)
+    risky = ~(np.abs(scales) <= float(np.finfo(np.float32).max) / max_value)
+    with np.errstate(over="ignore", invalid="ignore"):  # rounded as dequantized_weights rounds it
+        largest = (np.abs(stack[risky]).max(axis=1) * scales[risky]).astype(np.float32)
+    if not np.isfinite(largest).all():
+        raise ValidationError(f"layer {layer.id!r}: a scale dequantizes to a non-finite weight")
 
 
 def decompress_model(cm: CompressedModel) -> ModelGraph:

@@ -22,6 +22,15 @@ two's-complement 4/8/16-bit fields, LSB first, and each slice is padded to a
 byte boundary.
 
 Compression ratios compare payload lengths only; headers are excluded.
+
+Both formats share one graph writer (:func:`_base_entry` and :func:`_append`,
+each writer appending sections in the order above) and one graph reader,
+:func:`_read_graph`; the compressed reader adds only its group table, profile
+and quantized payloads.  Every header value goes through :func:`_get` or
+:func:`_get_list`, which raise FormatError naming the layer, group or field
+for a missing key or a wrong JSON type (a bool is not an int), and each reader
+ends in :func:`_validated`, so a file that breaks a graph or payload
+invariant is a FormatError too.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -103,19 +113,15 @@ def pack_mask(pattern: KernelPattern) -> bytes:
 
 
 def _positions_from_mask(mask: bytes, d: int) -> tuple[tuple[int, int], ...]:
-    positions = []
-    for bit in range(d * d):
-        if mask[bit // 8] >> (bit % 8) & 1:
-            positions.append((bit // d, bit % d))
-    return tuple(positions)
+    return tuple((bit // d, bit % d) for bit in range(d * d) if mask[bit // 8] >> (bit % 8) & 1)
 
 
 # ---------------------------------------------------------------------------
 # dense container
 # ---------------------------------------------------------------------------
 
-def dense_payload_nbytes(model: ModelGraph) -> int:
-    """Payload size of the dense container: 4 bytes per weight and bias value."""
+def dense_payload_nbytes(model: ModelGraph | CompressedModel) -> int:
+    """Payload size of the dense container: 4 bytes per dense weight and bias value."""
     total = 0
     for layer in model.layers:
         if layer.weights is not None:
@@ -128,68 +134,21 @@ def dense_payload_nbytes(model: ModelGraph) -> int:
 def serialize_model(model: ModelGraph) -> bytes:
     model.validate()
     blob = bytearray()
-    layer_entries = []
+    entries = []
     for layer in model.layers:
-        entry = {
-            "id": layer.id,
-            "kind": layer.kind,
-            "stride": layer.stride,
-            "padding": layer.padding,
-            "inputs": list(layer.inputs),
-            "weights": None,
-            "bias": None,
-        }
+        entry = _base_entry(layer)
         if layer.weights is not None:
-            raw = layer.weights.data.astype("<f4").tobytes()
-            entry["weights"] = {
-                "shape": list(layer.weights.shape),
-                "offset": len(blob),
-                "nbytes": len(raw),
-            }
-            blob += raw
+            entry["weights"] = _append_weights(blob, layer.weights)
         if layer.bias is not None:
-            raw = layer.bias.astype("<f4").tobytes()
-            entry["bias"] = {"offset": len(blob), "nbytes": len(raw)}
-            blob += raw
-        layer_entries.append(entry)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "name": model.name,
-        "input_shape": list(model.input_shape),
-        "layers": layer_entries,
-        "payload_nbytes": len(blob),
-    }
-    return _assemble(MAGIC_DENSE, header, bytes(blob))
+            entry["bias"] = _append(blob, _f32(layer.bias))
+        entries.append(entry)
+    return _assemble(MAGIC_DENSE, model, entries, blob)
 
 
 def deserialize_model(data: bytes) -> ModelGraph:
     header, blob = _split(data, MAGIC_DENSE, "dense model")
-    layers = []
-    for entry in header["layers"]:
-        weights = None
-        if entry["weights"] is not None:
-            weights = _read_weights(blob, entry["weights"], entry["id"])
-        bias = None
-        if entry["bias"] is not None:
-            bias = _read_f32(blob, entry["bias"], entry["id"])
-        layers.append(
-            LayerSpec(
-                id=entry["id"],
-                kind=entry["kind"],
-                inputs=tuple(entry["inputs"]),
-                weights=weights,
-                bias=bias,
-                stride=entry["stride"],
-                padding=entry["padding"],
-            )
-        )
-    model = ModelGraph(
-        name=header["name"],
-        input_shape=tuple(header["input_shape"]),
-        layers=layers,
-    )
-    model.validate()
-    return model
+    name, input_shape, graph = _read_graph(header, blob)
+    return _validated(ModelGraph(name=name, input_shape=input_shape, layers=[layer for layer, _ in graph]))
 
 
 def save_model(model: ModelGraph, path) -> None:
@@ -211,193 +170,114 @@ def packed_layer_nbytes(qc: QuantizedConv, pattern: KernelPattern) -> int:
 
 def compressed_payload_nbytes(cm: CompressedModel) -> int:
     """Payload size of the compressed container, by direct accounting."""
-    total = 0
-    for layer in cm.layers:
-        if layer.bias is not None:
-            total += 4 * layer.bias.size
-        if layer.weights is not None:
-            total += 4 * layer.weights.data.size
-        if layer.id in cm.qlayers:
-            qc = cm.qlayers[layer.id]
-            total += 4 * qc.scales.size
-            total += packed_layer_nbytes(qc, cm.group_for(layer.id).pattern)
-    for group in cm.groups:
-        total += math.ceil(group.pattern.d ** 2 / 8)
-    return total
+    total = dense_payload_nbytes(cm)  # the biases and uncompressed weights
+    for layer_id, qc in cm.qlayers.items():
+        total += 4 * qc.scales.size + packed_layer_nbytes(qc, cm.group_for(layer_id).pattern)
+    return total + sum(math.ceil(group.pattern.d ** 2 / 8) for group in cm.groups)
 
 
 def serialize_compressed(cm: CompressedModel) -> bytes:
     cm.validate()
     blob = bytearray()
-    layer_entries = []
+    entries = []
     for layer in cm.layers:
-        entry = {
-            "id": layer.id,
-            "kind": layer.kind,
-            "stride": layer.stride,
-            "padding": layer.padding,
-            "inputs": list(layer.inputs),
-            "bias": None,
-            "weights": None,
-            "quantized": None,
-        }
+        entry = _base_entry(layer)
+        entry["quantized"] = None
         if layer.bias is not None:
-            raw = layer.bias.astype("<f4").tobytes()
-            entry["bias"] = {"offset": len(blob), "nbytes": len(raw)}
-            blob += raw
+            entry["bias"] = _append(blob, _f32(layer.bias))
         if layer.weights is not None:
-            raw = layer.weights.data.astype("<f4").tobytes()
-            entry["weights"] = {
-                "shape": list(layer.weights.shape),
-                "offset": len(blob),
-                "nbytes": len(raw),
-            }
-            blob += raw
+            entry["weights"] = _append_weights(blob, layer.weights)
         if layer.id in cm.qlayers:
             qc = cm.qlayers[layer.id]
             pattern = cm.group_for(layer.id).pattern
-            scales_raw = qc.scales.astype("<f4").tobytes()
-            scales_ref = {"offset": len(blob), "nbytes": len(scales_raw)}
-            blob += scales_raw
             slots = stored_slots(qc.shape, pattern)
-            packed = pack_slots(slice_stack(qc.q, pattern.d).reshape(slots.shape), slots, qc.bitwidth)
-            packed_ref = {"offset": len(blob), "nbytes": len(packed)}
-            blob += packed
             entry["quantized"] = {
                 "shape": list(qc.shape),
                 "bitwidth": qc.bitwidth,
-                "scales": scales_ref,
-                "packed": packed_ref,
+                "scales": _append(blob, _f32(qc.scales)),
+                "packed": _append(blob, pack_slots(slice_stack(qc.q, pattern.d).reshape(slots.shape), slots, qc.bitwidth)),
             }
-        layer_entries.append(entry)
-    group_entries = []
+        entries.append(entry)
+    groups = []
     for group in cm.groups:
-        mask = pack_mask(group.pattern)
-        group_entries.append(
-            {
-                "root": group.root_id,
-                "leaves": list(group.leaf_ids),
-                "bitwidth": group.bitwidth,
-                "pattern": {
-                    "kind": group.pattern.kind,
-                    "d": group.pattern.d,
-                    "mask_offset": len(blob),
-                    "mask_nbytes": len(mask),
-                },
-            }
-        )
-        blob += mask
-    header = {
-        "format_version": FORMAT_VERSION,
-        "name": cm.name,
-        "input_shape": list(cm.input_shape),
-        "profile": {
-            "name": cm.profile.name,
-            "quant_bits": list(cm.profile.quant_bits),
-            "es_weights": list(cm.profile.es_weights),
-            "seed": cm.profile.seed,
-            "candidates": cm.profile.candidates,
-            "exhaustive": cm.profile.exhaustive,
-        },
-        "base_payload_nbytes": cm.base_payload_nbytes,
-        "layers": layer_entries,
-        "groups": group_entries,
-        "payload_nbytes": len(blob),
-    }
-    return _assemble(MAGIC_COMPRESSED, header, bytes(blob))
+        mask = _append(blob, pack_mask(group.pattern))
+        groups.append({
+            "root": group.root_id,
+            "leaves": list(group.leaf_ids),
+            "bitwidth": group.bitwidth,
+            "pattern": {"kind": group.pattern.kind, "d": group.pattern.d,
+                        "mask_offset": mask["offset"], "mask_nbytes": mask["nbytes"]},
+        })
+    return _assemble(MAGIC_COMPRESSED, cm, entries, blob, groups=groups, profile=asdict(cm.profile),
+                     base_payload_nbytes=cm.base_payload_nbytes)
 
 
 def deserialize_compressed(data: bytes) -> CompressedModel:
     header, blob = _split(data, MAGIC_COMPRESSED, "compressed model")
-    groups = []
-    patterns: dict[str, KernelPattern] = {}
-    for entry in header["groups"]:
-        pat = entry["pattern"]
-        mask, d = _read_raw(blob, pat["mask_offset"], pat["mask_nbytes"], entry["root"]), pat["d"]
-        if type(d) is not int or d < 1 or len(mask) != -(-d * d // 8):
-            raise FormatError(f"group {entry['root']!r}: pattern d={d!r} does not fit its {len(mask)}-byte mask")
-        try:
-            pattern = KernelPattern(kind=pat["kind"], d=d, positions=_positions_from_mask(mask, d))
-        except ValueError as exc:
-            raise FormatError(f"group {entry['root']!r}: bad pattern: {exc}") from None
-        group = CompressedGroup(
-            root_id=entry["root"],
-            leaf_ids=tuple(entry["leaves"]),
-            pattern=pattern,
-            bitwidth=entry["bitwidth"],
-        )
-        groups.append(group)
-        for member in group.member_ids:
-            patterns[member] = pattern
-
-    layers = []
+    groups = [_read_group(blob, entry, i) for i, entry in enumerate(_get_list(header, "groups", "header", dict))]
+    patterns = {member: group.pattern for group in groups for member in group.member_ids}
+    name, input_shape, graph = _read_graph(header, blob)
     qlayers: dict[str, QuantizedConv] = {}
-    for entry in header["layers"]:
-        weights = None
-        if entry["weights"] is not None:
-            weights = _read_weights(blob, entry["weights"], entry["id"])
-        bias = None
-        if entry["bias"] is not None:
-            bias = _read_f32(blob, entry["bias"], entry["id"])
-        layers.append(
-            LayerSpec(
-                id=entry["id"],
-                kind=entry["kind"],
-                inputs=tuple(entry["inputs"]),
-                weights=weights,
-                bias=bias,
-                stride=entry["stride"],
-                padding=entry["padding"],
-            )
-        )
-        if entry["quantized"] is not None:
-            if entry["id"] not in patterns:
-                raise FormatError(f"quantized layer {entry['id']!r} missing from the group table")
-            qlayers[entry["id"]] = _read_quantized(blob, entry, patterns[entry["id"]])
-
-    profile = header["profile"]
-    cm = CompressedModel(
-        name=header["name"],
-        input_shape=tuple(header["input_shape"]),
-        layers=layers,
-        groups=groups,
-        qlayers=qlayers,
+    for layer, entry in graph:
+        meta = _get(entry, "quantized", f"layer {layer.id!r}", (dict, type(None)))
+        if meta is not None:
+            if layer.id not in patterns:
+                raise FormatError(f"quantized layer {layer.id!r} missing from the group table")
+            qlayers[layer.id] = _read_quantized(blob, meta, layer.id, patterns[layer.id])
+    profile = _get(header, "profile", "header", dict)
+    base_payload_nbytes = _get(header, "base_payload_nbytes", "header", int)
+    if base_payload_nbytes < 0:
+        raise FormatError(f"header: base_payload_nbytes {base_payload_nbytes} is negative")
+    return _validated(CompressedModel(
+        name=name, input_shape=input_shape, layers=[layer for layer, _ in graph], groups=groups, qlayers=qlayers,
         profile=ProfileInfo(
-            name=profile["name"],
-            quant_bits=tuple(profile["quant_bits"]),
-            es_weights=tuple(profile["es_weights"]),
-            seed=profile["seed"],
-            candidates=profile["candidates"],
-            exhaustive=profile["exhaustive"],
+            name=_get(profile, "name", "profile", str),
+            quant_bits=tuple(_get_list(profile, "quant_bits", "profile", int)),
+            es_weights=tuple(_get_list(profile, "es_weights", "profile", (int, float), length=3)),
+            seed=_get(profile, "seed", "profile", int),
+            candidates=_get(profile, "candidates", "profile", int),
+            exhaustive=_get(profile, "exhaustive", "profile", bool),
         ),
-        base_payload_nbytes=header["base_payload_nbytes"],
-    )
-    cm.validate()
-    return cm
+        base_payload_nbytes=base_payload_nbytes,
+    ))
 
 
-def _read_quantized(blob: bytes, entry: dict, pattern: KernelPattern) -> QuantizedConv:
-    meta, layer_id = entry["quantized"], entry["id"]
-    shape, bits = meta["shape"], meta["bitwidth"]
-    # header fields are checked before anything is allocated from them
-    if type(bits) is not int or bits not in SUPPORTED_BITS:
-        raise FormatError(f"layer {layer_id!r}: bitwidth {bits!r} is not one of {SUPPORTED_BITS}")
-    if not _is_shape4(shape):
-        raise FormatError(f"layer {layer_id!r}: payload shape {shape!r} is not 4 positive integers")
-    scales = _read_f32(blob, meta["scales"], layer_id)
-    if scales.size != -(-math.prod(shape) // pattern.d ** 2):
-        raise FormatError(f"layer {layer_id!r}: {scales.size} scales do not fit a {shape} payload")
+def _read_group(blob: bytes, entry: dict, index: int) -> CompressedGroup:
+    root = _get(entry, "root", f"groups[{index}]", str)
+    where = f"group {root!r}"
+    pat = _get(entry, "pattern", where, dict)
+    d = _get(pat, "d", where)
+    mask = _read_raw(blob, _get(pat, "mask_offset", where), _get(pat, "mask_nbytes", where), root)
+    if type(d) is not int or d < 1 or len(mask) != -(-d * d // 8):
+        raise FormatError(f"{where}: pattern d={d!r} does not fit its {len(mask)}-byte mask")
     try:
-        slots = stored_slots(tuple(shape), pattern)
+        pattern = KernelPattern(kind=_get(pat, "kind", where), d=d, positions=_positions_from_mask(mask, d))
+    except ValueError as exc:
+        raise FormatError(f"{where}: bad pattern: {exc}") from None
+    leaves = tuple(_get_list(entry, "leaves", where, str))
+    return CompressedGroup(root_id=root, leaf_ids=leaves, pattern=pattern, bitwidth=_get(entry, "bitwidth", where, int))
+
+
+def _read_quantized(blob: bytes, meta: dict, layer_id: str, pattern: KernelPattern) -> QuantizedConv:
+    where = f"layer {layer_id!r}"
+    # header fields are checked before anything is allocated from them
+    bits = _get(meta, "bitwidth", where, int)
+    if bits not in SUPPORTED_BITS:
+        raise FormatError(f"{where}: bitwidth {bits!r} is not one of {SUPPORTED_BITS}")
+    shape = _get_shape(meta, "shape", where, 4)
+    scales = _read_f32(blob, _get(meta, "scales", where, dict), layer_id)
+    if scales.size != -(-math.prod(shape) // pattern.d ** 2):
+        raise FormatError(f"{where}: {scales.size} scales do not fit a {list(shape)} payload")
+    try:
+        slots = stored_slots(shape, pattern)
     except ValidationError as exc:
-        raise FormatError(f"layer {layer_id!r}: {exc}") from None
+        raise FormatError(f"{where}: {exc}") from None
     nbytes = int(_row_nbytes(slots, bits).sum())
-    if meta["packed"]["nbytes"] != nbytes:
-        raise FormatError(f"layer {layer_id!r}: packed section holds {meta['packed']['nbytes']} bytes, expected {nbytes}")
-    packed = _read_raw(blob, meta["packed"]["offset"], nbytes, layer_id)
-    stack = unpack_slots(packed, slots, bits)
-    q = unstack(stack, tuple(shape))
-    return QuantizedConv(shape=tuple(shape), bitwidth=bits, q=q, scales=scales)
+    packed = _get(meta, "packed", where, dict)
+    if _get(packed, "nbytes", where, int) != nbytes:
+        raise FormatError(f"{where}: packed section holds {packed['nbytes']} bytes, expected {nbytes}")
+    stack = unpack_slots(_read_raw(blob, _get(packed, "offset", where), nbytes, layer_id), slots, bits)
+    return QuantizedConv(shape=shape, bitwidth=bits, q=unstack(stack, shape), scales=scales)
 
 
 def save_compressed(cm: CompressedModel, path) -> None:
@@ -420,12 +300,91 @@ def sniff_format(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# the shared graph writer
 # ---------------------------------------------------------------------------
 
-def _assemble(magic: bytes, header: dict, blob: bytes) -> bytes:
+def _base_entry(layer: LayerSpec) -> dict:
+    """A layer's header entry with no sections yet; each writer appends the
+    layer's sections in its own order."""
+    return {"id": layer.id, "kind": layer.kind, "stride": layer.stride, "padding": layer.padding,
+            "inputs": list(layer.inputs), "weights": None, "bias": None}
+
+
+def _append(blob: bytearray, raw: bytes) -> dict:
+    """Append ``raw`` to the payload and return its section reference."""
+    ref = {"offset": len(blob), "nbytes": len(raw)}
+    blob.extend(raw)
+    return ref
+
+
+def _append_weights(blob: bytearray, weights: Tensor4) -> dict:
+    return {"shape": list(weights.shape), **_append(blob, _f32(weights.data))}
+
+
+def _f32(array: np.ndarray) -> bytes:
+    return array.astype("<f4").tobytes()
+
+
+def _assemble(magic: bytes, model, layer_entries: list[dict], blob: bytearray, **fields) -> bytes:
+    """Container bytes: the graph fields both formats share plus ``fields``."""
+    header = {
+        "format_version": FORMAT_VERSION,
+        "name": model.name,
+        "input_shape": list(model.input_shape),
+        "layers": layer_entries,
+        "payload_nbytes": len(blob),
+        **fields,
+    }
     header_raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return magic + struct.pack("<I", len(header_raw)) + header_raw + blob
+    return magic + struct.pack("<I", len(header_raw)) + header_raw + bytes(blob)
+
+
+# ---------------------------------------------------------------------------
+# the shared graph reader
+# ---------------------------------------------------------------------------
+
+_JSON_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               list: "a list", dict: "an object", type(None): "null"}
+
+
+def _checked(value, kind, where: str, name: str):
+    """``value`` if its JSON type is ``kind`` (a type, a tuple of types, or
+    ``object`` for any), else FormatError; a bool is not an int."""
+    if type(value) is kind or kind is object or (isinstance(kind, tuple) and type(value) in kind):
+        return value
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    raise FormatError(f"{where}: {name} {value!r} is not {' or '.join(_JSON_NAMES[k] for k in kinds)}")
+
+
+def _get(obj, key: str, where: str, kind=object):
+    """``obj[key]`` from untrusted JSON, checked by :func:`_checked`; raises
+    FormatError naming ``where`` and ``key`` when ``obj`` is not an object or
+    the key is missing."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise FormatError(f"{where}: missing {key!r}")
+    return _checked(obj[key], kind, where, key)
+
+
+def _get_list(obj, key: str, where: str, kind, length: int | None = None) -> list:
+    """``obj[key]`` as a list whose items are each of JSON type ``kind``."""
+    items = _get(obj, key, where, list)
+    if length is not None and len(items) != length:
+        raise FormatError(f"{where}: {key} holds {len(items)} values, not {length}")
+    return [_checked(item, kind, where, f"{key}[{i}]") for i, item in enumerate(items)]
+
+
+def _is_shape(value, ndim: int) -> bool:
+    return isinstance(value, list) and len(value) == ndim and all(type(v) is int and v > 0 for v in value)
+
+
+def _get_shape(obj, key: str, where: str, ndim: int) -> tuple[int, ...]:
+    """``obj[key]`` as a tuple of ``ndim`` positive integers."""
+    shape = _get(obj, key, where)
+    if not _is_shape(shape, ndim):
+        raise FormatError(f"{where}: {key} {shape!r} is not {ndim} positive integers")
+    return tuple(shape)
 
 
 def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
@@ -440,15 +399,46 @@ def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
         raise FormatError(f"{what} header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{what} header is not a JSON object")
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    version = _get(header, "format_version", "header")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(f"format-version mismatch: file has {version}, expected {FORMAT_VERSION}")
     blob = data[9 + header_len:]
-    if len(blob) != header.get("payload_nbytes"):
-        raise FormatError(
-            f"{what} payload truncated: expected {header.get('payload_nbytes')} bytes, got {len(blob)}"
-        )
+    payload_nbytes = _get(header, "payload_nbytes", "header", int)
+    if len(blob) != payload_nbytes:
+        raise FormatError(f"{what} payload truncated: expected {payload_nbytes} bytes, got {len(blob)}")
     return header, blob
+
+
+def _read_graph(header: dict, blob: bytes) -> tuple[str, tuple[int, ...], list[tuple[LayerSpec, dict]]]:
+    """What both containers share: the model name, the input shape, and each
+    layer with its dense weights and bias, paired with its header entry."""
+    graph = []
+    for i, entry in enumerate(_get_list(header, "layers", "header", dict)):
+        layer_id = _get(entry, "id", f"layers[{i}]", str)
+        where = f"layer {layer_id!r}"
+        weights = _get(entry, "weights", where, (dict, type(None)))
+        bias = _get(entry, "bias", where, (dict, type(None)))
+        layer = LayerSpec(
+            id=layer_id,
+            kind=_get(entry, "kind", where, str),
+            inputs=tuple(_get_list(entry, "inputs", where, str)),
+            weights=None if weights is None else _read_weights(blob, weights, layer_id),
+            bias=None if bias is None else _read_f32(blob, bias, layer_id),
+            stride=_get(entry, "stride", where, int),
+            padding=_get(entry, "padding", where, int),
+        )
+        graph.append((layer, entry))
+    return _get(header, "name", "header", str), _get_shape(header, "input_shape", "header", 3), graph
+
+
+def _validated(model):
+    """``model`` once it validates: a file that breaks a graph or payload
+    invariant is a format error, like any other malformed file."""
+    try:
+        model.validate()
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from None
+    return model
 
 
 def _read_raw(blob: bytes, offset: int, nbytes: int, layer_id: str) -> bytes:
@@ -460,19 +450,17 @@ def _read_raw(blob: bytes, offset: int, nbytes: int, layer_id: str) -> bytes:
 
 
 def _read_f32(blob: bytes, ref: dict, layer_id: str) -> np.ndarray:
-    nbytes = ref["nbytes"]
+    where = f"layer {layer_id!r}"
+    nbytes = _get(ref, "nbytes", where)
     if type(nbytes) is int and nbytes % 4:
-        raise FormatError(f"layer {layer_id!r}: float32 section of {nbytes} bytes is not a multiple of 4")
-    raw = _read_raw(blob, ref["offset"], nbytes, layer_id)
+        raise FormatError(f"{where}: float32 section of {nbytes} bytes is not a multiple of 4")
+    raw = _read_raw(blob, _get(ref, "offset", where), nbytes, layer_id)
     return np.frombuffer(raw, dtype="<f4").astype(np.float32)
 
 
-def _is_shape4(shape) -> bool:
-    return isinstance(shape, list) and len(shape) == 4 and all(type(v) is int and v > 0 for v in shape)
-
-
 def _read_weights(blob: bytes, ref: dict, layer_id: str) -> Tensor4:
-    shape = ref["shape"]
-    if not _is_shape4(shape) or 4 * math.prod(shape) != ref["nbytes"]:
-        raise FormatError(f"layer {layer_id!r}: weight shape {shape!r} does not fit a {ref['nbytes']!r}-byte section")
+    where = f"layer {layer_id!r}"
+    shape, nbytes = _get(ref, "shape", where), _get(ref, "nbytes", where)
+    if not _is_shape(shape, 4) or 4 * math.prod(shape) != nbytes:
+        raise FormatError(f"{where}: weight shape {shape!r} does not fit a {nbytes!r}-byte section")
     return Tensor4(_read_f32(blob, ref, layer_id).reshape(shape))

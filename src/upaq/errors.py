@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
 ValidationError covers semantic problems in models, profiles, and CLI
-arguments (exit code 2); FormatError covers unreadable or corrupt container
-files (exit code 1, alongside plain OSError).
+arguments (exit code 2); FormatError covers unreadable, corrupt or
+inconsistent model and input files (exit code 1, alongside plain OSError).
 """
 
 

@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .compressed import CompressedModel, decompress_model
+from .container import _get, _get_shape
 from .errors import FormatError, ValidationError
 from .model import LayerSpec, ModelGraph, infer_shapes
 
@@ -246,20 +247,19 @@ def save_activations(path, acts: list[Activation]) -> None:
 
 
 def load_activations(path) -> list[Activation]:
+    where = str(sidecar_path(path))
     try:
         meta = json.loads(sidecar_path(path).read_text())
-        shape, count = meta["shape"], meta["count"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise FormatError(f"{sidecar_path(path)}: bad shape sidecar: {exc}") from exc
-    if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)):
-        raise FormatError(f"{sidecar_path(path)}: shape {shape!r} is not 3 positive integers")
-    if type(count) is not int or count < 1:
-        raise FormatError(f"{sidecar_path(path)}: count {count!r} is not a positive integer")
-    shape = tuple(shape)
+    except ValueError as exc:
+        raise FormatError(f"{where}: bad shape sidecar: {exc}") from exc
+    shape = _get_shape(meta, "shape", where, 3)
+    count = _get(meta, "count", where, int)
+    if count < 1:
+        raise FormatError(f"{where}: count {count!r} is not a positive integer")
     per = math.prod(shape)
     raw = Path(path).read_bytes()
     expected = count * per * 4
     if len(raw) != expected:
-        raise ValidationError(f"{path}: expected {expected} bytes for {count} inputs, got {len(raw)}")
+        raise FormatError(f"{path}: expected {expected} bytes for {count} inputs, got {len(raw)}")
     flat = np.frombuffer(raw, dtype="<f4").astype(np.float32)
     return [Activation(flat[i * per:(i + 1) * per].reshape(shape)) for i in range(count)]

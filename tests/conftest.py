@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import struct
 
 import numpy as np
@@ -58,3 +60,30 @@ def patch_header(data, edit):
     edit(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return data[:5] + struct.pack("<I", len(raw)) + raw + data[9 + hlen:]
+
+
+def _header_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _header_paths(child, path + (key,))
+
+
+_DELETE = object()
+
+
+def header_mutations(data, values):
+    """Yield ``(path, patched bytes)`` for every node of the container's JSON
+    header (each object member and list item, at any depth), set in turn to
+    each of ``values`` and then deleted.  ``path`` is the tuple of keys and
+    list indices that leads to the node."""
+    (hlen,) = struct.unpack("<I", data[5:9])
+    for path in list(_header_paths(json.loads(data[9:9 + hlen]))):
+        for value in (*values, _DELETE):
+            def edit(header, path=path, value=value):
+                parent = functools.reduce(operator.getitem, path[:-1], header)
+                if value is _DELETE:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+            yield path, patch_header(data, edit)

@@ -163,6 +163,52 @@ def test_hostile_header_exits_1_with_one_line(tmp_path, capsys, compressed, corr
     assert err.startswith("upaq: error: ") and err.count("\n") == 1 and message in err
 
 
+def _set_fc_bias_nbytes(header):
+    (fc,) = [entry for entry in header["layers"] if entry["id"] == "fc"]
+    fc["bias"]["nbytes"] = 12  # 3 floats for 4 out-channels
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h.update(layers=3), "header: layers 3 is not a list"),
+    (lambda h: h["layers"][0].update(stride="1"), "layer 'conv1': stride '1' is not an integer"),
+    (_set_fc_bias_nbytes, "layer 'fc': bias length 3 != out_ch 4"),
+    (lambda h: h.update(input_shape=[1, 16]), "header: input_shape [1, 16] is not 3 positive integers"),
+    (lambda h: h.update(input_shape=[2, 16, 16]), "layer 'conv1': expects 1 input channels, got 2"),
+], ids=["layers-int", "stride-str", "short-fc-bias", "input-shape-2d", "input-shape-unchained"])
+def test_hostile_header_field_exits_1_with_one_line(tmp_path, capsys, compressed, edit, message):
+    path, inputs_path = _gen(tmp_path)
+    if compressed:
+        dense, path = path, tmp_path / "m.upaqc"
+        assert main(["compress", str(dense), "-o", str(path)]) == 0
+    bad = tmp_path / f"bad{path.suffix}"
+    bad.write_bytes(patch_header(path.read_bytes(), edit))
+    for argv in (["inspect", str(bad)], ["run", str(bad), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"upaq: error: {message}\n"
+
+
+def test_group_leaves_not_a_list_exits_1(tmp_path, capsys):
+    model_path, _ = _gen(tmp_path)
+    good = tmp_path / "good.upaqc"
+    assert main(["compress", str(model_path), "-o", str(good)]) == 0
+    bad = tmp_path / "bad.upaqc"
+    bad.write_bytes(patch_header(good.read_bytes(), lambda h: h["groups"][0].update(leaves=5)))
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 1
+    assert capsys.readouterr().err == "upaq: error: group 'conv1': leaves 5 is not a list\n"
+
+
+def test_blob_length_off_its_sidecar_exits_1(tmp_path, capsys):
+    model_path, inputs_path = _gen(tmp_path)
+    inputs_path.write_bytes(inputs_path.read_bytes()[:-4])
+    capsys.readouterr()
+    assert main(["run", str(model_path), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]) == 1
+    assert "expected 65536 bytes for 64 inputs, got 65532" in capsys.readouterr().err
+
+
 def test_bad_sidecar_shape_exits_1(tmp_path, capsys):
     model_path, inputs_path = _gen(tmp_path)
     sidecar = inputs_path.parent / "inputs.bin.json"

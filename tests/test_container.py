@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import upaq
-from conftest import patch_header
+from conftest import header_mutations, patch_header
 from oracles import (
     pack_ints,
     read_container,
@@ -385,3 +385,60 @@ def test_group_mask_section_not_an_int_raises_format_error(toy_cnn_hck, field, v
     data = serialize_compressed(toy_cnn_hck)
     with pytest.raises(FormatError, match="layer 'conv1': section offset .* is not an integer"):
         deserialize_compressed(patch_header(data, lambda h: h["groups"][0]["pattern"].update({field: value})))
+
+
+# ---------------------------------------------------------------------------
+# hostile headers: every field type-checked, every broken invariant a FormatError
+# ---------------------------------------------------------------------------
+
+SWEEP_VALUES = (None, "x", -1, 2**40, 1.5, True, [], {})
+
+
+def test_header_sweep_raises_only_format_error(toy_cnn, toy_cnn_hck):
+    """Every header node of a .upaq and a .upaqc, set to each sweep value and
+    deleted: each load either succeeds or raises FormatError."""
+    others, loads = [], 0
+    for data, load in ((serialize_model(toy_cnn[0]), deserialize_model),
+                       (serialize_compressed(toy_cnn_hck), deserialize_compressed)):
+        for path, patched in header_mutations(data, SWEEP_VALUES):
+            loads += 1
+            try:
+                load(patched)
+            except FormatError:
+                pass
+            except Exception as exc:
+                others.append((path, f"{type(exc).__name__}: {exc}"))
+    assert loads == 2160
+    assert others == []
+
+
+def test_compressed_graph_that_does_not_chain_fails_at_load(toy_cnn_hck):
+    data = serialize_compressed(toy_cnn_hck)
+    with pytest.raises(FormatError, match="layer 'conv1': expects 1 input channels, got 2"):
+        deserialize_compressed(patch_header(data, lambda h: h.update(input_shape=[2, 16, 16])))
+    cm = deserialize_compressed(data)
+    cm.input_shape = (2, 16, 16)
+    with pytest.raises(ValidationError, match="layer 'conv1': expects 1 input channels, got 2"):
+        cm.validate()
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 1e38])  # 1e38 * 127 overflows float32
+def test_scale_that_dequantizes_to_non_finite_fails_at_load(toy_cnn_hck, scale):
+    data = serialize_compressed(toy_cnn_hck)
+    (hlen,) = struct.unpack("<I", data[5:9])
+    scales = json.loads(data[9:9 + hlen])["layers"][0]["quantized"]["scales"]
+    at = 9 + hlen + scales["offset"]
+    patched = data[:at] + np.array([scale], dtype="<f4").tobytes() + data[at + 4:]
+    with pytest.raises(FormatError, match="layer 'conv1': a scale dequantizes to a non-finite weight"):
+        deserialize_compressed(patched)
+    cm = deserialize_compressed(data)
+    assert np.abs(cm.qlayers["conv1"].q[0, 0]).max() == 127
+    cm.qlayers["conv1"].scales[0] = scale
+    with pytest.raises(ValidationError, match="non-finite weight"):
+        cm.validate()
+
+
+def test_negative_base_payload_nbytes_raises_format_error(toy_cnn_hck):
+    data = patch_header(serialize_compressed(toy_cnn_hck), lambda h: h.update(base_payload_nbytes=-1))
+    with pytest.raises(FormatError, match="base_payload_nbytes -1 is negative"):
+        deserialize_compressed(data)

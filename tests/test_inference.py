@@ -163,6 +163,14 @@ def test_hostile_sidecar_raises_format_error(tmp_path, toy_cnn, meta, message):
         load_activations(path)
 
 
+def test_blob_length_off_its_sidecar_raises_format_error(tmp_path, toy_cnn):
+    path = tmp_path / "inputs.bin"
+    save_activations(path, toy_cnn[1][:5])
+    path.write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(FormatError, match="expected 5120 bytes for 5 inputs, got 5124"):
+        load_activations(path)
+
+
 def test_activation_batch_shape_consistency(tmp_path):
     a = Activation(np.zeros((1, 2, 2), dtype=np.float32))
     b = Activation(np.zeros((1, 3, 3), dtype=np.float32))
