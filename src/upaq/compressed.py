@@ -52,6 +52,23 @@ class QuantizedConv:
         self.shape = tuple(int(v) for v in self.shape)  # type: ignore[assignment]
 
 
+def check_profile(quant_bits, candidates, es_weights) -> None:
+    """The ranges a profile's bitwidths, candidate count and efficiency-score
+    weights must keep, whether it drives a search or comes from a file."""
+    if not quant_bits:
+        raise ValidationError("profile declares no quantization bitwidths")
+    for b in quant_bits:
+        if b not in (4, 8, 16):
+            raise ValidationError(f"profile bitwidth {b} outside supported {{4, 8, 16}}")
+    if candidates < 1:
+        raise ValidationError("candidate count must be >= 1")
+    for w in es_weights:
+        if not (0.0 <= w <= 1.0):
+            raise ValidationError(f"efficiency-score weight {w} outside [0, 1]")
+    if sum(es_weights) <= 0.0:
+        raise ValidationError("efficiency-score weights must not all be zero")
+
+
 @dataclass
 class ProfileInfo:
     """Provenance of a compression run, enough to validate and re-score."""
@@ -83,6 +100,7 @@ class CompressedModel:
         raise ValidationError(f"unknown layer id {layer_id!r}")
 
     def validate(self) -> None:
+        check_profile(self.profile.quant_bits, self.profile.candidates, self.profile.es_weights)
         check_structure(self.layers, weightless_ids=frozenset(self.qlayers))
         seen: dict[str, str] = {}
         for group in self.groups:

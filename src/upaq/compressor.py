@@ -21,7 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressed import CompressedGroup, CompressedModel, ProfileInfo, QuantizedConv, slice_stack, stored_slots, unstack
+from .compressed import (
+    CompressedGroup,
+    CompressedModel,
+    ProfileInfo,
+    QuantizedConv,
+    check_profile,
+    slice_stack,
+    stored_slots,
+    unstack,
+)
 from .container import dense_payload_nbytes
 from .cost import ModelCost, layer_costs, sum_costs
 from .errors import ValidationError
@@ -58,19 +67,7 @@ class CompressionProfile:
     exhaustive: bool = False
 
     def validate(self) -> None:
-        if not self.quant_bits:
-            raise ValidationError("profile declares no quantization bitwidths")
-        for b in self.quant_bits:
-            if b not in (4, 8, 16):
-                raise ValidationError(f"profile bitwidth {b} outside supported {{4, 8, 16}}")
-        if self.candidates < 1:
-            raise ValidationError("candidate count must be >= 1")
-        a, b, g = self.es_weights
-        for w in (a, b, g):
-            if not (0.0 <= w <= 1.0):
-                raise ValidationError(f"efficiency-score weight {w} outside [0, 1]")
-        if a + b + g <= 0.0:
-            raise ValidationError("efficiency-score weights must not all be zero")
+        check_profile(self.quant_bits, self.candidates, self.es_weights)
         for d, n in self.n_map.items():
             if not (1 <= n <= d):
                 raise ValidationError(f"profile keeps n={n} of a {d}x{d} kernel edge")

@@ -99,7 +99,7 @@ def model_sqnr_db(base: ModelGraph, cm: CompressedModel) -> float:
     Recomputed from the stored payloads against the masked dense weights,
     using the same population-variance convention as the quantizer.
     """
-    db: list[float] = []
+    db: list[np.ndarray] = []
     for group in cm.groups:
         d = group.pattern.d
         for member in group.member_ids:
@@ -111,16 +111,19 @@ def model_sqnr_db(base: ModelGraph, cm: CompressedModel) -> float:
                 raise ValidationError(f"layer {member!r}: base weights {wt.shape} != compressed {qc.shape}")
             x = np.where(group.pattern.mask(), slice_stack(wt.data, d), 0).astype(np.float64)
             err = x - slice_stack(dequantized_weights(qc, d), d)
-            signal_var = np.var(x.reshape(len(x), -1), axis=1).tolist()
-            err_var = np.var(err.reshape(len(x), -1), axis=1).tolist()
-            db.extend(_slice_sqnr_db(s, e) for s, e in zip(signal_var, err_var))
+            db.append(_slice_sqnr_db(np.var(x.reshape(len(x), -1), axis=1), np.var(err.reshape(len(x), -1), axis=1)))
     if not db:
         return SQNR_CAP_DB
-    return float(np.mean(db))
+    return float(np.mean(np.concatenate(db)))
 
 
-def _slice_sqnr_db(signal_var: float, err_var: float) -> float:
-    if err_var < ERR_VAR_FLOOR:
-        return SQNR_CAP_DB
-    linear = min(signal_var / err_var, SQNR_CAP)
-    return 10.0 * math.log10(linear) if linear > 0 else -math.inf
+def _slice_sqnr_db(signal_var: np.ndarray, err_var: np.ndarray) -> np.ndarray:
+    """Each slice's SQNR in dB: the cap below the error-variance floor, else
+    the capped variance ratio in dB.  Each log goes through ``math.log10``,
+    which ``np.log10`` can differ from in the last bit."""
+    floor = err_var < ERR_VAR_FLOOR
+    linear = np.minimum(signal_var / np.where(floor, 1.0, err_var), SQNR_CAP)
+    db = np.where(floor, SQNR_CAP_DB, -math.inf)
+    live = ~floor & (linear > 0)
+    db[live] = [10.0 * math.log10(v) for v in linear[live].tolist()]
+    return db

@@ -262,3 +262,20 @@ def test_run_and_evaluate_match_single_input_api(tmp_path, monkeypatch):
                         lambda model, acts, sparse=False: [forward(model, act) for act in acts])
     single = evaluate_module.evaluate_fidelity(upaq.load_model(model_path), cm, inputs)
     assert report_path.read_text() == single.to_json() + "\n"
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("es_weights", [2**40, -1, 1.5], "efficiency-score weight 1099511627776 outside [0, 1]"),
+    ("candidates", -1, "candidate count must be >= 1"),
+    ("quant_bits", [-1, 8], "profile bitwidth -1 outside supported {4, 8, 16}"),
+], ids=["es-weights", "candidates", "quant-bits"])
+def test_profile_out_of_range_makes_evaluate_exit_1_with_one_line(tmp_path, capsys, field, value, message):
+    model_path, inputs_path = _gen(tmp_path)
+    good = tmp_path / "good.upaqc"
+    assert main(["compress", str(model_path), "-o", str(good)]) == 0
+    bad = tmp_path / "bad.upaqc"
+    bad.write_bytes(patch_header(good.read_bytes(), lambda h: h["profile"].update({field: value})))
+    capsys.readouterr()
+    assert main(["evaluate", str(model_path), str(bad), "--inputs", str(inputs_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"upaq: error: {message}\n" and captured.out == ""

@@ -442,3 +442,20 @@ def test_negative_base_payload_nbytes_raises_format_error(toy_cnn_hck):
     data = patch_header(serialize_compressed(toy_cnn_hck), lambda h: h.update(base_payload_nbytes=-1))
     with pytest.raises(FormatError, match="base_payload_nbytes -1 is negative"):
         deserialize_compressed(data)
+
+
+PROFILE_OUT_OF_RANGE = [
+    ("es_weights", [2**40, -1, 1.5], "efficiency-score weight 1099511627776 outside \\[0, 1\\]"),
+    ("es_weights", [0, 0.0, 0], "efficiency-score weights must not all be zero"),
+    ("candidates", -1, "candidate count must be >= 1"),
+    ("quant_bits", [-1, 8], "profile bitwidth -1 outside supported \\{4, 8, 16\\}"),
+    ("quant_bits", [], "profile declares no quantization bitwidths"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", PROFILE_OUT_OF_RANGE,
+                         ids=["es-weights", "es-weights-zero", "candidates", "quant-bits", "no-bits"])
+def test_profile_out_of_range_raises_format_error(toy_cnn_hck, field, value, message):
+    data = patch_header(serialize_compressed(toy_cnn_hck), lambda h: h["profile"].update({field: value}))
+    with pytest.raises(FormatError, match=message):
+        deserialize_compressed(data)

@@ -215,7 +215,7 @@ def test_batched_engine_matches_single_input_forward_and_oracle(engine_case, spa
 def test_skipping_path_runs_only_retained_cells(toy_cnn_hck):
     dense = upaq.decompress_model(toy_cnn_hck)
     for layer in dense.conv_layers():
-        every, skipping = inference._conv_steps(layer, sparse=True)
+        _, every, skipping = inference._conv_steps(layer, sparse=True)
         assert len(every) == layer.weights.in_ch * 9
         assert len(skipping) == layer.weights.in_ch * 2  # hck keeps 2 of 9 cells
 
@@ -403,3 +403,111 @@ def test_memory_stays_bounded_for_any_batch():
     # the three extra chunks may only add their output rows, not chunk working memory
     assert four_peak - one_peak <= 3 * chunk * row + 64 * 1024
     assert [o.data.tobytes() for o in four_out[:chunk]] == [o.data.tobytes() for o in one_out]
+
+
+def test_global_avg_pool_sums_in_blocks_without_a_full_size_temporary():
+    rng = np.random.default_rng(42)
+    x = rng.normal(size=(64, 4, 32, 32)).astype(np.float32)  # one wide 1 MiB chunk
+    x[3, 1] = -0.0  # an all -0.0 plane averages to +0.0
+    tracemalloc.start()
+    try:
+        out = inference._global_avg_pool(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= inference.POOL_BYTES + 16 * 1024 < x.nbytes // 4
+    # the strictly row-major running sum of every plane, started at 0.0
+    total = np.add.accumulate(x.reshape(64, 4, -1), axis=2)[:, :, -1] + np.float32(0.0)
+    assert out.tobytes() == (total / np.float32(32 * 32)).reshape(64, 4, 1, 1).tobytes()
+    assert not np.signbit(out[3, 1]).any()
+
+
+# ---------------------------------------------------------------------------
+# strided out-channel parts of 1x1 block-pattern layers
+# ---------------------------------------------------------------------------
+
+def _block_1x1(out_ch, in_ch, profile, seed=43, hw=(3, 4)):
+    """One 1x1 conv "pw" compressed under ``profile``: it stores the pattern
+    cells of the 3x3 blocks of its flat (out, in) weights."""
+    rng = np.random.default_rng(seed)
+    layer = LayerSpec("pw", "conv2d", (), Tensor4(rng.uniform(-1, 1, (out_ch, in_ch, 1, 1)).astype(np.float32)),
+                      rng.uniform(-1, 1, out_ch).astype(np.float32))
+    model = ModelGraph("pw", (in_ch, *hw), [layer])
+    model.validate()
+    return upaq.compress_model(model, profile(seed=42))
+
+
+def _rows_run(plan, out_ch):
+    return [sum(len(range(out_ch)[part]) for part in plan.parts[step[4]]) for step in plan.skipping]
+
+
+@pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
+@pytest.mark.parametrize("out_ch, in_ch", [(13, 10), (13, 12), (13, 18), (64, 64)],
+                         ids=["gcd-1", "gcd-3", "gcd-9", "64x64"])
+def test_strided_parts_of_1x1_layers_against_reference(out_ch, in_ch, profile):
+    model = upaq.decompress_model(_block_1x1(out_ch, in_ch, profile))
+    plan = inference._conv_steps(model.layers[0], sparse=True)
+    if math.gcd(in_ch, 9) < 9:  # when 9 divides I, I * O does too and each column is all zero or all live
+        assert (out_ch * in_ch) % 9, "the last 3x3 block of the flat weights is partial"
+        assert len(plan.parts) > 1 and max(_rows_run(plan, out_ch)) < out_ch  # strided parts run
+    rng = np.random.default_rng(44)
+    _assert_engine_matches(model, _inputs(rng, model.input_shape, 3), oracle_idx=(0, 2))
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3])
+def test_strided_parts_straddling_a_tile(tile, monkeypatch):
+    model = upaq.decompress_model(_block_1x1(40, 10, upaq.lck_profile))  # classes of 4 or 5 rows mod 9
+    rng = np.random.default_rng(45)
+    xs = _inputs(rng, model.input_shape, 3)
+    monkeypatch.setattr(inference, "TILE_BYTES", tile * 8 * 3 * 12)  # rows of 3 inputs * 3 * 4
+    _assert_engine_matches(model, xs, oracle_idx=(1,))
+
+
+def test_negative_zero_bias_turns_strided_parts_off():
+    model = upaq.decompress_model(_block_1x1(13, 10, upaq.hck_profile))
+    layer = model.layers[0]
+    layer.weights.data[4] = 0.0  # out-channel 4 stays at its bias on a skipping path
+    layer.bias[4] = -0.0
+    plan = inference._conv_steps(layer, sparse=True)
+    assert plan.skipping is plan.every and len(plan.parts) == 1
+    rng = np.random.default_rng(46)
+    xs = _inputs(rng, model.input_shape, 2)
+    singles = _assert_engine_matches(model, xs, oracle_idx=(0, 1))
+    # every product of out-channel 4 is +-0.0: -0.0 + 0.0 is +0.0 wherever its input is positive
+    assert not np.signbit(np.frombuffer(singles[0], dtype=np.float32).reshape(13, 3, 4)[4][xs[0].data[0] > 0]).any()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_strided_parts_do_not_skip_over_a_non_finite_input():
+    # in-channel 0 of "pw" overflows to inf: 0 * inf is NaN on every out-channel
+    # its column skips, so a skipping path must run the full range there
+    pw = upaq.decompress_model(_block_1x1(13, 10, upaq.hck_profile)).layers[0]
+    pw = LayerSpec("pw", "conv2d", ("a",), pw.weights, pw.bias)
+    scale = np.ones(10, dtype=np.float32)
+    scale[0] = 3e38
+    a = LayerSpec("a", "conv2d", (), Tensor4(np.diag(scale).reshape(10, 10, 1, 1)))
+    model = ModelGraph("overflow", (10, 3, 4), [a, pw])
+    model.validate()
+    assert inference._conv_steps(pw, sparse=True).skipping[0][4] > 0  # column 0 runs strided parts
+    x = np.full((10, 1, 3, 4), 10.0, dtype=np.float32)
+    ref = forward_reference(model, x[:, 0])
+    assert np.isnan(ref).any()
+    last_use = {"a": 1}
+    for sparse in (False, True):
+        steps = {layer.id: inference._conv_steps(layer, sparse) for layer in model.conv_layers()}
+        out = inference._run(model, x, steps, last_use)["pw"][:, 0]
+        np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.parametrize("profile, parts", [(upaq.hck_profile, 2), (upaq.lck_profile, 3)], ids=["hck", "lck"])
+def test_64x64_1x1_layer_runs_few_strided_parts(profile, parts):
+    # a 64->64 1x1 layer keeps 2 (hck) or 3 (lck) cells of each 3x3 block of
+    # its flat weights; gcd(64, 9) = 1, so each column's stored rows are that
+    # many classes mod 9 of 7 or 8 rows: a fall-back to full tiles fails here
+    cm = _block_1x1(64, 64, profile)
+    plan = inference._conv_steps(upaq.decompress_model(cm).layers[0], sparse=True)
+    assert len(plan.skipping) == 64
+    assert all(0 < len(plan.parts[step[4]]) <= parts for step in plan.skipping)
+    assert all(part.step == 9 for step in plan.skipping for part in plan.parts[step[4]])
+    # the rows run are exactly the stored slots: 910 of 4096 (hck), 1365 (lck)
+    assert sum(_rows_run(plan, 64)) == upaq.compressed.stored_value_count(cm.qlayers["pw"], cm.groups[0].pattern)
