@@ -1,9 +1,11 @@
 """Per-group search over (pattern, bitwidth) driven by an efficiency score.
 
-For every root-leaf group the search samples candidate patterns, quantizes
-the masked root slices at each allowed bitwidth, and keeps the strict argmax
-of the efficiency score.  The winning pattern and bitwidth are then
-replicated to the leaves, each leaf keeping its own per-slice scales.  A
+For every root-leaf group the search samples candidate patterns, scores the
+masked root slices at each allowed bitwidth, and keeps the strict argmax of
+the efficiency score.  A candidate's SQNR comes from the cells its mask
+keeps (:func:`~upaq.quantizer.masked_mean_sqnr_db`); only the winning
+pattern and bitwidth are quantized into payloads, for the root and for each
+leaf, every layer on its own per-slice scales.  A
 1 x 1 group draws ``BLOCK_K`` x ``BLOCK_K`` patterns over blocks of its flat
 weights (see :func:`~upaq.compressed.slice_stack`).
 
@@ -42,7 +44,7 @@ from .patterns import (
     generate_pattern,
     split_seed,
 )
-from .quantizer import SQNR_CAP_DB, quantize_slices
+from .quantizer import SQNR_CAP_DB, masked_mean_sqnr_db, quantize_slices, stack_rows
 
 BLOCK_K = 3  # pattern edge of 1x1 groups: their slices are 3x3 blocks of the flat weights
 
@@ -151,19 +153,12 @@ def calculate_es(
     return EfficiencyScore(sqnr_term, latency_term, energy_term, total)
 
 
-def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int):
+def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int) -> QuantizedConv:
     """Mask and quantize a layer's stack of ``pattern.d x pattern.d`` slices
-    (see :func:`slice_stack`) in one pass, one scale per slice.
-
-    Returns (QuantizedConv, mean sqnr_db).
-    """
+    (see :func:`slice_stack`) in one pass, one scale per slice."""
     stack = np.where(pattern.mask(), slice_stack(weights.data, pattern.d), 0)
-    q, scale, _, sqnr_db = quantize_slices(stack, bits)
-    # The SQNR is scored with the float64 scale, while the payload stores it
-    # as float32.  Scoring with the float32 scale moves no decision on the
-    # fixtures or the wide model, so the search keeps the exact one.
-    qc = QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape), scales=scale)
-    return qc, float(np.mean(sqnr_db))
+    q, scale, _, _ = quantize_slices(stack, bits)
+    return QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape), scales=scale)
 
 
 def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.random.Generator):
@@ -181,11 +176,14 @@ def _search_group(
     d: int,
 ) -> GroupDecision:
     """Shared search loop: each distinct mask is scored once on the root,
-    first strict maximum wins, then the decision is replicated to the leaves.
+    first strict maximum wins, then the decision is quantized for the root
+    and replicated to the leaves.
 
-    ``costs`` holds every conv layer's dense ``(nnz, bits, out_h, out_w)``
-    (see :func:`~upaq.cost.layer_costs`); a candidate replaces the root's
-    entry with its stored-slot count and bitwidth.
+    The root's slices are read once as float64 rows; a mask is scored from
+    the cells it keeps, at every bitwidth, and builds no payload.  ``costs``
+    holds every conv layer's dense ``(nnz, bits, out_h, out_w)`` (see
+    :func:`~upaq.cost.layer_costs`); a candidate replaces the root's entry
+    with its stored-slot count and bitwidth.
     """
     n = profile.n_for(d)
     if costs is None:
@@ -194,28 +192,32 @@ def _search_group(
     root = model.by_id(group.root_id).weights
     assert root is not None
     _, _, oh, ow = costs[group.root_id]
+    rows = stack_rows(slice_stack(root.data, d))
 
     seen: set[tuple[tuple[int, int], ...]] = set()
-    best: tuple[KernelPattern, int, EfficiencyScore, QuantizedConv] | None = None
+    best: tuple[KernelPattern, int, EfficiencyScore] | None = None
     for pattern in _candidate_patterns(n, d, profile, rng):
         if pattern.positions in seen:
             continue
         seen.add(pattern.positions)
         slots = int(stored_slots(root.shape, pattern).sum())
-        for bits in profile.quant_bits:
-            qc, mean_db = _quantize_layer(root, pattern, bits)
+        # The SQNR is scored with the float64 scale, while the payload stores
+        # it as float32.  Scoring with the float32 scale moves no decision on
+        # the fixtures or the wide model, so the search keeps the exact one.
+        mean_dbs = masked_mean_sqnr_db(rows, pattern.mask(), profile.quant_bits)
+        for bits, mean_db in zip(profile.quant_bits, mean_dbs):
             candidate = sum_costs({**costs, group.root_id: (slots, bits, oh, ow)})
             score = calculate_es(mean_db, candidate, baseline, profile.es_weights)
             if best is None or score.total > best[2].total:
-                best = (pattern, bits, score, qc)
+                best = (pattern, bits, score)
     assert best is not None
-    pattern, bits, score, root_qc = best
+    pattern, bits, score = best
 
-    payloads = {group.root_id: root_qc}
-    for leaf_id in group.leaf_ids:
-        leaf = model.by_id(leaf_id)
-        assert leaf.weights is not None
-        payloads[leaf_id], _ = _quantize_layer(leaf.weights, pattern, bits)
+    payloads = {}
+    for layer_id in group.member_ids:
+        weights = model.by_id(layer_id).weights
+        assert weights is not None
+        payloads[layer_id] = _quantize_layer(weights, pattern, bits)
     return GroupDecision(
         root_id=group.root_id, leaf_ids=group.leaf_ids,
         pattern=pattern, bitwidth=bits, score=score, payloads=payloads,

@@ -30,11 +30,14 @@ and quantized payloads.  Every header value goes through :func:`_get` or
 :func:`_get_list`, which raise FormatError naming the layer, group or field
 for a missing key or a wrong JSON type (a bool is not an int), and each reader
 ends in :func:`_validated`, so a file that breaks a graph or payload
-invariant is a FormatError too.
+invariant is a FormatError too.  Every section is read through one
+:class:`_Payload`, which rejects a section outside the payload or one that
+overlaps a non-empty section read before it.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import struct
@@ -146,8 +149,8 @@ def serialize_model(model: ModelGraph) -> bytes:
 
 
 def deserialize_model(data: bytes) -> ModelGraph:
-    header, blob = _split(data, MAGIC_DENSE, "dense model")
-    name, input_shape, graph = _read_graph(header, blob)
+    header, payload = _split(data, MAGIC_DENSE, "dense model")
+    name, input_shape, graph = _read_graph(header, payload)
     return _validated(ModelGraph(name=name, input_shape=input_shape, layers=[layer for layer, _ in graph]))
 
 
@@ -213,17 +216,17 @@ def serialize_compressed(cm: CompressedModel) -> bytes:
 
 
 def deserialize_compressed(data: bytes) -> CompressedModel:
-    header, blob = _split(data, MAGIC_COMPRESSED, "compressed model")
-    groups = [_read_group(blob, entry, i) for i, entry in enumerate(_get_list(header, "groups", "header", dict))]
+    header, payload = _split(data, MAGIC_COMPRESSED, "compressed model")
+    groups = [_read_group(payload, entry, i) for i, entry in enumerate(_get_list(header, "groups", "header", dict))]
     patterns = {member: group.pattern for group in groups for member in group.member_ids}
-    name, input_shape, graph = _read_graph(header, blob)
+    name, input_shape, graph = _read_graph(header, payload)
     qlayers: dict[str, QuantizedConv] = {}
     for layer, entry in graph:
         meta = _get(entry, "quantized", f"layer {layer.id!r}", (dict, type(None)))
         if meta is not None:
             if layer.id not in patterns:
                 raise FormatError(f"quantized layer {layer.id!r} missing from the group table")
-            qlayers[layer.id] = _read_quantized(blob, meta, layer.id, patterns[layer.id])
+            qlayers[layer.id] = _read_quantized(payload, meta, layer.id, patterns[layer.id])
     profile = _get(header, "profile", "header", dict)
     base_payload_nbytes = _get(header, "base_payload_nbytes", "header", int)
     if base_payload_nbytes < 0:
@@ -242,12 +245,12 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
     ))
 
 
-def _read_group(blob: bytes, entry: dict, index: int) -> CompressedGroup:
+def _read_group(payload: _Payload, entry: dict, index: int) -> CompressedGroup:
     root = _get(entry, "root", f"groups[{index}]", str)
     where = f"group {root!r}"
     pat = _get(entry, "pattern", where, dict)
     d = _get(pat, "d", where)
-    mask = _read_raw(blob, _get(pat, "mask_offset", where), _get(pat, "mask_nbytes", where), root)
+    mask = payload.read(_get(pat, "mask_offset", where), _get(pat, "mask_nbytes", where), root, "group mask")
     if type(d) is not int or d < 1 or len(mask) != -(-d * d // 8):
         raise FormatError(f"{where}: pattern d={d!r} does not fit its {len(mask)}-byte mask")
     try:
@@ -258,14 +261,14 @@ def _read_group(blob: bytes, entry: dict, index: int) -> CompressedGroup:
     return CompressedGroup(root_id=root, leaf_ids=leaves, pattern=pattern, bitwidth=_get(entry, "bitwidth", where, int))
 
 
-def _read_quantized(blob: bytes, meta: dict, layer_id: str, pattern: KernelPattern) -> QuantizedConv:
+def _read_quantized(payload: _Payload, meta: dict, layer_id: str, pattern: KernelPattern) -> QuantizedConv:
     where = f"layer {layer_id!r}"
     # header fields are checked before anything is allocated from them
     bits = _get(meta, "bitwidth", where, int)
     if bits not in SUPPORTED_BITS:
         raise FormatError(f"{where}: bitwidth {bits!r} is not one of {SUPPORTED_BITS}")
     shape = _get_shape(meta, "shape", where, 4)
-    scales = _read_f32(blob, _get(meta, "scales", where, dict), layer_id)
+    scales = _read_f32(payload, _get(meta, "scales", where, dict), layer_id, "scales")
     if scales.size != -(-math.prod(shape) // pattern.d ** 2):
         raise FormatError(f"{where}: {scales.size} scales do not fit a {list(shape)} payload")
     try:
@@ -276,7 +279,7 @@ def _read_quantized(blob: bytes, meta: dict, layer_id: str, pattern: KernelPatte
     packed = _get(meta, "packed", where, dict)
     if _get(packed, "nbytes", where, int) != nbytes:
         raise FormatError(f"{where}: packed section holds {packed['nbytes']} bytes, expected {nbytes}")
-    stack = unpack_slots(_read_raw(blob, _get(packed, "offset", where), nbytes, layer_id), slots, bits)
+    stack = unpack_slots(payload.read(_get(packed, "offset", where), nbytes, layer_id, "packed integers"), slots, bits)
     return QuantizedConv(shape=shape, bitwidth=bits, q=unstack(stack, shape), scales=scales)
 
 
@@ -387,7 +390,7 @@ def _get_shape(obj, key: str, where: str, ndim: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
+def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, _Payload]:
     if len(data) < 9 or data[:5] != magic:
         raise FormatError(f"not a {what} container (bad magic)")
     (header_len,) = struct.unpack("<I", data[5:9])
@@ -406,10 +409,10 @@ def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
     payload_nbytes = _get(header, "payload_nbytes", "header", int)
     if len(blob) != payload_nbytes:
         raise FormatError(f"{what} payload truncated: expected {payload_nbytes} bytes, got {len(blob)}")
-    return header, blob
+    return header, _Payload(blob)
 
 
-def _read_graph(header: dict, blob: bytes) -> tuple[str, tuple[int, ...], list[tuple[LayerSpec, dict]]]:
+def _read_graph(header: dict, payload: _Payload) -> tuple[str, tuple[int, ...], list[tuple[LayerSpec, dict]]]:
     """What both containers share: the model name, the input shape, and each
     layer with its dense weights and bias, paired with its header entry."""
     graph = []
@@ -422,8 +425,8 @@ def _read_graph(header: dict, blob: bytes) -> tuple[str, tuple[int, ...], list[t
             id=layer_id,
             kind=_get(entry, "kind", where, str),
             inputs=tuple(_get_list(entry, "inputs", where, str)),
-            weights=None if weights is None else _read_weights(blob, weights, layer_id),
-            bias=None if bias is None else _read_f32(blob, bias, layer_id),
+            weights=None if weights is None else _read_weights(payload, weights, layer_id),
+            bias=None if bias is None else _read_f32(payload, bias, layer_id, "bias"),
             stride=_get(entry, "stride", where, int),
             padding=_get(entry, "padding", where, int),
         )
@@ -441,26 +444,45 @@ def _validated(model):
     return model
 
 
-def _read_raw(blob: bytes, offset: int, nbytes: int, layer_id: str) -> bytes:
-    if type(offset) is not int or type(nbytes) is not int:
-        raise FormatError(f"layer {layer_id!r}: section offset {offset!r} or size {nbytes!r} is not an integer")
-    if offset < 0 or nbytes < 0 or offset + nbytes > len(blob):
-        raise FormatError(f"layer {layer_id!r}: section [{offset}, {offset + nbytes}) outside payload")
-    return blob[offset:offset + nbytes]
+class _Payload:
+    """A container's payload bytes, handed out one checked section at a time."""
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.spans: list[tuple[int, int, str]] = []  # non-empty sections read so far, by offset
+
+    def read(self, offset: int, nbytes: int, layer_id: str, section: str) -> bytes:
+        """The ``nbytes`` at ``offset``, once they lie inside the payload and
+        overlap no non-empty section read before; ``section`` names them."""
+        if type(offset) is not int or type(nbytes) is not int:
+            raise FormatError(f"layer {layer_id!r}: section offset {offset!r} or size {nbytes!r} is not an integer")
+        end = offset + nbytes
+        if offset < 0 or nbytes < 0 or end > len(self.blob):
+            raise FormatError(f"layer {layer_id!r}: section [{offset}, {end}) outside payload")
+        if nbytes:
+            span = (offset, end, f"{section} of {layer_id!r}")
+            at = bisect.bisect(self.spans, span)
+            for other in self.spans[max(at - 1, 0):at + 1]:
+                if other[0] < end and offset < other[1]:
+                    first, second = sorted((other, span))
+                    raise FormatError(f"payload sections overlap: {first[2]} [{first[0]}, {first[1]}) "
+                                      f"and {second[2]} [{second[0]}, {second[1]})")
+            self.spans.insert(at, span)
+        return self.blob[offset:end]
 
 
-def _read_f32(blob: bytes, ref: dict, layer_id: str) -> np.ndarray:
+def _read_f32(payload: _Payload, ref: dict, layer_id: str, section: str) -> np.ndarray:
     where = f"layer {layer_id!r}"
     nbytes = _get(ref, "nbytes", where)
     if type(nbytes) is int and nbytes % 4:
         raise FormatError(f"{where}: float32 section of {nbytes} bytes is not a multiple of 4")
-    raw = _read_raw(blob, _get(ref, "offset", where), nbytes, layer_id)
+    raw = payload.read(_get(ref, "offset", where), nbytes, layer_id, section)
     return np.frombuffer(raw, dtype="<f4").astype(np.float32)
 
 
-def _read_weights(blob: bytes, ref: dict, layer_id: str) -> Tensor4:
+def _read_weights(payload: _Payload, ref: dict, layer_id: str) -> Tensor4:
     where = f"layer {layer_id!r}"
     shape, nbytes = _get(ref, "shape", where), _get(ref, "nbytes", where)
     if not _is_shape(shape, 4) or 4 * math.prod(shape) != nbytes:
         raise FormatError(f"{where}: weight shape {shape!r} does not fit a {nbytes!r}-byte section")
-    return Tensor4(_read_f32(blob, ref, layer_id).reshape(shape))
+    return Tensor4(_read_f32(payload, ref, layer_id, "weights").reshape(shape))

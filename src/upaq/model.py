@@ -188,7 +188,8 @@ def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[in
     ``model`` needs ``input_shape`` and ``layers``; ``weight_shapes`` gives
     the (out, in, kh, kw) of layers that carry no dense weights, such as the
     quantized layers of a compressed model.  Raises ValidationError naming
-    the offending layer on any mismatch.
+    the offending layer on any mismatch, or on a conv whose padding exceeds
+    its kernel edge.
     """
     shapes: dict[str, tuple[int, int, int]] = {}
     for layer in model.layers:
@@ -203,6 +204,11 @@ def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[in
             if in_ch != c:
                 raise ValidationError(
                     f"layer {layer.id!r}: expects {in_ch} input channels, got {c}"
+                )
+            # past the kernel edge, more padding only adds outputs whose window is all padding
+            if layer.padding > max(kh, kw):
+                raise ValidationError(
+                    f"layer {layer.id!r}: padding {layer.padding} exceeds the kernel edge {max(kh, kw)}"
                 )
             oh = (h + 2 * layer.padding - kh) // layer.stride + 1
             ow = (w + 2 * layer.padding - kw) // layer.stride + 1

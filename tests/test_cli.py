@@ -279,3 +279,17 @@ def test_profile_out_of_range_makes_evaluate_exit_1_with_one_line(tmp_path, caps
     assert main(["evaluate", str(model_path), str(bad), "--inputs", str(inputs_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"upaq: error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+def test_padding_past_the_kernel_edge_exits_1_with_one_line(tmp_path, capsys, compressed):
+    path, inputs_path = _gen(tmp_path)
+    if compressed:
+        dense, path = path, tmp_path / "m.upaqc"
+        assert main(["compress", str(dense), "-o", str(path)]) == 0
+    bad = tmp_path / f"bad{path.suffix}"
+    bad.write_bytes(patch_header(path.read_bytes(), lambda h: h["layers"][0].update(padding=2**40)))
+    for argv in (["inspect", str(bad)], ["run", str(bad), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "upaq: error: layer 'conv1': padding 1099511627776 exceeds the kernel edge 3\n"

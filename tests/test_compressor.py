@@ -303,13 +303,17 @@ def test_worker_count_below_one_rejected(toy_1x1):
 def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
     """The winner's cost terms are those of the model that ships its root
     payload, its SQNR term is that of the shipped root's slices, and each
-    distinct drawn mask is quantized once per bitwidth."""
+    distinct drawn mask is scored once, for all its bitwidths, while only
+    the winner of each group member is quantized."""
     from upaq import compressor as compressor_module
 
     model, _ = upaq.gen_fixture(arch, 42)
     prof = profile(seed=42, candidates=16, exhaustive=exhaustive)
-    calls = []
+    scored, calls = [], []
+    real_score = compressor_module.masked_mean_sqnr_db
     real_quantize_slices = compressor_module.quantize_slices
+    monkeypatch.setattr(compressor_module, "masked_mean_sqnr_db",
+                        lambda rows, mask, bits: scored.append(tuple(bits)) or real_score(rows, mask, bits))
     monkeypatch.setattr(compressor_module, "quantize_slices",
                         lambda x, bits: calls.append(bits) or real_quantize_slices(x, bits))
     cm, decisions = compress_with_decisions(model, prof)
@@ -317,7 +321,7 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
 
     cost = AnalyticCostModel()
     base_latency, base_energy = cost.latency(model), cost.energy(model)
-    expected_calls = 0
+    expected_scored = 0
     for dec in decisions:
         root_qc = dec.payloads[dec.root_id]
         layers = [layer.copy() for layer in model.layers]
@@ -346,8 +350,9 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
             drawn = [generate_pattern(prof.n_for(d), d, rng) for _ in range(16)]
         masks = {p.positions for p in drawn}
         assert len(masks) < 16 or exhaustive  # 16 draws of a 3x3 pattern repeat some mask
-        expected_calls += len(masks) * len(prof.quant_bits) + len(dec.leaf_ids)
-    assert len(calls) == expected_calls
+        expected_scored += len(masks)
+    assert scored == [tuple(prof.quant_bits)] * expected_scored
+    assert calls == [dec.bitwidth for dec in decisions for _ in (dec.root_id, *dec.leaf_ids)]
 
 
 def test_decompressed_weights_match_payload(toy_cnn, toy_cnn_hck):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ from oracles import (
 )
 from upaq.compressed import dequantized_weights, slice_stack, stored_slots
 from upaq.container import (
+    _Payload,
     compressed_payload_nbytes,
     dense_payload_nbytes,
     deserialize_compressed,
@@ -459,3 +461,63 @@ def test_profile_out_of_range_raises_format_error(toy_cnn_hck, field, value, mes
     data = patch_header(serialize_compressed(toy_cnn_hck), lambda h: h["profile"].update({field: value}))
     with pytest.raises(FormatError, match=message):
         deserialize_compressed(data)
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+@pytest.mark.parametrize("layer_id", ["conv1", "conv2", "conv3"])
+def test_padding_past_the_kernel_edge_raises_format_error(toy_cnn, toy_cnn_hck, compressed, layer_id):
+    data = serialize_compressed(toy_cnn_hck) if compressed else serialize_model(toy_cnn[0])
+    load = deserialize_compressed if compressed else deserialize_model
+
+    def padded(value):
+        def edit(header):
+            (entry,) = [e for e in header["layers"] if e["id"] == layer_id]
+            entry["padding"] = value
+        return patch_header(data, edit)
+
+    model = load(padded(3))  # padding up to the kernel edge loads
+    for value in (4, 2**40):
+        with pytest.raises(FormatError, match=f"layer '{layer_id}': padding {value} exceeds the kernel edge 3"):
+            load(padded(value))
+    model.by_id(layer_id).padding = 4
+    with pytest.raises(ValidationError, match=f"layer '{layer_id}': padding 4 exceeds the kernel edge 3"):
+        model.validate()
+
+
+def _move_section(layer_id, key, offset):
+    def edit(header):
+        (entry,) = [e for e in header["layers"] if e["id"] == layer_id]
+        ref = entry["quantized"][key] if key in ("scales", "packed") else entry[key]
+        ref["offset"] = offset
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_move_section("fc", "bias", 9744), "weights of 'fc' [9632, 9760) and bias of 'fc' [9744, 9760)"),
+    (_move_section("conv2", "weights", 0), "weights of 'conv1' [0, 288) and weights of 'conv2' [0, 4608)"),
+], ids=["bias-in-weights", "weights-on-weights"])
+def test_overlapping_dense_sections_raise_format_error(toy_cnn, edit, message):
+    with pytest.raises(FormatError, match=f"^payload sections overlap: {re.escape(message)}$"):
+        deserialize_model(patch_header(serialize_model(toy_cnn[0]), edit))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h["groups"][0]["pattern"].update(mask_offset=0),
+     "group mask of 'conv1' [0, 2) and bias of 'conv1' [0, 32)"),
+    (_move_section("conv2", "packed", 1456),
+     "packed integers of 'conv2' [1456, 1712) and packed integers of 'conv3' [1456, 1712)"),
+    (_move_section("conv3", "scales", 900), "packed integers of 'conv2' [656, 912) and scales of 'conv3' [900, 1412)"),
+], ids=["mask-in-bias", "packed-on-packed", "scales-into-packed"])
+def test_overlapping_compressed_sections_raise_format_error(toy_cnn_hck, edit, message):
+    with pytest.raises(FormatError, match=f"^payload sections overlap: {re.escape(message)}$"):
+        deserialize_compressed(patch_header(serialize_compressed(toy_cnn_hck), edit))
+
+
+def test_zero_length_and_adjacent_sections_do_not_overlap():
+    payload = _Payload(bytes(16))
+    assert payload.read(0, 8, "a", "weights") == bytes(8)
+    assert payload.read(8, 8, "a", "bias") == bytes(8)  # touching, not overlapping
+    assert payload.read(4, 0, "b", "bias") == b""  # zero-length sections are exempt
+    assert payload.read(4, 0, "c", "bias") == b""
+    with pytest.raises(FormatError, match=r"^payload sections overlap: weights of 'a' \[0, 8\) and scales of 'd' \[7, 9\)$"):
+        payload.read(7, 2, "d", "scales")

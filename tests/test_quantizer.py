@@ -2,9 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import upaq
 from oracles import quantize_reference
-from upaq.quantizer import SQNR_CAP, SQNR_CAP_DB, dequantize, mp_quantize, quantize_slices
+from upaq.compressor import compress_1x1_group, compress_kxk_group, compress_model, hck_profile
+from upaq.errors import ValidationError
+from upaq.grouping import find_root_groups
+from upaq.patterns import enumerate_all_patterns
+from upaq.quantizer import (
+    SQNR_CAP,
+    SQNR_CAP_DB,
+    dequantize,
+    masked_mean_sqnr_db,
+    mp_quantize,
+    quantize_slices,
+    stack_rows,
+)
 
 WORKED_X = np.array([[1.0, -2.0], [0.5, 0.0]], dtype=np.float32)
 
@@ -190,3 +206,91 @@ def test_quantize_slices_and_mp_quantize_reject_bad_input():
     for bad in (np.ones(9, dtype=np.float32), np.ones((1, 3, 3), dtype=np.float32), np.float32(1.0)):
         with pytest.raises(ValueError, match="2-D"):
             mp_quantize(bad, 8)
+
+
+# ---------------------------------------------------------------------------
+# scoring a mask from its kept cells
+# ---------------------------------------------------------------------------
+
+def _shipped_mean_db(stack, mask, bits):
+    return float(np.mean(quantize_slices(np.where(mask, stack, 0), bits)[3]))
+
+
+def _score_stack(d):
+    """A stack with all-zero and all -0.0 slices, -0.0 cells, constant
+    slices, subnormal, tiny and huge magnitudes, and ties."""
+    rng = np.random.default_rng(40 + d)
+    x = (rng.normal(size=(40, d, d)) * 10.0 ** rng.uniform(-30, 30, (40, 1, 1))).astype(np.float32)
+    x[0] = 0.0
+    x[1] = -0.0
+    x[2:8][rng.random((6, d, d)) < 0.4] = -0.0
+    x[8] = np.float32(0.3)
+    x[9] = np.float32(-1e-3)
+    x[10] = np.float32(7e25)
+    x[11] = rng.normal(size=(d, d)).astype(np.float32) * np.float32(1e-41)  # subnormal
+    x[12] = np.float32(3e38) * np.sign(rng.normal(size=(d, d))).astype(np.float32)
+    x[13] = rng.uniform(-3e38, 3e38, (d, d)).astype(np.float32)
+    x[14] = 0.0
+    x[14, 0] = np.float32(1e-38)
+    x[14, -1] = np.float32(-3e38)
+    x[15] = 62.5  # 8 bits: scale 127/127 when a 127 is kept, and a tie
+    x[15, ::2, ::2] = 127.0
+    return x
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5)])
+def test_mask_score_equals_quantized_masked_stack(d, n):
+    stack = _score_stack(d)
+    rows = stack_rows(stack)
+    for pattern in enumerate_all_patterns(n, d):
+        mask = pattern.mask()
+        assert masked_mean_sqnr_db(rows, mask, (4, 8, 16)) == [
+            _shipped_mean_db(stack, mask, bits) for bits in (4, 8, 16)
+        ]
+        for bits in (4, 8, 16):
+            # the constant slices' error variance is below ERR_VAR_FLOOR: capped
+            _, _, _, sqnr_db = quantize_slices(np.where(mask, stack, 0)[8:10], bits)
+            assert sqnr_db.tolist() == [SQNR_CAP_DB, SQNR_CAP_DB]
+            assert masked_mean_sqnr_db(rows[8:10], mask, (bits,)) == [SQNR_CAP_DB]
+
+
+_CELLS = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-38, 3.4e38, -0.5, 0.5, 1.0]),
+)
+
+
+@st.composite
+def _masked_stacks(draw):
+    d = draw(st.sampled_from((3, 5)))
+    n = draw(st.integers(1, d))
+    mask = draw(st.sampled_from(enumerate_all_patterns(n, d))).mask()
+    stack = draw(hnp.arrays(np.float32, (draw(st.integers(1, 6)), d, d), elements=_CELLS))
+    bits = draw(st.lists(st.sampled_from((4, 8, 16)), min_size=1, max_size=3))
+    return stack, mask, bits
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_masked_stacks())
+def test_mask_score_property(case):
+    stack, mask, bits = case
+    assert masked_mean_sqnr_db(stack_rows(stack), mask, bits) == [_shipped_mean_db(stack, mask, b) for b in bits]
+
+
+def test_scorer_rejects_what_quantize_slices_rejects():
+    rows = stack_rows(np.ones((2, 3, 3), dtype=np.float32))
+    with pytest.raises(ValueError, match="unsupported bitwidth"):
+        masked_mean_sqnr_db(rows, np.ones((3, 3), dtype=bool), (8, 5))
+
+
+@pytest.mark.parametrize("arch,search", [("toy-cnn", compress_kxk_group), ("toy-1x1", compress_1x1_group)])
+def test_non_finite_root_weight_raises_as_before(arch, search):
+    model, _ = upaq.gen_fixture(arch, 42)
+    kxk = search is compress_kxk_group
+    group = next(g for g in find_root_groups(model) if (model.by_id(g.root_id).weights.kw > 1) == kxk)
+    model.by_id(group.root_id).weights.data.flat[4] = np.nan
+    # compress_model validates the model before it searches a group
+    with pytest.raises(ValidationError, match=f"layer '{group.root_id}': non-finite weight values"):
+        compress_model(model, hck_profile(seed=42))
+    with pytest.raises(ValueError, match="^non-finite input to quantizer$"):
+        search(group, model, hck_profile(seed=42), np.random.default_rng(0))
