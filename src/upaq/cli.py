@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=sorted(PROFILE_FACTORIES), default="hck")
     p.add_argument("--patterns", default="16", help="candidate patterns per group, or 'all' for exhaustive search")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1,
-                   help="must be >= 1; groups are searched in one thread, so it changes neither the output nor the speed")
     p.add_argument("--report", help="also write the JSON report to this path")
 
     p = sub.add_parser("run", help="run a model over an input batch")
@@ -130,7 +128,7 @@ def _cmd_compress(args) -> int:
     model = load_model(args.model)
     candidates, exhaustive = _parse_patterns(args.patterns)
     profile = PROFILE_FACTORIES[args.profile](seed=args.seed, candidates=candidates, exhaustive=exhaustive)
-    cm, decisions = compress_with_decisions(model, profile, workers=args.workers)
+    cm, decisions = compress_with_decisions(model, profile)
     save_compressed(cm, args.out)
 
     summary = computational_cost(cm)

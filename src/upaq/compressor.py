@@ -172,25 +172,27 @@ def _search_group(
     model: ModelGraph,
     profile: CompressionProfile,
     rng: np.random.Generator,
-    costs: dict[str, tuple[int, int, int, int]] | None,
-    d: int,
+    costs: dict[str, tuple[int, int, int, int]],
 ) -> GroupDecision:
-    """Shared search loop: each distinct mask is scored once on the root,
+    """Search one group: each distinct mask is scored once on the root, the
     first strict maximum wins, then the decision is quantized for the root
     and replicated to the leaves.
 
-    The root's slices are read once as float64 rows; a mask is scored from
-    the cells it keeps, at every bitwidth, and builds no payload.  ``costs``
-    holds every conv layer's dense ``(nnz, bits, out_h, out_w)`` (see
+    A k x k root is searched on its own ``k x k`` slices, a 1 x 1 root on
+    ``BLOCK_K x BLOCK_K`` blocks of its flat weights.  The root's slices are
+    read once as float64 rows; a mask is scored from the cells it keeps, at
+    every bitwidth, and builds no payload.  ``costs`` holds every conv
+    layer's dense ``(nnz, bits, out_h, out_w)`` (see
     :func:`~upaq.cost.layer_costs`); a candidate replaces the root's entry
     with its stored-slot count and bitwidth.
     """
-    n = profile.n_for(d)
-    if costs is None:
-        costs = layer_costs(model)
-    baseline = sum_costs(costs)
     root = model.by_id(group.root_id).weights
     assert root is not None
+    if root.kh != root.kw:
+        raise ValidationError(f"layer {group.root_id!r}: non-square kernels are unsupported")
+    d = root.kw if root.kw > 1 else BLOCK_K
+    n = profile.n_for(d)
+    baseline = sum_costs(costs)
     _, _, oh, ow = costs[group.root_id]
     rows = stack_rows(slice_stack(root.data, d))
 
@@ -224,70 +226,30 @@ def _search_group(
     )
 
 
-def compress_kxk_group(
-    group: RootGroup,
-    model: ModelGraph,
-    profile: CompressionProfile,
-    rng: np.random.Generator,
-    costs: dict[str, tuple[int, int, int, int]] | None = None,
-) -> GroupDecision:
-    """Search one group of k x k conv layers (k > 1)."""
-    root = model.by_id(group.root_id)
-    assert root.weights is not None
-    if root.weights.kh != root.weights.kw:
-        raise ValidationError(f"layer {group.root_id!r}: non-square kernels are unsupported")
-    d = root.weights.kw
-    if d <= 1:
-        raise ValidationError("k x k compression requires spatial dimension > 1")
-    return _search_group(group, model, profile, rng, costs, d)
-
-
-def compress_1x1_group(
-    group: RootGroup,
-    model: ModelGraph,
-    profile: CompressionProfile,
-    rng: np.random.Generator,
-    costs: dict[str, tuple[int, int, int, int]] | None = None,
-) -> GroupDecision:
-    """Search one group of 1x1 conv layers via the block transformation."""
-    root = model.by_id(group.root_id)
-    assert root.weights is not None
-    if (root.weights.kh, root.weights.kw) != (1, 1):
-        raise ValidationError(f"layer {group.root_id!r}: expected a 1x1 kernel")
-    return _search_group(group, model, profile, rng, costs, BLOCK_K)
-
-
-def compress_model(model: ModelGraph, profile: CompressionProfile, workers: int = 1) -> CompressedModel:
+def compress_model(model: ModelGraph, profile: CompressionProfile) -> CompressedModel:
     """Compress every conv group of a model under one profile.
 
     Each group draws its randomness from a seed split on (profile seed, root
-    id) and is scored against the dense baseline.  The groups are searched
-    in one thread; ``workers`` is validated but changes neither the output
-    nor the speed.
+    id) and is scored against the dense baseline, so a group's decision does
+    not depend on the other groups.
     """
-    cm, _ = compress_with_decisions(model, profile, workers=workers)
+    cm, _ = compress_with_decisions(model, profile)
     return cm
 
 
 def compress_with_decisions(
     model: ModelGraph,
     profile: CompressionProfile,
-    workers: int = 1,
 ) -> tuple[CompressedModel, list[GroupDecision]]:
     """Like :func:`compress_model`, but also returns the per-group decisions
     (pattern, bitwidth, efficiency-score terms) for reporting."""
-    if workers < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
     model.validate()
     profile.validate()
     costs = layer_costs(model)  # one shape walk over the dense model
     decisions = []
     for group in find_root_groups(model):
         rng = np.random.default_rng(split_seed(profile.seed, group.root_id))
-        root = model.by_id(group.root_id)
-        assert root.weights is not None
-        search = compress_kxk_group if root.weights.kw > 1 else compress_1x1_group
-        decisions.append(search(group, model, profile, rng, costs))
+        decisions.append(_search_group(group, model, profile, rng, costs))
 
     qlayers = {lid: qc for dec in decisions for lid, qc in dec.payloads.items()}
     layers = [layer.copy() for layer in model.layers]

@@ -87,26 +87,6 @@ def model_cost(model, bits: dict[str, int] | None = None) -> ModelCost:
     return sum_costs(layer_costs(model, bits))
 
 
-class AnalyticCostModel:
-    """Deterministic closed-form cost of a dense or compressed model."""
-
-    def latency(self, model, bits: dict[str, int] | None = None) -> float:
-        return model_cost(model, bits).latency
-
-    def energy(self, model, bits: dict[str, int] | None = None) -> float:
-        return model_cost(model, bits).energy
-
-
-def estimate_latency(model, bits: dict[str, int] | None = None) -> float:
-    """Analytical latency of a dense or compressed model (default cost model)."""
-    return AnalyticCostModel().latency(model, bits)
-
-
-def estimate_energy(model, bits: dict[str, int] | None = None) -> float:
-    """Analytical energy of a dense or compressed model (default cost model)."""
-    return AnalyticCostModel().energy(model, bits)
-
-
 def computational_cost(model) -> CostSummary:
     """Nonzero-weight cost in product form (layers x kernels x weights).
 

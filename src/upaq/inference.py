@@ -89,11 +89,6 @@ class Activation:
         return tuple(self.data.shape)  # type: ignore[return-value]
 
 
-def forward(model: ModelGraph, input_act: Activation) -> Activation:
-    """Run the dense model; returns the sink layer's activation."""
-    return forward_batch(model, [input_act])[0]
-
-
 def forward_compressed(cm: CompressedModel, input_act: Activation, sparse: bool = False) -> Activation:
     """Run a compressed model on one input, on dequantized weights.
 

@@ -3,7 +3,8 @@
 A model is an ordered list of layers whose list order is a valid topological
 order of the (acyclic) computation graph.  Weights are dense float32 tensors
 in row-major ``(out_ch, in_ch, kh, kw)`` layout.  Graphs are treated as
-immutable after construction; use :func:`deep_copy` before mutating.
+immutable after construction; copy a layer with :meth:`LayerSpec.copy`
+before mutating it.
 """
 
 from __future__ import annotations
@@ -237,11 +238,3 @@ def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[in
             raise ValidationError(f"layer {layer.id!r}: unknown kind {layer.kind!r}")
     return shapes
 
-
-def deep_copy(model: ModelGraph) -> ModelGraph:
-    """Return a copy sharing no mutable storage with the original."""
-    return ModelGraph(
-        name=model.name,
-        input_shape=model.input_shape,
-        layers=[layer.copy() for layer in model.layers],
-    )

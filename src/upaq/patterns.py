@@ -124,17 +124,6 @@ def enumerate_all_patterns(n: int, d: int) -> list[KernelPattern]:
     return list(out.values())
 
 
-def apply_pattern(kernel_slice: np.ndarray, pattern: KernelPattern) -> np.ndarray:
-    """Zero every cell of a d x d slice except the pattern positions."""
-    sl = np.asarray(kernel_slice, dtype=np.float32)
-    if sl.shape != (pattern.d, pattern.d):
-        raise ValueError(f"slice shape {sl.shape} does not match pattern d={pattern.d}")
-    out = np.zeros_like(sl)
-    for r, c in pattern.positions:
-        out[r, c] = sl[r, c]
-    return out
-
-
 def _check_params(n: int, d: int) -> None:
     if d < 1:
         raise ValueError(f"kernel dimension must be >= 1, got {d}")

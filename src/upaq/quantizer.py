@@ -8,8 +8,7 @@ dequantized reconstruction using population variance over all h*w cells
 downstream scoring stays finite.
 
 :func:`quantize_slices` quantizes a whole ``(S, h, w)`` stack in one numpy
-pass, every row on its own scale; :func:`mp_quantize` is the same
-computation on a batch of one slice, so the two agree bit for bit.
+pass, every row on its own scale; a single slice is a stack of one.
 :func:`masked_mean_sqnr_db` scores a pattern mask without building a
 payload: it quantizes only the cells the mask keeps, and its mean SQNR is
 bit-equal to that of :func:`quantize_slices` on the masked stack.  Both share
@@ -18,8 +17,6 @@ one scale/round/clip step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SUPPORTED_BITS = (4, 8, 16)
@@ -27,17 +24,6 @@ SUPPORTED_BITS = (4, 8, 16)
 SQNR_CAP = 1e12  # linear; 120 dB
 SQNR_CAP_DB = 120.0
 ERR_VAR_FLOOR = 1e-30  # below this error variance, SQNR is reported as the cap
-
-
-@dataclass
-class QuantResult:
-    """Quantized slice: integers, per-slice scale, and reconstruction quality."""
-
-    q_values: np.ndarray  # int32, same shape as the input slice
-    scale: float
-    bitwidth: int
-    sqnr_linear: float
-    sqnr_db: float
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -123,18 +109,3 @@ def masked_mean_sqnr_db(rows: np.ndarray, mask: np.ndarray, bits_list) -> list[f
         means.append(float(np.mean(_sqnr(signal_var, np.var(buf, axis=1))[1])))
     return means
 
-
-def mp_quantize(kernel_slice: np.ndarray, bits: int) -> QuantResult:
-    """Quantize one 2-D slice at the given bitwidth: a batch of one."""
-    x = np.asarray(kernel_slice, dtype=np.float32)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-D slice, got {x.ndim} dimensions")
-    q, scale, sqnr_linear, sqnr_db = quantize_slices(x[None], bits)
-    return QuantResult(q_values=q[0], scale=float(scale[0]), bitwidth=bits,
-                       sqnr_linear=float(sqnr_linear[0]), sqnr_db=float(sqnr_db[0]))
-
-
-def dequantize(q_values: np.ndarray, scale: float) -> np.ndarray:
-    """Map integers back to real space: ``q * scale``, as float32."""
-    q = np.asarray(q_values)
-    return (q.astype(np.float64) * float(scale)).astype(np.float32)

@@ -53,6 +53,11 @@ def single_conv_model(seed=42, out_ch=4, in_ch=4, k=3, hw=8):
     return model
 
 
+def copy_model(model):
+    """A model sharing no mutable storage with ``model``: every layer copied."""
+    return upaq.ModelGraph(model.name, model.input_shape, [layer.copy() for layer in model.layers])
+
+
 def patch_header(data, edit):
     """Container bytes with ``edit(header)`` applied to the JSON header."""
     (hlen,) = struct.unpack("<I", data[5:9])

@@ -15,13 +15,13 @@ from conftest import single_conv_model
 from oracles import recount_compressed_payload, recount_dense_payload
 from upaq.cli import main
 from upaq.compressed import CompressedGroup, CompressedModel, QuantizedConv, slice_stack, unstack
-from upaq.compressor import CompressionProfile, calculate_es
+from upaq.compressor import CompressionProfile, _search_group, calculate_es
 from upaq.container import save_compressed, save_model
-from upaq.cost import AnalyticCostModel, ModelCost, estimate_latency
+from upaq.cost import layer_costs, model_cost
 from upaq.grouping import find_root_groups
 from upaq.model import LayerSpec, ModelGraph, Tensor4
-from upaq.patterns import enumerate_all_patterns, generate_pattern
-from upaq.quantizer import dequantize, mp_quantize
+from upaq.patterns import enumerate_all_patterns, generate_pattern, split_seed
+from upaq.quantizer import quantize_slices
 
 
 def _report(num, text):
@@ -86,8 +86,8 @@ def test_criterion_2_quantizer_suite():
     t0 = time.perf_counter()
     q_ref, scale_ref, _ = quantize_reference([1.0, -2.0, 0.5, 0.0], 8)
     assert q_ref == [64, -127, 32, 0]
-    qr = upaq.mp_quantize(np.array([[1.0, -2.0], [0.5, 0.0]], dtype=np.float32), 8)
-    assert qr.q_values.reshape(-1).tolist() == q_ref and qr.scale == scale_ref
+    q, scale, _, _ = quantize_slices(np.array([[[1.0, -2.0], [0.5, 0.0]]], dtype=np.float32), 8)
+    assert q[0].reshape(-1).tolist() == q_ref and scale[0] == scale_ref
 
     rng = np.random.default_rng(20240)
     for bits in (4, 8, 16):
@@ -96,12 +96,13 @@ def test_criterion_2_quantizer_suite():
             # max-abs <= 1 keeps the f32 dequantize representation error
             # strictly under the 1e-7 slack of the stated bound
             x = (rng.uniform(-1.0, 1.0, (d, d)) * rng.uniform(0.05, 1.0)).astype(np.float32)
-            res = upaq.mp_quantize(x, bits)
-            xhat = dequantize(res.q_values, res.scale).astype(np.float64)
-            assert np.all(np.abs(x.astype(np.float64) - xhat) <= res.scale / 2.0 + 1e-7)
-            floor = float(np.var(x.astype(np.float64))) / (res.scale / 2.0) ** 2
-            assert res.sqnr_linear >= floor * (1.0 - 1e-9)
-            assert np.array_equal(upaq.mp_quantize(-x, bits).q_values, -res.q_values)
+            q, scale, sqnr_linear, _ = quantize_slices(x[None], bits)
+            q, scale, sqnr_linear = q[0], float(scale[0]), float(sqnr_linear[0])
+            xhat = (q * np.float64(scale)).astype(np.float32).astype(np.float64)
+            assert np.all(np.abs(x.astype(np.float64) - xhat) <= scale / 2.0 + 1e-7)
+            floor = float(np.var(x.astype(np.float64))) / (scale / 2.0) ** 2
+            assert sqnr_linear >= floor * (1.0 - 1e-9)
+            assert np.array_equal(quantize_slices(-x[None], bits)[0][0], -q)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"quantizer suite took {elapsed:.1f}s"
     _report(2, f"round-trip bound, SQNR floor, symmetry over 3x10^4 slices in {elapsed:.1f}s")
@@ -117,16 +118,12 @@ def test_criterion_3_oracle_equivalence():
     profile = CompressionProfile(
         name="custom", quant_bits=(4, 8, 16), n_map={3: 2}, seed=42, exhaustive=True,
     )
-    cm = upaq.compress_model(model, profile)
-    group = find_root_groups(model)[0]
-    rng = np.random.default_rng(0)  # unused in exhaustive mode
-    decision = upaq.compress_kxk_group(group, model, profile, rng)
+    cm, (decision,) = upaq.compress_with_decisions(model, profile)
 
     # brute force: own loops, own masking, own argmax; scoring primitives
     # shared.  Each candidate is costed as the model that ships it: the root's
     # payload in a compressed model holding one group with no leaves.
-    cost = AnalyticCostModel()
-    baseline = ModelCost(cost.latency(model), cost.energy(model))
+    baseline = model_cost(model)
     weights = model.by_id("conv").weights
     layer = model.by_id("conv").copy()
     layer.weights = None
@@ -141,9 +138,9 @@ def test_criterion_3_oracle_equivalence():
                     masked = np.zeros((3, 3), dtype=np.float32)
                     for r, c in pattern.positions:
                         masked[r, c] = weights.data[o, i, r, c]
-                    res = mp_quantize(masked, bits)
-                    dbs.append(res.sqnr_db)
-                    q[o, i], scales[o, i] = res.q_values, res.scale
+                    res_q, res_scale, _, res_db = quantize_slices(masked[None], bits)
+                    dbs.append(float(res_db[0]))
+                    q[o, i], scales[o, i] = res_q[0], res_scale[0]
             shipped = CompressedModel(
                 name=model.name, input_shape=model.input_shape, layers=[layer],
                 groups=[CompressedGroup("conv", (), pattern, bits)],
@@ -151,7 +148,7 @@ def test_criterion_3_oracle_equivalence():
                 profile=cm.profile,
             )
             shipped.validate()
-            candidate = ModelCost(cost.latency(shipped), cost.energy(shipped))
+            candidate = model_cost(shipped)
             es = calculate_es(sum(dbs) / len(dbs), candidate, baseline, profile.es_weights)
             if best is None or es.total > best[2]:
                 best = (pattern, bits, es.total)
@@ -236,9 +233,9 @@ def test_criterion_6_cost_model():
     full = ModelGraph("f", (2, 8, 8), [_nnz_conv("a", 2, 2, 8)])
     half = ModelGraph("h", (2, 8, 8), [_nnz_conv("a", 2, 2, 4)])
     full.validate(), half.validate()
-    assert estimate_latency(half) == estimate_latency(full) / 2.0
+    assert model_cost(half).latency == model_cost(full).latency / 2.0
 
-    assert estimate_latency(full, bits={"a": 8}) == estimate_latency(full) * 0.25
+    assert model_cost(full, bits={"a": 8}).latency == model_cost(full).latency * 0.25
     _report(6, "product (2,4,5)->40, nnz halving halves latency, 8/32-bit factor 0.25, all exact")
 
 
@@ -258,22 +255,34 @@ def test_criterion_7_fidelity_ordering():
 
 
 # ---------------------------------------------------------------------------
-# 8. byte-identical output across worker counts
+# 8. a group's decision does not depend on the other groups
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_worker_determinism(tmp_path):
+def test_criterion_8_group_independence(tmp_path):
+    model, _ = upaq.gen_fixture("toy-1x1", 42)
+    groups = find_root_groups(model)
+    assert len(groups) == 2
+    for profile in (upaq.hck_profile(seed=42), upaq.lck_profile(seed=42)):
+        _, decisions = upaq.compress_with_decisions(model, profile)
+        # each group searched on its own, last group first
+        for group, dec in reversed(list(zip(groups, decisions))):
+            rng = np.random.default_rng(split_seed(profile.seed, group.root_id))
+            alone = _search_group(group, model, profile, rng, layer_costs(model))
+            assert (alone.root_id, alone.pattern, alone.bitwidth) == (dec.root_id, dec.pattern, dec.bitwidth)
+            assert alone.score.total == dec.score.total  # bit-equal
+
     out_dir = tmp_path / "fx"
     assert main(["gen-fixture", "toy-1x1", "--seed", "42", "-o", str(out_dir)]) == 0
     model_path = out_dir / "toy-1x1.upaq"
     digests = []
-    for workers in ("1", "4"):
-        out = tmp_path / f"w{workers}.upaqc"
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.upaqc"
         assert main(["compress", str(model_path), "-o", str(out),
-                     "--profile", "hck", "--seed", "42", "--patterns", "16",
-                     "--workers", workers]) == 0
+                     "--profile", "hck", "--seed", "42", "--patterns", "16"]) == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
-    _report(8, f"sha256 {digests[0][:16]}... identical for --workers 1 and 4")
+    _report(8, f"2 groups x hck/lck searched alone == in compress; sha256 {digests[0][:16]}... "
+               "identical across two compresses")
 
 
 # ---------------------------------------------------------------------------

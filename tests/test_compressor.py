@@ -8,19 +8,18 @@ from upaq.compressor import (
     CompressionProfile,
     ModelCost,
     calculate_es,
-    compress_kxk_group,
     compress_model,
     compress_with_decisions,
     hck_profile,
     lck_profile,
 )
 from upaq.container import serialize_compressed
-from upaq.cost import AnalyticCostModel
+from conftest import copy_model
+from upaq.cost import model_cost
 from upaq.errors import ValidationError
-from upaq.grouping import find_root_groups
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import KernelPattern, enumerate_all_patterns, generate_pattern, split_seed
-from upaq.quantizer import dequantize, quantize_slices
+from upaq.quantizer import quantize_slices
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +90,14 @@ def test_calculate_es_caps_sqnr_and_rejects_zero_cost():
 # 1x1 block transformation
 # ---------------------------------------------------------------------------
 
+def _masked(sl, pattern):
+    """A copy of one slice holding only the pattern's cells."""
+    out = np.zeros_like(sl)
+    for r, c in pattern.positions:
+        out[r, c] = sl[r, c]
+    return out
+
+
 def _t1x1(flat_values):
     arr = np.asarray(flat_values, dtype=np.float32).reshape(len(flat_values), 1, 1, 1)
     return Tensor4(arr)
@@ -130,14 +137,12 @@ def test_flatten_roundtrip_identity():
 
 
 def test_flatten_masked_blocks_zero_the_right_flat_positions():
-    from upaq.patterns import apply_pattern
-
     rng = np.random.default_rng(22)
     pat = KernelPattern("main_diagonal", 3, ((0, 0), (1, 1), (2, 2)))
     keep_in_block = {r * 3 + c for r, c in pat.positions}
     for count in (9, 10, 20):
         w = _t1x1(rng.uniform(1, 2, count).astype(np.float32))  # nonzero everywhere
-        masked = [apply_pattern(b, pat) for b in slice_stack(w.data, 3)]
+        masked = [_masked(b, pat) for b in slice_stack(w.data, 3)]
         flat = unstack(np.stack(masked), w.shape).reshape(-1)
         for f in range(count):
             if f % 9 in keep_in_block:
@@ -146,7 +151,7 @@ def test_flatten_masked_blocks_zero_the_right_flat_positions():
                 assert flat[f] == 0.0
     # the 9-weight case keeps exactly flat indices {0, 4, 8}
     w9 = _t1x1(rng.uniform(1, 2, 9).astype(np.float32))
-    masked9 = [apply_pattern(b, pat) for b in slice_stack(w9.data, 3)]
+    masked9 = [_masked(b, pat) for b in slice_stack(w9.data, 3)]
     assert set(np.nonzero(unstack(np.stack(masked9), w9.shape).reshape(-1))[0].tolist()) == {0, 4, 8}
 
 
@@ -223,7 +228,7 @@ def test_root_only_group_applies_to_root_alone(toy_1x1):
 
 def test_all_zero_1x1_layer_takes_first_candidate(toy_1x1):
     model, _ = toy_1x1
-    frozen = upaq.deep_copy(model)
+    frozen = copy_model(model)
     frozen.by_id("conv_b").weights.data[:] = 0.0
     profile = lck_profile(seed=7)
     cm = compress_model(frozen, profile)
@@ -237,12 +242,15 @@ def test_all_zero_1x1_layer_takes_first_candidate(toy_1x1):
 
 def _dequantize_loop(qc, d):
     """Per-slice (or per-block) dequantize over a payload, scale by scale."""
+    def dequantize(q, scale):
+        return (q * np.float64(scale)).astype(np.float32)
+
     if qc.shape[2:] == (d, d):
         flat = qc.q.reshape(-1, qc.shape[2] * qc.shape[3])
-        return np.stack([dequantize(flat[s], float(qc.scales[s])) for s in range(flat.shape[0])]).reshape(qc.shape)
+        return np.stack([dequantize(flat[s], qc.scales[s]) for s in range(flat.shape[0])]).reshape(qc.shape)
     cells = d ** 2
     flat = qc.q.reshape(-1)
-    parts = [dequantize(flat[b * cells:(b + 1) * cells], float(qc.scales[b])) for b in range(qc.scales.shape[0])]
+    parts = [dequantize(flat[b * cells:(b + 1) * cells], qc.scales[b]) for b in range(qc.scales.shape[0])]
     return np.concatenate(parts).reshape(qc.shape)
 
 
@@ -250,9 +258,6 @@ def test_leaves_requantize_with_own_scales(toy_cnn, toy_residual, toy_1x1):
     """Every group member, roots and 1x1 block layers included, holds what
     quantizing its masked slices (or blocks) one at a time gives, and
     decompresses to the slice-by-slice dequantization of that payload."""
-    from upaq.patterns import apply_pattern
-    from upaq.quantizer import mp_quantize
-
     for model, _ in (toy_cnn, toy_residual, toy_1x1):
         for profile in (hck_profile, lck_profile):
             cm = compress_model(model, profile(seed=42))
@@ -270,9 +275,9 @@ def test_leaves_requantize_with_own_scales(toy_cnn, toy_residual, toy_1x1):
                         q_slices = slice_stack(qc.q, d)
                     assert qc.scales.shape == (len(slices),)
                     for s, sl in enumerate(slices):
-                        expect = mp_quantize(apply_pattern(sl, group.pattern), group.bitwidth)
-                        assert qc.scales[s] == np.float32(expect.scale)
-                        assert np.array_equal(q_slices[s], expect.q_values)
+                        q, scale, _, _ = quantize_slices(_masked(sl, group.pattern)[None], group.bitwidth)
+                        assert qc.scales[s] == np.float32(scale[0])
+                        assert np.array_equal(q_slices[s], q[0])
                     assert np.array_equal(dense.by_id(member).weights.data, _dequantize_loop(qc, d))
 
 
@@ -281,20 +286,6 @@ def test_compression_is_deterministic(toy_cnn):
     a = serialize_compressed(compress_model(model, hck_profile(seed=42)))
     b = serialize_compressed(compress_model(model, hck_profile(seed=42)))
     assert a == b
-
-
-def test_worker_count_does_not_change_bytes(toy_1x1):
-    model, _ = toy_1x1  # two groups, so scheduling could matter
-    a = serialize_compressed(compress_model(model, hck_profile(seed=42), workers=1))
-    b = serialize_compressed(compress_model(model, hck_profile(seed=42), workers=4))
-    assert a == b
-
-
-def test_worker_count_below_one_rejected(toy_1x1):
-    model, _ = toy_1x1
-    for workers in (0, -2):
-        with pytest.raises(ValidationError, match="worker count"):
-            compress_model(model, hck_profile(seed=42), workers=workers)
 
 
 @pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])
@@ -319,8 +310,7 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
     cm, decisions = compress_with_decisions(model, prof)
     monkeypatch.undo()
 
-    cost = AnalyticCostModel()
-    base_latency, base_energy = cost.latency(model), cost.energy(model)
+    base = model_cost(model)
     expected_scored = 0
     for dec in decisions:
         root_qc = dec.payloads[dec.root_id]
@@ -334,8 +324,8 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
             qlayers={dec.root_id: root_qc}, profile=cm.profile,
         )
         shipped.validate()
-        assert dec.score.latency_term == base_latency / cost.latency(shipped)
-        assert dec.score.energy_term == base_energy / cost.energy(shipped)
+        assert dec.score.latency_term == base.latency / model_cost(shipped).latency
+        assert dec.score.energy_term == base.energy / model_cost(shipped).energy
 
         w = model.by_id(dec.root_id).weights
         masked = np.where(dec.pattern.mask(), slice_stack(w.data, dec.pattern.d), 0)
@@ -366,17 +356,9 @@ def test_decompressed_weights_match_payload(toy_cnn, toy_cnn_hck):
 # guards
 # ---------------------------------------------------------------------------
 
-def test_kxk_path_rejects_1x1_roots(toy_1x1):
-    model, _ = toy_1x1
-    groups = find_root_groups(model)
-    g1x1 = next(g for g in groups if g.root_id == "conv_b")
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValidationError, match="spatial dimension"):
-        compress_kxk_group(g1x1, model, hck_profile(), rng)
-
-
-def test_non_square_kernel_rejected():
-    w = Tensor4(np.ones((1, 1, 3, 2), dtype=np.float32))
+@pytest.mark.parametrize("kh,kw", [(3, 1), (1, 3), (3, 2)])
+def test_non_square_kernel_rejected(kh, kw):
+    w = Tensor4(np.ones((1, 1, kh, kw), dtype=np.float32))
     layer = LayerSpec("c", "conv2d", (), w, np.zeros(1, dtype=np.float32), 1, 1)
     model = ModelGraph("m", (1, 8, 8), [layer])
     model.validate()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import upaq
-from conftest import header_mutations, patch_header
+from conftest import copy_model, header_mutations, patch_header
 from oracles import (
     pack_ints,
     read_container,
@@ -171,7 +171,7 @@ def test_format_version_mismatch(toy_cnn):
 
 def test_nan_weight_refuses_to_serialize(toy_cnn):
     model, _ = toy_cnn
-    broken = upaq.deep_copy(model)
+    broken = copy_model(model)
     broken.by_id("conv1").weights.data[0, 0, 0, 0] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         serialize_model(broken)

@@ -3,13 +3,7 @@ import pytest
 
 import upaq
 from oracles import latency_reference
-from upaq.cost import (
-    AnalyticCostModel,
-    compression_ratio,
-    computational_cost,
-    estimate_energy,
-    estimate_latency,
-)
+from upaq.cost import compression_ratio, computational_cost, model_cost
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 
 
@@ -47,23 +41,23 @@ def test_fully_pruned_model_costs_zero():
     summary = computational_cost(m)
     assert summary.mean_nnz_per_kernel == 0.0
     assert summary.product == 0.0
-    assert estimate_latency(m) == 0.0
+    assert model_cost(m).latency == 0.0
 
 
 def test_halving_nnz_halves_latency_exactly():
-    assert estimate_latency(_two_layer_model(4)) == estimate_latency(_two_layer_model(8)) / 2.0
+    assert model_cost(_two_layer_model(4)).latency == model_cost(_two_layer_model(8)).latency / 2.0
 
 
 def test_bits_factor_is_exact_quarter():
     m = _two_layer_model(5)
-    full = estimate_latency(m)
-    quarter = estimate_latency(m, bits={"a": 8, "b": 8})
+    full = model_cost(m).latency
+    quarter = model_cost(m, bits={"a": 8, "b": 8}).latency
     assert quarter == full * 0.25
 
 
 def test_latency_matches_independent_recount(toy_cnn, toy_cnn_hck):
     model, _ = toy_cnn
-    assert estimate_latency(model) == latency_reference(model)
+    assert model_cost(model).latency == latency_reference(model)
     # compressed models count stored slots: n pattern cells per slice, at the
     # group bitwidth, times the (unchanged) output plane of each conv
     cm = toy_cnn_hck
@@ -72,7 +66,7 @@ def test_latency_matches_independent_recount(toy_cnn, toy_cnn_hck):
     for member in group.member_ids:
         o, i, _, _ = cm.qlayers[member].shape
         expected += (o * i * group.pattern.n) * (group.bitwidth / 32.0) * 16 * 16
-    assert estimate_latency(cm) == expected
+    assert model_cost(cm).latency == expected
 
 
 def test_compressed_nnz_is_structural(toy_cnn_hck, toy_1x1):
@@ -91,13 +85,13 @@ def test_energy_formula(toy_cnn):
     moved = 0.0
     for layer in model.conv_layers():
         moved += np.count_nonzero(layer.weights.data) * 32 / 8.0
-    assert estimate_energy(model) == estimate_latency(model) * 1.0 + moved * 0.1
+    assert model_cost(model).energy == model_cost(model).latency * 1.0 + moved * 0.1
 
 
 def test_cost_accepts_compressed_models(toy_cnn_hck):
     summary = computational_cost(toy_cnn_hck)
     assert summary.total_nnz > 0
-    assert estimate_latency(toy_cnn_hck) < estimate_latency(upaq.decompress_model(toy_cnn_hck))
+    assert model_cost(toy_cnn_hck).latency < model_cost(upaq.decompress_model(toy_cnn_hck)).latency
 
 
 def test_compression_ratio_errors():
@@ -118,12 +112,11 @@ def test_energy_walks_the_model_once(toy_cnn_hck, monkeypatch):
     monkeypatch.setattr(compressed_module, "dequantized_weights",
                         lambda *a: dequantized.append(1) or real_dequantized(*a))
     monkeypatch.setattr(cost_module, "infer_shapes", lambda *a: walks.append(1) or real_infer_shapes(*a))
-    cost = AnalyticCostModel()
-    energy = cost.energy(toy_cnn_hck)
+    energy = model_cost(toy_cnn_hck).energy
     assert len(walks) == 1
     assert not dequantized  # shapes come from the payload shapes, nothing is decompressed
     moved = sum(nnz * b / 8.0 for _, _, nnz, b, _, _ in cost_module._conv_stats(toy_cnn_hck))
-    assert energy == cost.latency(toy_cnn_hck) * 1.0 + moved * 0.1
+    assert energy == model_cost(toy_cnn_hck).latency * 1.0 + moved * 0.1
 
 
 @pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])

@@ -8,12 +8,13 @@ from upaq.compressed import CompressedGroup, CompressedModel, ProfileInfo, Quant
 from upaq.container import compressed_payload_nbytes, dense_payload_nbytes
 from upaq.cost import compression_ratio
 from upaq.errors import ValidationError
+from conftest import copy_model
 from oracles import recount_payload_nbytes
 from upaq.evaluate import evaluate_fidelity, model_sqnr_db
 from upaq.inference import Activation
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import KernelPattern
-from upaq.quantizer import SQNR_CAP_DB, mp_quantize
+from upaq.quantizer import SQNR_CAP_DB, quantize_slices
 
 
 def _lossless_pair(seed=51):
@@ -36,9 +37,9 @@ def _lossless_pair(seed=51):
     q = np.zeros_like(w, dtype=np.int32)
     scales = np.empty(2, dtype=np.float32)
     for s in range(2):
-        qr = mp_quantize(w[s, 0], bits)
-        q[s, 0] = qr.q_values
-        scales[s] = qr.scale
+        qs, scale, _, _ = quantize_slices(w[s, 0][None], bits)
+        q[s, 0] = qs[0]
+        scales[s] = scale[0]
     cm = CompressedModel(
         name="lossless",
         input_shape=(1, 6, 6),
@@ -139,7 +140,6 @@ def test_report_metrics_recomputable_from_run_blobs(tmp_path, toy_cnn, toy_cnn_h
 def _model_sqnr_db_loop(base, cm):
     """Slice-by-slice mean SQNR: mask, reconstruct and score one slice at a time."""
     from upaq.compressed import dequantized_weights
-    from upaq.patterns import apply_pattern
 
     db = []
     for group in cm.groups:
@@ -158,7 +158,9 @@ def _model_sqnr_db_loop(base, cm):
                     blocks.append(flat.reshape(-1, d, d))
                 pairs = list(zip(*blocks))
             for sl, rec in pairs:
-                x = apply_pattern(sl, group.pattern).astype(np.float64)
+                x = np.zeros((d, d))
+                for r, c in group.pattern.positions:
+                    x[r, c] = sl[r, c]
                 err_var = float(np.var(x - rec.astype(np.float64)))
                 if err_var < 1e-30:
                     db.append(SQNR_CAP_DB)
@@ -180,10 +182,8 @@ def test_model_sqnr_db_equals_slice_loop(toy_cnn, toy_residual, toy_1x1):
 
 
 def test_model_sqnr_db_rejects_mismatched_base(toy_cnn, toy_cnn_hck):
-    from upaq.model import deep_copy
-
     model, _ = toy_cnn
-    other = deep_copy(model)
+    other = copy_model(model)
     root = other.by_id(toy_cnn_hck.groups[0].root_id)
     root.weights = Tensor4(root.weights.data[:1])  # one out-channel fewer than the payload
     with pytest.raises(ValidationError, match="base weights"):

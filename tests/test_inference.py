@@ -11,7 +11,6 @@ from upaq import inference
 from upaq.errors import FormatError, ValidationError
 from upaq.inference import (
     Activation,
-    forward,
     forward_batch,
     forward_compressed,
     load_activations,
@@ -36,7 +35,7 @@ def test_identity_1x1_conv_passes_input_through():
     model.validate()
     rng = np.random.default_rng(31)
     x = Activation(rng.normal(size=(1, 5, 5)).astype(np.float32))
-    assert np.array_equal(forward(model, x).data, x.data)
+    assert np.array_equal(forward_batch(model, [x])[0].data, x.data)
 
 
 def test_all_zero_weights_give_zero_sink():
@@ -48,13 +47,13 @@ def test_all_zero_weights_give_zero_sink():
     ]
     model = ModelGraph("zeros", (1, 6, 6), layers)
     model.validate()
-    out = forward(model, Activation(np.ones((1, 6, 6), dtype=np.float32)))
+    out = forward_batch(model, [Activation(np.ones((1, 6, 6), dtype=np.float32))])[0]
     assert not out.data.any()
 
 
 def test_golden_output_matches_shipped_values(toy_cnn):
     model, inputs = toy_cnn
-    out = forward(model, inputs[0]).data.reshape(-1)
+    out = forward_batch(model, [inputs[0]])[0].data.reshape(-1)
     assert np.allclose(out, TOY_CNN_GOLDEN, atol=1e-6, rtol=0)
 
 
@@ -63,12 +62,12 @@ def test_straight_loop_reference_reproduces_golden(toy_cnn):
     ref = forward_reference(model, inputs[0].data).reshape(-1)
     assert np.allclose(ref, TOY_CNN_GOLDEN, atol=1e-6, rtol=0)
     # engine and reference share the accumulation order, so they agree bitwise
-    assert forward(model, inputs[0]).data.tobytes() == forward_reference(model, inputs[0].data).tobytes()
+    assert forward_batch(model, [inputs[0]])[0].data.tobytes() == forward_reference(model, inputs[0].data).tobytes()
 
 
 def test_engine_matches_reference_on_all_fixtures(toy_residual, toy_1x1):
     for model, inputs in (toy_residual, toy_1x1):
-        eng = forward(model, inputs[1]).data
+        eng = forward_batch(model, [inputs[1]])[0].data
         ref = forward_reference(model, inputs[1].data)
         assert eng.tobytes() == ref.tobytes()
 
@@ -84,7 +83,7 @@ def test_strided_padded_conv_against_reference():
     model = ModelGraph("strided", (2, 9, 9), [layer])
     model.validate()
     x = Activation(rng.normal(size=(2, 9, 9)).astype(np.float32))
-    assert forward(model, x).data.tobytes() == forward_reference(model, x.data).tobytes()
+    assert forward_batch(model, [x])[0].data.tobytes() == forward_reference(model, x.data).tobytes()
 
 
 def test_linearity_on_conv_only_graph():
@@ -96,8 +95,8 @@ def test_linearity_on_conv_only_graph():
     model = ModelGraph("linear-graph", (1, 8, 8), layers)
     model.validate()
     x = rng.normal(size=(1, 8, 8)).astype(np.float32)
-    y1 = forward(model, Activation(3.0 * x)).data
-    y2 = 3.0 * forward(model, Activation(x)).data
+    y1 = forward_batch(model, [Activation(3.0 * x)])[0].data
+    y2 = 3.0 * forward_batch(model, [Activation(x)])[0].data
     assert np.allclose(y1, y2, rtol=1e-5, atol=1e-6)
 
 
@@ -113,14 +112,14 @@ def test_forward_compressed_equals_forward_on_decompressed(toy_cnn, toy_cnn_hck)
     _, inputs = toy_cnn
     dense = upaq.decompress_model(toy_cnn_hck)
     out_a = forward_compressed(toy_cnn_hck, inputs[0]).data
-    out_b = forward(dense, inputs[0]).data
+    out_b = forward_batch(dense, [inputs[0]])[0].data
     assert np.array_equal(out_a, out_b)
 
 
 def test_input_shape_mismatch_rejected(toy_cnn):
     model, _ = toy_cnn
     with pytest.raises(ValidationError, match="input shape"):
-        forward(model, Activation(np.zeros((2, 16, 16), dtype=np.float32)))
+        forward_batch(model, [Activation(np.zeros((2, 16, 16), dtype=np.float32))])
 
 
 def test_layer_shape_error_names_layer():
@@ -130,7 +129,7 @@ def test_layer_shape_error_names_layer():
     ]
     model = ModelGraph("bad", (1, 4, 4), layers)
     with pytest.raises(ValidationError, match="mismatched"):
-        forward(model, Activation(np.zeros((1, 4, 4), dtype=np.float32)))
+        forward_batch(model, [Activation(np.zeros((1, 4, 4), dtype=np.float32))])
 
 
 def test_activation_batch_roundtrip(tmp_path, toy_cnn):
@@ -202,7 +201,7 @@ def engine_case(request):
 def test_batched_engine_matches_single_input_forward_and_oracle(engine_case, sparse, monkeypatch):
     model, inputs = engine_case
     assert len(inputs) == 64
-    singles = [forward(model, act).data.tobytes() for act in inputs]
+    singles = [forward_batch(model, [act])[0].data.tobytes() for act in inputs]
     # default chunking, then chunks of 5: 64 inputs leave a partial last chunk of 4
     for budget in (inference.CHUNK_BYTES, 5 * 4 * _largest_activation(model)):
         monkeypatch.setattr(inference, "CHUNK_BYTES", budget)
@@ -260,7 +259,7 @@ def test_negative_zero_input_gives_oracle_positive_zero(kind):
     x = Activation(np.full((2, 2, 2), -0.0, dtype=np.float32))
     ref = forward_reference(model, x.data)
     assert _sign_bits(ref) == 0
-    assert forward(model, x).data.tobytes() == ref.tobytes()
+    assert forward_batch(model, [x])[0].data.tobytes() == ref.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -299,7 +298,7 @@ def _conv(rng, lid, out_ch, in_ch, k, inputs=(), stride=1, padding=0, pruned=())
 
 
 def _assert_engine_matches(model, xs, oracle_idx):
-    singles = [forward(model, x).data.tobytes() for x in xs]
+    singles = [forward_batch(model, [x])[0].data.tobytes() for x in xs]
     for idx in oracle_idx:
         assert singles[idx] == forward_reference(model, xs[idx].data).tobytes()
     for sparse in (False, True):

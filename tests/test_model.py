@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import upaq
+from conftest import copy_model
 from upaq.container import serialize_model
 from upaq.errors import ValidationError
 from upaq.model import LayerSpec, ModelGraph, Tensor4, infer_shapes
@@ -109,25 +109,25 @@ def test_infer_shapes_toy_cnn(toy_cnn):
 
 
 # ---------------------------------------------------------------------------
-# deep copy
+# copying a model layer by layer
 # ---------------------------------------------------------------------------
 
 def test_deep_copy_is_independent(toy_cnn):
     model, _ = toy_cnn
     before = serialize_model(model)
-    copy = upaq.deep_copy(model)
+    copy = copy_model(model)
     copy.by_id("conv1").weights.data[0, 0, 0, 0] = 0.0
     assert serialize_model(model) == before
 
 
 def test_copy_of_copy_equals_copy(toy_cnn):
     model, _ = toy_cnn
-    c1 = upaq.deep_copy(model)
-    c2 = upaq.deep_copy(c1)
+    c1 = copy_model(model)
+    c2 = copy_model(c1)
     assert serialize_model(c1) == serialize_model(c2)
 
 
 def test_deep_copy_preserves_layer_order(toy_cnn):
     model, _ = toy_cnn
-    copy = upaq.deep_copy(model)
+    copy = copy_model(model)
     assert [l.id for l in copy.layers] == [l.id for l in model.layers]

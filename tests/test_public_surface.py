@@ -1,0 +1,81 @@
+"""The package's public surface: what ``upaq`` exports, and no uncalled helper.
+
+A public top-level function or class in ``src/upaq`` must either be
+exported through ``upaq.__all__`` or be referenced somewhere in ``src/``
+outside its own definition.  Anything else is code with no caller.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+import upaq
+from upaq import compressor, cost, inference, model, patterns, quantizer
+
+SRC = Path(upaq.__file__).parent
+
+REMOVED = {
+    model: ("deep_copy",),
+    cost: ("AnalyticCostModel", "estimate_latency", "estimate_energy"),
+    patterns: ("apply_pattern",),
+    quantizer: ("QuantResult", "mp_quantize", "dequantize"),
+    inference: ("forward",),
+    compressor: ("compress_kxk_group", "compress_1x1_group"),
+}
+
+
+def test_star_import_resolves_every_export():
+    namespace = {}
+    exec("from upaq import *", namespace)
+    assert len(upaq.__all__) == len(set(upaq.__all__))
+    for name in upaq.__all__:
+        assert namespace[name] is getattr(upaq, name)
+
+
+@pytest.mark.parametrize("module", list(REMOVED), ids=lambda m: m.__name__)
+def test_removed_names_are_gone(module):
+    for name in REMOVED[module]:
+        assert name not in upaq.__all__
+        assert not hasattr(upaq, name)
+        assert not hasattr(module, name)
+
+
+def test_compress_takes_no_workers():
+    for fn in (upaq.compress_model, upaq.compress_with_decisions):
+        assert "workers" not in inspect.signature(fn).parameters
+
+
+def _names_used(node, skip):
+    """Identifiers a tree refers to, leaving out the subtree ``skip``."""
+    used = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name)
+        stack.extend(ast.iter_child_nodes(n))
+    return used
+
+
+def test_every_public_definition_has_a_caller_or_is_exported():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    # __init__ only re-exports: an import there is not a caller
+    callers = {name: tree for name, tree in trees.items() if name != "__init__.py"}
+    uncalled = []
+    for fname, tree in callers.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in upaq.__all__:
+                continue
+            if not any(node.name in _names_used(other, node) for other in callers.values()):
+                uncalled.append(f"{fname}:{node.name}")
+    assert uncalled == []

@@ -8,16 +8,16 @@ from hypothesis.extra import numpy as hnp
 
 import upaq
 from oracles import quantize_reference
-from upaq.compressor import compress_1x1_group, compress_kxk_group, compress_model, hck_profile
+from upaq.compressed import QuantizedConv, dequantized_weights
+from upaq.compressor import _search_group, compress_model, hck_profile
+from upaq.cost import layer_costs
 from upaq.errors import ValidationError
 from upaq.grouping import find_root_groups
 from upaq.patterns import enumerate_all_patterns
 from upaq.quantizer import (
     SQNR_CAP,
     SQNR_CAP_DB,
-    dequantize,
     masked_mean_sqnr_db,
-    mp_quantize,
     quantize_slices,
     stack_rows,
 )
@@ -25,18 +25,29 @@ from upaq.quantizer import (
 WORKED_X = np.array([[1.0, -2.0], [0.5, 0.0]], dtype=np.float32)
 
 
+def quantize_one(x, bits):
+    """One 2-D slice through :func:`quantize_slices`, as a stack of one:
+    ``(q, scale, sqnr_linear, sqnr_db)`` of row 0."""
+    q, scale, sqnr_linear, sqnr_db = quantize_slices(np.asarray(x)[None], bits)
+    return q[0], float(scale[0]), float(sqnr_linear[0]), float(sqnr_db[0])
+
+
+def dequantize(q, scale):
+    return (q * np.float64(scale)).astype(np.float32)
+
+
 def test_worked_example_8bit():
-    qr = mp_quantize(WORKED_X, 8)
-    assert qr.scale == pytest.approx(2.0 / 127.0, rel=0, abs=0)
-    assert qr.q_values.reshape(-1).tolist() == [64, -127, 32, 0]
+    q, scale, _, _ = quantize_one(WORKED_X, 8)
+    assert scale == pytest.approx(2.0 / 127.0, rel=0, abs=0)
+    assert q.reshape(-1).tolist() == [64, -127, 32, 0]
 
 
 def test_worked_example_matches_reference_script():
-    q, scale, _ = quantize_reference([1.0, -2.0, 0.5, 0.0], 8)
-    assert q == [64, -127, 32, 0]
-    qr = mp_quantize(WORKED_X, 8)
-    assert qr.q_values.reshape(-1).tolist() == q
-    assert qr.scale == scale
+    q_ref, scale_ref, _ = quantize_reference([1.0, -2.0, 0.5, 0.0], 8)
+    assert q_ref == [64, -127, 32, 0]
+    q, scale, _, _ = quantize_one(WORKED_X, 8)
+    assert q.reshape(-1).tolist() == q_ref
+    assert scale == scale_ref
 
 
 def test_reference_agrees_on_random_slices():
@@ -44,31 +55,32 @@ def test_reference_agrees_on_random_slices():
     for bits in (4, 8, 16):
         for _ in range(200):
             x = rng.normal(size=(3, 3)).astype(np.float32)
-            qr = mp_quantize(x, bits)
+            q, scale, sqnr_linear, _ = quantize_one(x, bits)
             q_ref, scale_ref, sqnr_ref = quantize_reference(x.reshape(-1).tolist(), bits)
-            assert qr.q_values.reshape(-1).tolist() == q_ref
-            assert qr.scale == scale_ref
-            assert qr.sqnr_linear == pytest.approx(sqnr_ref, rel=1e-12)
+            assert q.reshape(-1).tolist() == q_ref
+            assert scale == scale_ref
+            assert sqnr_linear == pytest.approx(sqnr_ref, rel=1e-12)
 
 
 def test_all_zero_slice_fallback():
-    qr = mp_quantize(np.zeros((3, 3), dtype=np.float32), 4)
-    assert qr.scale == 1.0
-    assert not qr.q_values.any()
-    assert qr.sqnr_linear == SQNR_CAP
-    assert qr.sqnr_db == SQNR_CAP_DB
+    q, scale, sqnr_linear, sqnr_db = quantize_one(np.zeros((3, 3), dtype=np.float32), 4)
+    assert scale == 1.0
+    assert not q.any()
+    assert sqnr_linear == SQNR_CAP
+    assert sqnr_db == SQNR_CAP_DB
 
 
 def test_exact_multiples_reach_the_cap():
     x = np.array([[-1.5, 0.0], [1.5, 0.0]], dtype=np.float32)  # +/- alpha and zeros
-    qr = mp_quantize(x, 8)
-    assert np.array_equal(dequantize(qr.q_values, qr.scale), x)
-    assert qr.sqnr_linear == SQNR_CAP
+    q, scale, sqnr_linear, _ = quantize_one(x, 8)
+    assert np.array_equal(dequantize(q, scale), x)
+    assert sqnr_linear == SQNR_CAP
 
 
 def test_dequantize_worked_example():
     q = np.array([[64, -127], [32, 0]], dtype=np.int32)
-    out = dequantize(q, 2.0 / 127.0)
+    qc = QuantizedConv((1, 1, 2, 2), 8, q.reshape(1, 1, 2, 2), np.array([2.0 / 127.0]))
+    out = dequantized_weights(qc, 2)[0, 0]
     expect = np.array([[64 * 2.0 / 127.0, -2.0], [32 * 2.0 / 127.0, 0.0]], dtype=np.float32)
     assert np.array_equal(out, expect)
 
@@ -77,9 +89,9 @@ def test_16bit_roundtrip_bound_on_random_slices():
     rng = np.random.default_rng(12)
     for _ in range(100):
         x = rng.uniform(-1, 1, (3, 3)).astype(np.float32)
-        qr = mp_quantize(x, 16)
-        bound = qr.scale / 2.0
-        assert np.all(np.abs(x.astype(np.float64) - dequantize(qr.q_values, qr.scale).astype(np.float64)) <= bound + 1e-7)
+        q, scale, _, _ = quantize_one(x, 16)
+        bound = scale / 2.0
+        assert np.all(np.abs(x.astype(np.float64) - dequantize(q, scale).astype(np.float64)) <= bound + 1e-7)
 
 
 @pytest.mark.parametrize("bits", [4, 8, 16])
@@ -89,18 +101,18 @@ def test_roundtrip_bound_and_sqnr_floor(bits):
         d = int(rng.integers(2, 6))
         # max-abs <= 1: the f32 dequantize error then stays below the 1e-7 slack
         x = (rng.uniform(-1.0, 1.0, (d, d)) * rng.uniform(0.05, 1.0)).astype(np.float32)
-        qr = mp_quantize(x, bits)
-        xhat = dequantize(qr.q_values, qr.scale).astype(np.float64)
-        assert np.all(np.abs(x.astype(np.float64) - xhat) <= qr.scale / 2.0 + 1e-7)
-        floor = float(np.var(x.astype(np.float64))) / (qr.scale / 2.0) ** 2
-        assert qr.sqnr_linear >= floor * (1.0 - 1e-9)
+        q, scale, sqnr_linear, _ = quantize_one(x, bits)
+        xhat = dequantize(q, scale).astype(np.float64)
+        assert np.all(np.abs(x.astype(np.float64) - xhat) <= scale / 2.0 + 1e-7)
+        floor = float(np.var(x.astype(np.float64))) / (scale / 2.0) ** 2
+        assert sqnr_linear >= floor * (1.0 - 1e-9)
 
 
 def test_scale_shrinks_with_more_bits():
     rng = np.random.default_rng(14)
     for _ in range(50):
         x = rng.normal(size=(3, 3)).astype(np.float32)
-        scales = [mp_quantize(x, b).scale for b in (4, 8, 16)]
+        scales = [quantize_one(x, b)[1] for b in (4, 8, 16)]
         assert scales[2] < scales[1] < scales[0]
 
 
@@ -109,7 +121,7 @@ def test_negation_symmetry_exact():
     for bits in (4, 8, 16):
         for _ in range(200):
             x = rng.normal(size=(3, 3)).astype(np.float32)
-            assert np.array_equal(mp_quantize(-x, bits).q_values, -mp_quantize(x, bits).q_values)
+            assert np.array_equal(quantize_one(-x, bits)[0], -quantize_one(x, bits)[0])
 
 
 def test_sqnr_monotone_in_bits_on_fixture_slices(toy_cnn):
@@ -118,25 +130,25 @@ def test_sqnr_monotone_in_bits_on_fixture_slices(toy_cnn):
         w = layer.weights
         for o in range(w.out_ch):
             for i in range(w.in_ch):
-                dbs = [mp_quantize(w.data[o, i], b).sqnr_db for b in (4, 8, 16)]
+                dbs = [quantize_one(w.data[o, i], b)[3] for b in (4, 8, 16)]
                 assert dbs[0] <= dbs[1] <= dbs[2]
 
 
 def test_unsupported_bitwidth_and_nonfinite_input():
     with pytest.raises(ValueError, match="unsupported bitwidth"):
-        mp_quantize(np.zeros((2, 2), dtype=np.float32), 5)
+        quantize_one(np.zeros((2, 2), dtype=np.float32), 5)
     bad = np.array([[np.inf, 0.0], [0.0, 0.0]], dtype=np.float32)
     with pytest.raises(ValueError, match="non-finite"):
-        mp_quantize(bad, 8)
+        quantize_one(bad, 8)
 
 
 def test_half_away_from_zero_tie_handling():
     # 0.5/scale lands exactly on a representable tie for alpha = max_value/2
     x = np.array([[63.5, -63.5], [127.0, 0.0]], dtype=np.float32)
-    qr = mp_quantize(x, 8)
-    assert qr.scale == 1.0
-    assert qr.q_values.reshape(-1).tolist() == [64, -64, 127, 0]
-    assert 10.0 * math.log10(qr.sqnr_linear) == pytest.approx(qr.sqnr_db)
+    q, scale, sqnr_linear, sqnr_db = quantize_one(x, 8)
+    assert scale == 1.0
+    assert q.reshape(-1).tolist() == [64, -64, 127, 0]
+    assert 10.0 * math.log10(sqnr_linear) == pytest.approx(sqnr_db)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +181,11 @@ def test_quantize_slices_matches_per_slice_loop(bits):
         for arr in (scale, sqnr_linear, sqnr_db):
             assert arr.shape == (x.shape[0],) and arr.dtype == np.float64
         for s in range(x.shape[0]):
-            qr = mp_quantize(x[s], bits)
-            assert np.array_equal(q[s], qr.q_values)
-            assert scale[s] == qr.scale
-            assert sqnr_linear[s] == qr.sqnr_linear
-            assert sqnr_db[s] == qr.sqnr_db
+            one = quantize_one(x[s], bits)
+            assert np.array_equal(q[s], one[0])
+            assert scale[s] == one[1]
+            assert sqnr_linear[s] == one[2]
+            assert sqnr_db[s] == one[3]
 
 
 @pytest.mark.parametrize("bits", [4, 8, 16])
@@ -190,7 +202,7 @@ def test_quantize_slices_matches_reference(bits):
         assert sqnr_db[0] == sqnr_db[1] == sqnr_db[3] == sqnr_db[4] == SQNR_CAP_DB
 
 
-def test_quantize_slices_and_mp_quantize_reject_bad_input():
+def test_quantize_slices_rejects_bad_input():
     stack = np.zeros((2, 3, 3), dtype=np.float32)
     with pytest.raises(ValueError, match="unsupported bitwidth"):
         quantize_slices(stack, 2)
@@ -200,12 +212,12 @@ def test_quantize_slices_and_mp_quantize_reject_bad_input():
     with pytest.raises(ValueError, match="non-finite"):
         quantize_slices(stack, 8)
     with pytest.raises(ValueError, match="non-finite"):
-        mp_quantize(np.array([[0.0, -np.inf]], dtype=np.float32), 4)
+        quantize_one(np.array([[0.0, -np.inf]], dtype=np.float32), 4)
     with pytest.raises(ValueError, match="unsupported bitwidth"):
-        mp_quantize(np.ones((3, 3), dtype=np.float32), 32)
+        quantize_one(np.ones((3, 3), dtype=np.float32), 32)
     for bad in (np.ones(9, dtype=np.float32), np.ones((1, 3, 3), dtype=np.float32), np.float32(1.0)):
-        with pytest.raises(ValueError, match="2-D"):
-            mp_quantize(bad, 8)
+        with pytest.raises(ValueError, match="3-D"):
+            quantize_one(bad, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +295,13 @@ def test_scorer_rejects_what_quantize_slices_rejects():
         masked_mean_sqnr_db(rows, np.ones((3, 3), dtype=bool), (8, 5))
 
 
-@pytest.mark.parametrize("arch,search", [("toy-cnn", compress_kxk_group), ("toy-1x1", compress_1x1_group)])
-def test_non_finite_root_weight_raises_as_before(arch, search):
+@pytest.mark.parametrize("arch,kxk", [("toy-cnn", True), ("toy-1x1", False)], ids=["toy-cnn", "toy-1x1"])
+def test_non_finite_root_weight_raises_as_before(arch, kxk):
     model, _ = upaq.gen_fixture(arch, 42)
-    kxk = search is compress_kxk_group
     group = next(g for g in find_root_groups(model) if (model.by_id(g.root_id).weights.kw > 1) == kxk)
     model.by_id(group.root_id).weights.data.flat[4] = np.nan
     # compress_model validates the model before it searches a group
     with pytest.raises(ValidationError, match=f"layer '{group.root_id}': non-finite weight values"):
         compress_model(model, hck_profile(seed=42))
     with pytest.raises(ValueError, match="^non-finite input to quantizer$"):
-        search(group, model, hck_profile(seed=42), np.random.default_rng(0))
+        _search_group(group, model, hck_profile(seed=42), np.random.default_rng(0), layer_costs(model))
