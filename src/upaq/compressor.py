@@ -44,7 +44,7 @@ from .patterns import (
     generate_pattern,
     split_seed,
 )
-from .quantizer import SQNR_CAP_DB, masked_mean_sqnr_db, quantize_slices, stack_rows
+from .quantizer import SQNR_CAP_DB, masked_mean_sqnr_db, quantize_slices, shipped_scales, stack_rows
 
 BLOCK_K = 3  # pattern edge of 1x1 groups: their slices are 3x3 blocks of the flat weights
 
@@ -154,11 +154,12 @@ def calculate_es(
 
 
 def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int) -> QuantizedConv:
-    """Mask and quantize a layer's stack of ``pattern.d x pattern.d`` slices
-    (see :func:`slice_stack`) in one pass, one scale per slice."""
-    stack = np.where(pattern.mask(), slice_stack(weights.data, pattern.d), 0)
-    q, scale, _, _ = quantize_slices(stack, bits)
-    return QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape), scales=scale)
+    """Quantize the cells ``pattern`` keeps of a layer's stack of
+    ``pattern.d x pattern.d`` slices (see :func:`slice_stack`) in one pass,
+    one scale per slice, stored as :func:`shipped_scales`."""
+    q, scale, _, _ = quantize_slices(slice_stack(weights.data, pattern.d), bits, pattern.mask())
+    return QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape),
+                         scales=shipped_scales(scale, bits))
 
 
 def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.random.Generator):
@@ -203,9 +204,8 @@ def _search_group(
             continue
         seen.add(pattern.positions)
         slots = int(stored_slots(root.shape, pattern).sum())
-        # The SQNR is scored with the float64 scale, while the payload stores
-        # it as float32.  Scoring with the float32 scale moves no decision on
-        # the fixtures or the wide model, so the search keeps the exact one.
+        # scored against the float32 reconstruction the payload ships, so the
+        # winner's SQNR term is the one evaluate recomputes from the payload
         mean_dbs = masked_mean_sqnr_db(rows, pattern.mask(), profile.quant_bits)
         for bits, mean_db in zip(profile.quant_bits, mean_dbs):
             candidate = sum_costs({**costs, group.root_id: (slots, bits, oh, ow)})

@@ -74,23 +74,24 @@ def _row_nbytes(slots: np.ndarray, bits: int) -> np.ndarray:
     return -(-slots.sum(axis=1) * bits // 8)
 
 
-def _field_bits(slots: np.ndarray, bits: int) -> np.ndarray:
-    """Bit index of every bit of every stored field, ``(N, bits)``, in the
-    order ``stack[slots]`` lists the values; each slice starts on a byte."""
-    row_nbytes = _row_nbytes(slots, bits)
-    row_start = 8 * (np.cumsum(row_nbytes) - row_nbytes)
-    rank = (np.cumsum(slots, axis=1) - 1)[slots]
-    first = row_start[np.nonzero(slots)[0]] + rank * bits
-    return first[:, None] + np.arange(bits)
+def _nibble_slots(slots: np.ndarray) -> np.ndarray:
+    """``slots`` with one more column that marks the pad nibble of each slice
+    holding an odd number of stored cells: in row-major order its True cells
+    list the nibbles of 4-bit packed bytes, low nibble first."""
+    return np.concatenate([slots, (slots.sum(axis=1) % 2 == 1)[:, None]], axis=1)
 
 
 def pack_slots(stack: np.ndarray, slots: np.ndarray, bits: int) -> bytes:
     """Pack the stored cells of an ``(S, d*d)`` integer stack as
-    two's-complement ``bits``-wide fields, LSB first, each slice byte-padded."""
-    fields = (stack[slots].astype(np.int64)[:, None] >> np.arange(bits)) & 1
-    bitstream = np.zeros(8 * int(_row_nbytes(slots, bits).sum()), dtype=np.uint8)
-    bitstream[_field_bits(slots, bits)] = fields
-    return np.packbits(bitstream, bitorder="little").tobytes()
+    two's-complement ``bits``-wide fields, LSB first, each slice byte-padded:
+    8- and 16-bit fields are little-endian int8/int16, and 4-bit fields pair
+    up in a byte, the first in the low nibble."""
+    if bits != 4:
+        return stack[slots].astype(f"<i{bits // 8}").tobytes()
+    cells = np.zeros((len(slots), slots.shape[1] + 1), dtype=np.uint8)
+    cells[:, :-1] = stack & 0xF
+    nibbles = cells[_nibble_slots(slots)]
+    return (nibbles[0::2] | (nibbles[1::2] << 4)).tobytes()
 
 
 def unpack_slots(data: bytes, slots: np.ndarray, bits: int) -> np.ndarray:
@@ -98,11 +99,18 @@ def unpack_slots(data: bytes, slots: np.ndarray, bits: int) -> np.ndarray:
 
     ``data`` must hold exactly the packed bytes of ``slots`` at ``bits``.
     """
-    bitstream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    raw = (bitstream[_field_bits(slots, bits)].astype(np.int32) << np.arange(bits)).sum(axis=1)
-    stack = np.zeros(slots.shape, dtype=np.int32)
-    stack[slots] = raw - ((raw >> (bits - 1)) << bits)  # sign-extend the top bit
-    return stack
+    if bits != 4:
+        stack = np.zeros(slots.shape, dtype=np.int32)
+        stack[slots] = np.frombuffer(data, dtype=f"<i{bits // 8}")
+        return stack
+    packed = np.frombuffer(data, dtype=np.uint8)
+    nibbles = np.empty(2 * packed.size, dtype=np.int8)
+    # a nibble moved to the top of an int8 is sign-extended by the arithmetic shift back
+    nibbles[0::2] = (packed << 4).view(np.int8) >> 4
+    nibbles[1::2] = packed.view(np.int8) >> 4
+    cells = np.zeros((len(slots), slots.shape[1] + 1), dtype=np.int32)
+    cells[_nibble_slots(slots)] = nibbles
+    return cells[:, :-1]
 
 
 def pack_mask(pattern: KernelPattern) -> bytes:

@@ -15,14 +15,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .compressed import CompressedModel, decompress_model, dequantized_weights, slice_stack
+from .compressed import CompressedModel, QuantizedConv, decompress_model, dequantized_weights, slice_stack
 from .container import compressed_payload_nbytes, dense_payload_nbytes
 from .cost import compression_ratio, model_cost
 from .compressor import calculate_es
 from .errors import ValidationError
 from .inference import Activation, forward_batch
 from .model import ModelGraph
-from .quantizer import ERR_VAR_FLOOR, SQNR_CAP, SQNR_CAP_DB
+from .patterns import KernelPattern
+from .quantizer import SQNR_CAP_DB, slice_sqnr
 
 _NORM_FLOOR = 1e-30
 
@@ -94,14 +95,10 @@ def evaluate_fidelity(base: ModelGraph, cm: CompressedModel, inputs: list[Activa
 
 
 def model_sqnr_db(base: ModelGraph, cm: CompressedModel) -> float:
-    """Mean per-slice SQNR (dB) across every compressed layer of the model.
-
-    Recomputed from the stored payloads against the masked dense weights,
-    using the same population-variance convention as the quantizer.
-    """
+    """Mean per-slice SQNR (dB) across every compressed layer of the model,
+    each layer's from :func:`payload_sqnr_db`."""
     db: list[np.ndarray] = []
     for group in cm.groups:
-        d = group.pattern.d
         for member in group.member_ids:
             wt = base.by_id(member).weights
             if wt is None:
@@ -109,21 +106,19 @@ def model_sqnr_db(base: ModelGraph, cm: CompressedModel) -> float:
             qc = cm.qlayers[member]
             if wt.shape != qc.shape:
                 raise ValidationError(f"layer {member!r}: base weights {wt.shape} != compressed {qc.shape}")
-            x = np.where(group.pattern.mask(), slice_stack(wt.data, d), 0).astype(np.float64)
-            err = x - slice_stack(dequantized_weights(qc, d), d)
-            db.append(_slice_sqnr_db(np.var(x.reshape(len(x), -1), axis=1), np.var(err.reshape(len(x), -1), axis=1)))
+            db.append(payload_sqnr_db(wt.data, qc, group.pattern))
     if not db:
         return SQNR_CAP_DB
     return float(np.mean(np.concatenate(db)))
 
 
-def _slice_sqnr_db(signal_var: np.ndarray, err_var: np.ndarray) -> np.ndarray:
-    """Each slice's SQNR in dB: the cap below the error-variance floor, else
-    the capped variance ratio in dB.  Each log goes through ``math.log10``,
-    which ``np.log10`` can differ from in the last bit."""
-    floor = err_var < ERR_VAR_FLOOR
-    linear = np.minimum(signal_var / np.where(floor, 1.0, err_var), SQNR_CAP)
-    db = np.where(floor, SQNR_CAP_DB, -math.inf)
-    live = ~floor & (linear > 0)
-    db[live] = [10.0 * math.log10(v) for v in linear[live].tolist()]
-    return db
+def payload_sqnr_db(weights: np.ndarray, qc: QuantizedConv, pattern: KernelPattern) -> np.ndarray:
+    """Per-slice SQNR (dB) of a stored payload against the dense ``weights``
+    it was quantized from, by :func:`~upaq.quantizer.slice_sqnr`: the cells
+    ``pattern`` keeps of each slice against their dequantized values, the
+    same rule on the same cells that scored the search's candidates."""
+    d = pattern.d
+    keep = np.flatnonzero(pattern.mask())
+    x = slice_stack(weights, d).reshape(-1, d * d)[:, keep].astype(np.float64)
+    err = x - slice_stack(dequantized_weights(qc, d), d).reshape(-1, d * d)[:, keep]
+    return slice_sqnr(x, err, d * d - keep.size)[1]

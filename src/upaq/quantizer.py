@@ -2,17 +2,21 @@
 
 Maps each float32 kernel slice onto signed integers centered at zero:
 ``scale = max_abs / (2^(b-1) - 1)``, values rounded half away from zero and
-clipped to the symmetric range.  SQNR compares the slice against its
-dequantized reconstruction using population variance over all h*w cells
-(pattern zeros included), and is capped when the error variance vanishes so
-downstream scoring stays finite.
+clipped to the symmetric range.  A payload stores each scale as float32
+(:func:`shipped_scales`), and a weight comes back as ``f32(q * f64(scale32))``.
+
+One rule gives every SQNR in the package, :func:`slice_sqnr`: a slice's
+signal is its masked cells, its error the gap to that float32
+reconstruction.  Both variances are population variances over the whole
+``d*d`` slice, taken from the ``n`` kept cells plus the count of zero
+(pruned or pad) cells.  Below ``ERR_VAR_FLOOR`` error variance the SQNR is
+the cap, else the variance ratio capped at ``SQNR_CAP``.
 
 :func:`quantize_slices` quantizes a whole ``(S, h, w)`` stack in one numpy
 pass, every row on its own scale; a single slice is a stack of one.
 :func:`masked_mean_sqnr_db` scores a pattern mask without building a
-payload: it quantizes only the cells the mask keeps, and its mean SQNR is
-bit-equal to that of :func:`quantize_slices` on the masked stack.  Both share
-one scale/round/clip step.
+payload; its means are bit-equal to those of :func:`quantize_slices` under
+the same mask.  Both share one scale/round/clip step.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ SQNR_CAP = 1e12  # linear; 120 dB
 SQNR_CAP_DB = 120.0
 ERR_VAR_FLOOR = 1e-30  # below this error variance, SQNR is reported as the cap
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     # np.round ties to even; quantization needs ties away from zero for
@@ -33,6 +39,12 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     r += 0.5
     np.floor(r, out=r)
     return np.copysign(r, x, out=r)
+
+
+def _max_value(bits: int) -> int:
+    if bits not in SUPPORTED_BITS:
+        raise ValueError(f"unsupported bitwidth {bits}; expected one of {SUPPORTED_BITS}")
+    return 2 ** (bits - 1) - 1
 
 
 def stack_rows(x: np.ndarray) -> np.ndarray:
@@ -50,38 +62,94 @@ def _scale_and_round(x64: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray
 
     An all-zero row falls back to scale 1, so its integers are all zero.
     """
-    if bits not in SUPPORTED_BITS:
-        raise ValueError(f"unsupported bitwidth {bits}; expected one of {SUPPORTED_BITS}")
-    max_value = 2 ** (bits - 1) - 1
+    max_value = _max_value(bits)
     alpha = np.abs(x64).max(axis=1)
     scale = np.where(alpha == 0.0, 1.0, alpha / max_value)
     r = _round_half_away(x64 / scale[:, None])
     return np.clip(r, -max_value, max_value, out=r), scale
 
 
+def shipped_scales(scale: np.ndarray, bits: int) -> np.ndarray:
+    """The float32 scales a payload stores for float64 ``scale``: each the
+    nearest float32, stepped toward zero while the largest ``bits``-bit
+    integer times it would dequantize past float32 max."""
+    top = float(_max_value(bits))
+    s32 = np.asarray(scale).astype(np.float32)
+    # below the float32 nearest to float32-max / top, top * scale stays finite
+    for i in np.flatnonzero(s32 >= np.float32(_F32_MAX / top)):
+        with np.errstate(over="ignore"):
+            while not np.isfinite(np.float32(top * float(s32[i]))):
+                s32[i] = np.nextafter(s32[i], np.float32(0.0))
+    return s32
+
+
+def _error(x64: np.ndarray, r: np.ndarray, scale32: np.ndarray) -> np.ndarray:
+    """``x64`` less its float32 reconstruction ``f32(r * f64(scale32))``, the
+    weights a payload dequantizes to; the result reuses ``r``'s buffer."""
+    recon = np.multiply(r, scale32.astype(np.float64)[:, None], out=r).astype(np.float32)
+    return np.subtract(x64, recon, out=r)
+
+
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` summed strictly left to right, so that its bits do
+    not depend on the rows stacked around it: column by column for a tall
+    stack, else as the last running sum, the same additions either way."""
+    if len(v) <= 4 * v.shape[1]:
+        return np.add.accumulate(v, axis=1)[:, -1]
+    total = v[:, 0].copy()
+    for j in range(1, v.shape[1]):
+        total += v[:, j]
+    return total
+
+
+def _variance(v: np.ndarray, zeros: int) -> np.ndarray:
+    """Population variance of each row of ``v`` extended by ``zeros`` zero cells."""
+    cells = v.shape[1] + zeros
+    mean = _row_sums(v) / cells
+    dev = v - mean[:, None]
+    return (_row_sums(np.multiply(dev, dev, out=dev)) + zeros * (mean * mean)) / cells
+
+
+def slice_sqnr(x: np.ndarray, err: np.ndarray, zeros: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slice SQNR ``(linear, dB)`` of float64 ``(S, n)`` kept cells ``x``
+    and their reconstruction errors ``err``, each slice holding ``zeros``
+    more cells that are zero in both.
+
+    The linear SQNR is the variance ratio capped at ``SQNR_CAP``, and the cap
+    itself when the error variance is below ``ERR_VAR_FLOOR``; a zero signal
+    variance over a live error gives ``-inf`` dB.
+    """
+    return _sqnr(_variance(x, zeros), _variance(err, zeros))
+
+
 def _sqnr(signal_var: np.ndarray, err_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    live = err_var >= ERR_VAR_FLOOR
-    sqnr_linear = np.full(signal_var.shape[0], SQNR_CAP)
-    sqnr_db = np.full(signal_var.shape[0], SQNR_CAP_DB)
-    sqnr_linear[live] = signal_var[live] / err_var[live]
-    sqnr_db[live] = 10.0 * np.log10(sqnr_linear[live])
-    return sqnr_linear, sqnr_db
+    floor = err_var < ERR_VAR_FLOOR
+    linear = np.minimum(signal_var / np.where(floor, 1.0, err_var), SQNR_CAP)
+    linear[floor] = SQNR_CAP
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(linear)
+    db[floor] = SQNR_CAP_DB
+    return linear, db
 
 
-def quantize_slices(x: np.ndarray, bits: int):
+def quantize_slices(x: np.ndarray, bits: int, mask: np.ndarray | None = None):
     """Quantize every slice of an ``(S, h, w)`` stack at one bitwidth.
 
-    Returns ``(q, scale, sqnr_linear, sqnr_db)``: int32 integers shaped like
-    the stack and float64 per-slice arrays of shape ``(S,)``.  An all-zero
-    slice falls back to scale 1 with all-zero integers and a capped SQNR;
-    this keeps the zero case well-defined without special-casing callers.
+    With an ``(h, w)`` bool ``mask`` only the cells it keeps are quantized
+    and the others come out zero.  Returns ``(q, scale, sqnr_linear,
+    sqnr_db)``: int32 integers shaped like the stack, the float64 scales they
+    were rounded with, and each slice's :func:`slice_sqnr` against the
+    reconstruction from :func:`shipped_scales`, all of shape ``(S,)``.  An
+    all-zero slice falls back to scale 1 with all-zero integers and a capped
+    SQNR; this keeps the zero case well-defined without special-casing callers.
     """
-    x64 = stack_rows(x)
-    r, scale = _scale_and_round(x64, bits)
-    q = r.astype(np.int32)
-    # r's buffer holds the reconstruction, then the error
-    err = np.subtract(x64, np.multiply(q, scale[:, None], out=r), out=r)
-    sqnr_linear, sqnr_db = _sqnr(np.var(x64, axis=1), np.var(err, axis=1))
+    rows = stack_rows(x)
+    keep = np.arange(rows.shape[1]) if mask is None else np.flatnonzero(mask)
+    kept = rows[:, keep]
+    r, scale = _scale_and_round(kept, bits)
+    q = np.zeros(rows.shape, dtype=np.int32)
+    q[:, keep] = r
+    sqnr_linear, sqnr_db = slice_sqnr(kept, _error(kept, r, shipped_scales(scale, bits)), rows.shape[1] - keep.size)
     return q.reshape(np.shape(x)), scale, sqnr_linear, sqnr_db
 
 
@@ -90,22 +158,17 @@ def masked_mean_sqnr_db(rows: np.ndarray, mask: np.ndarray, bits_list) -> list[f
 
     ``rows`` is a :func:`stack_rows` result and ``mask`` an ``(h, w)`` bool
     array.  For each ``bits`` the result is bit-equal to
-    ``float(np.mean(quantize_slices(np.where(mask, stack, 0), bits)[3]))``:
-    a pruned cell is +0.0, which quantizes to 0 and leaves an error of +0.0,
-    so only the kept cells are quantized, and their errors are scattered into
-    the masked rows so that the variances see the same values in the same
-    layout (a kept -0.0 may leave an error of +0.0 where the payload path
-    leaves -0.0; a variance squares the sign away).  The signal variance is
-    taken once for all bitwidths.
+    ``float(np.mean(quantize_slices(stack, bits, mask)[3]))``: only the
+    kept cells are quantized and scored, and no integers are built.  The
+    signal variance of :func:`slice_sqnr` is taken once for all bitwidths.
     """
     keep = np.flatnonzero(mask)
-    buf = np.where(mask.reshape(-1), rows, 0.0)  # the masked rows, later their errors
-    signal_var = np.var(buf, axis=1)
-    kept = buf[:, keep]
+    kept = rows[:, keep]
+    zeros = mask.size - keep.size
+    signal_var = _variance(kept, zeros)
     means = []
     for bits in bits_list:
         r, scale = _scale_and_round(kept, bits)
-        buf[:, keep] = np.subtract(kept, np.multiply(r, scale[:, None], out=r), out=r)
-        means.append(float(np.mean(_sqnr(signal_var, np.var(buf, axis=1))[1])))
+        err = _error(kept, r, shipped_scales(scale, bits))
+        means.append(float(np.mean(_sqnr(signal_var, _variance(err, zeros))[1])))
     return means
-

@@ -53,6 +53,36 @@ def single_conv_model(seed=42, out_ch=4, in_ch=4, k=3, hw=8):
     return model
 
 
+def wide_model(seed=42):
+    """A 3x32x32 model with the layer shapes of the benchmark's wide model:
+    a lone 5x5 group, a 3x3 root with one leaf and a 1x1 block group."""
+    rng = np.random.default_rng(seed)
+
+    def weighted(lid, kind, out_ch, in_ch, k, inputs, padding=0):
+        bound = 1.0 / np.sqrt(in_ch * k * k)
+        return upaq.LayerSpec(
+            id=lid, kind=kind, inputs=inputs,
+            weights=upaq.Tensor4(rng.uniform(-bound, bound, (out_ch, in_ch, k, k)).astype(np.float32)),
+            bias=rng.uniform(-bound, bound, out_ch).astype(np.float32),
+            padding=padding,
+        )
+
+    layers = [
+        weighted("stem", "conv2d", 32, 3, 5, (), padding=2),
+        upaq.LayerSpec(id="relu1", kind="relu", inputs=("stem",)),
+        weighted("conv2", "conv2d", 64, 32, 3, ("relu1",), padding=1),
+        upaq.LayerSpec(id="relu2", kind="relu", inputs=("conv2",)),
+        weighted("conv3", "conv2d", 64, 64, 3, ("relu2",), padding=1),
+        upaq.LayerSpec(id="add", kind="add", inputs=("conv3", "relu2")),
+        weighted("conv4", "conv2d", 64, 64, 1, ("add",)),
+        upaq.LayerSpec(id="gap", kind="global_avg_pool", inputs=("conv4",)),
+        weighted("fc", "linear", 10, 64, 1, ("gap",)),
+    ]
+    model = upaq.ModelGraph(name="wide", input_shape=(3, 32, 32), layers=layers)
+    model.validate()
+    return model
+
+
 def copy_model(model):
     """A model sharing no mutable storage with ``model``: every layer copied."""
     return upaq.ModelGraph(model.name, model.input_shape, [layer.copy() for layer in model.layers])

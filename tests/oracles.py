@@ -21,7 +21,12 @@ F32 = np.float32
 # ---------------------------------------------------------------------------
 
 def quantize_reference(values, bits):
-    """Plain-Python symmetric quantizer: returns (q list, scale, sqnr_linear)."""
+    """Plain-Python symmetric quantizer: returns (q list, scale, sqnr_linear).
+
+    ``scale`` is the float64 scale the values are rounded with.  The SQNR is
+    taken against the reconstruction a payload ships: each integer times the
+    float32 scale, rounded to float32.
+    """
     xs = [float(v) for v in values]
     alpha = max(abs(min(xs)), abs(max(xs)))
     max_value = 2 ** (bits - 1) - 1
@@ -36,7 +41,11 @@ def quantize_reference(values, bits):
             r = math.floor(abs(y) + 0.5)
             r = r if y >= 0 else -r
             q.append(int(max(-max_value, min(max_value, r))))
-    recon = [qi * scale for qi in q]
+    scale32 = F32(scale)
+    with np.errstate(over="ignore"):  # step down a scale whose largest weight overflows float32
+        while not math.isfinite(F32(max_value * float(scale32))):
+            scale32 = np.nextafter(scale32, F32(0.0))
+    recon = [float(F32(qi * float(scale32))) for qi in q]
     err = [v - r for v, r in zip(xs, recon)]
     mean = sum(xs) / len(xs)
     var_x = sum((v - mean) ** 2 for v in xs) / len(xs)

@@ -138,7 +138,7 @@ def test_criterion_3_oracle_equivalence():
                     masked = np.zeros((3, 3), dtype=np.float32)
                     for r, c in pattern.positions:
                         masked[r, c] = weights.data[o, i, r, c]
-                    res_q, res_scale, _, res_db = quantize_slices(masked[None], bits)
+                    res_q, res_scale, _, res_db = quantize_slices(masked[None], bits, pattern.mask())
                     dbs.append(float(res_db[0]))
                     q[o, i], scales[o, i] = res_q[0], res_scale[0]
             shipped = CompressedModel(

@@ -282,3 +282,60 @@ def test_padding_past_the_kernel_edge_exits_1_with_one_line(tmp_path, capsys, co
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == "upaq: error: layer 'conv1': padding 1099511627776 exceeds the kernel edge 3\n"
+
+
+@pytest.mark.parametrize("profile", ["hck", "lck"])
+def test_weights_at_float32_max_compress_run_and_evaluate(tmp_path, capsys, profile):
+    """A kernel slice of float32-max weights compresses: its stored scale is
+    stepped down until the largest integer dequantizes to a finite weight.
+    conv1's channel 0 is silenced (zero weights, bias -1, then relu), so the
+    float32-max weights of conv2 meet zero activations and both models stay
+    finite."""
+    import numpy as np
+
+    import upaq
+    from upaq.inference import load_activations, save_activations
+
+    model, inputs = upaq.gen_fixture("toy-cnn", 42, 8)
+    model.by_id("conv2").weights.data[0, 0, :, :] = np.finfo(np.float32).max
+    conv1 = model.by_id("conv1")
+    conv1.weights.data[0] = 0.0
+    conv1.bias[0] = -1.0
+    model_path, inputs_path = tmp_path / "big.upaq", tmp_path / "inputs.bin"
+    upaq.save_model(model, model_path)
+    save_activations(inputs_path, inputs)
+
+    out_model, out_blob = tmp_path / "big.upaqc", tmp_path / "out.bin"
+    assert main(["compress", str(model_path), "-o", str(out_model), "--profile", profile]) == 0
+    cm = upaq.load_compressed(out_model)
+    assert np.isfinite(upaq.decompress_model(cm).by_id("conv2").weights.data).all()
+    assert main(["run", str(out_model), "--inputs", str(inputs_path), "--out", str(out_blob)]) == 0
+    assert all(np.isfinite(act.data).all() for act in load_activations(out_blob))
+    capsys.readouterr()
+    assert main(["evaluate", str(model_path), str(out_model), "--inputs", str(inputs_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(np.isfinite(value) for value in report.values())
+
+
+# sha256 of `upaq compress <arch>.upaq --profile <profile> --patterns 16 --seed 42`
+# on the seed-42 fixtures; a change that moves them moves every such file
+GOLDEN_UPAQC_SHA256 = {
+    ("toy-cnn", "hck"): "cca1ee62847ccda36e793fd147b1fb63867ea4a906e2e7a56c5c510be653d643",
+    ("toy-cnn", "lck"): "0af6cce6c508c579c68fa1c3fb7bb4090e0beeaa2a94cd123169681a3ad2fe44",
+    ("toy-residual", "hck"): "a9ce64b7da58694f26c2b99b1de7c6d71e6bd316fa381b54298ebf9c0d9ee091",
+    ("toy-residual", "lck"): "ac859153f27bed4c6430492246a32a3dbd1a75f2c4bbf40778e9690295e729be",
+    ("toy-1x1", "hck"): "fe2e89fbafe4fa3493e841fb66d450a74f068c03e0e8c3349c5a4f8c21bc5c04",
+    ("toy-1x1", "lck"): "9716a88d1101aae02576115baf5b3e02c0de8f52a277823a5fa9c631a1052195",
+}
+
+
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])
+def test_fixture_upaqc_bytes_are_pinned(tmp_path, arch):
+    import hashlib
+
+    model_path, _ = _gen(tmp_path, arch=arch)
+    for profile in ("hck", "lck"):
+        out = tmp_path / f"{arch}-{profile}.upaqc"
+        argv = ["compress", str(model_path), "-o", str(out), "--profile", profile, "--patterns", "16", "--seed", "42"]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_UPAQC_SHA256[arch, profile]

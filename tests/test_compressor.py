@@ -16,6 +16,7 @@ from upaq.compressor import (
 from upaq.container import serialize_compressed
 from conftest import copy_model
 from upaq.cost import model_cost
+from upaq.evaluate import payload_sqnr_db
 from upaq.errors import ValidationError
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import KernelPattern, enumerate_all_patterns, generate_pattern, split_seed
@@ -306,7 +307,7 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
     monkeypatch.setattr(compressor_module, "masked_mean_sqnr_db",
                         lambda rows, mask, bits: scored.append(tuple(bits)) or real_score(rows, mask, bits))
     monkeypatch.setattr(compressor_module, "quantize_slices",
-                        lambda x, bits: calls.append(bits) or real_quantize_slices(x, bits))
+                        lambda x, bits, mask: calls.append(bits) or real_quantize_slices(x, bits, mask))
     cm, decisions = compress_with_decisions(model, prof)
     monkeypatch.undo()
 
@@ -328,8 +329,7 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
         assert dec.score.energy_term == base.energy / model_cost(shipped).energy
 
         w = model.by_id(dec.root_id).weights
-        masked = np.where(dec.pattern.mask(), slice_stack(w.data, dec.pattern.d), 0)
-        sqnr_db = quantize_slices(masked, dec.bitwidth)[3]
+        sqnr_db = payload_sqnr_db(w.data, root_qc, dec.pattern)
         assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0
 
         d = w.kw if w.kw > 1 else BLOCK_K

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import upaq
 from upaq.compressed import CompressedGroup, CompressedModel, ProfileInfo, QuantizedConv
 from upaq.container import compressed_payload_nbytes, dense_payload_nbytes
 from upaq.cost import compression_ratio
 from upaq.errors import ValidationError
-from conftest import copy_model
+from conftest import copy_model, wide_model
 from oracles import recount_payload_nbytes
-from upaq.evaluate import evaluate_fidelity, model_sqnr_db
+from upaq.evaluate import evaluate_fidelity, model_sqnr_db, payload_sqnr_db
 from upaq.inference import Activation
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import KernelPattern
@@ -188,3 +189,22 @@ def test_model_sqnr_db_rejects_mismatched_base(toy_cnn, toy_cnn_hck):
     root.weights = Tensor4(root.weights.data[:1])  # one out-channel fewer than the payload
     with pytest.raises(ValidationError, match="base weights"):
         model_sqnr_db(other, toy_cnn_hck)
+
+
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1", "wide"])
+def test_winner_sqnr_term_is_the_payload_sqnr(arch):
+    """Each group's winning SQNR term is bit-equal to the SQNR the one rule
+    recomputes from its root's payload in the saved and loaded container,
+    capped at 120 dB and divided by 40."""
+    from upaq.compressor import compress_with_decisions, hck_profile, lck_profile
+    from upaq.container import deserialize_compressed, serialize_compressed
+
+    model = wide_model() if arch == "wide" else upaq.gen_fixture(arch, 42)[0]
+    for profile in (hck_profile, lck_profile):
+        for exhaustive in (False, True):
+            cm, decisions = compress_with_decisions(model, profile(seed=42, exhaustive=exhaustive))
+            loaded = deserialize_compressed(serialize_compressed(cm))
+            for dec in decisions:
+                pattern = loaded.group_for(dec.root_id).pattern
+                sqnr_db = payload_sqnr_db(model.by_id(dec.root_id).weights.data, loaded.qlayers[dec.root_id], pattern)
+                assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0

@@ -225,7 +225,12 @@ def test_quantize_slices_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 def _shipped_mean_db(stack, mask, bits):
-    return float(np.mean(quantize_slices(np.where(mask, stack, 0), bits)[3]))
+    """The mean SQNR of the payload path, after checking that its integers
+    and scales are those of quantizing the masked stack."""
+    q, scale, _, sqnr_db = quantize_slices(stack, bits, mask)
+    q_masked, scale_masked, _, _ = quantize_slices(np.where(mask, stack, 0), bits)
+    assert np.array_equal(q, q_masked) and np.array_equal(scale, scale_masked)
+    return float(np.mean(sqnr_db))
 
 
 def _score_stack(d):
@@ -260,8 +265,8 @@ def test_mask_score_equals_quantized_masked_stack(d, n):
             _shipped_mean_db(stack, mask, bits) for bits in (4, 8, 16)
         ]
         for bits in (4, 8, 16):
-            # the constant slices' error variance is below ERR_VAR_FLOOR: capped
-            _, _, _, sqnr_db = quantize_slices(np.where(mask, stack, 0)[8:10], bits)
+            # the constant slices come back within float32 rounding: capped
+            _, _, _, sqnr_db = quantize_slices(stack[8:10], bits, mask)
             assert sqnr_db.tolist() == [SQNR_CAP_DB, SQNR_CAP_DB]
             assert masked_mean_sqnr_db(rows[8:10], mask, (bits,)) == [SQNR_CAP_DB]
 
