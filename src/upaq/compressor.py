@@ -44,7 +44,7 @@ from .patterns import (
     generate_pattern,
     split_seed,
 )
-from .quantizer import SQNR_CAP_DB, masked_mean_sqnr_db, quantize_slices, shipped_scales, stack_rows
+from .quantizer import SQNR_CAP_DB, masked_mean_sqnr_db, quantize_slices, stack_rows
 
 BLOCK_K = 3  # pattern edge of 1x1 groups: their slices are 3x3 blocks of the flat weights
 
@@ -156,10 +156,10 @@ def calculate_es(
 def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int) -> QuantizedConv:
     """Quantize the cells ``pattern`` keeps of a layer's stack of
     ``pattern.d x pattern.d`` slices (see :func:`slice_stack`) in one pass,
-    one scale per slice, stored as :func:`shipped_scales`."""
-    q, scale, _, _ = quantize_slices(slice_stack(weights.data, pattern.d), bits, pattern.mask())
-    return QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape),
-                         scales=shipped_scales(scale, bits))
+    one scale per slice, stored as the float32 scales that
+    :func:`quantize_slices` ships."""
+    q, _, _, _, scale32 = quantize_slices(slice_stack(weights.data, pattern.d), bits, pattern.mask())
+    return QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape), scales=scale32)
 
 
 def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.random.Generator):

@@ -92,9 +92,16 @@ def _error(x64: np.ndarray, r: np.ndarray, scale32: np.ndarray) -> np.ndarray:
 
 def _row_sums(v: np.ndarray) -> np.ndarray:
     """Each row of ``v`` summed strictly left to right, so that its bits do
-    not depend on the rows stacked around it: column by column for a tall
-    stack, else as the last running sum, the same additions either way."""
-    if len(v) <= 4 * v.shape[1]:
+    not depend on the rows stacked around it.
+
+    ``np.add.accumulate`` makes those additions with one inner loop per row,
+    the column loop with one numpy call per column; the column loop is the
+    faster past about 16 rows per column (timed over 2 to 25 columns).  A
+    single unmasked slice of up to 25 cells takes the running sum at half
+    the column loop's time; a search over thousands of slices the column
+    loop.
+    """
+    if len(v) <= 16 * v.shape[1]:
         return np.add.accumulate(v, axis=1)[:, -1]
     total = v[:, 0].copy()
     for j in range(1, v.shape[1]):
@@ -137,11 +144,13 @@ def quantize_slices(x: np.ndarray, bits: int, mask: np.ndarray | None = None):
 
     With an ``(h, w)`` bool ``mask`` only the cells it keeps are quantized
     and the others come out zero.  Returns ``(q, scale, sqnr_linear,
-    sqnr_db)``: int32 integers shaped like the stack, the float64 scales they
-    were rounded with, and each slice's :func:`slice_sqnr` against the
-    reconstruction from :func:`shipped_scales`, all of shape ``(S,)``.  An
-    all-zero slice falls back to scale 1 with all-zero integers and a capped
-    SQNR; this keeps the zero case well-defined without special-casing callers.
+    sqnr_db, scale32)``: int32 integers shaped like the stack, the float64
+    scales they were rounded with, each slice's :func:`slice_sqnr` against
+    the reconstruction from ``scale32``, and ``scale32``, the float32 scales
+    a payload stores (:func:`shipped_scales`); all but ``q`` are of shape
+    ``(S,)``.  An all-zero slice falls back to scale 1 with all-zero integers
+    and a capped SQNR; this keeps the zero case well-defined without
+    special-casing callers.
     """
     rows = stack_rows(x)
     keep = np.arange(rows.shape[1]) if mask is None else np.flatnonzero(mask)
@@ -149,8 +158,9 @@ def quantize_slices(x: np.ndarray, bits: int, mask: np.ndarray | None = None):
     r, scale = _scale_and_round(kept, bits)
     q = np.zeros(rows.shape, dtype=np.int32)
     q[:, keep] = r
-    sqnr_linear, sqnr_db = slice_sqnr(kept, _error(kept, r, shipped_scales(scale, bits)), rows.shape[1] - keep.size)
-    return q.reshape(np.shape(x)), scale, sqnr_linear, sqnr_db
+    scale32 = shipped_scales(scale, bits)
+    sqnr_linear, sqnr_db = slice_sqnr(kept, _error(kept, r, scale32), rows.shape[1] - keep.size)
+    return q.reshape(np.shape(x)), scale, sqnr_linear, sqnr_db, scale32
 
 
 def masked_mean_sqnr_db(rows: np.ndarray, mask: np.ndarray, bits_list) -> list[float]:

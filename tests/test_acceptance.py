@@ -86,7 +86,7 @@ def test_criterion_2_quantizer_suite():
     t0 = time.perf_counter()
     q_ref, scale_ref, _ = quantize_reference([1.0, -2.0, 0.5, 0.0], 8)
     assert q_ref == [64, -127, 32, 0]
-    q, scale, _, _ = quantize_slices(np.array([[[1.0, -2.0], [0.5, 0.0]]], dtype=np.float32), 8)
+    q, scale, _, _, _ = quantize_slices(np.array([[[1.0, -2.0], [0.5, 0.0]]], dtype=np.float32), 8)
     assert q[0].reshape(-1).tolist() == q_ref and scale[0] == scale_ref
 
     rng = np.random.default_rng(20240)
@@ -96,7 +96,7 @@ def test_criterion_2_quantizer_suite():
             # max-abs <= 1 keeps the f32 dequantize representation error
             # strictly under the 1e-7 slack of the stated bound
             x = (rng.uniform(-1.0, 1.0, (d, d)) * rng.uniform(0.05, 1.0)).astype(np.float32)
-            q, scale, sqnr_linear, _ = quantize_slices(x[None], bits)
+            q, scale, sqnr_linear, _, _ = quantize_slices(x[None], bits)
             q, scale, sqnr_linear = q[0], float(scale[0]), float(sqnr_linear[0])
             xhat = (q * np.float64(scale)).astype(np.float32).astype(np.float64)
             assert np.all(np.abs(x.astype(np.float64) - xhat) <= scale / 2.0 + 1e-7)
@@ -138,7 +138,7 @@ def test_criterion_3_oracle_equivalence():
                     masked = np.zeros((3, 3), dtype=np.float32)
                     for r, c in pattern.positions:
                         masked[r, c] = weights.data[o, i, r, c]
-                    res_q, res_scale, _, res_db = quantize_slices(masked[None], bits, pattern.mask())
+                    res_q, res_scale, _, res_db, _ = quantize_slices(masked[None], bits, pattern.mask())
                     dbs.append(float(res_db[0]))
                     q[o, i], scales[o, i] = res_q[0], res_scale[0]
             shipped = CompressedModel(

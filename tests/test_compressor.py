@@ -276,7 +276,7 @@ def test_leaves_requantize_with_own_scales(toy_cnn, toy_residual, toy_1x1):
                         q_slices = slice_stack(qc.q, d)
                     assert qc.scales.shape == (len(slices),)
                     for s, sl in enumerate(slices):
-                        q, scale, _, _ = quantize_slices(_masked(sl, group.pattern)[None], group.bitwidth)
+                        q, scale, _, _, _ = quantize_slices(_masked(sl, group.pattern)[None], group.bitwidth)
                         assert qc.scales[s] == np.float32(scale[0])
                         assert np.array_equal(q_slices[s], q[0])
                     assert np.array_equal(dense.by_id(member).weights.data, _dequantize_loop(qc, d))

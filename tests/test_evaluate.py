@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ def _lossless_pair(seed=51):
     q = np.zeros_like(w, dtype=np.int32)
     scales = np.empty(2, dtype=np.float32)
     for s in range(2):
-        qs, scale, _, _ = quantize_slices(w[s, 0][None], bits)
+        qs, scale, _, _, _ = quantize_slices(w[s, 0][None], bits)
         q[s, 0] = qs[0]
         scales[s] = scale[0]
     cm = CompressedModel(
@@ -138,11 +137,31 @@ def test_report_metrics_recomputable_from_run_blobs(tmp_path, toy_cnn, toy_cnn_h
     assert report.cosine_sim == pytest.approx(np.mean(cos), abs=1e-9)
 
 
-def _model_sqnr_db_loop(base, cm):
-    """Slice-by-slice mean SQNR: mask, reconstruct and score one slice at a time."""
+def _padded_variance(values, zeros):
+    """Population variance of ``values`` plus ``zeros`` zero cells, in plain
+    Python: each sum taken left to right, the zero cells' squared deviations
+    added after the kept cells'."""
+    cells = len(values) + zeros
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    mean = total / cells
+    sq = (values[0] - mean) * (values[0] - mean)
+    for v in values[1:]:
+        sq += (v - mean) * (v - mean)
+    return (sq + zeros * (mean * mean)) / cells
+
+
+def _slice_sqnr_db_loop(base, cm):
+    """Slice-by-slice SQNR (dB) of every compressed layer, in
+    :func:`model_sqnr_db`'s order: each slice's kept cells and their
+    reconstruction errors, scored one slice at a time.  The variances and
+    their capped ratio are plain Python; the dB are one ``np.log10`` over
+    the ratios, as in the package, since ``math.log10`` may round the last
+    bit differently."""
     from upaq.compressed import dequantized_weights
 
-    db = []
+    linear, floor = [], []
     for group in cm.groups:
         d = group.pattern.d
         for member in group.member_ids:
@@ -158,28 +177,35 @@ def _model_sqnr_db_loop(base, cm):
                     flat[: arr.size] = arr.reshape(-1)
                     blocks.append(flat.reshape(-1, d, d))
                 pairs = list(zip(*blocks))
+            cells = sorted(group.pattern.positions)  # row-major: the order the rule sums in
+            zeros = d * d - len(cells)
             for sl, rec in pairs:
-                x = np.zeros((d, d))
-                for r, c in group.pattern.positions:
-                    x[r, c] = sl[r, c]
-                err_var = float(np.var(x - rec.astype(np.float64)))
-                if err_var < 1e-30:
-                    db.append(SQNR_CAP_DB)
-                    continue
-                linear = min(float(np.var(x)) / err_var, 1e12)
-                db.append(10.0 * math.log10(linear) if linear > 0 else -math.inf)
-    return float(np.mean(db))
+                x = [float(sl[r, c]) for r, c in cells]
+                err = [v - float(rec[r, c]) for v, (r, c) in zip(x, cells)]
+                err_var = _padded_variance(err, zeros)
+                floor.append(err_var < 1e-30)
+                linear.append(1e12 if floor[-1] else min(_padded_variance(x, zeros) / err_var, 1e12))
+    with np.errstate(divide="ignore"):  # a zero signal over a live error is -inf dB
+        db = 10.0 * np.log10(np.array(linear))
+    return np.where(floor, SQNR_CAP_DB, db).tolist()
 
 
 def test_model_sqnr_db_equals_slice_loop(toy_cnn, toy_residual, toy_1x1):
     from upaq.compressor import compress_model, hck_profile, lck_profile
 
+    def per_slice(base, cm):
+        return np.concatenate([payload_sqnr_db(base.by_id(m).weights.data, cm.qlayers[m], g.pattern)
+                               for g in cm.groups for m in g.member_ids]).tolist()
+
     for model, _ in (toy_cnn, toy_residual, toy_1x1):
         for profile in (hck_profile, lck_profile):
             cm = compress_model(model, profile(seed=42))
-            assert model_sqnr_db(model, cm) == _model_sqnr_db_loop(model, cm)
+            loop = _slice_sqnr_db_loop(model, cm)
+            assert per_slice(model, cm) == loop
+            assert model_sqnr_db(model, cm) == float(np.mean(loop))
     base, lossless, _ = _lossless_pair()
-    assert model_sqnr_db(base, lossless) == _model_sqnr_db_loop(base, lossless) == SQNR_CAP_DB
+    assert per_slice(base, lossless) == _slice_sqnr_db_loop(base, lossless)
+    assert model_sqnr_db(base, lossless) == SQNR_CAP_DB
 
 
 def test_model_sqnr_db_rejects_mismatched_base(toy_cnn, toy_cnn_hck):

@@ -19,6 +19,7 @@ from upaq.quantizer import (
     SQNR_CAP_DB,
     masked_mean_sqnr_db,
     quantize_slices,
+    shipped_scales,
     stack_rows,
 )
 
@@ -28,7 +29,7 @@ WORKED_X = np.array([[1.0, -2.0], [0.5, 0.0]], dtype=np.float32)
 def quantize_one(x, bits):
     """One 2-D slice through :func:`quantize_slices`, as a stack of one:
     ``(q, scale, sqnr_linear, sqnr_db)`` of row 0."""
-    q, scale, sqnr_linear, sqnr_db = quantize_slices(np.asarray(x)[None], bits)
+    q, scale, sqnr_linear, sqnr_db, _ = quantize_slices(np.asarray(x)[None], bits)
     return q[0], float(scale[0]), float(sqnr_linear[0]), float(sqnr_db[0])
 
 
@@ -176,10 +177,11 @@ def _edge_stacks():
 @pytest.mark.parametrize("bits", [4, 8, 16])
 def test_quantize_slices_matches_per_slice_loop(bits):
     for x in _edge_stacks():
-        q, scale, sqnr_linear, sqnr_db = quantize_slices(x, bits)
+        q, scale, sqnr_linear, sqnr_db, scale32 = quantize_slices(x, bits)
         assert q.shape == x.shape and q.dtype == np.int32
         for arr in (scale, sqnr_linear, sqnr_db):
             assert arr.shape == (x.shape[0],) and arr.dtype == np.float64
+        assert np.array_equal(scale32, shipped_scales(scale, bits)) and scale32.dtype == np.float32
         for s in range(x.shape[0]):
             one = quantize_one(x[s], bits)
             assert np.array_equal(q[s], one[0])
@@ -191,7 +193,7 @@ def test_quantize_slices_matches_per_slice_loop(bits):
 @pytest.mark.parametrize("bits", [4, 8, 16])
 def test_quantize_slices_matches_reference(bits):
     for x in _edge_stacks():
-        q, scale, _, sqnr_db = quantize_slices(x, bits)
+        q, scale, _, sqnr_db, _ = quantize_slices(x, bits)
         for s in range(x.shape[0]):
             q_ref, scale_ref, sqnr_ref = quantize_reference(x[s].reshape(-1).tolist(), bits)
             assert q[s].reshape(-1).tolist() == q_ref
@@ -227,8 +229,8 @@ def test_quantize_slices_rejects_bad_input():
 def _shipped_mean_db(stack, mask, bits):
     """The mean SQNR of the payload path, after checking that its integers
     and scales are those of quantizing the masked stack."""
-    q, scale, _, sqnr_db = quantize_slices(stack, bits, mask)
-    q_masked, scale_masked, _, _ = quantize_slices(np.where(mask, stack, 0), bits)
+    q, scale, _, sqnr_db, _ = quantize_slices(stack, bits, mask)
+    q_masked, scale_masked, _, _, _ = quantize_slices(np.where(mask, stack, 0), bits)
     assert np.array_equal(q, q_masked) and np.array_equal(scale, scale_masked)
     return float(np.mean(sqnr_db))
 
@@ -266,7 +268,7 @@ def test_mask_score_equals_quantized_masked_stack(d, n):
         ]
         for bits in (4, 8, 16):
             # the constant slices come back within float32 rounding: capped
-            _, _, _, sqnr_db = quantize_slices(stack[8:10], bits, mask)
+            _, _, _, sqnr_db, _ = quantize_slices(stack[8:10], bits, mask)
             assert sqnr_db.tolist() == [SQNR_CAP_DB, SQNR_CAP_DB]
             assert masked_mean_sqnr_db(rows[8:10], mask, (bits,)) == [SQNR_CAP_DB]
 
