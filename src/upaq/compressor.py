@@ -3,9 +3,9 @@
 For every root-leaf group the search samples candidate patterns, scores the
 masked root slices at each allowed bitwidth, and keeps the strict argmax of
 the efficiency score.  A candidate's SQNR comes from the cells its mask
-keeps (:func:`~upaq.quantizer.masked_mean_sqnr_db`); only the winning
-pattern and bitwidth are quantized into payloads, for the root and for each
-leaf, every layer on its own per-slice scales.  A
+keeps, all of a group's masks in one pass (:func:`~upaq.quantizer.mean_sqnr_db`);
+only the winning pattern and bitwidth are quantized into payloads, for the
+root and for each leaf, every layer on its own per-slice scales.  A
 1 x 1 group draws ``BLOCK_K`` x ``BLOCK_K`` patterns over blocks of its flat
 weights (see :func:`~upaq.compressed.slice_stack`).
 
@@ -13,8 +13,8 @@ A candidate is scored from numbers, with no candidate model: each conv
 layer's ``(nnz, bits, out_h, out_w)`` is taken once from the dense model,
 and a candidate replaces only its root's entry with the stored-slot count
 of its pattern (what the container ships) and its bitwidth.  A drawn
-pattern whose cells were already scored is skipped: it would score the
-same and cannot beat the first under the strict argmax.
+pattern whose cells were already drawn is skipped: it would score the same
+and cannot beat the first under the strict argmax.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .compressed import (
     QuantizedConv,
     check_profile,
     slice_stack,
-    stored_slots,
     unstack,
 )
 from .container import dense_payload_nbytes
@@ -44,7 +43,7 @@ from .patterns import (
     generate_pattern,
     split_seed,
 )
-from .quantizer import SQNR_CAP_DB, masked_mean_sqnr_db, quantize_slices, stack_rows
+from .quantizer import SQNR_CAP_DB, mean_sqnr_db, quantize_slices, stack_rows
 
 BLOCK_K = 3  # pattern edge of 1x1 groups: their slices are 3x3 blocks of the flat weights
 
@@ -168,6 +167,13 @@ def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.ran
     return [generate_pattern(n, d, rng) for _ in range(profile.candidates)]
 
 
+def _slot_counts(size: int, d: int, keeps: np.ndarray) -> np.ndarray:
+    """Stored-slot count of each mask of ``keeps`` (rows of kept flat cells) on
+    ``size`` weights: ``n`` a slice, less those in the last slice's pad."""
+    slices = -(-size // (d * d))
+    return slices * keeps.shape[1] - (keeps >= size - (slices - 1) * d * d).sum(axis=1)
+
+
 def _search_group(
     group: RootGroup,
     model: ModelGraph,
@@ -175,14 +181,14 @@ def _search_group(
     rng: np.random.Generator,
     costs: dict[str, tuple[int, int, int, int]],
 ) -> GroupDecision:
-    """Search one group: each distinct mask is scored once on the root, the
-    first strict maximum wins, then the decision is quantized for the root
-    and replicated to the leaves.
+    """Search one group: the distinct drawn masks are scored on the root in
+    one call, the first strict maximum in draw order wins, then the decision
+    is quantized for the root and replicated to the leaves.
 
     A k x k root is searched on its own ``k x k`` slices, a 1 x 1 root on
     ``BLOCK_K x BLOCK_K`` blocks of its flat weights.  The root's slices are
-    read once as float64 rows; a mask is scored from the cells it keeps, at
-    every bitwidth, and builds no payload.  ``costs`` holds every conv
+    read once as float64 rows; each mask is scored from the cells it keeps,
+    at every bitwidth, and builds no payload.  ``costs`` holds every conv
     layer's dense ``(nnz, bits, out_h, out_w)`` (see
     :func:`~upaq.cost.layer_costs`); a candidate replaces the root's entry
     with its stored-slot count and bitwidth.
@@ -195,20 +201,21 @@ def _search_group(
     n = profile.n_for(d)
     baseline = sum_costs(costs)
     _, _, oh, ow = costs[group.root_id]
-    rows = stack_rows(slice_stack(root.data, d))
 
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    best: tuple[KernelPattern, int, EfficiencyScore] | None = None
+    distinct: dict[tuple[tuple[int, int], ...], KernelPattern] = {}
     for pattern in _candidate_patterns(n, d, profile, rng):
-        if pattern.positions in seen:
-            continue
-        seen.add(pattern.positions)
-        slots = int(stored_slots(root.shape, pattern).sum())
-        # scored against the float32 reconstruction the payload ships, so the
-        # winner's SQNR term is the one evaluate recomputes from the payload
-        mean_dbs = masked_mean_sqnr_db(rows, pattern.mask(), profile.quant_bits)
+        distinct.setdefault(pattern.positions, pattern)
+    patterns = list(distinct.values())
+    keeps = np.array([np.flatnonzero(pattern.mask()) for pattern in patterns])
+    # scored against the float32 reconstruction the payload ships, so the
+    # winner's SQNR term is the one evaluate recomputes from the payload
+    means = mean_sqnr_db(stack_rows(slice_stack(root.data, d)), keeps, profile.quant_bits)
+    slots = _slot_counts(root.data.size, d, keeps)
+
+    best: tuple[KernelPattern, int, EfficiencyScore] | None = None
+    for pattern, slot_count, mean_dbs in zip(patterns, slots.tolist(), means.tolist()):
         for bits, mean_db in zip(profile.quant_bits, mean_dbs):
-            candidate = sum_costs({**costs, group.root_id: (slots, bits, oh, ow)})
+            candidate = sum_costs({**costs, group.root_id: (slot_count, bits, oh, ow)})
             score = calculate_es(mean_db, candidate, baseline, profile.es_weights)
             if best is None or score.total > best[2].total:
                 best = (pattern, bits, score)
@@ -231,7 +238,8 @@ def compress_model(model: ModelGraph, profile: CompressionProfile) -> Compressed
 
     Each group draws its randomness from a seed split on (profile seed, root
     id) and is scored against the dense baseline, so a group's decision does
-    not depend on the other groups.
+    not depend on the other groups.  The result is validated when it is
+    serialized, by :func:`~upaq.container.serialize_compressed`.
     """
     cm, _ = compress_with_decisions(model, profile)
     return cm
@@ -276,7 +284,6 @@ def compress_with_decisions(
         ),
         base_payload_nbytes=dense_payload_nbytes(model),
     )
-    cm.validate()
     return cm, decisions
 
 

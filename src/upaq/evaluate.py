@@ -119,6 +119,6 @@ def payload_sqnr_db(weights: np.ndarray, qc: QuantizedConv, pattern: KernelPatte
     same rule on the same cells that scored the search's candidates."""
     d = pattern.d
     keep = np.flatnonzero(pattern.mask())
-    x = slice_stack(weights, d).reshape(-1, d * d)[:, keep].astype(np.float64)
-    err = x - slice_stack(dequantized_weights(qc, d), d).reshape(-1, d * d)[:, keep]
+    x = slice_stack(weights, d).reshape(-1, d * d).T[keep].astype(np.float64)
+    err = x - slice_stack(dequantized_weights(qc, d), d).reshape(-1, d * d).T[keep]
     return slice_sqnr(x, err, d * d - keep.size)[1]

@@ -12,11 +12,11 @@ reconstruction.  Both variances are population variances over the whole
 (pruned or pad) cells.  Below ``ERR_VAR_FLOOR`` error variance the SQNR is
 the cap, else the variance ratio capped at ``SQNR_CAP``.
 
-:func:`quantize_slices` quantizes a whole ``(S, h, w)`` stack in one numpy
-pass, every row on its own scale; a single slice is a stack of one.
-:func:`masked_mean_sqnr_db` scores a pattern mask without building a
-payload; its means are bit-equal to those of :func:`quantize_slices` under
-the same mask.  Both share one scale/round/clip step.
+Kept cells are laid out cell-major, ``(n, S)``, one row per cell, and a
+slice sums them row by row.  :func:`quantize_slices` quantizes a whole
+``(S, h, w)`` stack in one numpy pass, every slice on its own scale.
+:func:`mean_sqnr_db` scores all of a group's masks in one cell-major pass on
+their kept cells, bit-equal to :func:`quantize_slices` under each mask.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ SUPPORTED_BITS = (4, 8, 16)
 SQNR_CAP = 1e12  # linear; 120 dB
 SQNR_CAP_DB = 120.0
 ERR_VAR_FLOOR = 1e-30  # below this error variance, SQNR is reported as the cap
+SCORE_BLOCK = 4096  # slice-mask columns mean_sqnr_db scores at a time
 
 _F32_MAX = float(np.finfo(np.float32).max)
 
@@ -57,15 +58,13 @@ def stack_rows(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64).reshape(x.shape[0], x.shape[1] * x.shape[2])
 
 
-def _scale_and_round(x64: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row scale of float64 rows and their clipped integers, as float64.
-
-    An all-zero row falls back to scale 1, so its integers are all zero.
-    """
+def _scale_and_round(v: np.ndarray, alpha: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slice scales of cell-major float64 ``v`` from its largest magnitudes
+    ``alpha``, and its clipped integers as float64; an all-zero slice falls
+    back to scale 1, so its integers are all zero."""
     max_value = _max_value(bits)
-    alpha = np.abs(x64).max(axis=1)
     scale = np.where(alpha == 0.0, 1.0, alpha / max_value)
-    r = _round_half_away(x64 / scale[:, None])
+    r = _round_half_away(v / scale)
     return np.clip(r, -max_value, max_value, out=r), scale
 
 
@@ -83,50 +82,42 @@ def shipped_scales(scale: np.ndarray, bits: int) -> np.ndarray:
     return s32
 
 
-def _error(x64: np.ndarray, r: np.ndarray, scale32: np.ndarray) -> np.ndarray:
-    """``x64`` less its float32 reconstruction ``f32(r * f64(scale32))``, the
-    weights a payload dequantizes to; the result reuses ``r``'s buffer."""
-    recon = np.multiply(r, scale32.astype(np.float64)[:, None], out=r).astype(np.float32)
-    return np.subtract(x64, recon, out=r)
+def _error(v: np.ndarray, r: np.ndarray, scale32: np.ndarray) -> np.ndarray:
+    """Cell-major ``v`` less its float32 reconstruction ``f32(r * f64(scale32))``,
+    the weights a payload dequantizes to; the result reuses ``r``'s buffer."""
+    recon = np.multiply(r, scale32.astype(np.float64), out=r).astype(np.float32)
+    return np.subtract(v, recon, out=r)
 
 
-def _row_sums(v: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` summed strictly left to right, so that its bits do
-    not depend on the rows stacked around it.
-
-    ``np.add.accumulate`` makes those additions with one inner loop per row,
-    the column loop with one numpy call per column; the column loop is the
-    faster past about 16 rows per column (timed over 2 to 25 columns).  A
-    single unmasked slice of up to 25 cells takes the running sum at half
-    the column loop's time; a search over thousands of slices the column
-    loop.
-    """
-    if len(v) <= 16 * v.shape[1]:
-        return np.add.accumulate(v, axis=1)[:, -1]
-    total = v[:, 0].copy()
-    for j in range(1, v.shape[1]):
-        total += v[:, j]
+def _cell_sums(v: np.ndarray) -> np.ndarray:
+    """Each slice (column) of cell-major ``v`` summed one whole row at a time,
+    so its bits do not depend on the slices beside it."""
+    total = v[0].copy()
+    for row in v[1:]:
+        total += row
     return total
 
 
 def _variance(v: np.ndarray, zeros: int) -> np.ndarray:
-    """Population variance of each row of ``v`` extended by ``zeros`` zero cells."""
-    cells = v.shape[1] + zeros
-    mean = _row_sums(v) / cells
-    dev = v - mean[:, None]
-    return (_row_sums(np.multiply(dev, dev, out=dev)) + zeros * (mean * mean)) / cells
+    """Population variance of each slice of cell-major ``v`` and ``zeros`` zero cells."""
+    cells = len(v) + zeros
+    mean = _cell_sums(v) / cells
+    dev = v - mean
+    return (_cell_sums(np.multiply(dev, dev, out=dev)) + zeros * (mean * mean)) / cells
 
 
 def slice_sqnr(x: np.ndarray, err: np.ndarray, zeros: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slice SQNR ``(linear, dB)`` of float64 ``(S, n)`` kept cells ``x``
-    and their reconstruction errors ``err``, each slice holding ``zeros``
-    more cells that are zero in both.
+    """Per-slice SQNR ``(linear, dB)`` of cell-major float64 ``(n, S)`` kept
+    cells ``x`` and their reconstruction errors ``err``, each slice holding
+    ``zeros`` more cells that are zero in both.
 
     The linear SQNR is the variance ratio capped at ``SQNR_CAP``, and the cap
     itself when the error variance is below ``ERR_VAR_FLOOR``; a zero signal
     variance over a live error gives ``-inf`` dB.
     """
-    return _sqnr(_variance(x, zeros), _variance(err, zeros))
+    # the signal and error slices side by side: one set of row sums for both
+    var = _variance(np.concatenate((x, err), axis=1), zeros)
+    return _sqnr(var[: x.shape[1]], var[x.shape[1]:])
 
 
 def _sqnr(signal_var: np.ndarray, err_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,31 +145,33 @@ def quantize_slices(x: np.ndarray, bits: int, mask: np.ndarray | None = None):
     """
     rows = stack_rows(x)
     keep = np.arange(rows.shape[1]) if mask is None else np.flatnonzero(mask)
-    kept = rows[:, keep]
-    r, scale = _scale_and_round(kept, bits)
+    kept = rows.T[keep]
+    r, scale = _scale_and_round(kept, np.abs(kept).max(axis=0), bits)
     q = np.zeros(rows.shape, dtype=np.int32)
-    q[:, keep] = r
+    q[:, keep] = r.T
     scale32 = shipped_scales(scale, bits)
     sqnr_linear, sqnr_db = slice_sqnr(kept, _error(kept, r, scale32), rows.shape[1] - keep.size)
     return q.reshape(np.shape(x)), scale, sqnr_linear, sqnr_db, scale32
 
 
-def masked_mean_sqnr_db(rows: np.ndarray, mask: np.ndarray, bits_list) -> list[float]:
-    """Mean SQNR (dB) over the slices of ``rows`` under ``mask``, per bitwidth.
-
-    ``rows`` is a :func:`stack_rows` result and ``mask`` an ``(h, w)`` bool
-    array.  For each ``bits`` the result is bit-equal to
-    ``float(np.mean(quantize_slices(stack, bits, mask)[3]))``: only the
-    kept cells are quantized and scored, and no integers are built.  The
-    signal variance of :func:`slice_sqnr` is taken once for all bitwidths.
-    """
-    keep = np.flatnonzero(mask)
-    kept = rows[:, keep]
-    zeros = mask.size - keep.size
-    signal_var = _variance(kept, zeros)
-    means = []
-    for bits in bits_list:
-        r, scale = _scale_and_round(kept, bits)
-        err = _error(kept, r, shipped_scales(scale, bits))
-        means.append(float(np.mean(_sqnr(signal_var, _variance(err, zeros))[1])))
-    return means
+def mean_sqnr_db(rows: np.ndarray, keeps: np.ndarray, bits_list) -> np.ndarray:
+    """Mean SQNR (dB) over the slices of ``rows`` (a :func:`stack_rows` result)
+    under each of ``P`` masks, given as the ``(P, n)`` sorted flat indices of
+    the cells they keep: ``[p, b]`` of the ``(P, len(bits_list))`` result is
+    bit-equal to the mean of :func:`quantize_slices`' dB at ``bits_list[b]``
+    under mask ``p``.  The kept cells are gathered into one ``(n, P*S)``
+    cell-major array and scored ``SCORE_BLOCK`` slice-mask columns at a time:
+    largest magnitude and signal variance once, error variance per bitwidth."""
+    zeros = rows.shape[1] - keeps.shape[1]
+    v = np.ascontiguousarray(rows.T)[keeps.T].reshape(keeps.shape[1], -1)
+    db = np.empty((len(bits_list), v.shape[1]))
+    for start in range(0, v.shape[1], SCORE_BLOCK):
+        cols = slice(start, start + SCORE_BLOCK)
+        block = v[:, cols]
+        signal_var = _variance(block, zeros)
+        alpha = np.abs(block).max(axis=0)
+        for b, bits in enumerate(bits_list):
+            r, scale = _scale_and_round(block, alpha, bits)
+            err = _error(block, r, shipped_scales(scale, bits))
+            db[b, cols] = _sqnr(signal_var, _variance(err, zeros))[1]
+    return db.reshape(len(bits_list), len(keeps), -1).mean(axis=2).T

@@ -339,3 +339,29 @@ def test_fixture_upaqc_bytes_are_pinned(tmp_path, arch):
         argv = ["compress", str(model_path), "-o", str(out), "--profile", profile, "--patterns", "16", "--seed", "42"]
         assert main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_UPAQC_SHA256[arch, profile]
+
+
+def test_compress_validates_the_model_once(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    import upaq
+    from upaq.compressed import CompressedModel
+    from upaq.container import serialize_compressed
+    from upaq.errors import ValidationError
+
+    calls = []
+    real_validate = CompressedModel.validate
+    monkeypatch.setattr(CompressedModel, "validate", lambda self: calls.append(self) or real_validate(self))
+    model_path, _ = _gen(tmp_path)
+    assert main(["compress", str(model_path), "-o", str(tmp_path / "toy.upaqc"), "--profile", "hck"]) == 0
+    assert len(calls) == 1  # by serialize_compressed, as the file is written
+    monkeypatch.undo()
+
+    # the one check left still guards any model handed to serialize_compressed
+    cm = upaq.compress_model(upaq.load_model(model_path), upaq.hck_profile(seed=42))
+    group = cm.groups[0]
+    qc = cm.qlayers[group.root_id]
+    off = np.flatnonzero(~group.pattern.mask())[0]
+    qc.q.reshape(-1, group.pattern.d ** 2)[0, off] = 1
+    with pytest.raises(ValidationError, match="outside the block pattern"):
+        serialize_compressed(cm)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from upaq.compressor import (
     BLOCK_K,
     CompressionProfile,
     ModelCost,
+    _slot_counts,
     calculate_es,
     compress_model,
     compress_with_decisions,
@@ -302,18 +305,19 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
     model, _ = upaq.gen_fixture(arch, 42)
     prof = profile(seed=42, candidates=16, exhaustive=exhaustive)
     scored, calls = [], []
-    real_score = compressor_module.masked_mean_sqnr_db
+    real_score = compressor_module.mean_sqnr_db
     real_quantize_slices = compressor_module.quantize_slices
-    monkeypatch.setattr(compressor_module, "masked_mean_sqnr_db",
-                        lambda rows, mask, bits: scored.append(tuple(bits)) or real_score(rows, mask, bits))
+    monkeypatch.setattr(compressor_module, "mean_sqnr_db",
+                        lambda rows, keeps, bits: scored.append((keeps.tolist(), tuple(bits)))
+                        or real_score(rows, keeps, bits))
     monkeypatch.setattr(compressor_module, "quantize_slices",
                         lambda x, bits, mask: calls.append(bits) or real_quantize_slices(x, bits, mask))
     cm, decisions = compress_with_decisions(model, prof)
     monkeypatch.undo()
 
     base = model_cost(model)
-    expected_scored = 0
-    for dec in decisions:
+    assert len(scored) == len(decisions)  # one scorer call per group
+    for dec, (keeps, bits) in zip(decisions, scored):
         root_qc = dec.payloads[dec.root_id]
         layers = [layer.copy() for layer in model.layers]
         for layer in layers:
@@ -338,11 +342,22 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
         else:
             rng = np.random.default_rng(split_seed(42, dec.root_id))
             drawn = [generate_pattern(prof.n_for(d), d, rng) for _ in range(16)]
-        masks = {p.positions for p in drawn}
+        masks = list(dict.fromkeys(p.positions for p in drawn))  # distinct, in draw order
         assert len(masks) < 16 or exhaustive  # 16 draws of a 3x3 pattern repeat some mask
-        expected_scored += len(masks)
-    assert scored == [tuple(prof.quant_bits)] * expected_scored
+        assert keeps == [[r * d + c for r, c in sorted(positions)] for positions in masks]
+        assert bits == tuple(prof.quant_bits)
     assert calls == [dec.bitwidth for dec in decisions for _ in (dec.root_id, *dec.leaf_ids)]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_slot_counts_equal_stored_slots(d):
+    shapes = [(2, 9, 1, 1), (5, 7, 1, 1), (1, 1, 1, 1), (4, 2, d, d), (1, 1, d, d)]
+    for n in range(1, d + 1):
+        patterns = enumerate_all_patterns(n, d)
+        keeps = np.array([np.flatnonzero(p.mask()) for p in patterns])
+        for shape in shapes:
+            expected = [int(stored_slots(shape, p).sum()) for p in patterns]
+            assert _slot_counts(math.prod(shape), d, keeps).tolist() == expected
 
 
 def test_decompressed_weights_match_payload(toy_cnn, toy_cnn_hck):

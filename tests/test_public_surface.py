@@ -20,7 +20,7 @@ REMOVED = {
     model: ("deep_copy",),
     cost: ("AnalyticCostModel", "estimate_latency", "estimate_energy"),
     patterns: ("apply_pattern",),
-    quantizer: ("QuantResult", "mp_quantize", "dequantize"),
+    quantizer: ("QuantResult", "mp_quantize", "dequantize", "masked_mean_sqnr_db", "_row_sums"),
     inference: ("forward",),
     compressor: ("compress_kxk_group", "compress_1x1_group"),
 }

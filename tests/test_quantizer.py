@@ -15,9 +15,10 @@ from upaq.errors import ValidationError
 from upaq.grouping import find_root_groups
 from upaq.patterns import enumerate_all_patterns
 from upaq.quantizer import (
+    SCORE_BLOCK,
     SQNR_CAP,
     SQNR_CAP_DB,
-    masked_mean_sqnr_db,
+    mean_sqnr_db,
     quantize_slices,
     shipped_scales,
     stack_rows,
@@ -198,10 +199,40 @@ def test_quantize_slices_matches_reference(bits):
             q_ref, scale_ref, sqnr_ref = quantize_reference(x[s].reshape(-1).tolist(), bits)
             assert q[s].reshape(-1).tolist() == q_ref
             assert scale[s] == scale_ref
-            # the reference sums variances in plain Python, numpy sums pairwise
+            # the reference's plain-Python SQNR and math.log10 can differ in the last bit
             assert sqnr_db[s] == pytest.approx(10.0 * math.log10(sqnr_ref), rel=1e-12)
         assert scale[0] == scale[1] == 1.0 and not q[:2].any()
         assert sqnr_db[0] == sqnr_db[1] == sqnr_db[3] == sqnr_db[4] == SQNR_CAP_DB
+
+
+def _loop_variance(values):
+    """Population variance summed strictly left to right in plain Python."""
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    mean = total / len(values)
+    sq = (values[0] - mean) * (values[0] - mean)
+    for v in values[1:]:
+        sq += (v - mean) * (v - mean)
+    return sq / len(values)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_slice_sums_run_cell_by_cell(d):
+    """A whole slice of 9 or 25 cells sums in row order, one cell at a
+    time as a plain-Python loop does, alone as in a stack, and not in
+    numpy's pairwise blocks of 8."""
+    rng = np.random.default_rng(50 + d)
+    stack = (rng.normal(size=(200, d, d)) * 10.0 ** rng.uniform(-6, 6, (200, d, d))).astype(np.float32)
+    for bits in (4, 8, 16):
+        together = quantize_slices(stack, bits)[2]
+        for s, x in enumerate(stack):
+            q, _, sqnr_linear, _, scale32 = quantize_slices(x[None], bits)
+            cells = [float(v) for v in x.reshape(-1)]
+            recon = [float(np.float32(int(qi) * float(scale32[0]))) for qi in q.reshape(-1)]
+            err_var = _loop_variance([v - r for v, r in zip(cells, recon)])
+            expected = SQNR_CAP if err_var < 1e-30 else min(_loop_variance(cells) / err_var, SQNR_CAP)
+            assert sqnr_linear[0] == together[s] == expected
 
 
 def test_quantize_slices_rejects_bad_input():
@@ -257,20 +288,26 @@ def _score_stack(d):
     return x
 
 
+def _keeps(patterns):
+    """The ``(P, n)`` kept flat cell indices of ``patterns``, as the search passes them."""
+    return np.array([np.flatnonzero(p.mask()) for p in patterns])
+
+
 @pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5)])
 def test_mask_score_equals_quantized_masked_stack(d, n):
     stack = _score_stack(d)
     rows = stack_rows(stack)
-    for pattern in enumerate_all_patterns(n, d):
+    patterns = enumerate_all_patterns(n, d)
+    means = mean_sqnr_db(rows, _keeps(patterns), (4, 8, 16))
+    assert means.shape == (len(patterns), 3)
+    for pattern, mean in zip(patterns, means.tolist()):
         mask = pattern.mask()
-        assert masked_mean_sqnr_db(rows, mask, (4, 8, 16)) == [
-            _shipped_mean_db(stack, mask, bits) for bits in (4, 8, 16)
-        ]
+        assert mean == [_shipped_mean_db(stack, mask, bits) for bits in (4, 8, 16)]
         for bits in (4, 8, 16):
             # the constant slices come back within float32 rounding: capped
             _, _, _, sqnr_db, _ = quantize_slices(stack[8:10], bits, mask)
             assert sqnr_db.tolist() == [SQNR_CAP_DB, SQNR_CAP_DB]
-            assert masked_mean_sqnr_db(rows[8:10], mask, (bits,)) == [SQNR_CAP_DB]
+    assert (mean_sqnr_db(rows[8:10], _keeps(patterns), (4, 8, 16)) == SQNR_CAP_DB).all()
 
 
 _CELLS = st.one_of(
@@ -283,23 +320,59 @@ _CELLS = st.one_of(
 def _masked_stacks(draw):
     d = draw(st.sampled_from((3, 5)))
     n = draw(st.integers(1, d))
-    mask = draw(st.sampled_from(enumerate_all_patterns(n, d))).mask()
+    patterns = draw(st.lists(st.sampled_from(enumerate_all_patterns(n, d)), min_size=1, max_size=4))
     stack = draw(hnp.arrays(np.float32, (draw(st.integers(1, 6)), d, d), elements=_CELLS))
     bits = draw(st.lists(st.sampled_from((4, 8, 16)), min_size=1, max_size=3))
-    return stack, mask, bits
+    return stack, patterns, bits
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_masked_stacks())
 def test_mask_score_property(case):
-    stack, mask, bits = case
-    assert masked_mean_sqnr_db(stack_rows(stack), mask, bits) == [_shipped_mean_db(stack, mask, b) for b in bits]
+    stack, patterns, bits = case
+    means = mean_sqnr_db(stack_rows(stack), _keeps(patterns), bits).tolist()
+    assert means == [[_shipped_mean_db(stack, p.mask(), b) for b in bits] for p in patterns]
+
+
+
+@st.composite
+def _blocked_cases(draw, slices):
+    """A stack of ``slices`` hostile rows of :func:`_score_stack` under
+    enough masks, repeats allowed, that the ``P * S`` slice-mask columns
+    span several scorer blocks."""
+    d = draw(st.sampled_from((3, 5)))
+    n = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hostile = _score_stack(d)
+    stack = hostile[rng.integers(0, len(hostile), slices)]
+    patterns = enumerate_all_patterns(n, d)
+    count = -(-draw(st.integers(2, 4)) * SCORE_BLOCK // slices) + draw(st.integers(0, 2))
+    chosen = rng.integers(0, len(patterns), count)
+    return stack, [patterns[i] for i in chosen], draw(st.permutations((4, 8, 16)))
+
+
+# slice counts that straddle numpy's pairwise-sum and buffer boundaries and the scorer's block edge
+@pytest.mark.parametrize(
+    "slices", (1, 7, 8, 9, 127, 128, 129, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 8191, 8192, 8193, 20000)
+)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_scorer_equals_per_mask_means(slices, data):
+    stack, patterns, bits = data.draw(_blocked_cases(slices))
+    means = mean_sqnr_db(stack_rows(stack), _keeps(patterns), bits).tolist()
+    per_mask = {}
+    for pattern, mean in zip(patterns, means):
+        if pattern.positions not in per_mask:
+            per_mask[pattern.positions] = [
+                float(np.mean(quantize_slices(stack, b, pattern.mask())[3])) for b in bits
+            ]
+        assert mean == per_mask[pattern.positions]
 
 
 def test_scorer_rejects_what_quantize_slices_rejects():
     rows = stack_rows(np.ones((2, 3, 3), dtype=np.float32))
     with pytest.raises(ValueError, match="unsupported bitwidth"):
-        masked_mean_sqnr_db(rows, np.ones((3, 3), dtype=bool), (8, 5))
+        mean_sqnr_db(rows, np.array([[0, 4, 8]]), (8, 5))
 
 
 @pytest.mark.parametrize("arch,kxk", [("toy-cnn", True), ("toy-1x1", False)], ids=["toy-cnn", "toy-1x1"])
