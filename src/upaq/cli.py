@@ -8,20 +8,21 @@ validation/parameter errors, 1 on IO or container-format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .compressed import decompress_model
+from .compressed import CompressedModel, decompress_model
 from .container import (
     compressed_payload_nbytes,
     dense_payload_nbytes,
+    load_any,
     load_compressed,
     load_model,
     save_compressed,
     save_model,
-    sniff_format,
 )
 from .cost import compression_ratio, computational_cost, model_cost
 from .compressor import PROFILE_FACTORIES, compress_with_decisions, compression_decisions
@@ -32,7 +33,11 @@ from .grouping import find_root_groups
 from .inference import forward_batch, load_activations, save_activations
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: argparse reads ``sys.argv`` and the output streams when it parses,
+    not when it is built.  Callers must not add to it."""
     parser = argparse.ArgumentParser(prog="upaq", description="pattern-pruning + mixed-precision quantization toolkit")
     parser.add_argument("--version", action="version", version=f"upaq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -42,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--inputs", type=int, default=64, help="number of input tensors")
     p.add_argument("-o", "--out-dir", default=".", help="directory for the .upaq and inputs.bin files")
+    p.set_defaults(handler=_cmd_gen_fixture)
 
     p = sub.add_parser("compress", help="prune and quantize a dense model")
     p.add_argument("model", help="input .upaq file")
@@ -50,48 +56,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", default="16", help="candidate patterns per group, or 'all' for exhaustive search")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--report", help="also write the JSON report to this path")
+    p.set_defaults(handler=_cmd_compress)
 
     p = sub.add_parser("run", help="run a model over an input batch")
     p.add_argument("model", help=".upaq or .upaqc file")
     p.add_argument("--inputs", required=True, help="raw f32 blob with a .json sidecar")
     p.add_argument("--out", required=True, help="output blob path (sidecar written alongside)")
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("evaluate", help="compare a compressed model against its base")
     p.add_argument("base", help="dense .upaq file")
     p.add_argument("compressed", help=".upaqc file")
     p.add_argument("--inputs", required=True, help="raw f32 blob with a .json sidecar")
     p.add_argument("-o", "--out", help="write the JSON report here instead of stdout")
+    p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("inspect", help="summarize a model file")
     p.add_argument("model", help=".upaq or .upaqc file")
     p.add_argument("--groups", action="store_true", help="print root-leaf groups as JSON lines")
+    p.set_defaults(handler=_cmd_inspect)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except (ValidationError, ValueError) as exc:
         print(f"upaq: error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as exc:
         print(f"upaq: error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    if args.command == "gen-fixture":
-        return _cmd_gen_fixture(args)
-    if args.command == "compress":
-        return _cmd_compress(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def _cmd_gen_fixture(args) -> int:
@@ -160,16 +156,16 @@ def _cmd_compress(args) -> int:
 
 def _cmd_run(args) -> int:
     inputs = load_activations(args.inputs)
-    kind = sniff_format(args.model)
-    if kind == "dense":
-        outputs = forward_batch(load_model(args.model), inputs)
-    else:
+    model = load_any(args.model)
+    compressed = isinstance(model, CompressedModel)
+    if compressed:
         # decompress once, then skip the pruned cells: the same bits as the dense path
-        outputs = forward_batch(decompress_model(load_compressed(args.model)), inputs, sparse=True)
+        model = decompress_model(model)
+    outputs = forward_batch(model, inputs, sparse=compressed)
     save_activations(args.out, outputs)
     print(json.dumps({
         "model": str(args.model),
-        "format": kind,
+        "format": "compressed" if compressed else "dense",
         "inputs": len(inputs),
         "output": str(args.out),
         "output_shape": list(outputs[0].shape),
@@ -191,13 +187,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    kind = sniff_format(args.model)
-    if kind == "dense":
-        model = load_model(args.model)
-        if args.groups:
-            for group in find_root_groups(model):
-                print(json.dumps({"root": group.root_id, "leaves": list(group.leaf_ids)}))
-            return 0
+    model = load_any(args.model)
+    compressed = isinstance(model, CompressedModel)
+    if args.groups:
+        for group in model.groups if compressed else find_root_groups(model):
+            print(json.dumps({"root": group.root_id, "leaves": list(group.leaf_ids)}))
+        return 0
+    if not compressed:
         print(json.dumps({
             "format": "upaq",
             "name": model.name,
@@ -207,22 +203,17 @@ def _cmd_inspect(args) -> int:
             "payload_nbytes": dense_payload_nbytes(model),
         }, indent=2))
         return 0
-    cm = load_compressed(args.model)
-    if args.groups:
-        for group in cm.groups:
-            print(json.dumps({"root": group.root_id, "leaves": list(group.leaf_ids)}))
-        return 0
     print(json.dumps({
         "format": "upaqc",
-        "name": cm.name,
-        "input_shape": list(cm.input_shape),
-        "layers": len(cm.layers),
-        "groups": compression_decisions(cm),
-        "profile": cm.profile.name,
-        "payload_nbytes": compressed_payload_nbytes(cm),
+        "name": model.name,
+        "input_shape": list(model.input_shape),
+        "layers": len(model.layers),
+        "groups": compression_decisions(model),
+        "profile": model.profile.name,
+        "payload_nbytes": compressed_payload_nbytes(model),
         "compression_ratio": (
-            compression_ratio(cm.base_payload_nbytes, compressed_payload_nbytes(cm))
-            if cm.base_payload_nbytes else None
+            compression_ratio(model.base_payload_nbytes, compressed_payload_nbytes(model))
+            if model.base_payload_nbytes else None
         ),
     }, indent=2))
     return 0

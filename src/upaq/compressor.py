@@ -37,13 +37,8 @@ from .cost import ModelCost, layer_costs, sum_costs
 from .errors import ValidationError
 from .grouping import RootGroup, find_root_groups
 from .model import ModelGraph, Tensor4
-from .patterns import (
-    KernelPattern,
-    enumerate_all_patterns,
-    generate_pattern,
-    split_seed,
-)
-from .quantizer import SQNR_CAP_DB, mean_sqnr_db, quantize_slices, stack_rows
+from .patterns import KernelPattern, _draw_positions, enumerate_all_patterns, split_seed
+from .quantizer import SQNR_CAP_DB, _quantize_masked, mean_sqnr_db, stack_rows
 
 BLOCK_K = 3  # pattern edge of 1x1 groups: their slices are 3x3 blocks of the flat weights
 
@@ -156,15 +151,22 @@ def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int) -> Quan
     """Quantize the cells ``pattern`` keeps of a layer's stack of
     ``pattern.d x pattern.d`` slices (see :func:`slice_stack`) in one pass,
     one scale per slice, stored as the float32 scales that
-    :func:`quantize_slices` ships."""
-    q, _, _, _, scale32 = quantize_slices(slice_stack(weights.data, pattern.d), bits, pattern.mask())
+    :func:`~upaq.quantizer.quantize_slices` ships."""
+    q, _, scale32, _, _ = _quantize_masked(slice_stack(weights.data, pattern.d), bits, pattern.mask())
     return QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape), scales=scale32)
 
 
-def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.random.Generator):
+def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.random.Generator) -> list[KernelPattern]:
+    """The distinct candidate masks in draw order: ``profile.candidates``
+    draws of :func:`~upaq.patterns.generate_pattern`, a pattern built only
+    for the first draw of each mask, or every pattern when exhaustive."""
     if profile.exhaustive:
         return enumerate_all_patterns(n, d)
-    return [generate_pattern(n, d, rng) for _ in range(profile.candidates)]
+    distinct: dict[tuple[tuple[int, int], ...], str] = {}
+    for _ in range(profile.candidates):
+        kind, positions = _draw_positions(n, d, rng)
+        distinct.setdefault(positions, kind)
+    return [KernelPattern(kind, d, positions) for positions, kind in distinct.items()]
 
 
 def _slot_counts(size: int, d: int, keeps: np.ndarray) -> np.ndarray:
@@ -202,10 +204,7 @@ def _search_group(
     baseline = sum_costs(costs)
     _, _, oh, ow = costs[group.root_id]
 
-    distinct: dict[tuple[tuple[int, int], ...], KernelPattern] = {}
-    for pattern in _candidate_patterns(n, d, profile, rng):
-        distinct.setdefault(pattern.positions, pattern)
-    patterns = list(distinct.values())
+    patterns = _candidate_patterns(n, d, profile, rng)
     keeps = np.array([np.flatnonzero(pattern.mask()) for pattern in patterns])
     # scored against the float32 reconstruction the payload ships, so the
     # winner's SQNR term is the one evaluate recomputes from the payload

@@ -299,14 +299,15 @@ def load_compressed(path) -> CompressedModel:
     return deserialize_compressed(Path(path).read_bytes())
 
 
-def sniff_format(path) -> str:
-    """Return 'dense' or 'compressed' from a file's magic bytes."""
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
+def load_any(path) -> ModelGraph | CompressedModel:
+    """Load a dense or a compressed model file, read once and told apart by
+    its magic bytes."""
+    data = Path(path).read_bytes()
+    magic = data[:5]
     if magic == MAGIC_DENSE:
-        return "dense"
+        return deserialize_model(data)
     if magic == MAGIC_COMPRESSED:
-        return "compressed"
+        return deserialize_compressed(data)
     raise FormatError(f"{path}: unrecognized magic {magic!r}")
 
 

@@ -84,20 +84,23 @@ def generate_pattern(n: int, d: int, rng: np.random.Generator) -> KernelPattern:
     so a given generator state always yields the same pattern.
     """
     _check_params(n, d)
+    kind, positions = _draw_positions(n, d, rng)
+    return KernelPattern(kind=kind, d=d, positions=positions)
+
+
+def _draw_positions(n: int, d: int, rng: np.random.Generator) -> tuple[str, tuple[tuple[int, int], ...]]:
+    """The ``(kind, positions)`` of :func:`generate_pattern`'s draw, without
+    building the pattern; ``n`` and ``d`` are taken as already checked."""
     kind = PATTERN_KINDS[int(rng.integers(0, len(PATTERN_KINDS)))]
     if kind == "main_diagonal":
-        positions = tuple((i, i) for i in range(n))
-    elif kind == "anti_diagonal":
-        positions = tuple((i, d - 1 - i) for i in range(n))
-    elif kind == "row":
-        row = int(rng.integers(0, d))
-        start = int(rng.integers(0, d - n + 1))
-        positions = tuple((row, start + i) for i in range(n))
-    else:
-        col = int(rng.integers(0, d))
-        start = int(rng.integers(0, d - n + 1))
-        positions = tuple((start + i, col) for i in range(n))
-    return KernelPattern(kind=kind, d=d, positions=positions)
+        return kind, tuple((i, i) for i in range(n))
+    if kind == "anti_diagonal":
+        return kind, tuple((i, d - 1 - i) for i in range(n))
+    line = int(rng.integers(0, d))
+    start = int(rng.integers(0, d - n + 1))
+    if kind == "row":
+        return kind, tuple((line, start + i) for i in range(n))
+    return kind, tuple((start + i, line) for i in range(n))
 
 
 def enumerate_all_patterns(n: int, d: int) -> list[KernelPattern]:

@@ -143,15 +143,21 @@ def quantize_slices(x: np.ndarray, bits: int, mask: np.ndarray | None = None):
     and a capped SQNR; this keeps the zero case well-defined without
     special-casing callers.
     """
+    q, scale, scale32, kept, r = _quantize_masked(x, bits, mask)
+    sqnr_linear, sqnr_db = slice_sqnr(kept, _error(kept, r, scale32), q.shape[1] * q.shape[2] - len(kept))
+    return q, scale, sqnr_linear, sqnr_db, scale32
+
+
+def _quantize_masked(x: np.ndarray, bits: int, mask: np.ndarray | None):
+    """:func:`quantize_slices` without the SQNR: ``(q, scale, scale32)``, then
+    the cell-major float64 kept cells and their clipped integers."""
     rows = stack_rows(x)
     keep = np.arange(rows.shape[1]) if mask is None else np.flatnonzero(mask)
     kept = rows.T[keep]
     r, scale = _scale_and_round(kept, np.abs(kept).max(axis=0), bits)
     q = np.zeros(rows.shape, dtype=np.int32)
     q[:, keep] = r.T
-    scale32 = shipped_scales(scale, bits)
-    sqnr_linear, sqnr_db = slice_sqnr(kept, _error(kept, r, scale32), rows.shape[1] - keep.size)
-    return q.reshape(np.shape(x)), scale, sqnr_linear, sqnr_db, scale32
+    return q.reshape(np.shape(x)), scale, shipped_scales(scale, bits), kept, r
 
 
 def mean_sqnr_db(rows: np.ndarray, keeps: np.ndarray, bits_list) -> np.ndarray:

@@ -75,9 +75,13 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 
 def test_corrupt_file_exits_1(tmp_path, capsys):
+    _, inputs_path = _gen(tmp_path)
     bad = tmp_path / "bad.upaq"
     bad.write_bytes(b"not a container at all")
-    assert main(["inspect", str(bad)]) == 1
+    for argv in (["inspect", str(bad)], ["run", str(bad), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"upaq: error: {bad}: unrecognized magic b'not a'\n"
 
 
 def test_truncated_file_exits_1(tmp_path, capsys):
@@ -365,3 +369,47 @@ def test_compress_validates_the_model_once(tmp_path, monkeypatch, capsys):
     qc.q.reshape(-1, group.pattern.d ** 2)[0, off] = 1
     with pytest.raises(ValidationError, match="outside the block pattern"):
         serialize_compressed(cm)
+
+
+def test_repeated_calls_build_no_parser(tmp_path, monkeypatch, capsys):
+    import argparse
+
+    model_path, inputs_path = _gen(tmp_path)  # the warm-up call
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(a) or real_init(self, *a, **kw))
+    out_model = tmp_path / "toy.upaqc"
+    assert main(["compress", str(model_path), "-o", str(out_model)]) == 0
+    assert main(["run", str(out_model), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]) == 0
+    assert main(["evaluate", str(model_path), str(out_model), "--inputs", str(inputs_path)]) == 0
+    assert main(["inspect", str(out_model)]) == 0
+    assert built == []
+
+
+def test_rejected_arguments_leave_the_next_call_alone(tmp_path, capsys):
+    import hashlib
+
+    model_path, _ = _gen(tmp_path)
+    out = tmp_path / "toy.upaqc"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", str(model_path), "-o", str(out), "--workers", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: upaq [-h] [--version]")
+    assert main(["compress", str(model_path), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_UPAQC_SHA256["toy-cnn", "hck"]
+
+
+def test_version_and_help_repeat(capsys):
+    import upaq
+
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"upaq {upaq.__version__}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", "--help"])
+    assert exc.value.code == 0
+    assert "--patterns PATTERNS" in capsys.readouterr().out

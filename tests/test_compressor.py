@@ -306,12 +306,12 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
     prof = profile(seed=42, candidates=16, exhaustive=exhaustive)
     scored, calls = [], []
     real_score = compressor_module.mean_sqnr_db
-    real_quantize_slices = compressor_module.quantize_slices
+    real_quantize = compressor_module._quantize_masked
     monkeypatch.setattr(compressor_module, "mean_sqnr_db",
                         lambda rows, keeps, bits: scored.append((keeps.tolist(), tuple(bits)))
                         or real_score(rows, keeps, bits))
-    monkeypatch.setattr(compressor_module, "quantize_slices",
-                        lambda x, bits, mask: calls.append(bits) or real_quantize_slices(x, bits, mask))
+    monkeypatch.setattr(compressor_module, "_quantize_masked",
+                        lambda x, bits, mask: calls.append(bits) or real_quantize(x, bits, mask))
     cm, decisions = compress_with_decisions(model, prof)
     monkeypatch.undo()
 

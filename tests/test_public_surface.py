@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import upaq
-from upaq import compressor, cost, inference, model, patterns, quantizer
+from upaq import compressor, container, cost, inference, model, patterns, quantizer
 
 SRC = Path(upaq.__file__).parent
 
@@ -23,6 +23,7 @@ REMOVED = {
     quantizer: ("QuantResult", "mp_quantize", "dequantize", "masked_mean_sqnr_db", "_row_sums"),
     inference: ("forward",),
     compressor: ("compress_kxk_group", "compress_1x1_group"),
+    container: ("sniff_format",),
 }
 
 
