@@ -30,7 +30,7 @@ from .errors import FormatError, ValidationError
 from .evaluate import evaluate_fidelity
 from .fixtures import ARCH_NAMES, gen_fixture
 from .grouping import find_root_groups
-from .inference import forward_batch, load_activations, save_activations
+from .inference import load_activations, run_batch, save_activations
 
 
 @functools.cache
@@ -161,14 +161,14 @@ def _cmd_run(args) -> int:
     if compressed:
         # decompress once, then skip the pruned cells: the same bits as the dense path
         model = decompress_model(model)
-    outputs = forward_batch(model, inputs, sparse=compressed)
+    outputs = run_batch(model, inputs, sparse=compressed)
     save_activations(args.out, outputs)
     print(json.dumps({
         "model": str(args.model),
         "format": "compressed" if compressed else "dense",
         "inputs": len(inputs),
         "output": str(args.out),
-        "output_shape": list(outputs[0].shape),
+        "output_shape": list(outputs.shape[1:]),
     }, indent=2))
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .container import compressed_payload_nbytes, dense_payload_nbytes
 from .cost import compression_ratio, model_cost
 from .compressor import calculate_es
 from .errors import ValidationError
-from .inference import Activation, forward_batch
+from .inference import Activation, run_batch
 from .model import ModelGraph
 from .patterns import KernelPattern
 from .quantizer import SQNR_CAP_DB, slice_sqnr
@@ -48,34 +49,30 @@ class FidelityReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def evaluate_fidelity(base: ModelGraph, cm: CompressedModel, inputs: list[Activation]) -> FidelityReport:
-    """Run both models over the batch and assemble the report.
+def evaluate_fidelity(base: ModelGraph, cm: CompressedModel, inputs: np.ndarray | Sequence[Activation]) -> FidelityReport:
+    """Run both models over the batch (a ``(B, C, H, W)`` array or a list of
+    activations) and assemble the report.
 
     The compressed model is decompressed once; the base model runs the
     dense path and the densified model the pattern-skipping path, which
-    gives the same bits.
+    gives the same bits.  Each input's norms and dot product are taken over
+    its float64 sink, as ``np.linalg.norm`` and ``np.dot`` take them.
     """
-    if not inputs:
+    if not len(inputs):
         raise ValidationError("evaluation requires at least one input")
     densified = decompress_model(cm)  # one materialization for the whole batch
-    base_out = forward_batch(base, inputs)
-    comp_out = forward_batch(densified, inputs, sparse=True)
+    base_out = run_batch(base, inputs).reshape(len(inputs), -1).astype(np.float64)
+    comp_out = run_batch(densified, inputs, sparse=True).reshape(len(inputs), -1).astype(np.float64)
     rel_errs = []
     cosines = []
-    agreements = 0
-    for out_b, out_c in zip(base_out, comp_out):
-        yb = out_b.data.reshape(-1).astype(np.float64)
-        yc = out_c.data.reshape(-1).astype(np.float64)
-        base_norm = float(np.linalg.norm(yb))
-        diff_norm = float(np.linalg.norm(yc - yb))
+    for yb, yc, diff in zip(base_out, comp_out, comp_out - base_out):
+        base_norm, comp_norm, diff_norm = math.sqrt(yb @ yb), math.sqrt(yc @ yc), math.sqrt(diff @ diff)
         rel_errs.append(diff_norm / base_norm if base_norm > _NORM_FLOOR else (0.0 if diff_norm <= _NORM_FLOOR else math.inf))
-        comp_norm = float(np.linalg.norm(yc))
         if base_norm > _NORM_FLOOR and comp_norm > _NORM_FLOOR:
-            cosines.append(float(np.dot(yb, yc)) / (base_norm * comp_norm))
+            cosines.append(float(yb @ yc) / (base_norm * comp_norm))
         else:
             cosines.append(1.0 if base_norm <= _NORM_FLOOR and comp_norm <= _NORM_FLOOR else 0.0)
-        if int(np.argmax(yb)) == int(np.argmax(yc)):
-            agreements += 1
+    agreements = int(np.count_nonzero(base_out.argmax(axis=1) == comp_out.argmax(axis=1)))
 
     base_cost, comp_cost = model_cost(base), model_cost(cm)
     ratio = compression_ratio(dense_payload_nbytes(base), compressed_payload_nbytes(cm))

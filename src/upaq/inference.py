@@ -4,11 +4,14 @@ The engine runs a batch in chunks, each held channel-major as ``(C, n, H,
 W)``.  Convolution is direct (no im2col/FFT) with a fixed accumulation
 order: every output element starts at its bias and accumulates one
 ``weight * input`` product per (in_ch, row, col) step, in that loop order.
-A step gathers its input plane once into a row of ``n * oh * ow`` values,
-then runs one multiply and one add for each out-channel tile of the
-``(out_ch, n * oh * ow)`` accumulator; a tile's accumulator and product rows
-fit in ``TILE_BYTES`` so that they stay in cache.  The order per element is
-unchanged, so the result is bit-identical to a straight scalar loop.  relu
+A step takes its input plane of ``n * oh * ow`` values once, then runs one
+multiply and one add for each out-channel tile of the ``(out_ch, n * oh *
+ow)`` accumulator; a tile's accumulator and product rows fit in
+``TILE_BYTES`` so that they stay in cache.  A stride-1 conv with an output
+plane the input's size takes the plane as its channel shifted by the cell's
+offset (the centre cell reads the channel itself); any other conv gathers
+the cell's window.  The order per element is unchanged, so the result is
+bit-identical to a straight scalar loop.  relu
 and add work on any layout, global average pooling sums each (c, n) plane
 strictly in row-major order, and ``linear`` and the sink read each input back
 in (C, H, W) order.
@@ -36,12 +39,15 @@ A chunk holds as many inputs as fit ``CHUNK_BYTES`` in the model's largest
 activation (4 inputs of 64x32x32, rows of 4096 values).  Each activation is
 dropped once its last consumer has run, and relu and add write over a source
 nothing else reads, so memory stays bounded for any batch.  ``upaq run`` and
-``upaq evaluate`` decompress a compressed model once and send the whole
-batch through :func:`forward_batch` on the skipping path.
+``upaq evaluate`` read the blob into one ``(B, C, H, W)`` array, decompress a
+compressed model once and run the array through :func:`run_batch` on the
+skipping path, which slices each chunk from it and writes the sinks to one
+``(B, *sink)`` array; :func:`forward_batch` wraps it for a list of inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -80,20 +86,24 @@ class Activation:
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
         if arr.ndim != 3:
             raise ValidationError(f"activation requires 3 dimensions, got {arr.ndim}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("activation contains non-finite values")
-        self.data = arr
+        self.data = _finite(arr)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return tuple(self.data.shape)  # type: ignore[return-value]
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValidationError("activation contains non-finite values")
+    return arr
+
+
 def forward_compressed(cm: CompressedModel, input_act: Activation, sparse: bool = False) -> Activation:
     """Run a compressed model on one input, on dequantized weights.
 
     This decompresses on every call; to run a batch, decompress once and
-    call :func:`forward_batch` (as ``upaq run`` and ``upaq evaluate`` do).
+    call :func:`run_batch` (as ``upaq run`` and ``upaq evaluate`` do).
     The reference path runs the densified model (zeros at pruned
     positions); ``sparse=True`` skips the pruned kernel cells instead, which
     is exact (see the module docstring, including the -0.0 bias rule).
@@ -102,28 +112,35 @@ def forward_compressed(cm: CompressedModel, input_act: Activation, sparse: bool 
 
 
 def forward_batch(model: ModelGraph, inputs: Sequence[Activation], sparse: bool = False) -> list[Activation]:
-    """Run the model over a batch; returns one sink activation per input.
+    """Run the model over a list of inputs; one sink activation per input, as :func:`run_batch` gives it."""
+    return [Activation(row) for row in run_batch(model, inputs, sparse)]
+
+
+def run_batch(model: ModelGraph, batch: np.ndarray | Sequence[Activation], sparse: bool = False) -> np.ndarray:
+    """Run the model over a ``(B, C, H, W)`` float32 array or a list of inputs,
+    stacked a chunk at a time; returns the sinks as one ``(B, *sink)`` array.
 
     ``sparse=True`` skips kernel cells that are zero for every output
     channel; the outputs are bit-identical either way.
     """
+    is_array = isinstance(batch, np.ndarray)
+    for idx, shape in enumerate([batch.shape[1:]] if is_array else [act.shape for act in batch]):
+        if shape != model.input_shape:
+            raise ValidationError(f"input shape {shape} of input {idx} does not match model input {model.input_shape}")
     shapes = infer_shapes(model)
-    for idx, act in enumerate(inputs):
-        if act.shape != model.input_shape:
-            raise ValidationError(
-                f"input shape {act.shape} of input {idx} does not match model input {model.input_shape}"
-            )
     largest = max(math.prod(shape) for shape in (model.input_shape, *shapes.values()))
     chunk = max(1, CHUNK_BYTES // (4 * largest))
     steps = {layer.id: _conv_steps(layer, sparse) for layer in model.conv_layers()}
     last_use = {src: idx for idx, layer in enumerate(model.layers) for src in layer.inputs}
     sink_id = model.sink().id
-    outputs: list[Activation] = []
-    for lo in range(0, len(inputs), chunk):
-        x = np.stack([act.data for act in inputs[lo:lo + chunk]], axis=1)
+    out = np.empty((len(batch), *shapes[sink_id]), dtype=np.float32)
+    for lo in range(0, len(batch), chunk):
+        part = batch[lo:lo + chunk]
+        x = np.ascontiguousarray(part.transpose(1, 0, 2, 3)) if is_array else np.stack([a.data for a in part], axis=1)
         # no name keeps this chunk's sink alive while the next chunk runs
-        outputs.extend(Activation(row) for row in np.moveaxis(_run(model, x, steps, last_use)[sink_id], 1, 0))
-    return outputs
+        out[lo:lo + chunk] = np.moveaxis(_run(model, x, steps, last_use)[sink_id], 1, 0)
+        _finite(out[lo:lo + chunk])
+    return out
 
 
 def _run(model: ModelGraph, x: np.ndarray, steps, last_use: dict[str, int]) -> dict[str, np.ndarray]:
@@ -246,6 +263,9 @@ def _conv2d(x: np.ndarray, layer: LayerSpec, plan: ConvPlan) -> np.ndarray:
     runs = [[(t, acc[t], product[:len(acc[t])]) for part in part_set for t in _tiles(part, wt.out_ch, tile)]
             for part_set in plan.parts]
     plane = np.empty((1, row), dtype=np.float32)
+    shifted = (s, oh, ow) == (1, h, w)
+    source = x.reshape(len(x), 1, row) if shifted else x
+    cells = _plane_cells(plane.reshape(n, oh, ow), p, rows, cols, shifted)
     # numpy buffers a broadcast multiply over rows shorter than half its ufunc
     # buffer, about 4x slower: a buffer of at most two rows keeps rows unbuffered
     bufsize = np.setbufsize(max(16, min(np.getbufsize(), row // 8 * 16)))
@@ -253,17 +273,42 @@ def _conv2d(x: np.ndarray, layer: LayerSpec, plan: ConvPlan) -> np.ndarray:
         # 0 * inf is NaN, so a zero weight only skips over a finite input
         steps = plan.skipping if plan.skipping is plan.every or np.isfinite(x).all() else plan.every
         for i, r, c, wcol, part_set in steps:
-            # the input plane under kernel cell (r, c), gathered once; cells over the padding read 0
-            (y0, y1, ys), (x0, x1, xs) = rows[r], cols[c]
-            if (y1 - y0, x1 - x0) != (oh, ow):
-                plane.fill(0.0)
-            plane.reshape(n, oh, ow)[:, y0:y1, x0:x1] = x[i, :, ys, xs]
+            # the input plane under kernel cell (r, c), taken once; cells over the padding read 0
+            dst, span, blanks = cells[r][c]
+            src = source[i] if dst is None else plane
+            if dst is not None:
+                dst[...] = source[i][span]
+                for blank in blanks:
+                    blank.fill(0.0)
             for t, acc_t, prod_t in runs[part_set]:
-                np.multiply(wcol[t], plane, out=prod_t)
+                np.multiply(wcol[t], src, out=prod_t)
                 np.add(acc_t, prod_t, out=acc_t)
     finally:
         np.setbufsize(bufsize)
     return acc.reshape(wt.out_ch, n, oh, ow)
+
+
+def _plane_cells(plane: np.ndarray, p: int, rows, cols, shifted: bool) -> list[list[tuple]]:
+    """Per kernel cell (r, c), ``(dst, span, blanks)``: a step copies its channel's
+    values ``[span]`` into the view ``dst`` of the ``(n, oh, ow)`` ``plane``, then
+    zeroes the views ``blanks``, each image's rows and columns over the padding.
+    A ``shifted`` conv reads the channel flat, shifted by ``(r - p) * ow + c - p``
+    (each read that wraps into a neighbouring row or image, or off the plane,
+    lands in a blank), and its centre cell reads the channel itself (``dst`` None).
+    """
+    (n, oh, ow), size = plane.shape, plane.size
+    flat, images, lines = plane.reshape(1, size), plane.reshape(n, oh * ow), plane.reshape(n * oh, ow)
+    cells: list[list[tuple]] = [[] for _ in rows]
+    for (r, (y0, y1, ys)), (c, (x0, x1, xs)) in itertools.product(enumerate(rows), enumerate(cols)):
+        blanks = [v for v in (images[:, :y0 * ow], images[:, y1 * ow:], lines[:, :x0], lines[:, x1:]) if v.size]
+        if shifted:
+            shift = (r - p) * ow + c - p
+            k = min(abs(shift), size)  # a shift as long as the plane copies nothing
+            dst, span = (flat[:, :size - k], slice(k, None)) if shift >= 0 else (flat[:, k:], slice(0, size - k))
+            cells[r].append((dst, (slice(None), span), blanks) if blanks else (None, None, []))
+        else:
+            cells[r].append((plane[:, y0:y1, x0:x1], (slice(None), ys, xs), blanks))
+    return cells
 
 
 def _tiles(part: slice, out_ch: int, tile: int) -> list[slice]:
@@ -325,22 +370,24 @@ def sidecar_path(blob_path) -> Path:
     return Path(str(blob_path) + ".json")
 
 
-def save_activations(path, acts: list[Activation]) -> None:
-    """Write a batch as one f32 blob; shapes go to ``<path>.json``."""
-    if not acts:
+def save_activations(path, batch: np.ndarray | Sequence[Activation]) -> None:
+    """Write a batch, a ``(B, C, H, W)`` array or a list of activations, as
+    one f32 blob; shapes go to ``<path>.json``."""
+    if not len(batch):
         raise ValidationError("empty activation batch")
-    shape = acts[0].shape
-    for idx, act in enumerate(acts):
-        if act.shape != shape:
-            raise ValidationError(f"input {idx}: shape {act.shape} differs from first input {shape}")
-    blob = b"".join(a.data.astype("<f4").tobytes() for a in acts)
-    Path(path).write_bytes(blob)
+    if not isinstance(batch, np.ndarray):
+        for idx, act in enumerate(batch):
+            if act.shape != batch[0].shape:
+                raise ValidationError(f"input {idx}: shape {act.shape} differs from first input {batch[0].shape}")
+        batch = np.stack([act.data for act in batch])
+    Path(path).write_bytes(np.ascontiguousarray(batch, dtype="<f4"))
     sidecar_path(path).write_text(
-        json.dumps({"count": len(acts), "shape": list(shape)}, indent=2) + "\n"
+        json.dumps({"count": len(batch), "shape": list(batch.shape[1:])}, indent=2) + "\n"
     )
 
 
-def load_activations(path) -> list[Activation]:
+def load_activations(path) -> np.ndarray:
+    """A batch written by :func:`save_activations`, as one finite ``(B, C, H, W)`` float32 array."""
     where = str(sidecar_path(path))
     try:
         meta = json.loads(sidecar_path(path).read_text())
@@ -350,10 +397,8 @@ def load_activations(path) -> list[Activation]:
     count = _get(meta, "count", where, int)
     if count < 1:
         raise FormatError(f"{where}: count {count!r} is not a positive integer")
-    per = math.prod(shape)
     raw = Path(path).read_bytes()
-    expected = count * per * 4
+    expected = count * math.prod(shape) * 4
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes for {count} inputs, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-    return [Activation(flat[i * per:(i + 1) * per].reshape(shape)) for i in range(count)]
+    return _finite(np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(count, *shape))

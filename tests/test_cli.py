@@ -234,7 +234,9 @@ def test_unknown_arch_exits_2(tmp_path, capsys):
 def test_run_and_evaluate_match_single_input_api(tmp_path, monkeypatch):
     import upaq
     from upaq import evaluate as evaluate_module
-    from upaq.inference import forward_batch, forward_compressed, load_activations
+    import numpy as np
+
+    from upaq.inference import Activation, forward_compressed, load_activations, run_batch
 
     model_path, inputs_path = _gen(tmp_path, arch="toy-residual")
     out_model = tmp_path / "m.upaqc"
@@ -247,12 +249,13 @@ def test_run_and_evaluate_match_single_input_api(tmp_path, monkeypatch):
 
     cm = upaq.load_compressed(out_model)
     inputs = load_activations(inputs_path)
-    expected = b"".join(forward_compressed(cm, act).data.astype("<f4").tobytes() for act in inputs)
+    expected = b"".join(forward_compressed(cm, Activation(x)).data.astype("<f4").tobytes() for x in inputs)
     assert out_blob.read_bytes() == expected
 
     # the same report, with every forward pass made one input at a time
-    monkeypatch.setattr(evaluate_module, "forward_batch",
-                        lambda model, acts, sparse=False: [forward_batch(model, [act])[0] for act in acts])
+    monkeypatch.setattr(evaluate_module, "run_batch",
+                        lambda model, batch, sparse=False: np.stack([run_batch(model, batch[i:i + 1])[0]
+                                                                     for i in range(len(batch))]))
     single = evaluate_module.evaluate_fidelity(upaq.load_model(model_path), cm, inputs)
     assert report_path.read_text() == single.to_json() + "\n"
 
@@ -314,7 +317,7 @@ def test_weights_at_float32_max_compress_run_and_evaluate(tmp_path, capsys, prof
     cm = upaq.load_compressed(out_model)
     assert np.isfinite(upaq.decompress_model(cm).by_id("conv2").weights.data).all()
     assert main(["run", str(out_model), "--inputs", str(inputs_path), "--out", str(out_blob)]) == 0
-    assert all(np.isfinite(act.data).all() for act in load_activations(out_blob))
+    assert np.isfinite(load_activations(out_blob)).all()
     capsys.readouterr()
     assert main(["evaluate", str(model_path), str(out_model), "--inputs", str(inputs_path)]) == 0
     report = json.loads(capsys.readouterr().out)

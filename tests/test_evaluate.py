@@ -11,7 +11,7 @@ from upaq.errors import ValidationError
 from conftest import copy_model, wide_model
 from oracles import recount_payload_nbytes
 from upaq.evaluate import evaluate_fidelity, model_sqnr_db, payload_sqnr_db
-from upaq.inference import Activation
+from upaq.inference import Activation, forward_batch
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import KernelPattern
 from upaq.quantizer import SQNR_CAP_DB, quantize_slices
@@ -135,6 +135,27 @@ def test_report_metrics_recomputable_from_run_blobs(tmp_path, toy_cnn, toy_cnn_h
     assert report.mean_rel_err == pytest.approx(np.mean(rel), abs=1e-9)
     assert report.top1_agreement == pytest.approx(top1, abs=0)
     assert report.cosine_sim == pytest.approx(np.mean(cos), abs=1e-9)
+
+
+@pytest.mark.parametrize("arch, profile", [("toy-cnn", upaq.hck_profile), ("toy-residual", upaq.lck_profile),
+                                           ("toy-1x1", upaq.hck_profile)], ids=["toy-cnn", "toy-residual", "toy-1x1"])
+def test_report_figures_bit_equal_a_per_input_recomputation(arch, profile):
+    model, inputs = upaq.gen_fixture(arch, 42)
+    cm = upaq.compress_model(model, profile(seed=42))
+    base_out = forward_batch(model, inputs)
+    comp_out = forward_batch(upaq.decompress_model(cm), inputs)
+    rel, cos, agree = [], [], 0
+    for b, c in zip(base_out, comp_out):
+        yb, yc = b.data.reshape(-1).astype(np.float64), c.data.reshape(-1).astype(np.float64)
+        rel.append(float(np.linalg.norm(yc - yb)) / float(np.linalg.norm(yb)))
+        cos.append(float(np.dot(yb, yc)) / (float(np.linalg.norm(yb)) * float(np.linalg.norm(yc))))
+        agree += int(np.argmax(yb)) == int(np.argmax(yc))
+    report = evaluate_fidelity(model, cm, inputs)
+    assert report.mean_rel_err == float(np.mean(rel))
+    assert report.cosine_sim == float(np.mean(cos))
+    assert report.top1_agreement == agree / len(inputs)
+    # the same figures from the blob's (B, C, H, W) array
+    assert evaluate_fidelity(model, cm, np.stack([act.data for act in inputs])) == report
 
 
 def _padded_variance(values, zeros):

@@ -137,9 +137,9 @@ def test_activation_batch_roundtrip(tmp_path, toy_cnn):
     path = tmp_path / "inputs.bin"
     save_activations(path, inputs[:5])
     back = load_activations(path)
-    assert len(back) == 5
+    assert back.shape == (5, *inputs[0].shape) and back.dtype == np.float32
     for a, b in zip(inputs[:5], back):
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.data.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("meta,message", [
@@ -510,3 +510,76 @@ def test_64x64_1x1_layer_runs_few_strided_parts(profile, parts):
     assert all(part.step == 9 for step in plan.skipping for part in plan.parts[step[4]])
     # the rows run are exactly the stored slots: 910 of 4096 (hck), 1365 (lck)
     assert sum(_rows_run(plan, 64)) == upaq.compressed.stored_value_count(cm.qlayers["pw"], cm.groups[0].pattern)
+
+
+# ---------------------------------------------------------------------------
+# shifted planes of stride-1 convs whose output plane is the input's size
+# ---------------------------------------------------------------------------
+
+def _spy_shifted(monkeypatch):
+    """Record, per conv run, whether it took its planes as shifted copies."""
+    seen = []
+    real = inference._plane_cells
+
+    def spy(plane, p, rows, cols, shifted):
+        seen.append(shifted)
+        return real(plane, p, rows, cols, shifted)
+
+    monkeypatch.setattr(inference, "_plane_cells", spy)
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("hw", [(1, 1), (1, 6), (6, 1), (2, 3), (4, 5), (6, 6)], ids=lambda hw: "x".join(map(str, hw)))
+def test_same_convs_take_shifted_planes_bit_exactly(k, hw, monkeypatch):
+    # a shift of (r - p) * w + c - p may wrap into a neighbouring row or image,
+    # or reach past the whole plane (w < p, or a 1x1 image under a 5x5 kernel)
+    rng = np.random.default_rng(47)
+    p = (k - 1) // 2
+    pruned = [(0, k - 1), (k - 1, 0)] if k > 1 else []
+    layers = [
+        _conv(rng, "a", 3, 2, k, padding=p, pruned=pruned),
+        LayerSpec("ra", "relu", ("a",)),
+        _conv(rng, "b", 4, 3, k, ("ra",), padding=p, pruned=pruned[:1]),
+    ]
+    layers[2].bias[1] = -0.0  # "b" skips nothing: every step runs over a -0.0 accumulator
+    model = ModelGraph("same", (2, *hw), layers)
+    model.validate()
+    plan = inference._conv_steps(layers[2], sparse=True)
+    assert plan.skipping is plan.every
+    monkeypatch.setattr(inference, "CHUNK_BYTES", 3 * 4 * _largest_activation(model))  # chunks of 3, 3 and 1
+    seen = _spy_shifted(monkeypatch)
+    _assert_engine_matches(model, _inputs(rng, (2, *hw), 7), oracle_idx=(0, 3, 6))
+    assert seen and all(seen)
+
+
+def test_strided_and_valid_convs_gather_windows(monkeypatch):
+    rng = np.random.default_rng(48)
+    seen = _spy_shifted(monkeypatch)
+    for stride, padding in ((2, 1), (1, 0)):
+        model = ModelGraph("window", (2, 5, 6), [_conv(rng, "c", 3, 2, 3, stride=stride, padding=padding)])
+        model.validate()
+        forward_batch(model, _inputs(rng, (2, 5, 6), 2))
+    assert seen == [False, False]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_shifted_planes_do_not_skip_over_a_non_finite_input():
+    # channel 0 of "a" overflows to inf under "b"'s pruned cells: 0 * inf is
+    # NaN, so the skipping path must run every step of "b" over its planes
+    a = LayerSpec("a", "conv2d", (), Tensor4(np.array([3e38, 1.0], dtype=np.float32).reshape(2, 1, 1, 1)))
+    wb = np.random.default_rng(49).uniform(-1, 1, (2, 2, 5, 5)).astype(np.float32)
+    wb[:, :, 0, :] = 0.0
+    b = LayerSpec("b", "conv2d", ("a",), Tensor4(wb), None, 1, 2)
+    model = ModelGraph("overflow", (1, 3, 4), [a, b])
+    model.validate()
+    assert len(inference._conv_steps(b, sparse=True).skipping) < 2 * 25
+    x = np.full((1, 3, 3, 4), 10.0, dtype=np.float32)
+    x[0, 1] = 0.0  # the middle input of the chunk stays finite all through
+    for sparse in (False, True):
+        steps = {layer.id: inference._conv_steps(layer, sparse) for layer in model.conv_layers()}
+        out = inference._run(model, x, steps, {"a": 1})["b"]
+        for j in range(3):
+            ref = forward_reference(model, x[:, j])
+            assert np.isnan(ref).any() != (j == 1)
+            np.testing.assert_array_equal(out[:, j], ref)
