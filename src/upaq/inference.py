@@ -117,8 +117,9 @@ def forward_batch(model: ModelGraph, inputs: Sequence[Activation], sparse: bool 
 
 
 def run_batch(model: ModelGraph, batch: np.ndarray | Sequence[Activation], sparse: bool = False) -> np.ndarray:
-    """Run the model over a ``(B, C, H, W)`` float32 array or a list of inputs,
-    stacked a chunk at a time; returns the sinks as one ``(B, *sink)`` array.
+    """Run the model over a finite ``(B, C, H, W)`` array, as :func:`load_activations`
+    gives it, or a list of inputs stacked a chunk at a time; returns the sinks
+    as one ``(B, *sink)`` float32 array.
 
     ``sparse=True`` skips kernel cells that are zero for every output
     channel; the outputs are bit-identical either way.
@@ -136,7 +137,8 @@ def run_batch(model: ModelGraph, batch: np.ndarray | Sequence[Activation], spars
     out = np.empty((len(batch), *shapes[sink_id]), dtype=np.float32)
     for lo in range(0, len(batch), chunk):
         part = batch[lo:lo + chunk]
-        x = np.ascontiguousarray(part.transpose(1, 0, 2, 3)) if is_array else np.stack([a.data for a in part], axis=1)
+        x = (np.ascontiguousarray(part.transpose(1, 0, 2, 3), dtype=np.float32) if is_array
+             else np.stack([a.data for a in part], axis=1))
         # no name keeps this chunk's sink alive while the next chunk runs
         out[lo:lo + chunk] = np.moveaxis(_run(model, x, steps, last_use)[sink_id], 1, 0)
         _finite(out[lo:lo + chunk])
