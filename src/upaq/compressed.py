@@ -216,8 +216,9 @@ def stored_slots(shape: tuple[int, int, int, int], pattern: KernelPattern) -> np
 def stored_value_count(qc: QuantizedConv, pattern: KernelPattern) -> int:
     """Structural nonzero slots of one payload: the values actually stored.
 
-    This is the sparsity a pattern-skipping engine sees; a retained weight
-    that happens to quantize to integer zero still occupies a slot.  The pad
-    cells of a 1 x 1 layer's last block hold no weight and store nothing.
+    A retained weight that quantizes to integer zero still occupies a slot,
+    so this bounds from above the weights a pattern-skipping engine runs: it
+    may skip such a zero.  The pad cells of a 1 x 1 layer's last block hold
+    no weight and store nothing.
     """
     return int(stored_slots(qc.shape, pattern).sum())

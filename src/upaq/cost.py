@@ -40,8 +40,9 @@ def _conv_stats(model, bits=None):
     """Yield (layer_id, kernels, nnz, bits, out_h, out_w) per conv layer.
 
     Dense models count value-nonzeros.  Compressed models count stored
-    slots: a pattern-skipping engine executes every retained position, even
-    one whose weight quantized to integer zero.
+    slots, an upper bound on the engine's work: a retained weight that
+    quantized to integer zero still counts, though the pattern-skipping
+    engine plans from the nonzero weights and may skip it.
     """
     bits = dict(bits) if bits else {}
     qlayers = model.qlayers if isinstance(model, CompressedModel) else {}

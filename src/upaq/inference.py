@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -399,8 +400,13 @@ def load_activations(path) -> np.ndarray:
     count = _get(meta, "count", where, int)
     if count < 1:
         raise FormatError(f"{where}: count {count!r} is not a positive integer")
-    raw = Path(path).read_bytes()
     expected = count * math.prod(shape) * 4
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes for {count} inputs, got {len(raw)}")
-    return _finite(np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(count, *shape))
+    # one copy of the blob: its size is checked before the batch is allocated, then read into it
+    with open(path, "rb") as blob:
+        size = os.fstat(blob.fileno()).st_size
+        if size == expected:
+            batch = np.empty((count, *shape), dtype="<f4")
+            size = blob.readinto(batch)
+    if size != expected:
+        raise FormatError(f"{path}: expected {expected} bytes for {count} inputs, got {size}")
+    return _finite(batch.astype(np.float32, copy=False))

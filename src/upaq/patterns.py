@@ -28,6 +28,18 @@ def split_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _arrangement(kind: str, n: int, d: int, line: int = 0, start: int = 0) -> tuple[tuple[int, int], ...]:
+    """The ``n`` cells of arrangement ``kind`` in a d x d slice.  A diagonal
+    starts at index 0; a row or column runs from ``start`` along ``line``."""
+    if kind == "main_diagonal":
+        return tuple((i, i) for i in range(n))
+    if kind == "anti_diagonal":
+        return tuple((i, d - 1 - i) for i in range(n))
+    if kind == "row":
+        return tuple((line, start + i) for i in range(n))
+    return tuple((start + i, line) for i in range(n))
+
+
 @dataclass(frozen=True)
 class KernelPattern:
     """Retained positions of a d x d kernel slice, one of four arrangements."""
@@ -49,20 +61,10 @@ class KernelPattern:
         for r, c in self.positions:
             if not (0 <= r < self.d and 0 <= c < self.d):
                 raise ValueError(f"position ({r}, {c}) outside [0, {self.d})")
-        if self.kind == "main_diagonal":
-            if self.positions != tuple((i, i) for i in range(n)):
-                raise ValueError("main_diagonal positions must be (i, i) from index 0")
-        elif self.kind == "anti_diagonal":
-            if self.positions != tuple((i, self.d - 1 - i) for i in range(n)):
-                raise ValueError("anti_diagonal positions must be (i, d-1-i) from index 0")
-        elif self.kind == "row":
-            row, start = self.positions[0]
-            if self.positions != tuple((row, start + i) for i in range(n)):
-                raise ValueError("row positions must be consecutive cells of one row")
-        else:  # column
-            start, col = self.positions[0]
-            if self.positions != tuple((start + i, col) for i in range(n)):
-                raise ValueError("column positions must be consecutive cells of one column")
+        first_row, first_col = self.positions[0]
+        line, start = (first_col, first_row) if self.kind == "column" else (first_row, first_col)
+        if self.positions != _arrangement(self.kind, n, self.d, line, start):
+            raise ValueError(f"positions {self.positions} are not a {self.kind} arrangement")
 
     @property
     def n(self) -> int:
@@ -92,15 +94,11 @@ def _draw_positions(n: int, d: int, rng: np.random.Generator) -> tuple[str, tupl
     """The ``(kind, positions)`` of :func:`generate_pattern`'s draw, without
     building the pattern; ``n`` and ``d`` are taken as already checked."""
     kind = PATTERN_KINDS[int(rng.integers(0, len(PATTERN_KINDS)))]
-    if kind == "main_diagonal":
-        return kind, tuple((i, i) for i in range(n))
-    if kind == "anti_diagonal":
-        return kind, tuple((i, d - 1 - i) for i in range(n))
+    if kind not in ("row", "column"):
+        return kind, _arrangement(kind, n, d)
     line = int(rng.integers(0, d))
     start = int(rng.integers(0, d - n + 1))
-    if kind == "row":
-        return kind, tuple((line, start + i) for i in range(n))
-    return kind, tuple((start + i, line) for i in range(n))
+    return kind, _arrangement(kind, n, d, line, start)
 
 
 def enumerate_all_patterns(n: int, d: int) -> list[KernelPattern]:
@@ -112,18 +110,12 @@ def enumerate_all_patterns(n: int, d: int) -> list[KernelPattern]:
     """
     _check_params(n, d)
     out: dict[tuple[tuple[int, int], ...], KernelPattern] = {}
-    candidates = [
-        KernelPattern("main_diagonal", d, tuple((i, i) for i in range(n))),
-        KernelPattern("anti_diagonal", d, tuple((i, d - 1 - i) for i in range(n))),
-    ]
-    for row in range(d):
-        for start in range(d - n + 1):
-            candidates.append(KernelPattern("row", d, tuple((row, start + i) for i in range(n))))
-    for col in range(d):
-        for start in range(d - n + 1):
-            candidates.append(KernelPattern("column", d, tuple((start + i, col) for i in range(n))))
-    for pat in candidates:
-        out.setdefault(pat.positions, pat)
+    for kind in PATTERN_KINDS:
+        lines, starts = (range(d), range(d - n + 1)) if kind in ("row", "column") else (range(1), range(1))
+        for line in lines:
+            for start in starts:
+                pat = KernelPattern(kind, d, _arrangement(kind, n, d, line, start))
+                out.setdefault(pat.positions, pat)
     return list(out.values())
 
 

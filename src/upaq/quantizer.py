@@ -7,19 +7,19 @@ clipped to the symmetric range.  A payload stores each scale as float32
 
 One rule gives every SQNR in the package, :func:`slice_sqnr`: a slice's
 signal is its masked cells, its error the gap to that float32
-reconstruction.  Both variances are population variances over the whole
-``d*d`` slice, taken from the ``n`` kept cells plus the count of zero
-(pruned or pad) cells.  Below ``ERR_VAR_FLOOR`` error variance the SQNR is
-the cap, else the variance ratio capped at ``SQNR_CAP``.
+reconstruction, each a population variance over the whole ``d*d`` slice.
 
-Kept cells are laid out cell-major, ``(n, S)``, one row per cell, and a
-slice sums them row by row.  :func:`quantize_slices` quantizes a whole
-``(S, h, w)`` stack in one numpy pass, every slice on its own scale.
-:func:`mean_sqnr_db` scores all of a group's masks in one cell-major pass on
-their kept cells, bit-equal to :func:`quantize_slices` under each mask.
+Kept cells are laid out cell-major, ``(n, S)``, one row per cell, in a
+C-ordered array; one ``np.add.reduce`` down two or more such columns sums
+each slice strictly row by row (:func:`_cell_sums`).  :func:`quantize_slices`
+quantizes a whole ``(S, h, w)`` stack in one numpy pass, every slice on its
+own scale.  :func:`mean_sqnr_db` scores all of a group's masks in one
+cell-major pass on their kept cells, bit-equal to :func:`quantize_slices`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,15 +33,6 @@ SCORE_BLOCK = 4096  # slice-mask columns mean_sqnr_db scores at a time
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # np.round ties to even; quantization needs ties away from zero for
-    # exact negation symmetry.  In-place ops keep a stack's temporaries few.
-    r = np.abs(x)
-    r += 0.5
-    np.floor(r, out=r)
-    return np.copysign(r, x, out=r)
-
-
 def _max_value(bits: int) -> int:
     if bits not in SUPPORTED_BITS:
         raise ValueError(f"unsupported bitwidth {bits}; expected one of {SUPPORTED_BITS}")
@@ -53,9 +44,11 @@ def stack_rows(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 3:
         raise ValueError(f"expected a 3-D slice stack, got {x.ndim} dimensions")
-    if not np.isfinite(x).all():
+    rows = x.astype(np.float64).reshape(x.shape[0], x.shape[1] * x.shape[2])
+    # a float64 sum of float32 values cannot overflow, so only a NaN or inf makes it non-finite
+    if not math.isfinite(rows.sum()):
         raise ValueError("non-finite input to quantizer")
-    return x.astype(np.float64).reshape(x.shape[0], x.shape[1] * x.shape[2])
+    return rows
 
 
 def _scale_and_round(v: np.ndarray, alpha: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -63,8 +56,13 @@ def _scale_and_round(v: np.ndarray, alpha: np.ndarray, bits: int) -> tuple[np.nd
     ``alpha``, and its clipped integers as float64; an all-zero slice falls
     back to scale 1, so its integers are all zero."""
     max_value = _max_value(bits)
-    scale = np.where(alpha == 0.0, 1.0, alpha / max_value)
-    r = _round_half_away(v / scale)
+    scale = alpha / max_value
+    scale[alpha == 0.0] = 1.0
+    # np.round ties to even; quantization rounds ties away from zero, and
+    # IEEE addition's sign symmetry keeps it exactly symmetric under negation
+    r = v / scale
+    r += np.copysign(0.5, r)
+    np.trunc(r, out=r)
     return np.clip(r, -max_value, max_value, out=r), scale
 
 
@@ -75,7 +73,7 @@ def shipped_scales(scale: np.ndarray, bits: int) -> np.ndarray:
     top = float(_max_value(bits))
     s32 = np.asarray(scale).astype(np.float32)
     # below the float32 nearest to float32-max / top, top * scale stays finite
-    for i in np.flatnonzero(s32 >= np.float32(_F32_MAX / top)):
+    for i in np.nonzero(s32 >= np.float32(_F32_MAX / top))[0]:
         with np.errstate(over="ignore"):
             while not np.isfinite(np.float32(top * float(s32[i]))):
                 s32[i] = np.nextafter(s32[i], np.float32(0.0))
@@ -90,12 +88,11 @@ def _error(v: np.ndarray, r: np.ndarray, scale32: np.ndarray) -> np.ndarray:
 
 
 def _cell_sums(v: np.ndarray) -> np.ndarray:
-    """Each slice (column) of cell-major ``v`` summed one whole row at a time,
-    so its bits do not depend on the slices beside it."""
-    total = v[0].copy()
-    for row in v[1:]:
-        total += row
-    return total
+    """Each slice (column) of cell-major ``v`` summed strictly row by row, so its
+    bits do not depend on the slices beside it.  ``v`` is C-ordered, or a column
+    slice of such an array: numpy adds whole rows in order down two or more
+    columns but sums a lone column pairwise, so that is summed beside a copy."""
+    return np.add.reduce(v if v.shape[1] > 1 else np.repeat(v, 2, axis=1), axis=0)[: v.shape[1]]
 
 
 def _variance(v: np.ndarray, zeros: int) -> np.ndarray:
@@ -107,22 +104,22 @@ def _variance(v: np.ndarray, zeros: int) -> np.ndarray:
 
 
 def slice_sqnr(x: np.ndarray, err: np.ndarray, zeros: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slice SQNR ``(linear, dB)`` of cell-major float64 ``(n, S)`` kept
-    cells ``x`` and their reconstruction errors ``err``, each slice holding
-    ``zeros`` more cells that are zero in both.
+    """Per-slice SQNR ``(linear, dB)`` of C-ordered cell-major float64 ``(n, S)``
+    kept cells ``x`` and their reconstruction errors ``err``, each slice
+    holding ``zeros`` more cells that are zero in both.
 
     The linear SQNR is the variance ratio capped at ``SQNR_CAP``, and the cap
     itself when the error variance is below ``ERR_VAR_FLOOR``; a zero signal
     variance over a live error gives ``-inf`` dB.
     """
-    # the signal and error slices side by side: one set of row sums for both
+    # the signal beside the error: one set of row sums for both, never a lone column
     var = _variance(np.concatenate((x, err), axis=1), zeros)
     return _sqnr(var[: x.shape[1]], var[x.shape[1]:])
 
 
 def _sqnr(signal_var: np.ndarray, err_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     floor = err_var < ERR_VAR_FLOOR
-    linear = np.minimum(signal_var / np.where(floor, 1.0, err_var), SQNR_CAP)
+    linear = np.minimum(signal_var / np.maximum(err_var, ERR_VAR_FLOOR), SQNR_CAP)
     linear[floor] = SQNR_CAP
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(linear)
@@ -140,8 +137,7 @@ def quantize_slices(x: np.ndarray, bits: int, mask: np.ndarray | None = None):
     the reconstruction from ``scale32``, and ``scale32``, the float32 scales
     a payload stores (:func:`shipped_scales`); all but ``q`` are of shape
     ``(S,)``.  An all-zero slice falls back to scale 1 with all-zero integers
-    and a capped SQNR; this keeps the zero case well-defined without
-    special-casing callers.
+    and a capped SQNR, so callers need no zero case.
     """
     q, scale, scale32, kept, r = _quantize_masked(x, bits, mask)
     sqnr_linear, sqnr_db = slice_sqnr(kept, _error(kept, r, scale32), q.shape[1] * q.shape[2] - len(kept))
@@ -152,8 +148,8 @@ def _quantize_masked(x: np.ndarray, bits: int, mask: np.ndarray | None):
     """:func:`quantize_slices` without the SQNR: ``(q, scale, scale32)``, then
     the cell-major float64 kept cells and their clipped integers."""
     rows = stack_rows(x)
-    keep = np.arange(rows.shape[1]) if mask is None else np.flatnonzero(mask)
-    kept = rows.T[keep]
+    keep = slice(None) if mask is None else np.flatnonzero(mask)
+    kept = np.ascontiguousarray(rows.T[keep])  # C-ordered, as _cell_sums needs
     r, scale = _scale_and_round(kept, np.abs(kept).max(axis=0), bits)
     q = np.zeros(rows.shape, dtype=np.int32)
     q[:, keep] = r.T

@@ -8,7 +8,7 @@ from upaq.compressed import CompressedGroup, CompressedModel, ProfileInfo, Quant
 from upaq.container import compressed_payload_nbytes, dense_payload_nbytes
 from upaq.cost import compression_ratio
 from upaq.errors import ValidationError
-from conftest import copy_model, wide_model
+from conftest import copy_model, single_conv_model, wide_model
 from oracles import recount_payload_nbytes
 from upaq.evaluate import evaluate_fidelity, model_sqnr_db, payload_sqnr_db
 from upaq.inference import Activation, forward_batch
@@ -255,3 +255,18 @@ def test_winner_sqnr_term_is_the_payload_sqnr(arch):
                 pattern = loaded.group_for(dec.root_id).pattern
                 sqnr_db = payload_sqnr_db(model.by_id(dec.root_id).weights.data, loaded.qlayers[dec.root_id], pattern)
                 assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0
+
+
+def test_winner_sqnr_term_is_the_payload_sqnr_on_a_lone_9x9_slice():
+    """A 1->1 9x9 conv keeping all 9 cells of a line under one candidate
+    mask is scored as a single 9-cell slice-mask column: there numpy sums
+    pairwise unless the scorer keeps the strict row order, and the winner's
+    SQNR term would drift from the payload's in the last bit."""
+    from upaq.compressor import CompressionProfile, compress_with_decisions
+
+    for seed in range(48):
+        model = single_conv_model(seed=seed, out_ch=1, in_ch=1, k=9)
+        profile = CompressionProfile(name="lck", quant_bits=(8, 16), n_map={9: 9}, candidates=1, seed=seed)
+        cm, (dec,) = compress_with_decisions(model, profile)
+        sqnr_db = payload_sqnr_db(model.by_id("conv").weights.data, cm.qlayers["conv"], cm.group_for("conv").pattern)
+        assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0

@@ -7,7 +7,9 @@ import pytest
 
 import upaq
 from oracles import forward_reference
+from conftest import wide_model
 from upaq import inference
+from upaq.cost import layer_costs
 from upaq.errors import FormatError, ValidationError
 from upaq.inference import (
     Activation,
@@ -165,9 +167,28 @@ def test_hostile_sidecar_raises_format_error(tmp_path, toy_cnn, meta, message):
 def test_blob_length_off_its_sidecar_raises_format_error(tmp_path, toy_cnn):
     path = tmp_path / "inputs.bin"
     save_activations(path, toy_cnn[1][:5])
-    path.write_bytes(path.read_bytes() + bytes(4))
+    blob = path.read_bytes()
+    path.write_bytes(blob + bytes(4))
     with pytest.raises(FormatError, match="expected 5120 bytes for 5 inputs, got 5124"):
         load_activations(path)
+    path.write_bytes(blob[:-4])
+    with pytest.raises(FormatError, match="expected 5120 bytes for 5 inputs, got 5116"):
+        load_activations(path)
+
+
+def test_load_activations_holds_one_copy_of_the_blob(tmp_path):
+    path = tmp_path / "inputs.bin"
+    batch = np.random.default_rng(48).normal(size=(256, 1, 32, 32)).astype(np.float32)  # 1 MiB
+    save_activations(path, batch)
+    tracemalloc.start()
+    try:
+        back = load_activations(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == batch.tobytes()
+    # the array itself and the quarter-size mask of the finiteness check
+    assert peak <= 1.3 * batch.nbytes
 
 
 def test_activation_batch_shape_consistency(tmp_path):
@@ -510,6 +531,24 @@ def test_64x64_1x1_layer_runs_few_strided_parts(profile, parts):
     assert all(part.step == 9 for step in plan.skipping for part in plan.parts[step[4]])
     # the rows run are exactly the stored slots: 910 of 4096 (hck), 1365 (lck)
     assert sum(_rows_run(plan, 64)) == upaq.compressed.stored_value_count(cm.qlayers["pw"], cm.groups[0].pattern)
+
+
+@pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1", "wide"])
+def test_stored_slots_bound_the_weights_the_engine_runs(arch, profile):
+    """The cost model's stored-slot count of each conv layer is an upper bound
+    on the rows its skipping plan runs, and the plan runs at least every
+    nonzero weight: it falls short only by retained weights that quantized
+    to zero, as two of toy-1x1 hck ``conv_a``'s do."""
+    model = wide_model() if arch == "wide" else upaq.gen_fixture(arch, 42)[0]
+    cm = upaq.compress_model(model, profile(seed=42))
+    nnz = {lid: stats[0] for lid, stats in layer_costs(cm).items()}
+    run = {}
+    for layer in upaq.decompress_model(cm).conv_layers():
+        run[layer.id] = sum(_rows_run(inference._conv_steps(layer, sparse=True), layer.weights.out_ch))
+        assert np.count_nonzero(layer.weights.data) <= run[layer.id] <= nnz[layer.id]
+    if (arch, profile) == ("toy-1x1", upaq.hck_profile):
+        assert (run["conv_a"], nnz["conv_a"]) == (16, 18)
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,24 @@ def test_block_scorer_equals_per_mask_means(slices, data):
         assert mean == per_mask[pattern.positions]
 
 
+def test_lone_slice_mask_column_sums_in_row_order():
+    """One 9x9 slice under one 9-cell row mask is a single slice-mask column
+    of 9 cells, which numpy would sum in pairwise blocks of 8; the score
+    still equals quantizing the masked slice, also when ``rows`` is a
+    column slice of a wider array."""
+    rng = np.random.default_rng(61)
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[4] = True
+    keeps = np.flatnonzero(mask)[None]
+    for _ in range(40):
+        stack = (rng.normal(size=(1, 9, 9)) * 10.0 ** rng.uniform(-6, 6, (1, 9, 9))).astype(np.float32)
+        expected = [float(np.mean(quantize_slices(stack, bits, mask)[3])) for bits in (4, 8, 16)]
+        rows = stack_rows(stack)
+        wider = np.concatenate((rows, rng.normal(size=(1, 19))), axis=1)
+        for view in (rows, wider[:, :81]):
+            assert mean_sqnr_db(view, keeps, (4, 8, 16)).tolist() == [expected]
+
+
 def test_scorer_rejects_what_quantize_slices_rejects():
     rows = stack_rows(np.ones((2, 3, 3), dtype=np.float32))
     with pytest.raises(ValueError, match="unsupported bitwidth"):
