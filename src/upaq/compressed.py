@@ -214,11 +214,8 @@ def stored_slots(shape: tuple[int, int, int, int], pattern: KernelPattern) -> np
 
 
 def stored_value_count(qc: QuantizedConv, pattern: KernelPattern) -> int:
-    """Structural nonzero slots of one payload: the values actually stored.
-
-    A retained weight that quantizes to integer zero still occupies a slot,
-    so this bounds from above the weights a pattern-skipping engine runs: it
-    may skip such a zero.  The pad cells of a 1 x 1 layer's last block hold
-    no weight and store nothing.
-    """
+    """Structural nonzero slots of one payload: the values actually stored, a
+    retained weight that quantizes to integer zero included.  They bound the
+    weights the pattern-skipping engine runs from above (see ``cost._conv_stats``).
+    The pad cells of a 1 x 1 layer's last block hold no weight and store nothing."""
     return int(stored_slots(qc.shape, pattern).sum())

@@ -40,9 +40,9 @@ def _conv_stats(model, bits=None):
     """Yield (layer_id, kernels, nnz, bits, out_h, out_w) per conv layer.
 
     Dense models count value-nonzeros.  Compressed models count stored
-    slots, an upper bound on the engine's work: a retained weight that
-    quantized to integer zero still counts, though the pattern-skipping
-    engine plans from the nonzero weights and may skip it.
+    slots, an upper bound on the pattern-skipping engine's work: it runs a
+    retained weight that quantized to zero unless its whole row group is
+    zero there, so on every fixture and wide-model layer it runs them all.
     """
     bits = dict(bits) if bits else {}
     qlayers = model.qlayers if isinstance(model, CompressedModel) else {}

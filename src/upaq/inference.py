@@ -1,52 +1,43 @@
 """Minimal CPU forward pass for dense and compressed models.
 
 The engine runs a batch in chunks, each held channel-major as ``(C, n, H,
-W)``.  Convolution is direct (no im2col/FFT) with a fixed accumulation
-order: every output element starts at its bias and accumulates one
-``weight * input`` product per (in_ch, row, col) step, in that loop order.
-A step takes its input plane of ``n * oh * ow`` values once, then runs one
-multiply and one add for each out-channel tile of the ``(out_ch, n * oh *
-ow)`` accumulator; a tile's accumulator and product rows fit in
-``TILE_BYTES`` so that they stay in cache.  A stride-1 conv with an output
-plane the input's size takes the plane as its channel shifted by the cell's
-offset (the centre cell reads the channel itself); any other conv gathers
-the cell's window.  The order per element is unchanged, so the result is
-bit-identical to a straight scalar loop.  relu
-and add work on any layout, global average pooling sums each (c, n) plane
-strictly in row-major order, and ``linear`` and the sink read each input back
-in (C, H, W) order.
+W)``.  Convolution is direct (no im2col/FFT): every output element starts at
+its bias and adds one ``weight * input`` product per (in_ch, row, col) step
+in that order, each product and each sum rounded to float32, bit-identical to
+a straight scalar loop.  Per block of output columns of at most
+``BLOCK_BYTES``, each row group of a layer runs one ``np.einsum("ok,ke->oe",
+W, X, optimize=False)``: ``W`` is its ``[bias | weight columns]`` and ``X`` a
+ones row over the input plane under each column's kernel cell.  einsum adds
+``W[o, k] * X[k, e]`` for ``k`` in order; over a lone column it would sum as a
+dot product, in another order, so that column runs beside a copy.  It starts
+at +0.0, not at the bias, so rows of a -0.0 bias, where the scalar loop may
+end at -0.0, run again as that loop.  A stride-1 conv whose output plane is
+the input's size fills ``X`` with its channels shifted by the cell's offset;
+any other conv gathers each cell's window.  ``linear`` is the same
+contraction over each input's (C, H, W) features; global average pooling
+sums each (c, n) plane strictly in row-major order.
 
-The pattern-skipping path (``sparse=True``) skips the products of zero
-weights.  A (in_ch, row, col) step whose weight column is zero for every
-output channel does not run: all slices of a compressed group share one
-pattern, so on a pattern-pruned k x k layer only the retained cells run, 2 of
-9 per 3x3 slice under ``hck``.  A 1x1 layer under the block transform has no
-such column, but weight ``(o, i)`` is stored when ``(o * in_ch + i) mod 9`` is
-a pattern cell, so for a fixed ``i`` the stored rows are a few residue
-classes ``o0::m``.  A step whose nonzero rows fit at most ``MAX_PARTS`` such
-classes runs over those strided parts of the accumulator only, with no
-gather: 2 parts of 7 or 8 rows of 64 per column of a 64->64 layer under
-``hck``.  Every other step runs one part, the full range, through the same
-loop.  The parts are derived from the weight columns' nonzeros, so the
-densified model is the engine's only input.  Skipping is exact: adding a
-+-0.0 product leaves every float32 accumulator unchanged except -0.0
-(``-0.0 + 0.0`` is ``+0.0``), and ``0 * inf`` is NaN.  So a layer skips
-nothing when one of its bias entries is -0.0 or its input holds a
-non-finite value; an accumulator can only be -0.0 if it started at a -0.0
-bias.
+The pattern-skipping path (``sparse=True``) runs only the weight columns
+nonzero in some row: 2 of 9 cells per 3x3 slice of a k x k layer under
+``hck``.  A 1x1 layer under the block transform stores weight ``(o, i)`` when
+``(o * in_ch + i) mod 9`` is a pattern cell, so its rows fall in 9 groups,
+each over its own 14 to 16 of 64 columns for a 64->64 layer under ``hck``.
+The plan comes from the densified weights' nonzeros.  Skipping is exact: an
+einsum sum is never -0.0, so adding a +-0.0 product leaves it unchanged, but
+``0 * inf`` is NaN, so a layer skips nothing over a non-finite input or with
+a -0.0 bias entry.
 
 A chunk holds as many inputs as fit ``CHUNK_BYTES`` in the model's largest
-activation (4 inputs of 64x32x32, rows of 4096 values).  Each activation is
-dropped once its last consumer has run, and relu and add write over a source
-nothing else reads, so memory stays bounded for any batch.  ``upaq run`` and
-``upaq evaluate`` read the blob into one ``(B, C, H, W)`` array, decompress a
-compressed model once and run the array through :func:`run_batch` on the
-skipping path, which slices each chunk from it and writes the sinks to one
-``(B, *sink)`` array; :func:`forward_batch` wraps it for a list of inputs.
+activation (4 inputs of 64x32x32).  Each activation is dropped after its last
+consumer, and relu and add write over a source nothing else reads, so memory
+stays bounded for any batch.  :func:`run_batch` takes the ``(B, C, H, W)``
+array that ``upaq run`` and ``upaq evaluate`` read, or a list of inputs
+(:func:`forward_batch`), and writes the sinks to one ``(B, *sink)`` array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -59,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compressed import CompressedModel, decompress_model
+from .compressor import BLOCK_K
 from .container import _get, _get_shape
 from .errors import FormatError, ValidationError
 from .model import LayerSpec, ModelGraph, infer_shapes
@@ -66,15 +58,13 @@ from .model import LayerSpec, ModelGraph, infer_shapes
 # Bytes one activation of a chunk may take: the chunk size is this over the
 # model's largest per-input activation, so memory stays bounded for any batch.
 CHUNK_BYTES = 1024 * 1024
-# Bytes of one out-channel tile's accumulator rows plus its product rows.
-TILE_BYTES = 512 * 1024
-# A weight column whose nonzero out-channels fit at most MAX_PARTS residue
-# classes o0::m, m <= MAX_STRIDE, runs over those classes only.  The 3x3
-# blocks of a 1x1 layer's flat weights repeat every 9 out-channels or fewer.
-MAX_PARTS = 4
-MAX_STRIDE = 9
+# Bytes of one block of a conv's contraction input: its ones row and one row
+# per weight column run, over the block's output columns.
+BLOCK_BYTES = 512 * 1024
 # Bytes of the transposed block global average pooling sums at a time.
 POOL_BYTES = 128 * 1024
+
+ALL = slice(None)
 
 
 @dataclass
@@ -101,14 +91,10 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 
 
 def forward_compressed(cm: CompressedModel, input_act: Activation, sparse: bool = False) -> Activation:
-    """Run a compressed model on one input, on dequantized weights.
-
-    This decompresses on every call; to run a batch, decompress once and
-    call :func:`run_batch` (as ``upaq run`` and ``upaq evaluate`` do).
-    The reference path runs the densified model (zeros at pruned
-    positions); ``sparse=True`` skips the pruned kernel cells instead, which
-    is exact (see the module docstring, including the -0.0 bias rule).
-    """
+    """Run a compressed model on one input, decompressing it on every call;
+    a batch goes through :func:`run_batch` on a model decompressed once, as
+    ``upaq run`` and ``upaq evaluate`` do.  ``sparse=True`` skips the pruned
+    kernel cells of the densified model, bit-exactly."""
     return forward_batch(decompress_model(cm), [input_act], sparse=sparse)[0]
 
 
@@ -122,8 +108,8 @@ def run_batch(model: ModelGraph, batch: np.ndarray | Sequence[Activation], spars
     gives it, or a list of inputs stacked a chunk at a time; returns the sinks
     as one ``(B, *sink)`` float32 array.
 
-    ``sparse=True`` skips kernel cells that are zero for every output
-    channel; the outputs are bit-identical either way.
+    ``sparse=True`` skips weight columns that are zero in every row of a row
+    group; the outputs are bit-identical either way.
     """
     is_array = isinstance(batch, np.ndarray)
     for idx, shape in enumerate([batch.shape[1:]] if is_array else [act.shape for act in batch]):
@@ -132,7 +118,7 @@ def run_batch(model: ModelGraph, batch: np.ndarray | Sequence[Activation], spars
     shapes = infer_shapes(model)
     largest = max(math.prod(shape) for shape in (model.input_shape, *shapes.values()))
     chunk = max(1, CHUNK_BYTES // (4 * largest))
-    steps = {layer.id: _conv_steps(layer, sparse) for layer in model.conv_layers()}
+    plans = {layer.id: _conv_steps(layer, sparse) for layer in model.layers if layer.weights is not None}
     last_use = {src: idx for idx, layer in enumerate(model.layers) for src in layer.inputs}
     sink_id = model.sink().id
     out = np.empty((len(batch), *shapes[sink_id]), dtype=np.float32)
@@ -141,12 +127,12 @@ def run_batch(model: ModelGraph, batch: np.ndarray | Sequence[Activation], spars
         x = (np.ascontiguousarray(part.transpose(1, 0, 2, 3), dtype=np.float32) if is_array
              else np.stack([a.data for a in part], axis=1))
         # no name keeps this chunk's sink alive while the next chunk runs
-        out[lo:lo + chunk] = np.moveaxis(_run(model, x, steps, last_use)[sink_id], 1, 0)
+        out[lo:lo + chunk] = np.moveaxis(_run(model, x, plans, last_use)[sink_id], 1, 0)
         _finite(out[lo:lo + chunk])
     return out
 
 
-def _run(model: ModelGraph, x: np.ndarray, steps, last_use: dict[str, int]) -> dict[str, np.ndarray]:
+def _run(model: ModelGraph, x: np.ndarray, plans, last_use: dict[str, int]) -> dict[str, np.ndarray]:
     """One channel-major chunk ``(c, n, h, w)`` through every layer; returns the live activations."""
     acts: dict[str, np.ndarray] = {}
     for idx, layer in enumerate(model.layers):
@@ -154,15 +140,16 @@ def _run(model: ModelGraph, x: np.ndarray, steps, last_use: dict[str, int]) -> d
         # a first source read for the last time here takes the output in place
         spent = srcs[0] if layer.inputs and last_use[layer.inputs[0]] == idx else None
         if layer.kind == "conv2d":
-            out = _conv2d(srcs[0], layer, steps[layer.id])
+            out = _conv2d(srcs[0], plans[layer.id], layer.stride, layer.padding)
         elif layer.kind == "relu":
             out = np.maximum(srcs[0], np.float32(0.0), out=spent)
         elif layer.kind == "add":
             out = np.add(srcs[0], srcs[1], out=spent)
         elif layer.kind == "global_avg_pool":
             out = _global_avg_pool(srcs[0])
-        elif layer.kind == "linear":
-            out = _linear(srcs[0], layer)
+        elif layer.kind == "linear":  # a 1x1 conv over each input's features in (C, H, W) order
+            c, n, h, w = srcs[0].shape
+            out = _conv2d(srcs[0].transpose(0, 2, 3, 1).reshape(c * h * w, n, 1, 1), plans[layer.id], 1, 0)
         else:  # pragma: no cover - validated earlier
             raise ValidationError(f"layer {layer.id!r}: unknown kind {layer.kind!r}")
         acts[layer.id] = out
@@ -172,152 +159,182 @@ def _run(model: ModelGraph, x: np.ndarray, steps, last_use: dict[str, int]) -> d
     return acts
 
 
+class Group(NamedTuple):
+    """Out-channels ``rows`` running the same weight columns: ``weights`` is
+    their column-major float32 ``[bias | columns]``, so einsum runs ``k``
+    outermost, and a fill ``(r, c, X rows, in_chs)`` names the rows of ``X``
+    that hold kernel cell ``(r, c)``'s planes."""
+
+    rows: slice | np.ndarray
+    weights: np.ndarray
+    fills: list[tuple[int, int, slice, slice]]
+
+
 class ConvPlan(NamedTuple):
-    """The steps of one conv layer, in (in_ch, row, col) loop order.
+    """One conv or linear layer's row groups: ``every`` runs every column, the reference
+    path; ``skipping`` runs over a finite input; rows ``negative_zero`` have a -0.0 bias."""
 
-    A step is ``(in_ch, row, col, weight column, part set)``: the column is an
-    ``(out_ch, 1)`` view and the part set indexes ``parts``, each entry a tuple
-    of out-channel slices the step runs over.  ``parts[0]`` is the full range.
-    """
+    kh: int
+    kw: int
+    every: list[Group]
+    skipping: list[Group]
+    negative_zero: np.ndarray
 
-    parts: list[tuple[slice, ...]]
-    every: list[tuple]  # every step over the full range: the reference path
-    skipping: list[tuple]  # the steps to run over a finite input
+    @property
+    def executed(self) -> int:
+        """The weights the skipping path runs: rows times columns over its groups."""
+        return sum(g.weights.shape[0] * (g.weights.shape[1] - 1) for g in self.skipping)
 
 
 def _conv_steps(layer: LayerSpec, sparse: bool) -> ConvPlan:
-    """The plan of one conv layer; ``skipping`` is ``every`` unless ``sparse``
-    is set and no bias entry is -0.0.  Then it drops the columns that are zero
-    for every out-channel and runs a column whose nonzero rows fit a few
-    residue classes ``o0::m`` over those classes only.
-    """
+    """The plan of one conv or linear layer: ``skipping`` is ``every`` unless
+    ``sparse`` is set, no bias is -0.0 and :func:`_row_groups` drops a column."""
     wt = layer.weights
     assert wt is not None
-    # one transposed copy: weight column k is row k, viewed as (out_ch, 1)
-    columns = np.ascontiguousarray(wt.data.reshape(wt.out_ch, -1).T)
-    every = [(i, r, c, col, 0) for (i, r, c), col in zip(np.ndindex(wt.in_ch, wt.kh, wt.kw), columns[:, :, None])]
-    parts: list[tuple[slice, ...]] = [(slice(0, wt.out_ch),)]
-    negative_zero_bias = layer.bias is not None and bool(np.any((layer.bias == 0) & np.signbit(layer.bias)))
-    if not sparse or negative_zero_bias:
-        return ConvPlan(parts, every, every)
-    live = columns != 0
-    nonzeros = live.sum(axis=1)
-    part_set = np.where(nonzeros > 0, 0, -1)  # -1: the column is zero for every out-channel
-    mixed = np.flatnonzero((nonzeros > 0) & (nonzeros < wt.out_ch))
-    index = {}
-    for k, classes in zip(mixed.tolist(), _residue_classes(live[mixed])):
-        if classes:
-            part_set[k] = index.setdefault(classes, len(parts) + len(index))
-    parts += [tuple(slice(o0, wt.out_ch, m) for o0, m in classes) for classes in index]
-    if (part_set == 0).all():
-        return ConvPlan(parts, every, every)
-    skipping = [(i, r, c, col, p) for (i, r, c, col, _), p in zip(every, part_set.tolist()) if p >= 0]
-    return ConvPlan(parts, every, skipping)
+    flat = wt.data.reshape(wt.out_ch, -1)  # column k is step (in_ch, row, col) in loop order
+    bias = layer.bias if layer.bias is not None else np.zeros(wt.out_ch, dtype=np.float32)
+    negative_zero = np.flatnonzero((bias == 0) & np.signbit(bias))
+    group = functools.partial(_group, flat, bias, wt.in_ch, wt.kw)
+    every = [group(slice(0, wt.out_ch), np.ones(flat.shape[1], dtype=bool))]
+    plan = ConvPlan(wt.kh, wt.kw, every, every, negative_zero)
+    groups = _row_groups(flat != 0) if sparse and not negative_zero.size else []
+    if not groups or (len(groups) == 1 and groups[0][1].all()):
+        return plan
+    return plan._replace(skipping=[group(rows, cols) for rows, cols in groups])
 
 
-def _residue_classes(live: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
-    """For each row of ``live`` (the nonzero out-channels of one weight column),
-    the ``(o0, m)`` residue classes, at most ``MAX_PARTS`` of one stride
-    ``m <= MAX_STRIDE``, that hold its nonzeros in the fewest rows; ``()``
-    where no such cover saves a row over the full range.
-
-    A 1x1 layer's weight ``(o, i)`` is stored when ``(o * in_ch + i) mod d*d``
-    is a pattern cell, so its live rows are whole classes mod ``d*d / gcd(in_ch,
-    d*d)``.  The search runs over every column of the layer at once.
-    """
-    count, out_ch = live.shape
-    if not count:  # a column of one out-channel is all zero or all live
-        return []
-    # class (o0, m) of every stride m, numbered from starts[m - 2]: it holds out-channels o0::m
-    strides = np.arange(2, min(MAX_STRIDE, out_ch) + 1)
-    starts = np.cumsum(strides) - strides
-    stride = np.repeat(strides, strides)
-    first = np.arange(len(stride)) - np.repeat(starts, strides)
-    held = np.zeros((count, len(stride)), dtype=bool)  # class holds a nonzero
-    column, row = np.nonzero(live)
-    held[column[:, None], starts + row[:, None] % strides] = True
-    parts = np.add.reduceat(held, starts, axis=1, dtype=np.int64)
-    rows = np.add.reduceat(held * ((out_ch - first + stride - 1) // stride), starts, axis=1)
-    rows[parts > MAX_PARTS] = out_ch
-    best = rows.argmin(axis=1)  # the smallest stride on a tie
-    saves = rows[np.arange(count), best] < out_ch
-    j, k = np.nonzero(held & (stride == strides[best][:, None]) & saves[:, None])
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    for col, o0, m in zip(j.tolist(), first[k].tolist(), stride[k].tolist()):
-        classes[col].append((o0, m))
-    return [tuple(c) for c in classes]
+def _row_groups(live: np.ndarray) -> list[tuple[slice | np.ndarray, np.ndarray]]:
+    """``(rows, column mask)`` groups of the ``(out_ch, columns)`` nonzero mask
+    ``live``: rows grouped by the set of columns they are nonzero in, a set
+    inside another joining the largest such.  Past ``BLOCK_K ** 2`` groups,
+    the row sets of a 1x1 layer's 3x3 blocks, the layer is one group over
+    every column nonzero in some row, as a k x k layer is: its rows share one
+    pattern, so one row holds all those columns."""
+    union, count = live.any(axis=0), live.sum(axis=1)
+    one = [(slice(0, len(live)), union)]
+    if count.max() == union.sum():
+        return one
+    first: dict[bytes, int] = {}  # each distinct set by the first row that holds it
+    rep = np.array([first.setdefault(row.tobytes(), o) for o, row in enumerate(live)])
+    kept: list[int] = []
+    owner = np.empty(len(live), dtype=np.intp)
+    for o in sorted(first.values(), key=lambda o: -count[o]):
+        holders = np.flatnonzero(~(live[o] & ~live[kept]).any(axis=1))
+        owner[o] = kept[holders[0]] if holders.size else o
+        kept += [] if holders.size else [o]
+        if len(kept) > BLOCK_K * BLOCK_K:
+            return one
+    return [(np.flatnonzero(owner[rep] == t), live[t]) for t in kept]
 
 
-def _conv2d(x: np.ndarray, layer: LayerSpec, plan: ConvPlan) -> np.ndarray:
-    wt = layer.weights
-    assert wt is not None
-    _, n, h, w = x.shape
-    s, p = layer.stride, layer.padding
-    oh = (h + 2 * p - wt.kh) // s + 1
-    ow = (w + 2 * p - wt.kw) // s + 1
-    rows = [_window(r, s, p, h, oh) for r in range(wt.kh)]
-    cols = [_window(c, s, p, w, ow) for c in range(wt.kw)]
-    row = n * oh * ow
-    acc = np.empty((wt.out_ch, row), dtype=np.float32)
-    acc[...] = layer.bias[:, None] if layer.bias is not None else np.float32(0.0)
-    # each part cut into tiles whose accumulator and product rows stay in cache
-    tile = max(1, TILE_BYTES // (8 * row))
-    product = np.empty((min(tile, wt.out_ch), row), dtype=np.float32)
-    runs = [[(t, acc[t], product[:len(acc[t])]) for part in part_set for t in _tiles(part, wt.out_ch, tile)]
-            for part_set in plan.parts]
-    plane = np.empty((1, row), dtype=np.float32)
+def _group(flat: np.ndarray, bias: np.ndarray, in_ch: int, kw: int, rows, cols: np.ndarray) -> Group:
+    """The group of out-channels ``rows`` (a slice or ascending) over the columns set in ``cols``."""
+    if not isinstance(rows, slice) and len(runs := _progressions(rows)) == 1:
+        rows = runs[0][0]
+    weights = np.asfortranarray(np.concatenate((bias[rows, None], flat[rows][:, cols]), axis=1))
+    live = cols.reshape(in_ch, -1)
+    if (live == live[0]).all():  # every in-channel runs the same cells: one fill per cell
+        cells = np.flatnonzero(live[0]).tolist()
+        return Group(rows, weights, [(q // kw, q % kw, slice(1 + j, weights.shape[1], len(cells)), slice(0, in_ch))
+                                     for j, q in enumerate(cells)])
+    chans, cell = np.nonzero(live)  # in the order of the columns
+    fills = []
+    for q in np.flatnonzero(live.any(axis=0)).tolist():
+        at = np.flatnonzero(cell == q)
+        fills += [(q // kw, q % kw, xrows, ins) for xrows, ins in _progressions(at + 1, chans[at])]
+    return Group(rows, weights, fills)
+
+
+def _progressions(*seqs: np.ndarray) -> list[tuple[slice, ...]]:
+    """Ascending index arrays of one length, cut into the fewest interleaved
+    parts ``[j::p]`` in which each array steps evenly: per part, one slice
+    of each array."""
+    a = [seq.tolist() for seq in seqs]
+    n = len(a[0])
+    # part j steps evenly when its step s[t + p] - s[t] repeats every p places
+    p = next(p for p in range(1, n + 1)
+             if all(s[t + 2 * p] - s[t + p] == s[t + p] - s[t] for s in a for t in range(n - 2 * p)))
+    return [tuple(slice(s[j], s[j::p][-1] + 1, s[j + p] - s[j] if j + p < n else 1) for s in a)
+            for j in range(min(p, n))]
+
+
+def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
+    """One conv over channel-major ``x``: per block of output columns, each row
+    group fills its rows of the contraction input ``X`` and runs one einsum."""
+    c, n, h, w = x.shape
+    oh, ow = (h + 2 * p - plan.kh) // s + 1, (w + 2 * p - plan.kw) // s + 1
+    rows, cols = [_window(r, s, p, h, oh) for r in range(plan.kh)], [_window(q, s, p, w, ow) for q in range(plan.kw)]
+    # 0 * inf is NaN, so a zero weight only skips over a finite input
+    groups = plan.skipping if plan.skipping is plan.every or np.isfinite(x).all() else plan.every
+    depth = max(g.weights.shape[1] for g in groups)
+    # blocks (j0, j1, y0, y1), lines y0:y1 of images j0:j1: whole images if one fits, else line ranges
+    span = BLOCK_BYTES // (4 * depth)
+    whole = oh * ow <= span
+    total, most = (n, span // (oh * ow)) if whole else (oh, max(1, span // ow))
+    per = -(-total // -(-total // most))
+    blocks = ([(j, min(j + per, n), 0, oh) for j in range(0, n, per)] if whole
+              else [(j, j + 1, y, min(y + per, oh)) for j in range(n) for y in range(0, oh, per)])
+    acc = np.empty((len(plan.every[0].weights), n * oh * ow), dtype=np.float32)
     shifted = (s, oh, ow) == (1, h, w)
-    source = x.reshape(len(x), 1, row) if shifted else x
-    cells = _plane_cells(plane.reshape(n, oh, ow), p, rows, cols, shifted)
-    # numpy buffers a broadcast multiply over rows shorter than half its ufunc
-    # buffer, about 4x slower: a buffer of at most two rows keeps rows unbuffered
-    bufsize = np.setbufsize(max(16, min(np.getbufsize(), row // 8 * 16)))
-    try:
-        # 0 * inf is NaN, so a zero weight only skips over a finite input
-        steps = plan.skipping if plan.skipping is plan.every or np.isfinite(x).all() else plan.every
-        for i, r, c, wcol, part_set in steps:
-            # the input plane under kernel cell (r, c), taken once; cells over the padding read 0
-            dst, span, blanks = cells[r][c]
-            src = source[i] if dst is None else plane
-            if dst is not None:
-                dst[...] = source[i][span]
+    src = x.reshape(c, -1) if shifted else x
+    buf = np.empty(depth * max(2, per * (oh * ow if whole else ow)), dtype=np.float32)
+    for j0, j1, y0, y1 in blocks:
+        e0, size, cells = _block_cells((j0, j1, y0, y1), rows, cols, oh, ow, p, shifted, src.size // c)
+        # one output column would make einsum sum as a dot product: run it beside a copy
+        X = buf[:depth * max(2, size)].reshape(depth, -1)
+        X[0] = 1.0
+        for g in groups:
+            for r, q, xrows, ins in g.fills:
+                dst, take, blanks = cells[r][q]
+                fill = X[xrows, :size]
+                view = fill.reshape(len(fill), j1 - j0, y1 - y0, ow)
+                if take is not None:
+                    (fill if shifted else view)[dst] = src[(ins, *take)]
                 for blank in blanks:
-                    blank.fill(0.0)
-            for t, acc_t, prod_t in runs[part_set]:
-                np.multiply(wcol[t], src, out=prod_t)
-                np.add(acc_t, prod_t, out=acc_t)
-    finally:
-        np.setbufsize(bufsize)
-    return acc.reshape(wt.out_ch, n, oh, ow)
+                    view[blank] = 0.0
+            k = g.weights.shape[1]
+            if size > 1 and isinstance(g.rows, slice):
+                np.einsum("ok,ke->oe", g.weights, X[:k], out=acc[g.rows, e0:e0 + size], optimize=False)
+            else:
+                X[:k, size:] = X[:k, :1]  # the copy beside a lone column
+                acc[g.rows, e0:e0 + size] = np.einsum("ok,ke->oe", g.weights, X[:k], optimize=False)[:, :size]
+        if plan.negative_zero.size:  # then groups is plan.every, so X holds every column
+            wz = plan.every[0].weights[plan.negative_zero]
+            sums = np.repeat(wz[:, :1], size, axis=1)
+            for col in range(1, depth):
+                sums += wz[:, col:col + 1] * X[col, :size]
+            acc[plan.negative_zero, e0:e0 + size] = sums
+    return acc.reshape(-1, n, oh, ow)
 
 
-def _plane_cells(plane: np.ndarray, p: int, rows, cols, shifted: bool) -> list[list[tuple]]:
-    """Per kernel cell (r, c), ``(dst, span, blanks)``: a step copies its channel's
-    values ``[span]`` into the view ``dst`` of the ``(n, oh, ow)`` ``plane``, then
-    zeroes the views ``blanks``, each image's rows and columns over the padding.
-    A ``shifted`` conv reads the channel flat, shifted by ``(r - p) * ow + c - p``
-    (each read that wraps into a neighbouring row or image, or off the plane,
-    lands in a blank), and its centre cell reads the channel itself (``dst`` None).
-    """
-    (n, oh, ow), size = plane.shape, plane.size
-    flat, images, lines = plane.reshape(1, size), plane.reshape(n, oh * ow), plane.reshape(n * oh, ow)
-    cells: list[list[tuple]] = [[] for _ in rows]
-    for (r, (y0, y1, ys)), (c, (x0, x1, xs)) in itertools.product(enumerate(rows), enumerate(cols)):
-        blanks = [v for v in (images[:, :y0 * ow], images[:, y1 * ow:], lines[:, :x0], lines[:, x1:]) if v.size]
+def _block_cells(block, rows, cols, oh: int, ow: int, p: int, shifted: bool, plane: int):
+    """A block's first output column, its column count and, per kernel cell
+    (r, c), ``(dst, take, blanks)``: a channel's values ``[take]`` go to
+    ``[dst]`` of its row of ``X``, seen as ``(images, lines, ow)`` unless
+    ``shifted``, then ``blanks`` (lines and columns reading the padding) are
+    zeroed.  A ``shifted`` conv reads each channel's ``plane`` flat, shifted by
+    ``(r - p) * ow + c - p``: a read that wraps into a neighbouring line or
+    image, or off the plane, lands in a blank."""
+    j0, j1, ya, yb = block
+    e0, size = (j0 * oh + ya) * ow, (j1 - j0) * (yb - ya) * ow
+    cells = [[(None, None, [(ALL,)])] * len(cols) for _ in rows]
+    for (r, (y0, y1, ys)), (q, (x0, x1, xs)) in itertools.product(enumerate(rows), enumerate(cols)):
+        u0, u1 = max(y0, ya), min(y1, yb)  # the block's lines whose input row is inside
+        if u0 >= u1 or x0 >= x1:
+            continue
+        blanks = [v for v, edge in (((ALL, ALL, slice(0, u0 - ya)), u0 > ya),
+                                    ((ALL, ALL, slice(u1 - ya, None)), u1 < yb),
+                                    ((ALL, ALL, ALL, slice(0, x0)), x0 > 0),
+                                    ((ALL, ALL, ALL, slice(x1, None)), x1 < ow)) if edge]
         if shifted:
-            shift = (r - p) * ow + c - p
-            k = min(abs(shift), size)  # a shift as long as the plane copies nothing
-            dst, span = (flat[:, :size - k], slice(k, None)) if shift >= 0 else (flat[:, k:], slice(0, size - k))
-            cells[r].append((dst, (slice(None), span), blanks) if blanks else (None, None, []))
+            shift = (r - p) * ow + q - p
+            lo, hi = max(0, -shift - e0), min(size, plane - shift - e0)
+            cells[r][q] = ((ALL, slice(lo, hi)), (slice(e0 + lo + shift, e0 + hi + shift),), blanks)
         else:
-            cells[r].append((plane[:, y0:y1, x0:x1], (slice(None), ys, xs), blanks))
-    return cells
-
-
-def _tiles(part: slice, out_ch: int, tile: int) -> list[slice]:
-    """``part``'s out-channels in slices of at most ``tile`` rows, same stride."""
-    rows = range(out_ch)[part]
-    return [slice(t.start, t.stop, t.step) for t in (rows[lo:lo + tile] for lo in range(0, len(rows), tile))]
+            first = ys.start + (u0 - y0) * ys.step
+            take = (slice(j0, j1), slice(first, first + (u1 - u0 - 1) * ys.step + 1, ys.step), xs)
+            cells[r][q] = ((ALL, ALL, slice(u0 - ya, u1 - ya), slice(x0, x1)), take, blanks)
+    return e0, size, cells
 
 
 def _global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -349,20 +366,6 @@ def _window(k: int, stride: int, pad: int, size: int, out: int) -> tuple[int, in
     hi = max(lo, min(out, (size - 1 + pad - k) // stride + 1))
     first = lo * stride + k - pad
     return lo, hi, slice(first, first + max(0, stride * (hi - lo - 1) + 1), stride)
-
-
-def _linear(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
-    wt = layer.weights
-    assert wt is not None
-    c, n, h, w = x.shape
-    # one row per feature, features in each input's (C, H, W) flatten order
-    flat = x.transpose(0, 2, 3, 1).reshape(c * h * w, n)
-    wmat = wt.data.reshape(wt.out_ch, wt.in_ch)
-    acc = np.empty((wt.out_ch, n), dtype=np.float32)
-    acc[...] = layer.bias[:, None] if layer.bias is not None else np.float32(0.0)
-    for j in range(wt.in_ch):
-        acc += wmat[:, j:j + 1] * flat[j]
-    return acc.reshape(wt.out_ch, n, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,22 @@ import pytest
 import upaq
 
 
+def pytest_report_header(config):
+    """Name the numpy build the bit-exact engine tests ran on: its einsum and
+    reductions are compiled for the SIMD baseline, the dispatched kernels for
+    the rest."""
+    try:
+        simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        simd = {}
+    return f"numpy {np.__version__}: SIMD baseline {simd.get('baseline', '?')}, found {simd.get('found', '?')}"
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if terminalreporter.verbosity < 0:  # -q drops the header, not the summary
+        terminalreporter.write_line(pytest_report_header(config))
+
+
 @pytest.fixture(scope="session")
 def toy_cnn():
     return upaq.gen_fixture("toy-cnn", 42)

@@ -235,9 +235,11 @@ def test_batched_engine_matches_single_input_forward_and_oracle(engine_case, spa
 def test_skipping_path_runs_only_retained_cells(toy_cnn_hck):
     dense = upaq.decompress_model(toy_cnn_hck)
     for layer in dense.conv_layers():
-        _, every, skipping = inference._conv_steps(layer, sparse=True)
-        assert len(every) == layer.weights.in_ch * 9
-        assert len(skipping) == layer.weights.in_ch * 2  # hck keeps 2 of 9 cells
+        plan = inference._conv_steps(layer, sparse=True)
+        (every,), (skipping,) = plan.every, plan.skipping  # a k x k layer runs as one row group
+        assert every.weights.shape == (layer.weights.out_ch, 1 + layer.weights.in_ch * 9)
+        assert skipping.weights.shape == (layer.weights.out_ch, 1 + layer.weights.in_ch * 2)  # hck keeps 2 of 9 cells
+        assert len(skipping.fills) == 2  # one fill per retained cell, over every in-channel
 
 
 def test_batched_strided_padded_conv_with_pruned_cells_against_reference():
@@ -271,6 +273,24 @@ def test_negative_zero_bias_keeps_oracle_sign_on_skipping_path():
     for sparse in (False, True):
         out = forward_batch(model, [x], sparse=sparse)[0].data
         assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["conv2d", "linear"])
+def test_negative_zero_bias_keeps_an_all_negative_zero_sum(kind):
+    # 0 * -x is -0.0 and -0.0 + -0.0 stays -0.0: out-channel 0 ends at -0.0
+    # only in the scalar order, as einsum starts every sum at +0.0
+    rng = np.random.default_rng(53)
+    weights = rng.uniform(-1, 1, (3, 2, 1, 1) if kind == "conv2d" else (3, 2 * 3 * 3, 1, 1)).astype(np.float32)
+    weights[0] = 0.0
+    layer = LayerSpec("l", kind, (), Tensor4(weights), np.array([-0.0, 0.5, -0.25], dtype=np.float32))
+    model = ModelGraph("negzero-sum", (2, 3, 3), [layer])
+    model.validate()
+    xs = [Activation(-rng.uniform(0.5, 1, (2, 3, 3)).astype(np.float32)) for _ in range(2)]
+    for sparse in (False, True):
+        for x, out in zip(xs, forward_batch(model, xs, sparse=sparse)):
+            ref = forward_reference(model, x.data)
+            assert np.signbit(ref[0]).all() and not ref[0].any()
+            assert out.data.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["relu", "global_avg_pool"])
@@ -307,7 +327,7 @@ def test_batch_input_shape_mismatch_names_index(toy_cnn):
 
 
 # ---------------------------------------------------------------------------
-# channel-major layout: flatten order, out-channel tiles, windows, chunk edges
+# channel-major layout: flatten order, output blocks, windows, chunk edges
 # ---------------------------------------------------------------------------
 
 def _conv(rng, lid, out_ch, in_ch, k, inputs=(), stride=1, padding=0, pruned=()):
@@ -345,15 +365,77 @@ def test_linear_on_spatial_activation_flattens_in_chw_order():
 
 
 @pytest.mark.parametrize("out_ch", [10, 24])
-@pytest.mark.parametrize("tile", [1, 4, 7, None], ids=lambda t: f"tile-{t or 'default'}")
-def test_out_channels_not_a_multiple_of_the_tile(out_ch, tile, monkeypatch):
+@pytest.mark.parametrize("span", [1, 12, 30, 36, 72, None], ids=lambda s: f"span-{s or 'default'}")
+def test_output_blocks_of_any_size(out_ch, span, monkeypatch):
+    # a block of at most ``span`` output columns: one line of 6 at the least,
+    # line ranges of one 6x6 image below 36, whole images from 36 up
     rng = np.random.default_rng(37)
-    model = ModelGraph("tiles", (3, 6, 6), [_conv(rng, "c", out_ch, 3, 3, padding=1, pruned=[(1, 1)])])
+    model = ModelGraph("blocks", (3, 6, 6), [_conv(rng, "c", out_ch, 3, 3, padding=1, pruned=[(1, 1)])])
     model.validate()
     xs = _inputs(rng, (3, 6, 6), 3)
-    if tile is not None:  # all three inputs share one chunk: rows of 3 * 6 * 6
-        monkeypatch.setattr(inference, "TILE_BYTES", tile * 8 * 3 * 36)
+    if span is not None:  # the dense path's contraction input: a ones row and 27 weight columns
+        monkeypatch.setattr(inference, "BLOCK_BYTES", span * 4 * 28)
     _assert_engine_matches(model, xs, oracle_idx=(1,))
+
+
+@pytest.mark.parametrize("hw", [(1, 1), (5, 1), (1, 5)], ids=lambda hw: "x".join(map(str, hw)))
+def test_lone_output_columns_against_reference(hw, monkeypatch):
+    # with blocks of one line a 1-wide output runs one column per contraction,
+    # and so does a single input whose conv and linear outputs are one pixel;
+    # a one-row contraction over one column is einsum's dot-product loop
+    rng = np.random.default_rng(50)
+    layers = [
+        _conv(rng, "c", 5, 3, 3, padding=1, pruned=[(0, 0)]),
+        LayerSpec("r", "relu", ("c",)),
+        LayerSpec("fc", "linear", ("r",), Tensor4(rng.uniform(-1, 1, (1, 5 * hw[0] * hw[1], 1, 1)).astype(np.float32)),
+                  rng.uniform(-1, 1, 1).astype(np.float32)),
+    ]
+    model = ModelGraph("lone", (3, *hw), layers)
+    model.validate()
+    monkeypatch.setattr(inference, "BLOCK_BYTES", 4)
+    _assert_engine_matches(model, _inputs(rng, (3, *hw), 3), oracle_idx=(0, 1, 2))
+
+
+@pytest.mark.parametrize("out_ch", [1, 6])
+def test_single_pixel_conv_of_a_single_input_against_reference(out_ch):
+    # E = 1: einsum would take its dot-product loop, which sums in another order
+    rng = np.random.default_rng(51)
+    model = ModelGraph("pixel", (4, 3, 3), [_conv(rng, "c", out_ch, 4, 3)])
+    model.validate()
+    x = _inputs(rng, (4, 3, 3), 1)[0]
+    assert infer_shapes(model)["c"] == (out_ch, 1, 1)
+    ref = forward_reference(model, x.data).tobytes()
+    for sparse in (False, True):
+        assert forward_batch(model, [x], sparse=sparse)[0].data.tobytes() == ref
+
+
+def _two_rounding_loop(w, x):
+    acc = np.zeros((w.shape[0], x.shape[1]), dtype=np.float32)
+    for k in range(w.shape[1]):
+        acc += w[:, k:k + 1] * x[k]  # a rounded float32 product, then a rounded sum
+    return acc
+
+
+def test_einsum_contraction_is_the_two_rounding_loop():
+    """The engine's one numpy assumption: with two or more output columns,
+    ``np.einsum("ok,ke->oe", optimize=False)`` adds the float32 products
+    ``w[o, k] * x[k, e]`` for ``k`` in order, rounding each product and each
+    sum, with no fused multiply-add."""
+    rng = np.random.default_rng(52)
+    shapes = [(1, 1, 2), (1, 7, 2), (5, 1, 3), (3, 40, 2)] + [
+        (int(rng.integers(1, 40)), int(rng.integers(1, 300)), int(rng.integers(2, 600))) for _ in range(60)]
+    for out, depth, cols in shapes:
+        w = rng.normal(size=(out, depth)).astype(np.float32)
+        x = rng.normal(size=(depth, cols)).astype(np.float32) * np.float32(1e3)
+        w[rng.random(w.shape) < 0.2] = 0.0
+        w[rng.random(w.shape) < 0.1] = -0.0
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
+        for layout in (w, np.asfortranarray(w)):  # the engine's weights are column-major
+            got = np.einsum("ok,ke->oe", layout, x, optimize=False)
+            assert got.tobytes() == _two_rounding_loop(w, x).tobytes(), (
+                f"np.einsum over {out}x{depth} by {depth}x{cols} is not the in-order k loop of rounded float32 "
+                "products and sums (is a fused multiply-add in use?): the engine is no longer bit-exact")
 
 
 @pytest.mark.parametrize("k, stride, padding, hw", [
@@ -390,15 +472,6 @@ def test_batch_sizes_around_the_chunk_on_a_32_channel_model():
         for sparse in (False, True):
             outs = forward_batch(model, xs[:size], sparse=sparse)
             assert [out.data.tobytes() for out in outs] == singles[:size]
-
-
-def test_conv_restores_the_ufunc_buffer_size():
-    rng = np.random.default_rng(41)
-    model = ModelGraph("short-rows", (2, 5, 5), [_conv(rng, "c", 4, 2, 3, padding=1)])
-    model.validate()
-    before = np.getbufsize()
-    forward_batch(model, _inputs(rng, (2, 5, 5), 2))  # rows of 50 run with a smaller buffer
-    assert np.getbufsize() == before
 
 
 def _traced_peak(model, xs):
@@ -443,7 +516,7 @@ def test_global_avg_pool_sums_in_blocks_without_a_full_size_temporary():
 
 
 # ---------------------------------------------------------------------------
-# strided out-channel parts of 1x1 block-pattern layers
+# out-channel row groups of 1x1 block-pattern layers
 # ---------------------------------------------------------------------------
 
 def _block_1x1(out_ch, in_ch, profile, seed=43, hw=(3, 4)):
@@ -457,39 +530,41 @@ def _block_1x1(out_ch, in_ch, profile, seed=43, hw=(3, 4)):
     return upaq.compress_model(model, profile(seed=42))
 
 
-def _rows_run(plan, out_ch):
-    return [sum(len(range(out_ch)[part]) for part in plan.parts[step[4]]) for step in plan.skipping]
+def _rows(group):
+    return group.weights.shape[0]
 
 
 @pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
 @pytest.mark.parametrize("out_ch, in_ch", [(13, 10), (13, 12), (13, 18), (64, 64)],
                          ids=["gcd-1", "gcd-3", "gcd-9", "64x64"])
-def test_strided_parts_of_1x1_layers_against_reference(out_ch, in_ch, profile):
+def test_row_groups_of_1x1_layers_against_reference(out_ch, in_ch, profile):
     model = upaq.decompress_model(_block_1x1(out_ch, in_ch, profile))
     plan = inference._conv_steps(model.layers[0], sparse=True)
     if math.gcd(in_ch, 9) < 9:  # when 9 divides I, I * O does too and each column is all zero or all live
         assert (out_ch * in_ch) % 9, "the last 3x3 block of the flat weights is partial"
-        assert len(plan.parts) > 1 and max(_rows_run(plan, out_ch)) < out_ch  # strided parts run
+        assert len(plan.skipping) > 1 and max(map(_rows, plan.skipping)) < out_ch  # row groups run
     rng = np.random.default_rng(44)
     _assert_engine_matches(model, _inputs(rng, model.input_shape, 3), oracle_idx=(0, 2))
 
 
-@pytest.mark.parametrize("tile", [1, 2, 3])
-def test_strided_parts_straddling_a_tile(tile, monkeypatch):
+@pytest.mark.parametrize("size", [4, 160, 640], ids=["line", "two-lines", "two-images"])
+def test_row_groups_over_blocks_of_any_size(size, monkeypatch):
     model = upaq.decompress_model(_block_1x1(40, 10, upaq.lck_profile))  # classes of 4 or 5 rows mod 9
+    assert len(inference._conv_steps(model.layers[0], sparse=True).skipping) > 1
     rng = np.random.default_rng(45)
     xs = _inputs(rng, model.input_shape, 3)
-    monkeypatch.setattr(inference, "TILE_BYTES", tile * 8 * 3 * 12)  # rows of 3 inputs * 3 * 4
+    monkeypatch.setattr(inference, "BLOCK_BYTES", size)  # 3 inputs of 3 lines of 4
     _assert_engine_matches(model, xs, oracle_idx=(1,))
 
 
-def test_negative_zero_bias_turns_strided_parts_off():
+def test_negative_zero_bias_turns_row_groups_off():
     model = upaq.decompress_model(_block_1x1(13, 10, upaq.hck_profile))
     layer = model.layers[0]
     layer.weights.data[4] = 0.0  # out-channel 4 stays at its bias on a skipping path
     layer.bias[4] = -0.0
     plan = inference._conv_steps(layer, sparse=True)
-    assert plan.skipping is plan.every and len(plan.parts) == 1
+    assert plan.skipping is plan.every and len(plan.every) == 1
+    assert plan.negative_zero.tolist() == [4]
     rng = np.random.default_rng(46)
     xs = _inputs(rng, model.input_shape, 2)
     singles = _assert_engine_matches(model, xs, oracle_idx=(0, 1))
@@ -498,9 +573,9 @@ def test_negative_zero_bias_turns_strided_parts_off():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-def test_strided_parts_do_not_skip_over_a_non_finite_input():
+def test_row_groups_do_not_skip_over_a_non_finite_input():
     # in-channel 0 of "pw" overflows to inf: 0 * inf is NaN on every out-channel
-    # its column skips, so a skipping path must run the full range there
+    # whose group skips it, so a skipping path must run every row there
     pw = upaq.decompress_model(_block_1x1(13, 10, upaq.hck_profile)).layers[0]
     pw = LayerSpec("pw", "conv2d", ("a",), pw.weights, pw.bias)
     scale = np.ones(10, dtype=np.float32)
@@ -508,7 +583,8 @@ def test_strided_parts_do_not_skip_over_a_non_finite_input():
     a = LayerSpec("a", "conv2d", (), Tensor4(np.diag(scale).reshape(10, 10, 1, 1)))
     model = ModelGraph("overflow", (10, 3, 4), [a, pw])
     model.validate()
-    assert inference._conv_steps(pw, sparse=True).skipping[0][4] > 0  # column 0 runs strided parts
+    plan = inference._conv_steps(pw, sparse=True)
+    assert len(plan.skipping) > 1 and plan.executed < 13 * 10  # column 0 runs in some groups only
     x = np.full((10, 1, 3, 4), 10.0, dtype=np.float32)
     ref = forward_reference(model, x[:, 0])
     assert np.isnan(ref).any()
@@ -519,36 +595,41 @@ def test_strided_parts_do_not_skip_over_a_non_finite_input():
         np.testing.assert_array_equal(out, ref)
 
 
-@pytest.mark.parametrize("profile, parts", [(upaq.hck_profile, 2), (upaq.lck_profile, 3)], ids=["hck", "lck"])
-def test_64x64_1x1_layer_runs_few_strided_parts(profile, parts):
+@pytest.mark.parametrize("profile, cells", [(upaq.hck_profile, 2), (upaq.lck_profile, 3)], ids=["hck", "lck"])
+def test_64x64_1x1_layer_runs_nine_row_groups(profile, cells):
     # a 64->64 1x1 layer keeps 2 (hck) or 3 (lck) cells of each 3x3 block of
-    # its flat weights; gcd(64, 9) = 1, so each column's stored rows are that
-    # many classes mod 9 of 7 or 8 rows: a fall-back to full tiles fails here
+    # its flat weights; gcd(64, 9) = 1, so row o's stored columns are that many
+    # classes mod 9 of in-channels, set by o mod 9: 9 groups of 7 or 8 rows
     cm = _block_1x1(64, 64, profile)
     plan = inference._conv_steps(upaq.decompress_model(cm).layers[0], sparse=True)
-    assert len(plan.skipping) == 64
-    assert all(0 < len(plan.parts[step[4]]) <= parts for step in plan.skipping)
-    assert all(part.step == 9 for step in plan.skipping for part in plan.parts[step[4]])
-    # the rows run are exactly the stored slots: 910 of 4096 (hck), 1365 (lck)
-    assert sum(_rows_run(plan, 64)) == upaq.compressed.stored_value_count(cm.qlayers["pw"], cm.groups[0].pattern)
+    assert len(plan.skipping) == 9
+    assert sorted(group.rows.start for group in plan.skipping) == list(range(9))
+    assert all(group.rows.step == 9 for group in plan.skipping)
+    # each class of in-channels fills its rows of X as one strided copy
+    assert all(len(group.fills) == cells for group in plan.skipping)
+    # the weights run are exactly the stored slots: 910 of 4096 (hck), 1365 (lck)
+    assert plan.executed == upaq.compressed.stored_value_count(cm.qlayers["pw"], cm.groups[0].pattern)
 
 
 @pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
 @pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1", "wide"])
 def test_stored_slots_bound_the_weights_the_engine_runs(arch, profile):
     """The cost model's stored-slot count of each conv layer is an upper bound
-    on the rows its skipping plan runs, and the plan runs at least every
-    nonzero weight: it falls short only by retained weights that quantized
-    to zero, as two of toy-1x1 hck ``conv_a``'s do."""
+    on the weights its skipping plan runs, and the plan runs at least every
+    nonzero weight: it could fall short only by retained weights that
+    quantized to zero.  Here it falls short nowhere: a k x k layer runs every
+    row over each retained cell, so toy-1x1 hck ``conv_a`` runs its two such
+    zeros, and each 1x1 row group runs its stored columns."""
     model = wide_model() if arch == "wide" else upaq.gen_fixture(arch, 42)[0]
     cm = upaq.compress_model(model, profile(seed=42))
     nnz = {lid: stats[0] for lid, stats in layer_costs(cm).items()}
     run = {}
     for layer in upaq.decompress_model(cm).conv_layers():
-        run[layer.id] = sum(_rows_run(inference._conv_steps(layer, sparse=True), layer.weights.out_ch))
+        run[layer.id] = inference._conv_steps(layer, sparse=True).executed
         assert np.count_nonzero(layer.weights.data) <= run[layer.id] <= nnz[layer.id]
+    assert run == nnz
     if (arch, profile) == ("toy-1x1", upaq.hck_profile):
-        assert (run["conv_a"], nnz["conv_a"]) == (16, 18)
+        assert (run["conv_a"], nnz["conv_a"]) == (18, 18)
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +639,14 @@ def test_stored_slots_bound_the_weights_the_engine_runs(arch, profile):
 def _spy_shifted(monkeypatch):
     """Record, per conv run, whether it took its planes as shifted copies."""
     seen = []
-    real = inference._plane_cells
+    real = inference._block_cells
 
-    def spy(plane, p, rows, cols, shifted):
-        seen.append(shifted)
-        return real(plane, p, rows, cols, shifted)
+    def spy(block, rows, cols, oh, ow, p, shifted, plane):
+        if block[0] == 0 and block[2] == 0:  # the first block of a conv
+            seen.append(shifted)
+        return real(block, rows, cols, oh, ow, p, shifted, plane)
 
-    monkeypatch.setattr(inference, "_plane_cells", spy)
+    monkeypatch.setattr(inference, "_block_cells", spy)
     return seen
 
 
@@ -612,7 +694,7 @@ def test_shifted_planes_do_not_skip_over_a_non_finite_input():
     b = LayerSpec("b", "conv2d", ("a",), Tensor4(wb), None, 1, 2)
     model = ModelGraph("overflow", (1, 3, 4), [a, b])
     model.validate()
-    assert len(inference._conv_steps(b, sparse=True).skipping) < 2 * 25
+    assert inference._conv_steps(b, sparse=True).executed < 2 * 2 * 25
     x = np.full((1, 3, 3, 4), 10.0, dtype=np.float32)
     x[0, 1] = 0.0  # the middle input of the chunk stays finite all through
     for sparse in (False, True):

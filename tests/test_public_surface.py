@@ -21,7 +21,7 @@ REMOVED = {
     cost: ("AnalyticCostModel", "estimate_latency", "estimate_energy"),
     patterns: ("apply_pattern",),
     quantizer: ("QuantResult", "mp_quantize", "dequantize", "masked_mean_sqnr_db", "_row_sums"),
-    inference: ("forward",),
+    inference: ("forward", "_residue_classes", "_tiles", "_plane_cells", "TILE_BYTES", "MAX_PARTS", "MAX_STRIDE"),
     compressor: ("compress_kxk_group", "compress_1x1_group"),
     container: ("sniff_format",),
 }
