@@ -8,14 +8,17 @@ a straight scalar loop.  Per block of output columns of at most
 ``BLOCK_BYTES``, each row group of a layer runs one ``np.einsum("ok,ke->oe",
 W, X, optimize=False)``: ``W`` is its ``[bias | weight columns]`` and ``X`` a
 ones row over the input plane under each column's kernel cell.  einsum adds
-``W[o, k] * X[k, e]`` for ``k`` in order; over a lone column it would sum as a
+``W[o, k] * X[k, e]`` for ``k`` in order, rounding each product and each sum,
+where numpy's SIMD baseline lacks fused multiply-add (x86-64 below FMA3, such
+as X86_V2, but not aarch64): only there is the engine bit-exact, as
+``tests/test_inference.py`` checks.  Over a lone column einsum would sum as a
 dot product, in another order, so that column runs beside a copy.  It starts
 at +0.0, not at the bias, so rows of a -0.0 bias, where the scalar loop may
 end at -0.0, run again as that loop.  A stride-1 conv whose output plane is
 the input's size fills ``X`` with its channels shifted by the cell's offset;
-any other conv gathers each cell's window.  ``linear`` is the same
-contraction over each input's (C, H, W) features; global average pooling
-sums each (c, n) plane strictly in row-major order.
+any other conv gathers each cell's window.  ``linear`` is the same contraction
+over each input's (C, H, W) features; global average pooling sums each (c, n)
+plane strictly in row-major order.
 
 The pattern-skipping path (``sparse=True``) runs only the weight columns
 nonzero in some row: 2 of 9 cells per 3x3 slice of a k x k layer under
@@ -50,7 +53,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .compressed import CompressedModel, decompress_model
-from .compressor import BLOCK_K
 from .container import _get, _get_shape
 from .errors import FormatError, ValidationError
 from .model import LayerSpec, ModelGraph, infer_shapes
@@ -63,6 +65,8 @@ CHUNK_BYTES = 1024 * 1024
 BLOCK_BYTES = 512 * 1024
 # Bytes of the transposed block global average pooling sums at a time.
 POOL_BYTES = 128 * 1024
+# Row groups a skipping plan may have; past this many a layer runs as one group.
+MAX_GROUPS = 9
 
 ALL = slice(None)
 
@@ -206,10 +210,10 @@ def _conv_steps(layer: LayerSpec, sparse: bool) -> ConvPlan:
 def _row_groups(live: np.ndarray) -> list[tuple[slice | np.ndarray, np.ndarray]]:
     """``(rows, column mask)`` groups of the ``(out_ch, columns)`` nonzero mask
     ``live``: rows grouped by the set of columns they are nonzero in, a set
-    inside another joining the largest such.  Past ``BLOCK_K ** 2`` groups,
-    the row sets of a 1x1 layer's 3x3 blocks, the layer is one group over
-    every column nonzero in some row, as a k x k layer is: its rows share one
-    pattern, so one row holds all those columns."""
+    inside another joining the largest such.  A 1x1 layer under the block
+    transform has at most 9, one per row class mod 9; past ``MAX_GROUPS``,
+    the layer is one group over every column nonzero in some row, as a k x k
+    layer is: its rows share one pattern, so one row holds all those columns."""
     union, count = live.any(axis=0), live.sum(axis=1)
     one = [(slice(0, len(live)), union)]
     if count.max() == union.sum():
@@ -222,7 +226,7 @@ def _row_groups(live: np.ndarray) -> list[tuple[slice | np.ndarray, np.ndarray]]
         holders = np.flatnonzero(~(live[o] & ~live[kept]).any(axis=1))
         owner[o] = kept[holders[0]] if holders.size else o
         kept += [] if holders.size else [o]
-        if len(kept) > BLOCK_K * BLOCK_K:
+        if len(kept) > MAX_GROUPS:
             return one
     return [(np.flatnonzero(owner[rep] == t), live[t]) for t in kept]
 
@@ -233,10 +237,6 @@ def _group(flat: np.ndarray, bias: np.ndarray, in_ch: int, kw: int, rows, cols: 
         rows = runs[0][0]
     weights = np.asfortranarray(np.concatenate((bias[rows, None], flat[rows][:, cols]), axis=1))
     live = cols.reshape(in_ch, -1)
-    if (live == live[0]).all():  # every in-channel runs the same cells: one fill per cell
-        cells = np.flatnonzero(live[0]).tolist()
-        return Group(rows, weights, [(q // kw, q % kw, slice(1 + j, weights.shape[1], len(cells)), slice(0, in_ch))
-                                     for j, q in enumerate(cells)])
     chans, cell = np.nonzero(live)  # in the order of the columns
     fills = []
     for q in np.flatnonzero(live.any(axis=0)).tolist():

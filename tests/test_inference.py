@@ -435,7 +435,8 @@ def test_einsum_contraction_is_the_two_rounding_loop():
             got = np.einsum("ok,ke->oe", layout, x, optimize=False)
             assert got.tobytes() == _two_rounding_loop(w, x).tobytes(), (
                 f"np.einsum over {out}x{depth} by {depth}x{cols} is not the in-order k loop of rounded float32 "
-                "products and sums (is a fused multiply-add in use?): the engine is no longer bit-exact")
+                "products and sums: a SIMD baseline with fused multiply-add (FMA3, aarch64 NEON) fuses einsum's "
+                "products into its sums, and the engine is bit-exact only on a baseline without it")
 
 
 @pytest.mark.parametrize("k, stride, padding, hw", [
@@ -584,7 +585,8 @@ def test_row_groups_do_not_skip_over_a_non_finite_input():
     model = ModelGraph("overflow", (10, 3, 4), [a, pw])
     model.validate()
     plan = inference._conv_steps(pw, sparse=True)
-    assert len(plan.skipping) > 1 and plan.executed < 13 * 10  # column 0 runs in some groups only
+    # some group skips in-channel 0: none of its fills starts at that channel
+    assert any(all(ins.start != 0 for *_, ins in group.fills) for group in plan.skipping)
     x = np.full((10, 1, 3, 4), 10.0, dtype=np.float32)
     ref = forward_reference(model, x[:, 0])
     assert np.isnan(ref).any()
@@ -609,6 +611,25 @@ def test_64x64_1x1_layer_runs_nine_row_groups(profile, cells):
     assert all(len(group.fills) == cells for group in plan.skipping)
     # the weights run are exactly the stored slots: 910 of 4096 (hck), 1365 (lck)
     assert plan.executed == upaq.compressed.stored_value_count(cm.qlayers["pw"], cm.groups[0].pattern)
+
+
+@pytest.mark.parametrize("out_ch", [inference.MAX_GROUPS, inference.MAX_GROUPS + 1], ids=["at-cap", "past-cap"])
+def test_row_groups_past_the_cap_run_as_one_group(out_ch):
+    # row o is zero at in-channel o, and every row at the last: out_ch sets,
+    # none inside another, so each is its own group up to the cap
+    rng = np.random.default_rng(53)
+    w = rng.uniform(-1, 1, (out_ch, out_ch + 1, 1, 1)).astype(np.float32)
+    w[np.arange(out_ch), np.arange(out_ch)] = 0.0
+    w[:, -1] = 0.0
+    layer = LayerSpec("pw", "conv2d", (), Tensor4(w), rng.uniform(-1, 1, out_ch).astype(np.float32))
+    model = ModelGraph("pw", (out_ch + 1, 3, 4), [layer])
+    model.validate()
+    plan = inference._conv_steps(layer, sparse=True)
+    if out_ch <= inference.MAX_GROUPS:
+        assert len(plan.skipping) == out_ch and plan.executed == out_ch * (out_ch - 1)
+    else:  # one group over the columns nonzero in some row: all but the last
+        assert len(plan.skipping) == 1 and plan.executed == out_ch * out_ch
+    _assert_engine_matches(model, _inputs(rng, model.input_shape, 3), oracle_idx=(0, 2))
 
 
 @pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
