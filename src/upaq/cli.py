@@ -159,9 +159,9 @@ def _cmd_run(args) -> int:
     model = load_any(args.model)
     compressed = isinstance(model, CompressedModel)
     if compressed:
-        # decompress once, then skip the pruned cells: the same bits as the dense path
+        # decompress once; the engine skips the pruned cells it finds, the same bits as running all
         model = decompress_model(model)
-    outputs = run_batch(model, inputs, sparse=compressed)
+    outputs = run_batch(model, inputs)
     save_activations(args.out, outputs)
     print(json.dumps({
         "model": str(args.model),

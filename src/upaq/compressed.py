@@ -211,11 +211,3 @@ def stored_slots(shape: tuple[int, int, int, int], pattern: KernelPattern) -> np
         )
     valid = slice_stack(np.ones(shape, dtype=bool), d)
     return (valid & pattern.mask()).reshape(len(valid), -1)
-
-
-def stored_value_count(qc: QuantizedConv, pattern: KernelPattern) -> int:
-    """Structural nonzero slots of one payload: the values actually stored, a
-    retained weight that quantizes to integer zero included.  They bound the
-    weights the pattern-skipping engine runs from above (see ``cost._conv_stats``).
-    The pad cells of a 1 x 1 layer's last block hold no weight and store nothing."""
-    return int(stored_slots(qc.shape, pattern).sum())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressed import CompressedModel, stored_value_count
+from .compressed import CompressedModel, stored_slots
 from .model import infer_shapes
 
 E_MAC = 1.0
@@ -51,7 +51,7 @@ def _conv_stats(model, bits=None):
     for layer in (l for l in model.layers if l.kind == "conv2d"):
         if layer.id in qlayers:
             qc, group = qlayers[layer.id], model.group_for(layer.id)
-            shape, nnz = qc.shape, stored_value_count(qc, group.pattern)
+            shape, nnz = qc.shape, int(stored_slots(qc.shape, group.pattern).sum())
             bits.setdefault(layer.id, group.bitwidth)
         else:
             assert layer.weights is not None

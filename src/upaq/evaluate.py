@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .container import compressed_payload_nbytes, dense_payload_nbytes
 from .cost import compression_ratio, model_cost
 from .compressor import calculate_es
 from .errors import ValidationError
-from .inference import Activation, run_batch
+from .inference import run_batch
 from .model import ModelGraph
 from .patterns import KernelPattern
 from .quantizer import SQNR_CAP_DB, slice_sqnr
@@ -49,20 +48,20 @@ class FidelityReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def evaluate_fidelity(base: ModelGraph, cm: CompressedModel, inputs: np.ndarray | Sequence[Activation]) -> FidelityReport:
-    """Run both models over the batch (a ``(B, C, H, W)`` array or a list of
-    activations) and assemble the report.
+def evaluate_fidelity(base: ModelGraph, cm: CompressedModel, inputs: np.ndarray) -> FidelityReport:
+    """Run both models over the ``(B, C, H, W)`` batch and assemble the report.
 
-    The compressed model is decompressed once; the base model runs the
-    dense path and the densified model the pattern-skipping path, which
-    gives the same bits.  Each input's norms and dot product are taken over
-    its float64 sink, as ``np.linalg.norm`` and ``np.dot`` take them.
+    The compressed model is decompressed once.  The engine skips the cells
+    the densified model's patterns prune, as it works out from its weights,
+    and runs every cell of the base model: the same bits as running all.
+    Each input's norms and dot product are taken over its float64 sink, as
+    ``np.linalg.norm`` and ``np.dot`` take them.
     """
     if not len(inputs):
         raise ValidationError("evaluation requires at least one input")
     densified = decompress_model(cm)  # one materialization for the whole batch
     base_out = run_batch(base, inputs).reshape(len(inputs), -1).astype(np.float64)
-    comp_out = run_batch(densified, inputs, sparse=True).reshape(len(inputs), -1).astype(np.float64)
+    comp_out = run_batch(densified, inputs).reshape(len(inputs), -1).astype(np.float64)
     rel_errs = []
     cosines = []
     for yb, yc, diff in zip(base_out, comp_out, comp_out - base_out):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .inference import Activation
 from .model import LayerSpec, ModelGraph, Tensor4
 from .patterns import split_seed
 
@@ -20,7 +19,8 @@ DEFAULT_INPUT_COUNT = 64
 
 
 def gen_fixture(arch: str, seed: int, n_inputs: int = DEFAULT_INPUT_COUNT):
-    """Build one named toy model plus its seeded input batch.
+    """Build one named toy model plus its seeded ``(n_inputs, *INPUT_SHAPE)``
+    float32 input batch.
 
     toy-cnn:      conv3x3 -> relu -> conv3x3 -> conv3x3 -> gap -> linear
     toy-residual: conv3x3 forking into two conv3x3 joined by add, then gap -> linear
@@ -73,11 +73,7 @@ def gen_fixture(arch: str, seed: int, n_inputs: int = DEFAULT_INPUT_COUNT):
         ]
     model = ModelGraph(name=arch, input_shape=INPUT_SHAPE, layers=layers)
     model.validate()
-    inputs = [
-        Activation(irng.uniform(-1.0, 1.0, INPUT_SHAPE).astype(np.float32))
-        for _ in range(n_inputs)
-    ]
-    return model, inputs
+    return model, irng.uniform(-1.0, 1.0, (n_inputs, *INPUT_SHAPE)).astype(np.float32)
 
 
 def _uniform4(rng, shape) -> Tensor4:

@@ -20,22 +20,22 @@ any other conv gathers each cell's window.  ``linear`` is the same contraction
 over each input's (C, H, W) features; global average pooling sums each (c, n)
 plane strictly in row-major order.
 
-The pattern-skipping path (``sparse=True``) runs only the weight columns
-nonzero in some row: 2 of 9 cells per 3x3 slice of a k x k layer under
-``hck``.  A 1x1 layer under the block transform stores weight ``(o, i)`` when
-``(o * in_ch + i) mod 9`` is a pattern cell, so its rows fall in 9 groups,
-each over its own 14 to 16 of 64 columns for a 64->64 layer under ``hck``.
-The plan comes from the densified weights' nonzeros.  Skipping is exact: an
-einsum sum is never -0.0, so adding a +-0.0 product leaves it unchanged, but
-``0 * inf`` is NaN, so a layer skips nothing over a non-finite input or with
-a -0.0 bias entry.
+Each layer runs only the weight columns nonzero in some row of a row group,
+and no caller chooses: the weights, the bias signs and the input decide.  A
+k x k layer under ``hck`` runs 2 of 9 cells per 3x3 slice.  A 1x1 layer under
+the block transform stores weight ``(o, i)`` when ``(o * in_ch + i) mod 9`` is
+a pattern cell, so its rows fall in 9 groups, each over its own 14 to 16 of
+64 columns for a 64->64 layer under ``hck``.  A dense layer has one group over
+every column.  Skipping is exact: an einsum sum is never -0.0, so adding a
++-0.0 product leaves it unchanged, but ``0 * inf`` is NaN, so a layer skips
+nothing over an activation that overflowed, or with a -0.0 bias entry.
 
 A chunk holds as many inputs as fit ``CHUNK_BYTES`` in the model's largest
 activation (4 inputs of 64x32x32).  Each activation is dropped after its last
 consumer, and relu and add write over a source nothing else reads, so memory
-stays bounded for any batch.  :func:`run_batch` takes the ``(B, C, H, W)``
-array that ``upaq run`` and ``upaq evaluate`` read, or a list of inputs
-(:func:`forward_batch`), and writes the sinks to one ``(B, *sink)`` array.
+stays bounded for any batch.  :func:`run_batch` takes the finite ``(B, C, H,
+W)`` array that ``upaq run`` and ``upaq evaluate`` read, and writes the sinks
+to one ``(B, *sink)`` array.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -71,6 +70,7 @@ MAX_GROUPS = 9
 ALL = slice(None)
 
 
+# kept, with its finiteness check, only because perfbench/workloads.py builds inputs from it
 @dataclass
 class Activation:
     """One (channels, height, width) float32 activation tensor."""
@@ -97,39 +97,28 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 def forward_compressed(cm: CompressedModel, input_act: Activation, sparse: bool = False) -> Activation:
     """Run a compressed model on one input, decompressing it on every call;
     a batch goes through :func:`run_batch` on a model decompressed once, as
-    ``upaq run`` and ``upaq evaluate`` do.  ``sparse=True`` skips the pruned
-    kernel cells of the densified model, bit-exactly."""
-    return forward_batch(decompress_model(cm), [input_act], sparse=sparse)[0]
+    ``upaq run`` and ``upaq evaluate`` do.  ``sparse`` is ignored."""
+    # kept, with Activation and its sparse keyword, only because perfbench/workloads.py calls it
+    return Activation(run_batch(decompress_model(cm), input_act.data[None])[0])
 
 
-def forward_batch(model: ModelGraph, inputs: Sequence[Activation], sparse: bool = False) -> list[Activation]:
-    """Run the model over a list of inputs; one sink activation per input, as :func:`run_batch` gives it."""
-    return [Activation(row) for row in run_batch(model, inputs, sparse)]
-
-
-def run_batch(model: ModelGraph, batch: np.ndarray | Sequence[Activation], sparse: bool = False) -> np.ndarray:
+def run_batch(model: ModelGraph, batch: np.ndarray) -> np.ndarray:
     """Run the model over a finite ``(B, C, H, W)`` array, as :func:`load_activations`
-    gives it, or a list of inputs stacked a chunk at a time; returns the sinks
-    as one ``(B, *sink)`` float32 array.
-
-    ``sparse=True`` skips weight columns that are zero in every row of a row
-    group; the outputs are bit-identical either way.
-    """
-    is_array = isinstance(batch, np.ndarray)
-    for idx, shape in enumerate([batch.shape[1:]] if is_array else [act.shape for act in batch]):
-        if shape != model.input_shape:
-            raise ValidationError(f"input shape {shape} of input {idx} does not match model input {model.input_shape}")
+    gives it; returns the sinks as one ``(B, *sink)`` float32 array."""
+    if batch.shape[1:] != model.input_shape:
+        raise ValidationError(f"input shape {batch.shape[1:]} does not match model input {model.input_shape}")
     shapes = infer_shapes(model)
     largest = max(math.prod(shape) for shape in (model.input_shape, *shapes.values()))
     chunk = max(1, CHUNK_BYTES // (4 * largest))
-    plans = {layer.id: _conv_steps(layer, sparse) for layer in model.layers if layer.weights is not None}
+    plans = {layer.id: _conv_steps(layer) for layer in model.layers if layer.weights is not None}
     last_use = {src: idx for idx, layer in enumerate(model.layers) for src in layer.inputs}
     sink_id = model.sink().id
     out = np.empty((len(batch), *shapes[sink_id]), dtype=np.float32)
     for lo in range(0, len(batch), chunk):
-        part = batch[lo:lo + chunk]
-        x = (np.ascontiguousarray(part.transpose(1, 0, 2, 3), dtype=np.float32) if is_array
-             else np.stack([a.data for a in part], axis=1))
+        x = np.ascontiguousarray(batch[lo:lo + chunk].transpose(1, 0, 2, 3), dtype=np.float32)
+        if not np.isfinite(x).all():
+            bad = lo + int(np.flatnonzero(~np.isfinite(x).all(axis=(0, 2, 3)))[0])
+            raise ValidationError(f"input {bad} contains non-finite values")
         # no name keeps this chunk's sink alive while the next chunk runs
         out[lo:lo + chunk] = np.moveaxis(_run(model, x, plans, last_use)[sink_id], 1, 0)
         _finite(out[lo:lo + chunk])
@@ -190,9 +179,9 @@ class ConvPlan(NamedTuple):
         return sum(g.weights.shape[0] * (g.weights.shape[1] - 1) for g in self.skipping)
 
 
-def _conv_steps(layer: LayerSpec, sparse: bool) -> ConvPlan:
+def _conv_steps(layer: LayerSpec) -> ConvPlan:
     """The plan of one conv or linear layer: ``skipping`` is ``every`` unless
-    ``sparse`` is set, no bias is -0.0 and :func:`_row_groups` drops a column."""
+    no bias is -0.0 and :func:`_row_groups` drops a column."""
     wt = layer.weights
     assert wt is not None
     flat = wt.data.reshape(wt.out_ch, -1)  # column k is step (in_ch, row, col) in loop order
@@ -201,7 +190,7 @@ def _conv_steps(layer: LayerSpec, sparse: bool) -> ConvPlan:
     group = functools.partial(_group, flat, bias, wt.in_ch, wt.kw)
     every = [group(slice(0, wt.out_ch), np.ones(flat.shape[1], dtype=bool))]
     plan = ConvPlan(wt.kh, wt.kw, every, every, negative_zero)
-    groups = _row_groups(flat != 0) if sparse and not negative_zero.size else []
+    groups = [] if negative_zero.size else _row_groups(flat != 0)
     if not groups or (len(groups) == 1 and groups[0][1].all()):
         return plan
     return plan._replace(skipping=[group(rows, cols) for rows, cols in groups])
@@ -376,16 +365,17 @@ def sidecar_path(blob_path) -> Path:
     return Path(str(blob_path) + ".json")
 
 
-def save_activations(path, batch: np.ndarray | Sequence[Activation]) -> None:
-    """Write a batch, a ``(B, C, H, W)`` array or a list of activations, as
-    one f32 blob; shapes go to ``<path>.json``."""
+def save_activations(path, batch: np.ndarray) -> None:
+    """Write a ``(B, C, H, W)`` batch as one f32 blob; shapes go to ``<path>.json``."""
     if not len(batch):
         raise ValidationError("empty activation batch")
-    if not isinstance(batch, np.ndarray):
+    if not isinstance(batch, np.ndarray):  # kept only because perfbench/workloads.py saves a list of Activation
         for idx, act in enumerate(batch):
             if act.shape != batch[0].shape:
                 raise ValidationError(f"input {idx}: shape {act.shape} differs from first input {batch[0].shape}")
         batch = np.stack([act.data for act in batch])
+    if batch.ndim != 4:
+        raise ValidationError(f"activation batch requires 4 dimensions (B, C, H, W), got {batch.ndim}")
     Path(path).write_bytes(np.ascontiguousarray(batch, dtype="<f4"))
     sidecar_path(path).write_text(
         json.dumps({"count": len(batch), "shape": list(batch.shape[1:])}, indent=2) + "\n"

@@ -236,7 +236,7 @@ def test_run_and_evaluate_match_single_input_api(tmp_path, monkeypatch):
     from upaq import evaluate as evaluate_module
     import numpy as np
 
-    from upaq.inference import Activation, forward_compressed, load_activations, run_batch
+    from upaq.inference import load_activations, run_batch
 
     model_path, inputs_path = _gen(tmp_path, arch="toy-residual")
     out_model = tmp_path / "m.upaqc"
@@ -249,13 +249,13 @@ def test_run_and_evaluate_match_single_input_api(tmp_path, monkeypatch):
 
     cm = upaq.load_compressed(out_model)
     inputs = load_activations(inputs_path)
-    expected = b"".join(forward_compressed(cm, Activation(x)).data.astype("<f4").tobytes() for x in inputs)
+    dense = upaq.decompress_model(cm)
+    expected = b"".join(run_batch(dense, inputs[i:i + 1]).astype("<f4").tobytes() for i in range(len(inputs)))
     assert out_blob.read_bytes() == expected
 
     # the same report, with every forward pass made one input at a time
     monkeypatch.setattr(evaluate_module, "run_batch",
-                        lambda model, batch, sparse=False: np.stack([run_batch(model, batch[i:i + 1])[0]
-                                                                     for i in range(len(batch))]))
+                        lambda model, batch: np.stack([run_batch(model, batch[i:i + 1])[0] for i in range(len(batch))]))
     single = evaluate_module.evaluate_fidelity(upaq.load_model(model_path), cm, inputs)
     assert report_path.read_text() == single.to_json() + "\n"
 

@@ -122,7 +122,7 @@ def test_energy_walks_the_model_once(toy_cnn_hck, monkeypatch):
 @pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])
 @pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
 def test_compressed_conv_stats_match_the_decompressed_graph(arch, profile):
-    from upaq.compressed import stored_value_count
+    from upaq.compressed import stored_slots
     from upaq.cost import _conv_stats
     from upaq.model import infer_shapes
 
@@ -135,7 +135,7 @@ def test_compressed_conv_stats_match_the_decompressed_graph(arch, profile):
         wt = layer.weights
         if layer.id in cm.qlayers:
             group = cm.group_for(layer.id)
-            nnz, bits = stored_value_count(cm.qlayers[layer.id], group.pattern), group.bitwidth
+            nnz, bits = int(stored_slots(wt.shape, group.pattern).sum()), group.bitwidth
         else:
             nnz, bits = int(np.count_nonzero(wt.data)), 32
         expected.append((layer.id, wt.out_ch * wt.in_ch, nnz, bits, *shapes[layer.id][1:]))

@@ -11,7 +11,7 @@ from upaq.errors import ValidationError
 from conftest import copy_model, single_conv_model, wide_model
 from oracles import recount_payload_nbytes
 from upaq.evaluate import evaluate_fidelity, model_sqnr_db, payload_sqnr_db
-from upaq.inference import Activation, forward_batch
+from upaq.inference import run_batch
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import KernelPattern
 from upaq.quantizer import SQNR_CAP_DB, quantize_slices
@@ -53,7 +53,7 @@ def _lossless_pair(seed=51):
         base_payload_nbytes=dense_payload_nbytes(base),
     )
     cm.validate()
-    inputs = [Activation(rng.uniform(-1, 1, (1, 6, 6)).astype(np.float32)) for _ in range(10)]
+    inputs = rng.uniform(-1, 1, (10, 1, 6, 6)).astype(np.float32)
     return base, cm, inputs
 
 
@@ -86,17 +86,17 @@ def test_payload_recount_invariant(toy_cnn_hck, toy_cnn_lck):
         assert recount_payload_nbytes(cm) == compressed_payload_nbytes(cm)
 
 
-def test_mismatched_input_names_index(toy_cnn, toy_cnn_hck):
+def test_mismatched_input_shape_rejected(toy_cnn, toy_cnn_hck):
     model, _ = toy_cnn
-    bad = Activation(np.zeros((2, 16, 16), dtype=np.float32))
-    with pytest.raises(ValidationError, match="input 0"):
-        evaluate_fidelity(model, toy_cnn_hck, [bad])
+    bad = np.zeros((1, 2, 16, 16), dtype=np.float32)
+    with pytest.raises(ValidationError, match=r"input shape \(2, 16, 16\) does not match"):
+        evaluate_fidelity(model, toy_cnn_hck, bad)
 
 
 def test_empty_input_set_rejected(toy_cnn, toy_cnn_hck):
     model, _ = toy_cnn
     with pytest.raises(ValidationError, match="at least one input"):
-        evaluate_fidelity(model, toy_cnn_hck, [])
+        evaluate_fidelity(model, toy_cnn_hck, np.empty((0, 1, 16, 16), dtype=np.float32))
 
 
 def test_report_serializes_to_json(toy_cnn, toy_cnn_hck):
@@ -142,11 +142,11 @@ def test_report_metrics_recomputable_from_run_blobs(tmp_path, toy_cnn, toy_cnn_h
 def test_report_figures_bit_equal_a_per_input_recomputation(arch, profile):
     model, inputs = upaq.gen_fixture(arch, 42)
     cm = upaq.compress_model(model, profile(seed=42))
-    base_out = forward_batch(model, inputs)
-    comp_out = forward_batch(upaq.decompress_model(cm), inputs)
+    base_out = run_batch(model, inputs)
+    comp_out = run_batch(upaq.decompress_model(cm), inputs)
     rel, cos, agree = [], [], 0
     for b, c in zip(base_out, comp_out):
-        yb, yc = b.data.reshape(-1).astype(np.float64), c.data.reshape(-1).astype(np.float64)
+        yb, yc = b.reshape(-1).astype(np.float64), c.reshape(-1).astype(np.float64)
         rel.append(float(np.linalg.norm(yc - yb)) / float(np.linalg.norm(yb)))
         cos.append(float(np.dot(yb, yc)) / (float(np.linalg.norm(yb)) * float(np.linalg.norm(yc))))
         agree += int(np.argmax(yb)) == int(np.argmax(yc))
@@ -154,8 +154,8 @@ def test_report_figures_bit_equal_a_per_input_recomputation(arch, profile):
     assert report.mean_rel_err == float(np.mean(rel))
     assert report.cosine_sim == float(np.mean(cos))
     assert report.top1_agreement == agree / len(inputs)
-    # the same figures from the blob's (B, C, H, W) array
-    assert evaluate_fidelity(model, cm, np.stack([act.data for act in inputs])) == report
+    # the same figures from a float64 copy of the batch, which the engine reads as float32
+    assert evaluate_fidelity(model, cm, inputs.astype(np.float64)) == report
 
 
 def _padded_variance(values, zeros):

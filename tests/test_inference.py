@@ -11,13 +11,8 @@ from conftest import wide_model
 from upaq import inference
 from upaq.cost import layer_costs
 from upaq.errors import FormatError, ValidationError
-from upaq.inference import (
-    Activation,
-    forward_batch,
-    forward_compressed,
-    load_activations,
-    save_activations,
-)
+from upaq.compressed import stored_slots
+from upaq.inference import Activation, load_activations, run_batch, save_activations
 from upaq.model import LayerSpec, ModelGraph, Tensor4, infer_shapes
 
 # sink output of toy-cnn (seed 42) on fixture input 0, produced by the
@@ -36,8 +31,8 @@ def test_identity_1x1_conv_passes_input_through():
     model = ModelGraph("identity", (1, 5, 5), [layer])
     model.validate()
     rng = np.random.default_rng(31)
-    x = Activation(rng.normal(size=(1, 5, 5)).astype(np.float32))
-    assert np.array_equal(forward_batch(model, [x])[0].data, x.data)
+    x = rng.normal(size=(1, 1, 5, 5)).astype(np.float32)
+    assert np.array_equal(run_batch(model, x), x)
 
 
 def test_all_zero_weights_give_zero_sink():
@@ -49,28 +44,28 @@ def test_all_zero_weights_give_zero_sink():
     ]
     model = ModelGraph("zeros", (1, 6, 6), layers)
     model.validate()
-    out = forward_batch(model, [Activation(np.ones((1, 6, 6), dtype=np.float32))])[0]
-    assert not out.data.any()
+    out = run_batch(model, np.ones((1, 1, 6, 6), dtype=np.float32))
+    assert not out.any()
 
 
 def test_golden_output_matches_shipped_values(toy_cnn):
     model, inputs = toy_cnn
-    out = forward_batch(model, [inputs[0]])[0].data.reshape(-1)
+    out = run_batch(model, inputs[:1])[0].reshape(-1)
     assert np.allclose(out, TOY_CNN_GOLDEN, atol=1e-6, rtol=0)
 
 
 def test_straight_loop_reference_reproduces_golden(toy_cnn):
     model, inputs = toy_cnn
-    ref = forward_reference(model, inputs[0].data).reshape(-1)
+    ref = forward_reference(model, inputs[0]).reshape(-1)
     assert np.allclose(ref, TOY_CNN_GOLDEN, atol=1e-6, rtol=0)
     # engine and reference share the accumulation order, so they agree bitwise
-    assert forward_batch(model, [inputs[0]])[0].data.tobytes() == forward_reference(model, inputs[0].data).tobytes()
+    assert run_batch(model, inputs[:1])[0].tobytes() == forward_reference(model, inputs[0]).tobytes()
 
 
 def test_engine_matches_reference_on_all_fixtures(toy_residual, toy_1x1):
     for model, inputs in (toy_residual, toy_1x1):
-        eng = forward_batch(model, [inputs[1]])[0].data
-        ref = forward_reference(model, inputs[1].data)
+        eng = run_batch(model, inputs[1:2])[0]
+        ref = forward_reference(model, inputs[1])
         assert eng.tobytes() == ref.tobytes()
 
 
@@ -84,8 +79,8 @@ def test_strided_padded_conv_against_reference():
     )
     model = ModelGraph("strided", (2, 9, 9), [layer])
     model.validate()
-    x = Activation(rng.normal(size=(2, 9, 9)).astype(np.float32))
-    assert forward_batch(model, [x])[0].data.tobytes() == forward_reference(model, x.data).tobytes()
+    x = rng.normal(size=(1, 2, 9, 9)).astype(np.float32)
+    assert run_batch(model, x)[0].tobytes() == forward_reference(model, x[0]).tobytes()
 
 
 def test_linearity_on_conv_only_graph():
@@ -96,32 +91,24 @@ def test_linearity_on_conv_only_graph():
     ]
     model = ModelGraph("linear-graph", (1, 8, 8), layers)
     model.validate()
-    x = rng.normal(size=(1, 8, 8)).astype(np.float32)
-    y1 = forward_batch(model, [Activation(3.0 * x)])[0].data
-    y2 = 3.0 * forward_batch(model, [Activation(x)])[0].data
+    x = rng.normal(size=(1, 1, 8, 8)).astype(np.float32)
+    y1 = run_batch(model, 3.0 * x)
+    y2 = 3.0 * run_batch(model, x)
     assert np.allclose(y1, y2, rtol=1e-5, atol=1e-6)
 
 
-def test_forward_compressed_paths_agree_bitwise(toy_cnn, toy_cnn_hck):
-    _, inputs = toy_cnn
-    for act in inputs[:4]:
-        dense_path = forward_compressed(toy_cnn_hck, act).data
-        sparse_path = forward_compressed(toy_cnn_hck, act, sparse=True).data
-        assert dense_path.tobytes() == sparse_path.tobytes()
-
-
-def test_forward_compressed_equals_forward_on_decompressed(toy_cnn, toy_cnn_hck):
+def test_compressed_model_runs_bit_equal_to_the_oracle(toy_cnn, toy_cnn_hck):
+    # the engine skips the cells hck prunes; the oracle runs every one
     _, inputs = toy_cnn
     dense = upaq.decompress_model(toy_cnn_hck)
-    out_a = forward_compressed(toy_cnn_hck, inputs[0]).data
-    out_b = forward_batch(dense, [inputs[0]])[0].data
-    assert np.array_equal(out_a, out_b)
+    for x, out in zip(inputs[:4], run_batch(dense, inputs[:4])):
+        assert out.tobytes() == forward_reference(dense, x).tobytes()
 
 
 def test_input_shape_mismatch_rejected(toy_cnn):
     model, _ = toy_cnn
     with pytest.raises(ValidationError, match="input shape"):
-        forward_batch(model, [Activation(np.zeros((2, 16, 16), dtype=np.float32))])
+        run_batch(model, np.zeros((1, 2, 16, 16), dtype=np.float32))
 
 
 def test_layer_shape_error_names_layer():
@@ -131,7 +118,7 @@ def test_layer_shape_error_names_layer():
     ]
     model = ModelGraph("bad", (1, 4, 4), layers)
     with pytest.raises(ValidationError, match="mismatched"):
-        forward_batch(model, [Activation(np.zeros((1, 4, 4), dtype=np.float32))])
+        run_batch(model, np.zeros((1, 1, 4, 4), dtype=np.float32))
 
 
 def test_activation_batch_roundtrip(tmp_path, toy_cnn):
@@ -139,9 +126,8 @@ def test_activation_batch_roundtrip(tmp_path, toy_cnn):
     path = tmp_path / "inputs.bin"
     save_activations(path, inputs[:5])
     back = load_activations(path)
-    assert back.shape == (5, *inputs[0].shape) and back.dtype == np.float32
-    for a, b in zip(inputs[:5], back):
-        assert a.data.tobytes() == b.tobytes()
+    assert back.shape == (5, *inputs.shape[1:]) and back.dtype == np.float32
+    assert back.tobytes() == inputs[:5].tobytes()
 
 
 @pytest.mark.parametrize("meta,message", [
@@ -191,6 +177,13 @@ def test_load_activations_holds_one_copy_of_the_blob(tmp_path):
     assert peak <= 1.3 * batch.nbytes
 
 
+def test_save_activations_rejects_a_batch_that_is_not_4d(tmp_path, toy_cnn):
+    # a single (C, H, W) input: its sidecar would say shape [16, 16], which load_activations refuses
+    with pytest.raises(ValidationError, match=r"4 dimensions \(B, C, H, W\), got 3"):
+        save_activations(tmp_path / "x.bin", toy_cnn[1][0])
+    assert not (tmp_path / "x.bin").exists() and not inference.sidecar_path(tmp_path / "x.bin").exists()
+
+
 def test_activation_batch_shape_consistency(tmp_path):
     a = Activation(np.zeros((1, 2, 2), dtype=np.float32))
     b = Activation(np.zeros((1, 3, 3), dtype=np.float32))
@@ -218,24 +211,22 @@ def engine_case(request):
     return model, inputs
 
 
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense-path", "skipping-path"])
-def test_batched_engine_matches_single_input_forward_and_oracle(engine_case, sparse, monkeypatch):
+@pytest.mark.parametrize("chunk", [None, 5], ids=["default-chunks", "chunks-of-5"])
+def test_batched_engine_matches_single_input_forward_and_oracle(engine_case, chunk, monkeypatch):
     model, inputs = engine_case
-    assert len(inputs) == 64
-    singles = [forward_batch(model, [act])[0].data.tobytes() for act in inputs]
-    # default chunking, then chunks of 5: 64 inputs leave a partial last chunk of 4
-    for budget in (inference.CHUNK_BYTES, 5 * 4 * _largest_activation(model)):
-        monkeypatch.setattr(inference, "CHUNK_BYTES", budget)
-        batched = forward_batch(model, inputs, sparse=sparse)
-        assert [out.data.tobytes() for out in batched] == singles
+    assert inputs.shape == (64, 1, 16, 16) and inputs.dtype == np.float32
+    singles = [run_batch(model, inputs[i:i + 1])[0].tobytes() for i in range(len(inputs))]
+    if chunk is not None:  # 64 inputs in chunks of 5 leave a partial last chunk of 4
+        monkeypatch.setattr(inference, "CHUNK_BYTES", chunk * 4 * _largest_activation(model))
+    assert [out.tobytes() for out in run_batch(model, inputs)] == singles
     for idx in (0, 63):  # first chunk, last partial chunk
-        assert singles[idx] == forward_reference(model, inputs[idx].data).tobytes()
+        assert singles[idx] == forward_reference(model, inputs[idx]).tobytes()
 
 
 def test_skipping_path_runs_only_retained_cells(toy_cnn_hck):
     dense = upaq.decompress_model(toy_cnn_hck)
     for layer in dense.conv_layers():
-        plan = inference._conv_steps(layer, sparse=True)
+        plan = inference._conv_steps(layer)
         (every,), (skipping,) = plan.every, plan.skipping  # a k x k layer runs as one row group
         assert every.weights.shape == (layer.weights.out_ch, 1 + layer.weights.in_ch * 9)
         assert skipping.weights.shape == (layer.weights.out_ch, 1 + layer.weights.in_ch * 2)  # hck keeps 2 of 9 cells
@@ -251,11 +242,10 @@ def test_batched_strided_padded_conv_with_pruned_cells_against_reference():
                       stride=2, padding=1)
     model = ModelGraph("strided", (2, 9, 9), [layer])
     model.validate()
-    xs = [Activation(rng.normal(size=(2, 9, 9)).astype(np.float32)) for _ in range(3)]
-    for sparse in (False, True):
-        outs = forward_batch(model, xs, sparse=sparse)
-        for x, out in zip(xs, outs):
-            assert out.data.tobytes() == forward_reference(model, x.data).tobytes()
+    xs = rng.normal(size=(3, 2, 9, 9)).astype(np.float32)
+    assert inference._conv_steps(layer).executed == 3 * 2 * 5  # rows 1 and 2 of the kernel, less the centre
+    for x, out in zip(xs, run_batch(model, xs)):
+        assert out.tobytes() == forward_reference(model, x).tobytes()
 
 
 def _sign_bits(a):
@@ -267,12 +257,10 @@ def test_negative_zero_bias_keeps_oracle_sign_on_skipping_path():
                       np.array([-0.0], dtype=np.float32), 1, 1)
     model = ModelGraph("negzero", (1, 4, 4), [layer])
     model.validate()
-    x = Activation(np.ones((1, 4, 4), dtype=np.float32))
-    ref = forward_reference(model, x.data)
+    x = np.ones((1, 1, 4, 4), dtype=np.float32)
+    ref = forward_reference(model, x[0])
     assert _sign_bits(ref) == 0
-    for sparse in (False, True):
-        out = forward_batch(model, [x], sparse=sparse)[0].data
-        assert out.tobytes() == ref.tobytes()
+    assert run_batch(model, x)[0].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["conv2d", "linear"])
@@ -285,22 +273,21 @@ def test_negative_zero_bias_keeps_an_all_negative_zero_sum(kind):
     layer = LayerSpec("l", kind, (), Tensor4(weights), np.array([-0.0, 0.5, -0.25], dtype=np.float32))
     model = ModelGraph("negzero-sum", (2, 3, 3), [layer])
     model.validate()
-    xs = [Activation(-rng.uniform(0.5, 1, (2, 3, 3)).astype(np.float32)) for _ in range(2)]
-    for sparse in (False, True):
-        for x, out in zip(xs, forward_batch(model, xs, sparse=sparse)):
-            ref = forward_reference(model, x.data)
-            assert np.signbit(ref[0]).all() and not ref[0].any()
-            assert out.data.tobytes() == ref.tobytes()
+    xs = -rng.uniform(0.5, 1, (2, 2, 3, 3)).astype(np.float32)
+    for x, out in zip(xs, run_batch(model, xs)):
+        ref = forward_reference(model, x)
+        assert np.signbit(ref[0]).all() and not ref[0].any()
+        assert out.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["relu", "global_avg_pool"])
 def test_negative_zero_input_gives_oracle_positive_zero(kind):
     model = ModelGraph(kind, (2, 2, 2), [LayerSpec("l", kind)])
     model.validate()
-    x = Activation(np.full((2, 2, 2), -0.0, dtype=np.float32))
-    ref = forward_reference(model, x.data)
+    x = np.full((1, 2, 2, 2), -0.0, dtype=np.float32)
+    ref = forward_reference(model, x[0])
     assert _sign_bits(ref) == 0
-    assert forward_batch(model, [x])[0].data.tobytes() == ref.tobytes()
+    assert run_batch(model, x)[0].tobytes() == ref.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -313,17 +300,30 @@ def test_zero_column_is_not_skipped_over_non_finite_input():
     b = LayerSpec("b", "conv2d", ("a",), Tensor4(wb), None, 1, 1)
     model = ModelGraph("overflow", (1, 3, 3), [a, b])
     model.validate()
-    x = Activation(np.full((1, 3, 3), 10.0, dtype=np.float32))
-    for sparse in (False, True):
-        with pytest.raises(ValidationError, match="non-finite"):
-            forward_batch(model, [x], sparse=sparse)
+    assert inference._conv_steps(b).executed == 9  # "b"'s plan skips in-channel 0
+    with pytest.raises(ValidationError, match="non-finite"):
+        run_batch(model, np.full((1, 1, 3, 3), 10.0, dtype=np.float32))
 
 
-def test_batch_input_shape_mismatch_names_index(toy_cnn):
+def test_batch_without_its_batch_axis_is_rejected(toy_cnn):
     model, inputs = toy_cnn
-    bad = Activation(np.zeros((2, 16, 16), dtype=np.float32))
-    with pytest.raises(ValidationError, match="of input 2 "):
-        forward_batch(model, [inputs[0], inputs[1], bad])
+    with pytest.raises(ValidationError, match=r"input shape \(16, 16\) does not match model input \(1, 16, 16\)"):
+        run_batch(model, inputs[0])
+
+
+@pytest.mark.parametrize("chunk", [None, 1], ids=["one-chunk", "chunks-of-1"])
+def test_non_finite_input_is_rejected_naming_its_index(chunk, monkeypatch):
+    # relu then pooling would turn -inf into 0.0: only a check of the input sees it
+    model = ModelGraph("relu-gap", (1, 1, 1), [LayerSpec("r", "relu"), LayerSpec("g", "global_avg_pool", ("r",))])
+    model.validate()
+    if chunk is not None:
+        monkeypatch.setattr(inference, "CHUNK_BYTES", chunk * 4)
+    batch = np.zeros((4, 1, 1, 1), dtype=np.float32)
+    assert run_batch(model, batch[:1]).tobytes() == forward_reference(model, batch[0]).tobytes()
+    batch[2] = -np.inf
+    batch[3] = np.nan
+    with pytest.raises(ValidationError, match="^input 2 contains non-finite values$"):
+        run_batch(model, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +339,15 @@ def _conv(rng, lid, out_ch, in_ch, k, inputs=(), stride=1, padding=0, pruned=())
 
 
 def _assert_engine_matches(model, xs, oracle_idx):
-    singles = [forward_batch(model, [x])[0].data.tobytes() for x in xs]
+    singles = [run_batch(model, xs[i:i + 1])[0].tobytes() for i in range(len(xs))]
     for idx in oracle_idx:
-        assert singles[idx] == forward_reference(model, xs[idx].data).tobytes()
-    for sparse in (False, True):
-        assert [out.data.tobytes() for out in forward_batch(model, xs, sparse=sparse)] == singles
+        assert singles[idx] == forward_reference(model, xs[idx]).tobytes()
+    assert [out.tobytes() for out in run_batch(model, xs)] == singles
     return singles
 
 
 def _inputs(rng, shape, count):
-    return [Activation(rng.uniform(-1, 1, shape).astype(np.float32)) for _ in range(count)]
+    return rng.uniform(-1, 1, (count, *shape)).astype(np.float32)
 
 
 def test_linear_on_spatial_activation_flattens_in_chw_order():
@@ -402,11 +401,9 @@ def test_single_pixel_conv_of_a_single_input_against_reference(out_ch):
     rng = np.random.default_rng(51)
     model = ModelGraph("pixel", (4, 3, 3), [_conv(rng, "c", out_ch, 4, 3)])
     model.validate()
-    x = _inputs(rng, (4, 3, 3), 1)[0]
+    x = _inputs(rng, (4, 3, 3), 1)
     assert infer_shapes(model)["c"] == (out_ch, 1, 1)
-    ref = forward_reference(model, x.data).tobytes()
-    for sparse in (False, True):
-        assert forward_batch(model, [x], sparse=sparse)[0].data.tobytes() == ref
+    assert run_batch(model, x)[0].tobytes() == forward_reference(model, x[0]).tobytes()
 
 
 def _two_rounding_loop(w, x):
@@ -470,15 +467,13 @@ def test_batch_sizes_around_the_chunk_on_a_32_channel_model():
     xs = _inputs(rng, (2, 6, 6), chunk + 1)
     singles = _assert_engine_matches(model, xs, oracle_idx=(0, chunk))
     for size in (1, chunk - 1, chunk):
-        for sparse in (False, True):
-            outs = forward_batch(model, xs[:size], sparse=sparse)
-            assert [out.data.tobytes() for out in outs] == singles[:size]
+        assert [out.tobytes() for out in run_batch(model, xs[:size])] == singles[:size]
 
 
 def _traced_peak(model, xs):
     tracemalloc.start()
     try:
-        outs = forward_batch(model, xs)
+        outs = run_batch(model, xs)
         return tracemalloc.get_traced_memory()[1], outs
     finally:
         tracemalloc.stop()
@@ -490,13 +485,13 @@ def test_memory_stays_bounded_for_any_batch():
     model.validate()
     chunk = inference.CHUNK_BYTES // (4 * _largest_activation(model))
     xs = _inputs(rng, (1, 32, 32), 4 * chunk)
-    forward_batch(model, xs[:chunk])  # warm up
+    run_batch(model, xs[:chunk])  # warm up
     one_peak, one_out = _traced_peak(model, xs[:chunk])
     four_peak, four_out = _traced_peak(model, xs)
-    row = one_out[0].data.nbytes
+    row = one_out[0].nbytes
     # the three extra chunks may only add their output rows, not chunk working memory
     assert four_peak - one_peak <= 3 * chunk * row + 64 * 1024
-    assert [o.data.tobytes() for o in four_out[:chunk]] == [o.data.tobytes() for o in one_out]
+    assert four_out[:chunk].tobytes() == one_out.tobytes()
 
 
 def test_global_avg_pool_sums_in_blocks_without_a_full_size_temporary():
@@ -540,7 +535,7 @@ def _rows(group):
                          ids=["gcd-1", "gcd-3", "gcd-9", "64x64"])
 def test_row_groups_of_1x1_layers_against_reference(out_ch, in_ch, profile):
     model = upaq.decompress_model(_block_1x1(out_ch, in_ch, profile))
-    plan = inference._conv_steps(model.layers[0], sparse=True)
+    plan = inference._conv_steps(model.layers[0])
     if math.gcd(in_ch, 9) < 9:  # when 9 divides I, I * O does too and each column is all zero or all live
         assert (out_ch * in_ch) % 9, "the last 3x3 block of the flat weights is partial"
         assert len(plan.skipping) > 1 and max(map(_rows, plan.skipping)) < out_ch  # row groups run
@@ -551,7 +546,7 @@ def test_row_groups_of_1x1_layers_against_reference(out_ch, in_ch, profile):
 @pytest.mark.parametrize("size", [4, 160, 640], ids=["line", "two-lines", "two-images"])
 def test_row_groups_over_blocks_of_any_size(size, monkeypatch):
     model = upaq.decompress_model(_block_1x1(40, 10, upaq.lck_profile))  # classes of 4 or 5 rows mod 9
-    assert len(inference._conv_steps(model.layers[0], sparse=True).skipping) > 1
+    assert len(inference._conv_steps(model.layers[0]).skipping) > 1
     rng = np.random.default_rng(45)
     xs = _inputs(rng, model.input_shape, 3)
     monkeypatch.setattr(inference, "BLOCK_BYTES", size)  # 3 inputs of 3 lines of 4
@@ -563,14 +558,14 @@ def test_negative_zero_bias_turns_row_groups_off():
     layer = model.layers[0]
     layer.weights.data[4] = 0.0  # out-channel 4 stays at its bias on a skipping path
     layer.bias[4] = -0.0
-    plan = inference._conv_steps(layer, sparse=True)
+    plan = inference._conv_steps(layer)
     assert plan.skipping is plan.every and len(plan.every) == 1
     assert plan.negative_zero.tolist() == [4]
     rng = np.random.default_rng(46)
     xs = _inputs(rng, model.input_shape, 2)
     singles = _assert_engine_matches(model, xs, oracle_idx=(0, 1))
     # every product of out-channel 4 is +-0.0: -0.0 + 0.0 is +0.0 wherever its input is positive
-    assert not np.signbit(np.frombuffer(singles[0], dtype=np.float32).reshape(13, 3, 4)[4][xs[0].data[0] > 0]).any()
+    assert not np.signbit(np.frombuffer(singles[0], dtype=np.float32).reshape(13, 3, 4)[4][xs[0][0] > 0]).any()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -584,16 +579,16 @@ def test_row_groups_do_not_skip_over_a_non_finite_input():
     a = LayerSpec("a", "conv2d", (), Tensor4(np.diag(scale).reshape(10, 10, 1, 1)))
     model = ModelGraph("overflow", (10, 3, 4), [a, pw])
     model.validate()
-    plan = inference._conv_steps(pw, sparse=True)
+    plan = inference._conv_steps(pw)
     # some group skips in-channel 0: none of its fills starts at that channel
     assert any(all(ins.start != 0 for *_, ins in group.fills) for group in plan.skipping)
     x = np.full((10, 1, 3, 4), 10.0, dtype=np.float32)
     ref = forward_reference(model, x[:, 0])
     assert np.isnan(ref).any()
-    last_use = {"a": 1}
-    for sparse in (False, True):
-        steps = {layer.id: inference._conv_steps(layer, sparse) for layer in model.conv_layers()}
-        out = inference._run(model, x, steps, last_use)["pw"][:, 0]
+    plans = {layer.id: inference._conv_steps(layer) for layer in model.conv_layers()}
+    # the plans as built, then running every column
+    for steps in (plans, {lid: p._replace(skipping=p.every) for lid, p in plans.items()}):
+        out = inference._run(model, x, steps, {"a": 1})["pw"][:, 0]
         np.testing.assert_array_equal(out, ref)
 
 
@@ -603,14 +598,14 @@ def test_64x64_1x1_layer_runs_nine_row_groups(profile, cells):
     # its flat weights; gcd(64, 9) = 1, so row o's stored columns are that many
     # classes mod 9 of in-channels, set by o mod 9: 9 groups of 7 or 8 rows
     cm = _block_1x1(64, 64, profile)
-    plan = inference._conv_steps(upaq.decompress_model(cm).layers[0], sparse=True)
+    plan = inference._conv_steps(upaq.decompress_model(cm).layers[0])
     assert len(plan.skipping) == 9
     assert sorted(group.rows.start for group in plan.skipping) == list(range(9))
     assert all(group.rows.step == 9 for group in plan.skipping)
     # each class of in-channels fills its rows of X as one strided copy
     assert all(len(group.fills) == cells for group in plan.skipping)
     # the weights run are exactly the stored slots: 910 of 4096 (hck), 1365 (lck)
-    assert plan.executed == upaq.compressed.stored_value_count(cm.qlayers["pw"], cm.groups[0].pattern)
+    assert plan.executed == int(stored_slots(cm.qlayers["pw"].shape, cm.groups[0].pattern).sum())
 
 
 @pytest.mark.parametrize("out_ch", [inference.MAX_GROUPS, inference.MAX_GROUPS + 1], ids=["at-cap", "past-cap"])
@@ -624,7 +619,7 @@ def test_row_groups_past_the_cap_run_as_one_group(out_ch):
     layer = LayerSpec("pw", "conv2d", (), Tensor4(w), rng.uniform(-1, 1, out_ch).astype(np.float32))
     model = ModelGraph("pw", (out_ch + 1, 3, 4), [layer])
     model.validate()
-    plan = inference._conv_steps(layer, sparse=True)
+    plan = inference._conv_steps(layer)
     if out_ch <= inference.MAX_GROUPS:
         assert len(plan.skipping) == out_ch and plan.executed == out_ch * (out_ch - 1)
     else:  # one group over the columns nonzero in some row: all but the last
@@ -646,7 +641,7 @@ def test_stored_slots_bound_the_weights_the_engine_runs(arch, profile):
     nnz = {lid: stats[0] for lid, stats in layer_costs(cm).items()}
     run = {}
     for layer in upaq.decompress_model(cm).conv_layers():
-        run[layer.id] = inference._conv_steps(layer, sparse=True).executed
+        run[layer.id] = inference._conv_steps(layer).executed
         assert np.count_nonzero(layer.weights.data) <= run[layer.id] <= nnz[layer.id]
     assert run == nnz
     if (arch, profile) == ("toy-1x1", upaq.hck_profile):
@@ -687,7 +682,7 @@ def test_same_convs_take_shifted_planes_bit_exactly(k, hw, monkeypatch):
     layers[2].bias[1] = -0.0  # "b" skips nothing: every step runs over a -0.0 accumulator
     model = ModelGraph("same", (2, *hw), layers)
     model.validate()
-    plan = inference._conv_steps(layers[2], sparse=True)
+    plan = inference._conv_steps(layers[2])
     assert plan.skipping is plan.every
     monkeypatch.setattr(inference, "CHUNK_BYTES", 3 * 4 * _largest_activation(model))  # chunks of 3, 3 and 1
     seen = _spy_shifted(monkeypatch)
@@ -701,7 +696,7 @@ def test_strided_and_valid_convs_gather_windows(monkeypatch):
     for stride, padding in ((2, 1), (1, 0)):
         model = ModelGraph("window", (2, 5, 6), [_conv(rng, "c", 3, 2, 3, stride=stride, padding=padding)])
         model.validate()
-        forward_batch(model, _inputs(rng, (2, 5, 6), 2))
+        run_batch(model, _inputs(rng, (2, 5, 6), 2))
     assert seen == [False, False]
 
 
@@ -715,11 +710,12 @@ def test_shifted_planes_do_not_skip_over_a_non_finite_input():
     b = LayerSpec("b", "conv2d", ("a",), Tensor4(wb), None, 1, 2)
     model = ModelGraph("overflow", (1, 3, 4), [a, b])
     model.validate()
-    assert inference._conv_steps(b, sparse=True).executed < 2 * 2 * 25
+    assert inference._conv_steps(b).executed < 2 * 2 * 25
     x = np.full((1, 3, 3, 4), 10.0, dtype=np.float32)
     x[0, 1] = 0.0  # the middle input of the chunk stays finite all through
-    for sparse in (False, True):
-        steps = {layer.id: inference._conv_steps(layer, sparse) for layer in model.conv_layers()}
+    plans = {layer.id: inference._conv_steps(layer) for layer in model.conv_layers()}
+    # the plans as built, then running every column
+    for steps in (plans, {lid: p._replace(skipping=p.every) for lid, p in plans.items()}):
         out = inference._run(model, x, steps, {"a": 1})["b"]
         for j in range(3):
             ref = forward_reference(model, x[:, j])

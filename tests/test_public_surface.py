@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import upaq
-from upaq import compressor, container, cost, inference, model, patterns, quantizer
+from upaq import compressed, compressor, container, cost, inference, model, patterns, quantizer
 
 SRC = Path(upaq.__file__).parent
 
@@ -21,9 +21,10 @@ REMOVED = {
     cost: ("AnalyticCostModel", "estimate_latency", "estimate_energy"),
     patterns: ("apply_pattern",),
     quantizer: ("QuantResult", "mp_quantize", "dequantize", "masked_mean_sqnr_db", "_row_sums"),
-    inference: ("forward", "_residue_classes", "_tiles", "_plane_cells", "TILE_BYTES", "MAX_PARTS", "MAX_STRIDE"),
+    inference: ("forward", "forward_batch", "_residue_classes", "_tiles", "_plane_cells", "TILE_BYTES", "MAX_PARTS", "MAX_STRIDE"),
     compressor: ("compress_kxk_group", "compress_1x1_group"),
     container: ("sniff_format",),
+    compressed: ("stored_value_count",),
 }
 
 
@@ -46,6 +47,12 @@ def test_removed_names_are_gone(module):
 def test_compress_takes_no_workers():
     for fn in (upaq.compress_model, upaq.compress_with_decisions):
         assert "workers" not in inspect.signature(fn).parameters
+
+
+def test_engine_takes_no_sparse_switch():
+    # the engine works out what to skip from the weights, the bias signs and the input
+    for fn in (inference.run_batch, inference._conv_steps):
+        assert "sparse" not in inspect.signature(fn).parameters
 
 
 def _names_used(node, skip):
