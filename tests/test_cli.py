@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from conftest import patch_header
+from conftest import patch_header, run_every
 from upaq.cli import main
 
 
@@ -236,7 +236,7 @@ def test_run_and_evaluate_match_single_input_api(tmp_path, monkeypatch):
     from upaq import evaluate as evaluate_module
     import numpy as np
 
-    from upaq.inference import load_activations, run_batch
+    from upaq.inference import load_activations
 
     model_path, inputs_path = _gen(tmp_path, arch="toy-residual")
     out_model = tmp_path / "m.upaqc"
@@ -250,12 +250,12 @@ def test_run_and_evaluate_match_single_input_api(tmp_path, monkeypatch):
     cm = upaq.load_compressed(out_model)
     inputs = load_activations(inputs_path)
     dense = upaq.decompress_model(cm)
-    expected = b"".join(run_batch(dense, inputs[i:i + 1]).astype("<f4").tobytes() for i in range(len(inputs)))
+    expected = b"".join(run_every(dense, inputs[i:i + 1]).astype("<f4").tobytes() for i in range(len(inputs)))
     assert out_blob.read_bytes() == expected
 
-    # the same report, with every forward pass made one input at a time
+    # the same report, with every forward pass made one input at a time over every weight column
     monkeypatch.setattr(evaluate_module, "run_batch",
-                        lambda model, batch: np.stack([run_batch(model, batch[i:i + 1])[0] for i in range(len(batch))]))
+                        lambda model, batch: np.stack([run_every(model, batch[i:i + 1])[0] for i in range(len(batch))]))
     single = evaluate_module.evaluate_fidelity(upaq.load_model(model_path), cm, inputs)
     assert report_path.read_text() == single.to_json() + "\n"
 

@@ -8,10 +8,9 @@ from upaq.compressed import CompressedGroup, CompressedModel, ProfileInfo, Quant
 from upaq.container import compressed_payload_nbytes, dense_payload_nbytes
 from upaq.cost import compression_ratio
 from upaq.errors import ValidationError
-from conftest import copy_model, single_conv_model, wide_model
+from conftest import copy_model, run_every, single_conv_model, wide_model
 from oracles import recount_payload_nbytes
 from upaq.evaluate import evaluate_fidelity, model_sqnr_db, payload_sqnr_db
-from upaq.inference import run_batch
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import KernelPattern
 from upaq.quantizer import SQNR_CAP_DB, quantize_slices
@@ -142,8 +141,8 @@ def test_report_metrics_recomputable_from_run_blobs(tmp_path, toy_cnn, toy_cnn_h
 def test_report_figures_bit_equal_a_per_input_recomputation(arch, profile):
     model, inputs = upaq.gen_fixture(arch, 42)
     cm = upaq.compress_model(model, profile(seed=42))
-    base_out = run_batch(model, inputs)
-    comp_out = run_batch(upaq.decompress_model(cm), inputs)
+    base_out = run_every(model, inputs)
+    comp_out = run_every(upaq.decompress_model(cm), inputs)
     rel, cos, agree = [], [], 0
     for b, c in zip(base_out, comp_out):
         yb, yc = b.reshape(-1).astype(np.float64), c.reshape(-1).astype(np.float64)

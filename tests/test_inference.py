@@ -7,7 +7,7 @@ import pytest
 
 import upaq
 from oracles import forward_reference
-from conftest import wide_model
+from conftest import run_every, wide_model
 from upaq import inference
 from upaq.cost import layer_costs
 from upaq.errors import FormatError, ValidationError
@@ -101,8 +101,9 @@ def test_compressed_model_runs_bit_equal_to_the_oracle(toy_cnn, toy_cnn_hck):
     # the engine skips the cells hck prunes; the oracle runs every one
     _, inputs = toy_cnn
     dense = upaq.decompress_model(toy_cnn_hck)
-    for x, out in zip(inputs[:4], run_batch(dense, inputs[:4])):
-        assert out.tobytes() == forward_reference(dense, x).tobytes()
+    for run in (run_every, run_batch):
+        for x, out in zip(inputs[:4], run(dense, inputs[:4])):
+            assert out.tobytes() == forward_reference(dense, x).tobytes()
 
 
 def test_input_shape_mismatch_rejected(toy_cnn):
@@ -215,10 +216,11 @@ def engine_case(request):
 def test_batched_engine_matches_single_input_forward_and_oracle(engine_case, chunk, monkeypatch):
     model, inputs = engine_case
     assert inputs.shape == (64, 1, 16, 16) and inputs.dtype == np.float32
-    singles = [run_batch(model, inputs[i:i + 1])[0].tobytes() for i in range(len(inputs))]
+    singles = [run_every(model, inputs[i:i + 1])[0].tobytes() for i in range(len(inputs))]
     if chunk is not None:  # 64 inputs in chunks of 5 leave a partial last chunk of 4
         monkeypatch.setattr(inference, "CHUNK_BYTES", chunk * 4 * _largest_activation(model))
-    assert [out.tobytes() for out in run_batch(model, inputs)] == singles
+    for run in (run_every, run_batch):
+        assert [out.tobytes() for out in run(model, inputs)] == singles
     for idx in (0, 63):  # first chunk, last partial chunk
         assert singles[idx] == forward_reference(model, inputs[idx]).tobytes()
 
@@ -244,8 +246,9 @@ def test_batched_strided_padded_conv_with_pruned_cells_against_reference():
     model.validate()
     xs = rng.normal(size=(3, 2, 9, 9)).astype(np.float32)
     assert inference._conv_steps(layer).executed == 3 * 2 * 5  # rows 1 and 2 of the kernel, less the centre
-    for x, out in zip(xs, run_batch(model, xs)):
-        assert out.tobytes() == forward_reference(model, x).tobytes()
+    for run in (run_every, run_batch):
+        for x, out in zip(xs, run(model, xs)):
+            assert out.tobytes() == forward_reference(model, x).tobytes()
 
 
 def _sign_bits(a):
@@ -260,7 +263,8 @@ def test_negative_zero_bias_keeps_oracle_sign_on_skipping_path():
     x = np.ones((1, 1, 4, 4), dtype=np.float32)
     ref = forward_reference(model, x[0])
     assert _sign_bits(ref) == 0
-    assert run_batch(model, x)[0].tobytes() == ref.tobytes()
+    for run in (run_every, run_batch):
+        assert run(model, x)[0].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["conv2d", "linear"])
@@ -274,10 +278,11 @@ def test_negative_zero_bias_keeps_an_all_negative_zero_sum(kind):
     model = ModelGraph("negzero-sum", (2, 3, 3), [layer])
     model.validate()
     xs = -rng.uniform(0.5, 1, (2, 2, 3, 3)).astype(np.float32)
-    for x, out in zip(xs, run_batch(model, xs)):
-        ref = forward_reference(model, x)
-        assert np.signbit(ref[0]).all() and not ref[0].any()
-        assert out.tobytes() == ref.tobytes()
+    for run in (run_every, run_batch):
+        for x, out in zip(xs, run(model, xs)):
+            ref = forward_reference(model, x)
+            assert np.signbit(ref[0]).all() and not ref[0].any()
+            assert out.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["relu", "global_avg_pool"])
@@ -301,8 +306,9 @@ def test_zero_column_is_not_skipped_over_non_finite_input():
     model = ModelGraph("overflow", (1, 3, 3), [a, b])
     model.validate()
     assert inference._conv_steps(b).executed == 9  # "b"'s plan skips in-channel 0
-    with pytest.raises(ValidationError, match="non-finite"):
-        run_batch(model, np.full((1, 1, 3, 3), 10.0, dtype=np.float32))
+    for run in (run_every, run_batch):
+        with pytest.raises(ValidationError, match="non-finite"):
+            run(model, np.full((1, 1, 3, 3), 10.0, dtype=np.float32))
 
 
 def test_batch_without_its_batch_axis_is_rejected(toy_cnn):
@@ -339,10 +345,11 @@ def _conv(rng, lid, out_ch, in_ch, k, inputs=(), stride=1, padding=0, pruned=())
 
 
 def _assert_engine_matches(model, xs, oracle_idx):
-    singles = [run_batch(model, xs[i:i + 1])[0].tobytes() for i in range(len(xs))]
+    singles = [run_every(model, xs[i:i + 1])[0].tobytes() for i in range(len(xs))]
     for idx in oracle_idx:
         assert singles[idx] == forward_reference(model, xs[idx]).tobytes()
-    assert [out.tobytes() for out in run_batch(model, xs)] == singles
+    for run in (run_every, run_batch):
+        assert [out.tobytes() for out in run(model, xs)] == singles
     return singles
 
 
@@ -403,7 +410,8 @@ def test_single_pixel_conv_of_a_single_input_against_reference(out_ch):
     model.validate()
     x = _inputs(rng, (4, 3, 3), 1)
     assert infer_shapes(model)["c"] == (out_ch, 1, 1)
-    assert run_batch(model, x)[0].tobytes() == forward_reference(model, x[0]).tobytes()
+    for run in (run_every, run_batch):
+        assert run(model, x)[0].tobytes() == forward_reference(model, x[0]).tobytes()
 
 
 def _two_rounding_loop(w, x):
@@ -467,7 +475,8 @@ def test_batch_sizes_around_the_chunk_on_a_32_channel_model():
     xs = _inputs(rng, (2, 6, 6), chunk + 1)
     singles = _assert_engine_matches(model, xs, oracle_idx=(0, chunk))
     for size in (1, chunk - 1, chunk):
-        assert [out.tobytes() for out in run_batch(model, xs[:size])] == singles[:size]
+        for run in (run_every, run_batch):
+            assert [out.tobytes() for out in run(model, xs[:size])] == singles[:size]
 
 
 def _traced_peak(model, xs):
