@@ -10,18 +10,15 @@ sparsity, and compression at desk scale.
 from .compressed import (
     CompressedGroup,
     CompressedModel,
-    ProfileInfo,
+    CompressionProfile,
+    EfficiencyScore,
     QuantizedConv,
     decompress_model,
 )
 from .compressor import (
     BLOCK_K,
-    CompressionProfile,
-    EfficiencyScore,
-    GroupDecision,
     calculate_es,
     compress_model,
-    compress_with_decisions,
     hck_profile,
     lck_profile,
 )
@@ -57,11 +54,9 @@ __all__ = [
     "EfficiencyScore",
     "FidelityReport",
     "FormatError",
-    "GroupDecision",
     "KernelPattern",
     "LayerSpec",
     "ModelGraph",
-    "ProfileInfo",
     "QuantizedConv",
     "RootGroup",
     "Tensor4",
@@ -70,7 +65,6 @@ __all__ = [
     "build_coupling_graph",
     "calculate_es",
     "compress_model",
-    "compress_with_decisions",
     "compression_ratio",
     "computational_cost",
     "decompress_model",

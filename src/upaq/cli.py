@@ -25,7 +25,7 @@ from .container import (
     save_model,
 )
 from .cost import compression_ratio, computational_cost, model_cost
-from .compressor import PROFILE_FACTORIES, compress_with_decisions, compression_decisions
+from .compressor import PROFILE_FACTORIES, compress_model, compression_decisions
 from .errors import FormatError, ValidationError
 from .evaluate import evaluate_fidelity
 from .fixtures import ARCH_NAMES, gen_fixture
@@ -124,7 +124,7 @@ def _cmd_compress(args) -> int:
     model = load_model(args.model)
     candidates, exhaustive = _parse_patterns(args.patterns)
     profile = PROFILE_FACTORIES[args.profile](seed=args.seed, candidates=candidates, exhaustive=exhaustive)
-    cm, decisions = compress_with_decisions(model, profile)
+    cm = compress_model(model, profile)
     save_compressed(cm, args.out)
 
     summary = computational_cost(cm)
@@ -135,7 +135,7 @@ def _cmd_compress(args) -> int:
         "profile": args.profile,
         "seed": args.seed,
         "patterns": "all" if exhaustive else candidates,
-        "groups": compression_decisions(cm, decisions),
+        "groups": compression_decisions(cm),
         "compression_ratio": compression_ratio(dense_payload_nbytes(model), compressed_payload_nbytes(cm)),
         "computational_cost": {
             "conv_layers": summary.conv_layer_count,

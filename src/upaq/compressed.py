@@ -6,12 +6,17 @@ integer weights plus quantization scales: its row-major weights cut into
 ``d x d`` slices, ``d`` being its group pattern's edge (see
 :func:`slice_stack`), with one scale per slice.  Group records tie each
 root and its leaves to the single shared pattern and bitwidth.
+
+:class:`CompressedModel` is the one record of a compression: its
+``profile`` is the :class:`CompressionProfile` that made it, and each group
+carries its winner's :class:`EfficiencyScore` when it comes from the search.
+A loaded file stores no score, so its groups' ``score`` is ``None``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,11 +26,63 @@ from .patterns import KernelPattern
 
 
 @dataclass(frozen=True)
+class CompressionProfile:
+    """Search configuration, stored in a ``.upaqc`` as its provenance.
+
+    The retained count per kernel edge follows from the name: hck keeps
+    roughly two thirds of the edge, lck the full edge.
+    """
+
+    name: str
+    quant_bits: tuple[int, ...]
+    candidates: int = 16
+    es_weights: tuple[float, float, float] = (0.3, 0.4, 0.3)
+    seed: int = 0
+    exhaustive: bool = False
+
+    def validate(self) -> None:
+        """The ranges the bitwidths, candidate count and efficiency-score
+        weights must keep, whether the profile drives a search or comes from
+        a file."""
+        if not self.quant_bits:
+            raise ValidationError("profile declares no quantization bitwidths")
+        for b in self.quant_bits:
+            if b not in (4, 8, 16):
+                raise ValidationError(f"profile bitwidth {b} outside supported {{4, 8, 16}}")
+        if self.candidates < 1:
+            raise ValidationError("candidate count must be >= 1")
+        for w in self.es_weights:
+            if not (0.0 <= w <= 1.0):
+                raise ValidationError(f"efficiency-score weight {w} outside [0, 1]")
+        if sum(self.es_weights) <= 0.0:
+            raise ValidationError("efficiency-score weights must not all be zero")
+
+    def n_for(self, d: int) -> int:
+        if self.name == "hck":
+            return max(1, (2 * d) // 3)
+        if self.name == "lck":
+            return d
+        raise ValidationError(f"profile {self.name!r} defines no retained count for d={d}")
+
+
+@dataclass
+class EfficiencyScore:
+    """Weighted sum of reconstruction quality and baseline-relative cost."""
+
+    sqnr_term: float
+    latency_term: float
+    energy_term: float
+    total: float
+
+
+@dataclass(frozen=True)
 class CompressedGroup:
     root_id: str
     leaf_ids: tuple[str, ...]
     pattern: KernelPattern
     bitwidth: int
+    # the search winner's score; a loaded file stores none
+    score: EfficiencyScore | None = field(default=None, compare=False)
 
     @property
     def member_ids(self) -> tuple[str, ...]:
@@ -52,35 +109,6 @@ class QuantizedConv:
         self.shape = tuple(int(v) for v in self.shape)  # type: ignore[assignment]
 
 
-def check_profile(quant_bits, candidates, es_weights) -> None:
-    """The ranges a profile's bitwidths, candidate count and efficiency-score
-    weights must keep, whether it drives a search or comes from a file."""
-    if not quant_bits:
-        raise ValidationError("profile declares no quantization bitwidths")
-    for b in quant_bits:
-        if b not in (4, 8, 16):
-            raise ValidationError(f"profile bitwidth {b} outside supported {{4, 8, 16}}")
-    if candidates < 1:
-        raise ValidationError("candidate count must be >= 1")
-    for w in es_weights:
-        if not (0.0 <= w <= 1.0):
-            raise ValidationError(f"efficiency-score weight {w} outside [0, 1]")
-    if sum(es_weights) <= 0.0:
-        raise ValidationError("efficiency-score weights must not all be zero")
-
-
-@dataclass
-class ProfileInfo:
-    """Provenance of a compression run, enough to validate and re-score."""
-
-    name: str
-    quant_bits: tuple[int, ...]
-    es_weights: tuple[float, float, float]
-    seed: int
-    candidates: int
-    exhaustive: bool
-
-
 @dataclass
 class CompressedModel:
     """Graph metadata plus per-group quantized payloads."""
@@ -90,18 +118,13 @@ class CompressedModel:
     layers: list[LayerSpec]
     groups: list[CompressedGroup]
     qlayers: dict[str, QuantizedConv]
-    profile: ProfileInfo
+    profile: CompressionProfile
     base_payload_nbytes: int = 0  # dense payload size of the source model
 
-    def by_id(self, layer_id: str) -> LayerSpec:
-        for layer in self.layers:
-            if layer.id == layer_id:
-                return layer
-        raise ValidationError(f"unknown layer id {layer_id!r}")
-
     def validate(self) -> None:
-        check_profile(self.profile.quant_bits, self.profile.candidates, self.profile.es_weights)
+        self.profile.validate()
         check_structure(self.layers, weightless_ids=frozenset(self.qlayers))
+        layer_ids = {layer.id for layer in self.layers}
         seen: dict[str, str] = {}
         for group in self.groups:
             for member in group.member_ids:
@@ -112,6 +135,8 @@ class CompressedModel:
                 seen[member] = group.root_id
                 if member not in self.qlayers:
                     raise ValidationError(f"group member {member!r} has no quantized payload")
+                if member not in layer_ids:
+                    raise ValidationError(f"group member {member!r} is not a layer")
             if group.bitwidth not in self.profile.quant_bits:
                 raise ValidationError(
                     f"group {group.root_id!r}: bitwidth {group.bitwidth} outside profile set {self.profile.quant_bits}"
@@ -121,7 +146,7 @@ class CompressedModel:
                 raise ValidationError(f"quantized layer {layer_id!r} belongs to no group")
         for group in self.groups:
             for member in group.member_ids:
-                _check_payload(self.by_id(member), self.qlayers[member], group)
+                _check_payload(member, self.qlayers[member], group)
         infer_shapes(self, {layer_id: qc.shape for layer_id, qc in self.qlayers.items()})
 
     def group_for(self, layer_id: str) -> CompressedGroup:
@@ -131,30 +156,30 @@ class CompressedModel:
         raise ValidationError(f"layer {layer_id!r} is not compressed")
 
 
-def _check_payload(layer: LayerSpec, qc: QuantizedConv, group: CompressedGroup) -> None:
+def _check_payload(layer_id: str, qc: QuantizedConv, group: CompressedGroup) -> None:
     max_value = 2 ** (qc.bitwidth - 1) - 1
     if qc.q.shape != qc.shape:
-        raise ValidationError(f"layer {layer.id!r}: q shape {qc.q.shape} != declared {qc.shape}")
+        raise ValidationError(f"layer {layer_id!r}: q shape {qc.q.shape} != declared {qc.shape}")
     if qc.bitwidth != group.bitwidth:
-        raise ValidationError(f"layer {layer.id!r}: bitwidth differs from its group")
+        raise ValidationError(f"layer {layer_id!r}: bitwidth differs from its group")
     try:
         slots = stored_slots(qc.shape, group.pattern)
     except ValidationError as exc:
-        raise ValidationError(f"layer {layer.id!r}: {exc}") from None
+        raise ValidationError(f"layer {layer_id!r}: {exc}") from None
     if qc.scales.shape[0] != len(slots):
-        raise ValidationError(f"layer {layer.id!r}: expected {len(slots)} scales, one per stacked slice")
+        raise ValidationError(f"layer {layer_id!r}: expected {len(slots)} scales, one per stacked slice")
     if int(np.abs(qc.q).max(initial=0)) > max_value:
-        raise ValidationError(f"layer {layer.id!r}: quantized value outside symmetric {qc.bitwidth}-bit range")
+        raise ValidationError(f"layer {layer_id!r}: quantized value outside symmetric {qc.bitwidth}-bit range")
     stack = slice_stack(qc.q, group.pattern.d).reshape(slots.shape)
     if np.any(stack[~slots]):
-        raise ValidationError(f"layer {layer.id!r}: nonzero value outside the block pattern")
+        raise ValidationError(f"layer {layer_id!r}: nonzero value outside the block pattern")
     # only a non-finite scale, or one above float32 max / max_value, can dequantize past float32
     scales = qc.scales.astype(np.float64)
     risky = ~(np.abs(scales) <= float(np.finfo(np.float32).max) / max_value)
     with np.errstate(over="ignore", invalid="ignore"):  # rounded as dequantized_weights rounds it
         largest = (np.abs(stack[risky]).max(axis=1) * scales[risky]).astype(np.float32)
     if not np.isfinite(largest).all():
-        raise ValidationError(f"layer {layer.id!r}: a scale dequantizes to a non-finite weight")
+        raise ValidationError(f"layer {layer_id!r}: a scale dequantizes to a non-finite weight")
 
 
 def decompress_model(cm: CompressedModel) -> ModelGraph:

@@ -15,20 +15,24 @@ and a candidate replaces only its root's entry with the stored-slot count
 of its pattern (what the container ships) and its bitwidth.  A drawn
 pattern whose cells were already drawn is skipped: it would score the same
 and cannot beat the first under the strict argmax.
+
+The result is one record: the :class:`~upaq.compressed.CompressedModel`
+holds the profile that made it, and each of its groups the winner's
+:class:`~upaq.compressed.EfficiencyScore`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
 from .compressed import (
     CompressedGroup,
     CompressedModel,
-    ProfileInfo,
+    CompressionProfile,
+    EfficiencyScore,
     QuantizedConv,
-    check_profile,
     slice_stack,
     unstack,
 )
@@ -45,82 +49,21 @@ BLOCK_K = 3  # pattern edge of 1x1 groups: their slices are 3x3 blocks of the fl
 SQNR_TERM_SCALE = 40.0  # dB divisor that normalizes the SQNR addend
 
 
-@dataclass
-class CompressionProfile:
-    """Search configuration: sparsity per kernel size, bitwidths, weights.
-
-    ``n_map`` pins the retained count for specific kernel sizes; sizes not in
-    the map fall back to a per-profile rule (hck keeps roughly two thirds of
-    the kernel edge, lck keeps the full edge).
-    """
-
-    name: str
-    quant_bits: tuple[int, ...]
-    n_map: dict[int, int] = field(default_factory=dict)
-    candidates: int = 16
-    es_weights: tuple[float, float, float] = (0.3, 0.4, 0.3)
-    seed: int = 0
-    exhaustive: bool = False
-
-    def validate(self) -> None:
-        check_profile(self.quant_bits, self.candidates, self.es_weights)
-        for d, n in self.n_map.items():
-            if not (1 <= n <= d):
-                raise ValidationError(f"profile keeps n={n} of a {d}x{d} kernel edge")
-
-    def n_for(self, d: int) -> int:
-        if d in self.n_map:
-            n = self.n_map[d]
-        elif self.name == "hck":
-            n = max(1, (2 * d) // 3)
-        elif self.name == "lck":
-            n = d
-        else:
-            raise ValidationError(f"profile {self.name!r} defines no retained count for d={d}")
-        if not (1 <= n <= d):
-            raise ValidationError(f"retained count {n} incompatible with kernel edge {d}")
-        return n
-
-
 def hck_profile(seed: int = 0, candidates: int = 16, exhaustive: bool = False) -> CompressionProfile:
     """High-compression preset: 2 of 3x3 retained, 4/8-bit lanes."""
     return CompressionProfile(
-        name="hck", quant_bits=(4, 8), n_map={3: 2}, candidates=candidates,
-        seed=seed, exhaustive=exhaustive,
+        name="hck", quant_bits=(4, 8), candidates=candidates, seed=seed, exhaustive=exhaustive,
     )
 
 
 def lck_profile(seed: int = 0, candidates: int = 16, exhaustive: bool = False) -> CompressionProfile:
     """Accuracy-leaning preset: 3 of 3x3 retained, 8/16-bit lanes."""
     return CompressionProfile(
-        name="lck", quant_bits=(8, 16), n_map={3: 3}, candidates=candidates,
-        seed=seed, exhaustive=exhaustive,
+        name="lck", quant_bits=(8, 16), candidates=candidates, seed=seed, exhaustive=exhaustive,
     )
 
 
 PROFILE_FACTORIES = {"hck": hck_profile, "lck": lck_profile}
-
-
-@dataclass
-class EfficiencyScore:
-    """Weighted sum of reconstruction quality and baseline-relative cost."""
-
-    sqnr_term: float
-    latency_term: float
-    energy_term: float
-    total: float
-
-
-@dataclass
-class GroupDecision:
-    """Winning (pattern, bitwidth) for one group plus the quantized payloads."""
-
-    root_id: str
-    leaf_ids: tuple[str, ...]
-    pattern: KernelPattern
-    bitwidth: int
-    score: EfficiencyScore
-    payloads: dict[str, QuantizedConv]
 
 
 def calculate_es(
@@ -182,10 +125,11 @@ def _search_group(
     profile: CompressionProfile,
     rng: np.random.Generator,
     costs: dict[str, tuple[int, int, int, int]],
-) -> GroupDecision:
+) -> tuple[CompressedGroup, dict[str, QuantizedConv]]:
     """Search one group: the distinct drawn masks are scored on the root in
     one call, the first strict maximum in draw order wins, then the decision
-    is quantized for the root and replicated to the leaves.
+    is quantized for the root and replicated to the leaves.  Returns the
+    winning group, with its score, and each member's payload.
 
     A k x k root is searched on its own ``k x k`` slices, a 1 x 1 root on
     ``BLOCK_K x BLOCK_K`` blocks of its flat weights.  The root's slices are
@@ -226,10 +170,7 @@ def _search_group(
         weights = model.by_id(layer_id).weights
         assert weights is not None
         payloads[layer_id] = _quantize_layer(weights, pattern, bits)
-    return GroupDecision(
-        root_id=group.root_id, leaf_ids=group.leaf_ids,
-        pattern=pattern, bitwidth=bits, score=score, payloads=payloads,
-    )
+    return CompressedGroup(group.root_id, group.leaf_ids, pattern, bits, score), payloads
 
 
 def compress_model(model: ModelGraph, profile: CompressionProfile) -> CompressedModel:
@@ -240,59 +181,29 @@ def compress_model(model: ModelGraph, profile: CompressionProfile) -> Compressed
     not depend on the other groups.  The result is validated when it is
     serialized, by :func:`~upaq.container.serialize_compressed`.
     """
-    cm, _ = compress_with_decisions(model, profile)
-    return cm
-
-
-def compress_with_decisions(
-    model: ModelGraph,
-    profile: CompressionProfile,
-) -> tuple[CompressedModel, list[GroupDecision]]:
-    """Like :func:`compress_model`, but also returns the per-group decisions
-    (pattern, bitwidth, efficiency-score terms) for reporting."""
     model.validate()
     profile.validate()
     costs = layer_costs(model)  # one shape walk over the dense model
-    decisions = []
-    for group in find_root_groups(model):
-        rng = np.random.default_rng(split_seed(profile.seed, group.root_id))
-        decisions.append(_search_group(group, model, profile, rng, costs))
+    groups, qlayers = [], {}
+    for root_group in find_root_groups(model):
+        rng = np.random.default_rng(split_seed(profile.seed, root_group.root_id))
+        group, payloads = _search_group(root_group, model, profile, rng, costs)
+        groups.append(group)
+        qlayers.update(payloads)
 
-    qlayers = {lid: qc for dec in decisions for lid, qc in dec.payloads.items()}
     layers = [layer.copy() for layer in model.layers]
     for layer in layers:
         if layer.id in qlayers:
             layer.weights = None
-
-    cm = CompressedModel(
-        name=model.name,
-        input_shape=model.input_shape,
-        layers=layers,
-        groups=[
-            CompressedGroup(dec.root_id, dec.leaf_ids, dec.pattern, dec.bitwidth)
-            for dec in decisions
-        ],
-        qlayers=qlayers,
-        profile=ProfileInfo(
-            name=profile.name,
-            quant_bits=tuple(profile.quant_bits),
-            es_weights=tuple(profile.es_weights),
-            seed=profile.seed,
-            candidates=profile.candidates,
-            exhaustive=profile.exhaustive,
-        ),
-        base_payload_nbytes=dense_payload_nbytes(model),
+    return CompressedModel(
+        name=model.name, input_shape=model.input_shape, layers=layers, groups=groups, qlayers=qlayers,
+        profile=profile, base_payload_nbytes=dense_payload_nbytes(model),
     )
-    return cm, decisions
 
 
-def compression_decisions(cm: CompressedModel, decisions: list[GroupDecision] | None = None) -> list[dict]:
-    """JSON-friendly view of the per-group decisions stored in a model.
-
-    When the live ``decisions`` from the search are supplied, each entry also
-    carries the efficiency-score terms (they are not part of the container).
-    """
-    scores = {d.root_id: d.score for d in decisions} if decisions else {}
+def compression_decisions(cm: CompressedModel) -> list[dict]:
+    """JSON-friendly view of the per-group decisions stored in a model; a
+    group that carries its search score adds its efficiency-score terms."""
     out = []
     for group in cm.groups:
         entry = {
@@ -305,13 +216,7 @@ def compression_decisions(cm: CompressedModel, decisions: list[GroupDecision] | 
             },
             "bitwidth": group.bitwidth,
         }
-        score = scores.get(group.root_id)
-        if score is not None:
-            entry["es"] = {
-                "sqnr_term": score.sqnr_term,
-                "latency_term": score.latency_term,
-                "energy_term": score.energy_term,
-                "total": score.total,
-            }
+        if group.score is not None:
+            entry["es"] = asdict(group.score)
         out.append(entry)
     return out

@@ -49,7 +49,7 @@ import numpy as np
 from .compressed import (
     CompressedGroup,
     CompressedModel,
-    ProfileInfo,
+    CompressionProfile,
     QuantizedConv,
     slice_stack,
     stored_slots,
@@ -241,7 +241,7 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
         raise FormatError(f"header: base_payload_nbytes {base_payload_nbytes} is negative")
     return _validated(CompressedModel(
         name=name, input_shape=input_shape, layers=[layer for layer, _ in graph], groups=groups, qlayers=qlayers,
-        profile=ProfileInfo(
+        profile=CompressionProfile(
             name=_get(profile, "name", "profile", str),
             quant_bits=tuple(_get_list(profile, "quant_bits", "profile", int)),
             es_weights=tuple(_get_list(profile, "es_weights", "profile", (int, float), length=3)),

@@ -36,28 +36,27 @@ class CostSummary:
     total_nnz: int  # exact sum over layers and kernel slices
 
 
-def _conv_stats(model, bits=None):
+def _conv_stats(model):
     """Yield (layer_id, kernels, nnz, bits, out_h, out_w) per conv layer.
 
     Dense models count value-nonzeros.  Compressed models count stored
     slots, an upper bound on the pattern-skipping engine's work: it runs a
     retained weight that quantized to zero unless its whole row group is
     zero there, so on every fixture and wide-model layer it runs them all.
+    A compressed layer counts its group's bitwidth, a dense one 32 bits.
     """
-    bits = dict(bits) if bits else {}
     qlayers = model.qlayers if isinstance(model, CompressedModel) else {}
     # shapes come from the layer specs and payload shapes: nothing is dequantized
     shapes = infer_shapes(model, {lid: qc.shape for lid, qc in qlayers.items()})
     for layer in (l for l in model.layers if l.kind == "conv2d"):
         if layer.id in qlayers:
             qc, group = qlayers[layer.id], model.group_for(layer.id)
-            shape, nnz = qc.shape, int(stored_slots(qc.shape, group.pattern).sum())
-            bits.setdefault(layer.id, group.bitwidth)
+            shape, nnz, bits = qc.shape, int(stored_slots(qc.shape, group.pattern).sum()), group.bitwidth
         else:
             assert layer.weights is not None
-            shape, nnz = layer.weights.shape, int(np.count_nonzero(layer.weights.data))
+            shape, nnz, bits = layer.weights.shape, int(np.count_nonzero(layer.weights.data)), DENSE_BITS
         _, oh, ow = shapes[layer.id]
-        yield layer.id, shape[0] * shape[1], nnz, int(bits.get(layer.id, DENSE_BITS)), oh, ow
+        yield layer.id, shape[0] * shape[1], nnz, bits, oh, ow
 
 
 @dataclass
@@ -68,10 +67,10 @@ class ModelCost:
     energy: float
 
 
-def layer_costs(model, bits: dict[str, int] | None = None) -> dict[str, tuple[int, int, int, int]]:
+def layer_costs(model) -> dict[str, tuple[int, int, int, int]]:
     """Each conv layer's ``(nnz, bits, out_h, out_w)``, in layer order, from
     one shape walk."""
-    return {lid: (nnz, b, oh, ow) for lid, _, nnz, b, oh, ow in _conv_stats(model, bits)}
+    return {lid: (nnz, b, oh, ow) for lid, _, nnz, b, oh, ow in _conv_stats(model)}
 
 
 def sum_costs(costs: dict[str, tuple[int, int, int, int]]) -> ModelCost:
@@ -83,9 +82,9 @@ def sum_costs(costs: dict[str, tuple[int, int, int, int]]) -> ModelCost:
     return ModelCost(latency, latency * E_MAC + moved_bytes * E_BYTE)
 
 
-def model_cost(model, bits: dict[str, int] | None = None) -> ModelCost:
+def model_cost(model) -> ModelCost:
     """Latency and energy of a dense or compressed model, in one walk."""
-    return sum_costs(layer_costs(model, bits))
+    return sum_costs(layer_costs(model))
 
 
 def computational_cost(model) -> CostSummary:

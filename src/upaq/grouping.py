@@ -69,7 +69,7 @@ def find_root_groups(model: ModelGraph) -> list[RootGroup]:
     Groups are connected components of the coupling graph.  The component
     member with the smallest topological index becomes the root; remaining
     members are leaves in topological order.  Output is ordered by root
-    index, so results are identical across runs and worker counts.
+    index, so it is the same on every run.
     """
     adjacency = build_coupling_graph(model)
     topo = {l.id: i for i, l in enumerate(model.layers)}

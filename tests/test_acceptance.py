@@ -14,10 +14,10 @@ import upaq
 from conftest import single_conv_model
 from oracles import recount_compressed_payload, recount_dense_payload
 from upaq.cli import main
-from upaq.compressed import CompressedGroup, CompressedModel, QuantizedConv, slice_stack, unstack
-from upaq.compressor import CompressionProfile, _search_group, calculate_es
+from upaq.compressed import CompressedGroup, CompressedModel, CompressionProfile, QuantizedConv, slice_stack, unstack
+from upaq.compressor import _search_group, calculate_es
 from upaq.container import save_compressed, save_model
-from upaq.cost import layer_costs, model_cost
+from upaq.cost import layer_costs, model_cost, sum_costs
 from upaq.grouping import find_root_groups
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 from upaq.patterns import enumerate_all_patterns, generate_pattern, split_seed
@@ -116,9 +116,10 @@ def test_criterion_3_oracle_equivalence():
     t0 = time.perf_counter()
     model = single_conv_model(seed=42)
     profile = CompressionProfile(
-        name="custom", quant_bits=(4, 8, 16), n_map={3: 2}, seed=42, exhaustive=True,
+        name="hck", quant_bits=(4, 8, 16), seed=42, exhaustive=True,
     )
-    cm, (decision,) = upaq.compress_with_decisions(model, profile)
+    cm = upaq.compress_model(model, profile)
+    (decision,) = cm.groups
 
     # brute force: own loops, own masking, own argmax; scoring primitives
     # shared.  Each candidate is costed as the model that ships it: the root's
@@ -235,7 +236,8 @@ def test_criterion_6_cost_model():
     full.validate(), half.validate()
     assert model_cost(half).latency == model_cost(full).latency / 2.0
 
-    assert model_cost(full, bits={"a": 8}).latency == model_cost(full).latency * 0.25
+    nnz, _, oh, ow = layer_costs(full)["a"]
+    assert sum_costs({**layer_costs(full), "a": (nnz, 8, oh, ow)}).latency == model_cost(full).latency * 0.25
     _report(6, "product (2,4,5)->40, nnz halving halves latency, 8/32-bit factor 0.25, all exact")
 
 
@@ -263,11 +265,11 @@ def test_criterion_8_group_independence(tmp_path):
     groups = find_root_groups(model)
     assert len(groups) == 2
     for profile in (upaq.hck_profile(seed=42), upaq.lck_profile(seed=42)):
-        _, decisions = upaq.compress_with_decisions(model, profile)
+        cm = upaq.compress_model(model, profile)
         # each group searched on its own, last group first
-        for group, dec in reversed(list(zip(groups, decisions))):
+        for group, dec in reversed(list(zip(groups, cm.groups))):
             rng = np.random.default_rng(split_seed(profile.seed, group.root_id))
-            alone = _search_group(group, model, profile, rng, layer_costs(model))
+            alone, _ = _search_group(group, model, profile, rng, layer_costs(model))
             assert (alone.root_id, alone.pattern, alone.bitwidth) == (dec.root_id, dec.pattern, dec.bitwidth)
             assert alone.score.total == dec.score.total  # bit-equal
 

@@ -324,6 +324,38 @@ def test_weights_at_float32_max_compress_run_and_evaluate(tmp_path, capsys, prof
     assert all(np.isfinite(value) for value in report.values())
 
 
+
+@pytest.mark.parametrize("patterns", ["16", "all"])
+@pytest.mark.parametrize("profile", ["hck", "lck"])
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])
+def test_compressed_model_is_the_one_record_of_its_compression(tmp_path, capsys, arch, profile, patterns):
+    """The compressed model carries the profile that made it, which the file
+    round-trips, and each group's score, which the compress report prints
+    and the file does not store: inspect prints the same groups without it."""
+    from dataclasses import asdict
+
+    import upaq
+    from upaq.compressor import PROFILE_FACTORIES
+
+    model_path, _ = _gen(tmp_path, arch=arch)
+    out = tmp_path / "m.upaqc"
+    capsys.readouterr()
+    argv = ["compress", str(model_path), "-o", str(out), "--profile", profile, "--patterns", patterns, "--seed", "42"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    count, exhaustive = (1, True) if patterns == "all" else (int(patterns), False)
+    factory = PROFILE_FACTORIES[profile]
+    cm = upaq.compress_model(upaq.load_model(model_path), factory(seed=42, candidates=count, exhaustive=exhaustive))
+    assert [asdict(group.score) for group in cm.groups] == [group["es"] for group in report["groups"]]
+
+    loaded = upaq.load_compressed(out)
+    assert loaded.profile == cm.profile
+    assert loaded.groups == cm.groups
+    assert [group.score for group in loaded.groups] == [None] * len(cm.groups)
+    assert main(["inspect", str(out)]) == 0
+    inspected = json.loads(capsys.readouterr().out)["groups"]
+    assert inspected == [{k: v for k, v in group.items() if k != "es"} for group in report["groups"]]
+
 # sha256 of `upaq compress <arch>.upaq --profile <profile> --patterns 16 --seed 42`
 # on the seed-42 fixtures; a change that moves them moves every such file
 GOLDEN_UPAQC_SHA256 = {

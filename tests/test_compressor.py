@@ -12,7 +12,6 @@ from upaq.compressor import (
     _slot_counts,
     calculate_es,
     compress_model,
-    compress_with_decisions,
     hck_profile,
     lck_profile,
 )
@@ -49,8 +48,6 @@ def test_profile_validation():
         CompressionProfile(name="x", quant_bits=(8,), es_weights=(0.0, 0.0, 0.0)).validate()
     with pytest.raises(ValidationError):
         CompressionProfile(name="x", quant_bits=(8,), es_weights=(1.5, 0.0, 0.0)).validate()
-    with pytest.raises(ValidationError):
-        CompressionProfile(name="x", quant_bits=(8,), n_map={3: 5}).validate()
     with pytest.raises(ValidationError):
         CompressionProfile(name="custom", quant_bits=(8,)).n_for(3)
 
@@ -312,13 +309,13 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
                         or real_score(rows, keeps, bits))
     monkeypatch.setattr(compressor_module, "_quantize_masked",
                         lambda x, bits, mask: calls.append(bits) or real_quantize(x, bits, mask))
-    cm, decisions = compress_with_decisions(model, prof)
+    cm = compress_model(model, prof)
     monkeypatch.undo()
 
     base = model_cost(model)
-    assert len(scored) == len(decisions)  # one scorer call per group
-    for dec, (keeps, bits) in zip(decisions, scored):
-        root_qc = dec.payloads[dec.root_id]
+    assert len(scored) == len(cm.groups)  # one scorer call per group
+    for dec, (keeps, bits) in zip(cm.groups, scored):
+        root_qc = cm.qlayers[dec.root_id]
         layers = [layer.copy() for layer in model.layers]
         for layer in layers:
             if layer.id == dec.root_id:
@@ -346,7 +343,7 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
         assert len(masks) < 16 or exhaustive  # 16 draws of a 3x3 pattern repeat some mask
         assert keeps == [[r * d + c for r, c in sorted(positions)] for positions in masks]
         assert bits == tuple(prof.quant_bits)
-    assert calls == [dec.bitwidth for dec in decisions for _ in (dec.root_id, *dec.leaf_ids)]
+    assert calls == [dec.bitwidth for dec in cm.groups for _ in dec.member_ids]
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -381,6 +378,19 @@ def test_non_square_kernel_rejected(kh, kw):
         compress_model(model, hck_profile(seed=1))
 
 
+
+def test_group_member_missing_from_the_layers_rejected(toy_cnn_hck):
+    # a payload for a layer the graph does not hold is a ValidationError, not a KeyError
+    cm = toy_cnn_hck
+    group = cm.groups[0]
+    ghost = CompressedGroup(group.root_id, group.leaf_ids + ("ghost",), group.pattern, group.bitwidth)
+    broken = CompressedModel(
+        name=cm.name, input_shape=cm.input_shape, layers=cm.layers, groups=[ghost],
+        qlayers={**cm.qlayers, "ghost": cm.qlayers[group.root_id]}, profile=cm.profile,
+    )
+    with pytest.raises(ValidationError, match="^group member 'ghost' is not a layer$"):
+        broken.validate()
+
 def test_empty_model_rejected():
     with pytest.raises(ValidationError, match="no sink layer"):
         compress_model(ModelGraph("m", (1, 4, 4), []), hck_profile())
@@ -388,7 +398,5 @@ def test_empty_model_rejected():
 
 def test_incompatible_profile_rejected(toy_cnn):
     model, _ = toy_cnn
-    with pytest.raises(ValidationError):
-        compress_model(model, CompressionProfile(name="custom", quant_bits=(8,), n_map={3: 9}))
     with pytest.raises(ValidationError, match="no retained count"):
         compress_model(model, CompressionProfile(name="custom", quant_bits=(8,)))

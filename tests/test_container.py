@@ -479,7 +479,8 @@ def test_padding_past_the_kernel_edge_raises_format_error(toy_cnn, toy_cnn_hck, 
     for value in (4, 2**40):
         with pytest.raises(FormatError, match=f"layer '{layer_id}': padding {value} exceeds the kernel edge 3"):
             load(padded(value))
-    model.by_id(layer_id).padding = 4
+    (layer,) = [layer for layer in model.layers if layer.id == layer_id]
+    layer.padding = 4
     with pytest.raises(ValidationError, match=f"layer '{layer_id}': padding 4 exceeds the kernel edge 3"):
         model.validate()
 

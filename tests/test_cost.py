@@ -3,7 +3,7 @@ import pytest
 
 import upaq
 from oracles import latency_reference
-from upaq.cost import compression_ratio, computational_cost, model_cost
+from upaq.cost import compression_ratio, computational_cost, layer_costs, model_cost, sum_costs
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 
 
@@ -51,7 +51,8 @@ def test_halving_nnz_halves_latency_exactly():
 def test_bits_factor_is_exact_quarter():
     m = _two_layer_model(5)
     full = model_cost(m).latency
-    quarter = model_cost(m, bits={"a": 8, "b": 8}).latency
+    # each layer at 8 bits, the way the search costs a candidate
+    quarter = sum_costs({lid: (nnz, 8, oh, ow) for lid, (nnz, _, oh, ow) in layer_costs(m).items()}).latency
     assert quarter == full * 0.25
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import upaq
-from upaq.compressed import CompressedGroup, CompressedModel, ProfileInfo, QuantizedConv
+from upaq.compressed import CompressedGroup, CompressedModel, CompressionProfile, QuantizedConv
 from upaq.container import compressed_payload_nbytes, dense_payload_nbytes
 from upaq.cost import compression_ratio
 from upaq.errors import ValidationError
@@ -48,7 +48,7 @@ def _lossless_pair(seed=51):
         ],
         groups=[CompressedGroup("c", (), pattern, bits)],
         qlayers={"c": QuantizedConv((2, 1, 3, 3), bits, q, scales)},
-        profile=ProfileInfo("custom", (8,), (0.3, 0.4, 0.3), 0, 1, True),
+        profile=CompressionProfile("custom", (8,), candidates=1, exhaustive=True),
         base_payload_nbytes=dense_payload_nbytes(base),
     )
     cm.validate()
@@ -242,15 +242,15 @@ def test_winner_sqnr_term_is_the_payload_sqnr(arch):
     """Each group's winning SQNR term is bit-equal to the SQNR the one rule
     recomputes from its root's payload in the saved and loaded container,
     capped at 120 dB and divided by 40."""
-    from upaq.compressor import compress_with_decisions, hck_profile, lck_profile
+    from upaq.compressor import compress_model, hck_profile, lck_profile
     from upaq.container import deserialize_compressed, serialize_compressed
 
     model = wide_model() if arch == "wide" else upaq.gen_fixture(arch, 42)[0]
     for profile in (hck_profile, lck_profile):
         for exhaustive in (False, True):
-            cm, decisions = compress_with_decisions(model, profile(seed=42, exhaustive=exhaustive))
+            cm = compress_model(model, profile(seed=42, exhaustive=exhaustive))
             loaded = deserialize_compressed(serialize_compressed(cm))
-            for dec in decisions:
+            for dec in cm.groups:
                 pattern = loaded.group_for(dec.root_id).pattern
                 sqnr_db = payload_sqnr_db(model.by_id(dec.root_id).weights.data, loaded.qlayers[dec.root_id], pattern)
                 assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0
@@ -261,11 +261,11 @@ def test_winner_sqnr_term_is_the_payload_sqnr_on_a_lone_9x9_slice():
     mask is scored as a single 9-cell slice-mask column: there numpy sums
     pairwise unless the scorer keeps the strict row order, and the winner's
     SQNR term would drift from the payload's in the last bit."""
-    from upaq.compressor import CompressionProfile, compress_with_decisions
+    from upaq.compressor import compress_model, lck_profile
 
     for seed in range(48):
         model = single_conv_model(seed=seed, out_ch=1, in_ch=1, k=9)
-        profile = CompressionProfile(name="lck", quant_bits=(8, 16), n_map={9: 9}, candidates=1, seed=seed)
-        cm, (dec,) = compress_with_decisions(model, profile)
+        cm = compress_model(model, lck_profile(seed=seed, candidates=1))
+        (dec,) = cm.groups
         sqnr_db = payload_sqnr_db(model.by_id("conv").weights.data, cm.qlayers["conv"], cm.group_for("conv").pattern)
         assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0

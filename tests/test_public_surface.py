@@ -22,9 +22,9 @@ REMOVED = {
     patterns: ("apply_pattern",),
     quantizer: ("QuantResult", "mp_quantize", "dequantize", "masked_mean_sqnr_db", "_row_sums"),
     inference: ("forward", "forward_batch", "_residue_classes", "_tiles", "_plane_cells", "TILE_BYTES", "MAX_PARTS", "MAX_STRIDE"),
-    compressor: ("compress_kxk_group", "compress_1x1_group"),
+    compressor: ("compress_kxk_group", "compress_1x1_group", "GroupDecision", "compress_with_decisions"),
     container: ("sniff_format",),
-    compressed: ("stored_value_count",),
+    compressed: ("stored_value_count", "ProfileInfo", "check_profile"),
 }
 
 
@@ -45,8 +45,20 @@ def test_removed_names_are_gone(module):
 
 
 def test_compress_takes_no_workers():
-    for fn in (upaq.compress_model, upaq.compress_with_decisions):
-        assert "workers" not in inspect.signature(fn).parameters
+    assert "workers" not in inspect.signature(upaq.compress_model).parameters
+
+
+def test_cost_and_profile_take_no_overrides():
+    # a layer costs its group's bitwidth or 32, and a profile's name sets its retained counts
+    for fn in (cost.model_cost, cost.layer_costs, upaq.CompressionProfile):
+        params = inspect.signature(fn).parameters
+        assert "bits" not in params and "n_map" not in params
+
+
+def test_one_record_of_a_compression():
+    # the model carries the profile and each group's score; layers are looked up on the graph
+    assert not hasattr(compressed.CompressedModel, "by_id")
+    assert list(inspect.signature(compressor.compression_decisions).parameters) == ["cm"]
 
 
 def test_engine_takes_no_sparse_switch():
