@@ -324,7 +324,6 @@ def test_weights_at_float32_max_compress_run_and_evaluate(tmp_path, capsys, prof
     assert all(np.isfinite(value) for value in report.values())
 
 
-
 @pytest.mark.parametrize("patterns", ["16", "all"])
 @pytest.mark.parametrize("profile", ["hck", "lck"])
 @pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])
@@ -355,6 +354,7 @@ def test_compressed_model_is_the_one_record_of_its_compression(tmp_path, capsys,
     assert main(["inspect", str(out)]) == 0
     inspected = json.loads(capsys.readouterr().out)["groups"]
     assert inspected == [{k: v for k, v in group.items() if k != "es"} for group in report["groups"]]
+
 
 # sha256 of `upaq compress <arch>.upaq --profile <profile> --patterns 16 --seed 42`
 # on the seed-42 fixtures; a change that moves them moves every such file

@@ -378,7 +378,6 @@ def test_non_square_kernel_rejected(kh, kw):
         compress_model(model, hck_profile(seed=1))
 
 
-
 def test_group_member_missing_from_the_layers_rejected(toy_cnn_hck):
     # a payload for a layer the graph does not hold is a ValidationError, not a KeyError
     cm = toy_cnn_hck
@@ -390,6 +389,7 @@ def test_group_member_missing_from_the_layers_rejected(toy_cnn_hck):
     )
     with pytest.raises(ValidationError, match="^group member 'ghost' is not a layer$"):
         broken.validate()
+
 
 def test_empty_model_rejected():
     with pytest.raises(ValidationError, match="no sink layer"):
