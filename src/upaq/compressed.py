@@ -3,9 +3,10 @@
 A compressed model keeps the graph topology, biases, and any uncompressed
 weights dense at float32, while every compressed conv layer is replaced by
 integer weights plus quantization scales: its row-major weights cut into
-``d x d`` slices, ``d`` being its group pattern's edge (see
-:func:`slice_stack`), with one scale per slice.  Group records tie each
-root and its leaves to the single shared pattern and bitwidth.
+``d x d`` slices, ``d`` being its pattern's edge (see :func:`slice_stack`),
+with one scale per slice.  Each payload carries its group's pattern and
+bitwidth, so whatever reads a payload takes ``d`` and the stored cells from
+it; group records tie each root and its leaves to that shared decision.
 
 :class:`CompressedModel` is the one record of a compression: its
 ``profile`` is the :class:`CompressionProfile` that made it, and each group
@@ -95,16 +96,25 @@ class QuantizedConv:
 
     ``q`` holds zeros at pruned positions and the signed quantized values at
     retained positions.  ``scales`` has one entry per ``d x d`` slice of
-    :func:`slice_stack`, ``d`` being the group pattern's edge.
+    :func:`slice_stack`, ``d`` being the edge of ``pattern``, its group's.
+    An integer ``q`` is stored as int32; any other ``q``, or a value outside
+    int32, is a :class:`ValidationError`, not a silent cast.
     """
 
     shape: tuple[int, int, int, int]
     bitwidth: int
     q: np.ndarray  # int32, shape == shape
     scales: np.ndarray  # float32 1-D
+    pattern: KernelPattern
 
     def __post_init__(self) -> None:
-        self.q = np.ascontiguousarray(self.q, dtype=np.int32)
+        q = np.asarray(self.q)
+        if not np.issubdtype(q.dtype, np.integer):
+            raise ValidationError(f"quantized values of dtype {q.dtype} are not integers")
+        int32 = np.iinfo(np.int32)
+        if q.size and (q.min() < int32.min or q.max() > int32.max):
+            raise ValidationError("a quantized value lies outside int32")
+        self.q = np.ascontiguousarray(q, dtype=np.int32)
         self.scales = np.ascontiguousarray(self.scales, dtype=np.float32).reshape(-1)
         self.shape = tuple(int(v) for v in self.shape)  # type: ignore[assignment]
 
@@ -149,12 +159,6 @@ class CompressedModel:
                 _check_payload(member, self.qlayers[member], group)
         infer_shapes(self, {layer_id: qc.shape for layer_id, qc in self.qlayers.items()})
 
-    def group_for(self, layer_id: str) -> CompressedGroup:
-        for group in self.groups:
-            if layer_id in group.member_ids:
-                return group
-        raise ValidationError(f"layer {layer_id!r} is not compressed")
-
 
 def _check_payload(layer_id: str, qc: QuantizedConv, group: CompressedGroup) -> None:
     max_value = 2 ** (qc.bitwidth - 1) - 1
@@ -162,15 +166,18 @@ def _check_payload(layer_id: str, qc: QuantizedConv, group: CompressedGroup) -> 
         raise ValidationError(f"layer {layer_id!r}: q shape {qc.q.shape} != declared {qc.shape}")
     if qc.bitwidth != group.bitwidth:
         raise ValidationError(f"layer {layer_id!r}: bitwidth differs from its group")
+    if qc.pattern != group.pattern:
+        raise ValidationError(f"layer {layer_id!r}: pattern differs from its group")
     try:
-        slots = stored_slots(qc.shape, group.pattern)
+        slots = stored_slots(qc.shape, qc.pattern)
     except ValidationError as exc:
         raise ValidationError(f"layer {layer_id!r}: {exc}") from None
     if qc.scales.shape[0] != len(slots):
         raise ValidationError(f"layer {layer_id!r}: expected {len(slots)} scales, one per stacked slice")
-    if int(np.abs(qc.q).max(initial=0)) > max_value:
+    # min and max, not np.abs: the absolute value of int32's minimum overflows
+    if qc.q.min(initial=0) < -max_value or qc.q.max(initial=0) > max_value:
         raise ValidationError(f"layer {layer_id!r}: quantized value outside symmetric {qc.bitwidth}-bit range")
-    stack = slice_stack(qc.q, group.pattern.d).reshape(slots.shape)
+    stack = slice_stack(qc.q, qc.pattern.d).reshape(slots.shape)
     if np.any(stack[~slots]):
         raise ValidationError(f"layer {layer_id!r}: nonzero value outside the block pattern")
     # only a non-finite scale, or one above float32 max / max_value, can dequantize past float32
@@ -188,8 +195,7 @@ def decompress_model(cm: CompressedModel) -> ModelGraph:
     for layer in cm.layers:
         copy = layer.copy()
         if layer.id in cm.qlayers:
-            d = cm.group_for(layer.id).pattern.d
-            copy.weights = Tensor4(dequantized_weights(cm.qlayers[layer.id], d))
+            copy.weights = Tensor4(dequantized_weights(cm.qlayers[layer.id]))
         layers.append(copy)
     dense = ModelGraph(name=cm.name, input_shape=cm.input_shape, layers=layers)
     dense.validate()
@@ -215,9 +221,9 @@ def unstack(stack: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
     return stack.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def dequantized_weights(qc: QuantizedConv, d: int) -> np.ndarray:
-    """Float32 weights of one payload whose group pattern has edge ``d``."""
-    q = slice_stack(qc.q, d)
+def dequantized_weights(qc: QuantizedConv) -> np.ndarray:
+    """Float32 weights of one payload, dequantized slice by slice."""
+    q = slice_stack(qc.q, qc.pattern.d)
     deq = (q * qc.scales.astype(np.float64)[:, None, None]).astype(np.float32)
     return unstack(deq, qc.shape)
 

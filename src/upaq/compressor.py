@@ -96,7 +96,8 @@ def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int) -> Quan
     one scale per slice, stored as the float32 scales that
     :func:`~upaq.quantizer.quantize_slices` ships."""
     q, _, scale32, _, _ = _quantize_masked(slice_stack(weights.data, pattern.d), bits, pattern.mask())
-    return QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape), scales=scale32)
+    return QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape), scales=scale32,
+                         pattern=pattern)
 
 
 def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.random.Generator) -> list[KernelPattern]:

@@ -12,11 +12,13 @@ come the per-group pattern masks, one bit per kernel cell in row-major order,
 LSB first.
 
 A compressed layer has one stored-slot layout whatever its kernel shape: its
-row-major weights form a stack of ``d x d`` slices, ``d`` being its group
+row-major weights form a stack of ``d x d`` slices, ``d`` being its
 pattern's edge (the kernel slices of a d x d layer, or the zero-padded
 blocks of a 1 x 1 layer's flat weights), one scale per slice, and
 :func:`~upaq.compressed.stored_slots` marks the cells stored in each slice:
-the group pattern's cells, less the pad cells of the last block.
+the pattern's cells, less the pad cells of the last block.  The file stores
+each pattern once, in its group's record; the reader hands it to each
+member's payload.
 Each slice's stored values are written in row-major cell order as
 two's-complement 4/8/16-bit fields, LSB first, and each slice is padded to a
 byte boundary.
@@ -174,16 +176,16 @@ def load_model(path) -> ModelGraph:
 # compressed container
 # ---------------------------------------------------------------------------
 
-def packed_layer_nbytes(qc: QuantizedConv, pattern: KernelPattern) -> int:
+def packed_layer_nbytes(qc: QuantizedConv) -> int:
     """Packed-integer byte count for one layer (each slice byte-padded)."""
-    return int(_row_nbytes(stored_slots(qc.shape, pattern), qc.bitwidth).sum())
+    return int(_row_nbytes(stored_slots(qc.shape, qc.pattern), qc.bitwidth).sum())
 
 
 def compressed_payload_nbytes(cm: CompressedModel) -> int:
     """Payload size of the compressed container, by direct accounting."""
     total = dense_payload_nbytes(cm)  # the biases and uncompressed weights
-    for layer_id, qc in cm.qlayers.items():
-        total += 4 * qc.scales.size + packed_layer_nbytes(qc, cm.group_for(layer_id).pattern)
+    for qc in cm.qlayers.values():
+        total += 4 * qc.scales.size + packed_layer_nbytes(qc)
     return total + sum(math.ceil(group.pattern.d ** 2 / 8) for group in cm.groups)
 
 
@@ -200,13 +202,12 @@ def serialize_compressed(cm: CompressedModel) -> bytes:
             entry["weights"] = _append_weights(blob, layer.weights)
         if layer.id in cm.qlayers:
             qc = cm.qlayers[layer.id]
-            pattern = cm.group_for(layer.id).pattern
-            slots = stored_slots(qc.shape, pattern)
+            slots = stored_slots(qc.shape, qc.pattern)
             entry["quantized"] = {
                 "shape": list(qc.shape),
                 "bitwidth": qc.bitwidth,
                 "scales": _append(blob, _f32(qc.scales)),
-                "packed": _append(blob, pack_slots(slice_stack(qc.q, pattern.d).reshape(slots.shape), slots, qc.bitwidth)),
+                "packed": _append(blob, pack_slots(slice_stack(qc.q, qc.pattern.d).reshape(slots.shape), slots, qc.bitwidth)),
             }
         entries.append(entry)
     groups = []
@@ -288,7 +289,7 @@ def _read_quantized(payload: _Payload, meta: dict, layer_id: str, pattern: Kerne
     if _get(packed, "nbytes", where, int) != nbytes:
         raise FormatError(f"{where}: packed section holds {packed['nbytes']} bytes, expected {nbytes}")
     stack = unpack_slots(payload.read(_get(packed, "offset", where), nbytes, layer_id, "packed integers"), slots, bits)
-    return QuantizedConv(shape=shape, bitwidth=bits, q=unstack(stack, shape), scales=scales)
+    return QuantizedConv(shape=shape, bitwidth=bits, q=unstack(stack, shape), scales=scales, pattern=pattern)
 
 
 def save_compressed(cm: CompressedModel, path) -> None:

@@ -43,15 +43,15 @@ def _conv_stats(model):
     slots, an upper bound on the pattern-skipping engine's work: it runs a
     retained weight that quantized to zero unless its whole row group is
     zero there, so on every fixture and wide-model layer it runs them all.
-    A compressed layer counts its group's bitwidth, a dense one 32 bits.
+    A compressed layer counts its payload's bitwidth, a dense one 32 bits.
     """
     qlayers = model.qlayers if isinstance(model, CompressedModel) else {}
     # shapes come from the layer specs and payload shapes: nothing is dequantized
     shapes = infer_shapes(model, {lid: qc.shape for lid, qc in qlayers.items()})
     for layer in (l for l in model.layers if l.kind == "conv2d"):
         if layer.id in qlayers:
-            qc, group = qlayers[layer.id], model.group_for(layer.id)
-            shape, nnz, bits = qc.shape, int(stored_slots(qc.shape, group.pattern).sum()), group.bitwidth
+            qc = qlayers[layer.id]
+            shape, nnz, bits = qc.shape, int(stored_slots(qc.shape, qc.pattern).sum()), qc.bitwidth
         else:
             assert layer.weights is not None
             shape, nnz, bits = layer.weights.shape, int(np.count_nonzero(layer.weights.data)), DENSE_BITS

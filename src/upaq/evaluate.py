@@ -22,7 +22,6 @@ from .compressor import calculate_es
 from .errors import ValidationError
 from .inference import run_batch
 from .model import ModelGraph
-from .patterns import KernelPattern
 from .quantizer import SQNR_CAP_DB, slice_sqnr
 
 _NORM_FLOOR = 1e-30
@@ -102,19 +101,20 @@ def model_sqnr_db(base: ModelGraph, cm: CompressedModel) -> float:
             qc = cm.qlayers[member]
             if wt.shape != qc.shape:
                 raise ValidationError(f"layer {member!r}: base weights {wt.shape} != compressed {qc.shape}")
-            db.append(payload_sqnr_db(wt.data, qc, group.pattern))
+            db.append(payload_sqnr_db(wt.data, qc))
     if not db:
         return SQNR_CAP_DB
     return float(np.mean(np.concatenate(db)))
 
 
-def payload_sqnr_db(weights: np.ndarray, qc: QuantizedConv, pattern: KernelPattern) -> np.ndarray:
+def payload_sqnr_db(weights: np.ndarray, qc: QuantizedConv) -> np.ndarray:
     """Per-slice SQNR (dB) of a stored payload against the dense ``weights``
     it was quantized from, by :func:`~upaq.quantizer.slice_sqnr`: the cells
-    ``pattern`` keeps of each slice against their dequantized values, the
-    same rule on the same cells that scored the search's candidates."""
-    d = pattern.d
-    keep = np.flatnonzero(pattern.mask())
+    the payload's pattern keeps of each slice against their dequantized
+    values, the same rule on the same cells that scored the search's
+    candidates."""
+    d = qc.pattern.d
+    keep = np.flatnonzero(qc.pattern.mask())
     x = slice_stack(weights, d).reshape(-1, d * d).T[keep].astype(np.float64)
-    err = x - slice_stack(dequantized_weights(qc, d), d).reshape(-1, d * d).T[keep]
+    err = x - slice_stack(dequantized_weights(qc), d).reshape(-1, d * d).T[keep]
     return slice_sqnr(x, err, d * d - keep.size)[1]

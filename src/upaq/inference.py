@@ -14,9 +14,9 @@ as X86_V2, but not aarch64): only there is the engine bit-exact, as
 ``tests/test_inference.py`` checks.  Over a lone column einsum would sum as a
 dot product, in another order, so that column runs beside a copy.  It starts
 at +0.0, not at the bias, so rows of a -0.0 bias, where the scalar loop may
-end at -0.0, run again as that loop.  A stride-1 conv whose output plane is
-the input's size fills ``X`` with its channels shifted by the cell's offset;
-any other conv gathers each cell's window.  ``linear`` is the same contraction
+end at -0.0, run again as that loop.  Each kernel cell's rows of ``X`` take
+the window of the input that cell reads, zero where it reads the padding,
+whatever the stride and padding.  ``linear`` is the same contraction
 over each input's (C, H, W) features; global average pooling sums each (c, n)
 plane strictly in row-major order.
 
@@ -250,7 +250,7 @@ def _progressions(*seqs: np.ndarray) -> list[tuple[slice, ...]]:
 def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
     """One conv over channel-major ``x``: per block of output columns, each row
     group fills its rows of the contraction input ``X`` and runs one einsum."""
-    c, n, h, w = x.shape
+    _, n, h, w = x.shape
     oh, ow = (h + 2 * p - plan.kh) // s + 1, (w + 2 * p - plan.kw) // s + 1
     rows, cols = [_window(r, s, p, h, oh) for r in range(plan.kh)], [_window(q, s, p, w, ow) for q in range(plan.kw)]
     # 0 * inf is NaN, so a zero weight only skips over a finite input
@@ -264,21 +264,18 @@ def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
     blocks = ([(j, min(j + per, n), 0, oh) for j in range(0, n, per)] if whole
               else [(j, j + 1, y, min(y + per, oh)) for j in range(n) for y in range(0, oh, per)])
     acc = np.empty((len(plan.every[0].weights), n * oh * ow), dtype=np.float32)
-    shifted = (s, oh, ow) == (1, h, w)
-    src = x.reshape(c, -1) if shifted else x
     buf = np.empty(depth * max(2, per * (oh * ow if whole else ow)), dtype=np.float32)
     for j0, j1, y0, y1 in blocks:
-        e0, size, cells = _block_cells((j0, j1, y0, y1), rows, cols, oh, ow, p, shifted, src.size // c)
+        e0, size, cells = _block_cells((j0, j1, y0, y1), rows, cols, oh, ow)
         # one output column would make einsum sum as a dot product: run it beside a copy
         X = buf[:depth * max(2, size)].reshape(depth, -1)
         X[0] = 1.0
         for g in groups:
             for r, q, xrows, ins in g.fills:
                 dst, take, blanks = cells[r][q]
-                fill = X[xrows, :size]
-                view = fill.reshape(len(fill), j1 - j0, y1 - y0, ow)
+                view = X[xrows, :size].reshape(-1, j1 - j0, y1 - y0, ow)
                 if take is not None:
-                    (fill if shifted else view)[dst] = src[(ins, *take)]
+                    view[dst] = x[(ins, *take)]
                 for blank in blanks:
                     view[blank] = 0.0
             k = g.weights.shape[1]
@@ -296,14 +293,11 @@ def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
     return acc.reshape(-1, n, oh, ow)
 
 
-def _block_cells(block, rows, cols, oh: int, ow: int, p: int, shifted: bool, plane: int):
+def _block_cells(block, rows, cols, oh: int, ow: int):
     """A block's first output column, its column count and, per kernel cell
     (r, c), ``(dst, take, blanks)``: a channel's values ``[take]`` go to
-    ``[dst]`` of its row of ``X``, seen as ``(images, lines, ow)`` unless
-    ``shifted``, then ``blanks`` (lines and columns reading the padding) are
-    zeroed.  A ``shifted`` conv reads each channel's ``plane`` flat, shifted by
-    ``(r - p) * ow + c - p``: a read that wraps into a neighbouring line or
-    image, or off the plane, lands in a blank."""
+    ``[dst]`` of its row of ``X``, seen as ``(images, lines, ow)``, then
+    ``blanks`` (lines and columns reading the padding) are zeroed."""
     j0, j1, ya, yb = block
     e0, size = (j0 * oh + ya) * ow, (j1 - j0) * (yb - ya) * ow
     cells = [[(None, None, [(ALL,)])] * len(cols) for _ in rows]
@@ -315,14 +309,9 @@ def _block_cells(block, rows, cols, oh: int, ow: int, p: int, shifted: bool, pla
                                     ((ALL, ALL, slice(u1 - ya, None)), u1 < yb),
                                     ((ALL, ALL, ALL, slice(0, x0)), x0 > 0),
                                     ((ALL, ALL, ALL, slice(x1, None)), x1 < ow)) if edge]
-        if shifted:
-            shift = (r - p) * ow + q - p
-            lo, hi = max(0, -shift - e0), min(size, plane - shift - e0)
-            cells[r][q] = ((ALL, slice(lo, hi)), (slice(e0 + lo + shift, e0 + hi + shift),), blanks)
-        else:
-            first = ys.start + (u0 - y0) * ys.step
-            take = (slice(j0, j1), slice(first, first + (u1 - u0 - 1) * ys.step + 1, ys.step), xs)
-            cells[r][q] = ((ALL, ALL, slice(u0 - ya, u1 - ya), slice(x0, x1)), take, blanks)
+        first = ys.start + (u0 - y0) * ys.step
+        take = (slice(j0, j1), slice(first, first + (u1 - u0 - 1) * ys.step + 1, ys.step), xs)
+        cells[r][q] = ((ALL, ALL, slice(u0 - ya, u1 - ya), slice(x0, x1)), take, blanks)
     return e0, size, cells
 
 

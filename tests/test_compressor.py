@@ -1,10 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import upaq
-from upaq.compressed import CompressedGroup, CompressedModel, dequantized_weights, slice_stack, stored_slots, unstack
+from upaq.compressed import (
+    CompressedGroup,
+    CompressedModel,
+    QuantizedConv,
+    dequantized_weights,
+    slice_stack,
+    stored_slots,
+    unstack,
+)
 from upaq.compressor import (
     BLOCK_K,
     CompressionProfile,
@@ -205,7 +214,7 @@ def test_lck_structure_on_toy_cnn(toy_cnn_lck):
 def test_lck_1x1_blockwise_density(toy_1x1):
     model, _ = toy_1x1
     cm = compress_model(model, lck_profile(seed=42))
-    group = cm.group_for("conv_b")
+    (group,) = [g for g in cm.groups if "conv_b" in g.member_ids]
     qc = cm.qlayers["conv_b"]
     counts = stored_slots(qc.shape, group.pattern).sum(axis=1).tolist()
     assert counts == [3, 3]  # two full blocks, ceil-blockwise 3 survivors each
@@ -235,7 +244,7 @@ def test_all_zero_1x1_layer_takes_first_candidate(toy_1x1):
     cm = compress_model(frozen, profile)
     expected_rng = np.random.default_rng(split_seed(7, "conv_b"))
     expected_pattern = generate_pattern(3, 3, expected_rng)
-    group = cm.group_for("conv_b")
+    (group,) = [g for g in cm.groups if "conv_b" in g.member_ids]
     assert group.pattern.positions == expected_pattern.positions
     assert group.bitwidth == profile.quant_bits[0]
     assert not cm.qlayers["conv_b"].q.any()
@@ -330,7 +339,7 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
         assert dec.score.energy_term == base.energy / model_cost(shipped).energy
 
         w = model.by_id(dec.root_id).weights
-        sqnr_db = payload_sqnr_db(w.data, root_qc, dec.pattern)
+        sqnr_db = payload_sqnr_db(w.data, root_qc)
         assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0
 
         d = w.kw if w.kw > 1 else BLOCK_K
@@ -360,8 +369,7 @@ def test_slot_counts_equal_stored_slots(d):
 def test_decompressed_weights_match_payload(toy_cnn, toy_cnn_hck):
     dense = upaq.decompress_model(toy_cnn_hck)
     for lid, qc in toy_cnn_hck.qlayers.items():
-        d = toy_cnn_hck.group_for(lid).pattern.d
-        assert np.array_equal(dense.by_id(lid).weights.data, dequantized_weights(qc, d))
+        assert np.array_equal(dense.by_id(lid).weights.data, dequantized_weights(qc))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +397,38 @@ def test_group_member_missing_from_the_layers_rejected(toy_cnn_hck):
     )
     with pytest.raises(ValidationError, match="^group member 'ghost' is not a layer$"):
         broken.validate()
+
+
+def _payload_holding(qc, value, dtype):
+    """``qc``'s integers as ``dtype`` with ``value`` at its first retained cell."""
+    q = qc.q.astype(dtype)
+    q.reshape(-1)[np.flatnonzero(qc.q)[0]] = value
+    return q
+
+
+def test_payload_of_integers_past_int32_rejected(toy_cnn_hck):
+    qc = toy_cnn_hck.qlayers[toy_cnn_hck.groups[0].root_id]
+    same = QuantizedConv(qc.shape, qc.bitwidth, qc.q.astype(np.int64), qc.scales, qc.pattern)
+    assert same.q.dtype == np.int32 and np.array_equal(same.q, qc.q)
+    with pytest.raises(ValidationError, match="outside int32"):  # not cast to 3
+        QuantizedConv(qc.shape, qc.bitwidth, _payload_holding(qc, 2**32 + 3, np.int64), qc.scales, qc.pattern)
+
+
+def test_payload_of_non_integers_rejected(toy_cnn_hck):
+    qc = toy_cnn_hck.qlayers[toy_cnn_hck.groups[0].root_id]
+    with pytest.raises(ValidationError, match="not integers"):  # not cast to 2
+        QuantizedConv(qc.shape, qc.bitwidth, _payload_holding(qc, 2.7, np.float64), qc.scales, qc.pattern)
+
+
+def test_payload_holding_int32_min_rejected(toy_cnn_hck):
+    # np.abs(-2**31) overflows back to -2**31, which no range check sees
+    cm, root = toy_cnn_hck, toy_cnn_hck.groups[0].root_id
+    qc = replace(cm.qlayers[root], q=_payload_holding(cm.qlayers[root], -2**31, np.int32))
+    broken = replace(cm, qlayers={**cm.qlayers, root: qc})
+    with pytest.raises(ValidationError, match=f"^layer {root!r}: quantized value outside symmetric {qc.bitwidth}-bit range$"):
+        broken.validate()
+    with pytest.raises(ValidationError, match="outside symmetric"):
+        serialize_compressed(broken)
 
 
 def test_empty_model_rejected():

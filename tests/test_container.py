@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,8 +206,26 @@ def test_compressed_roundtrip_preserves_dequantized_weights(toy_cnn_hck, tmp_pat
     save_compressed(toy_cnn_hck, path)
     reloaded = upaq.load_compressed(path)
     for layer_id, qc in toy_cnn_hck.qlayers.items():
-        d = toy_cnn_hck.group_for(layer_id).pattern.d
-        assert np.array_equal(dequantized_weights(qc, d), dequantized_weights(reloaded.qlayers[layer_id], d))
+        assert np.array_equal(dequantized_weights(qc), dequantized_weights(reloaded.qlayers[layer_id]))
+
+
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])
+@pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
+def test_every_payload_carries_its_group_pattern(arch, profile):
+    cm = upaq.compress_model(upaq.gen_fixture(arch, 42)[0], profile(seed=42))
+    loaded = deserialize_compressed(serialize_compressed(cm))
+    for model in (cm, loaded):
+        assert sorted(model.qlayers) == sorted(m for group in model.groups for m in group.member_ids)
+        for group in model.groups:
+            for member in group.member_ids:
+                assert model.qlayers[member].pattern == group.pattern
+    for group in cm.groups:
+        other = next(p for p in enumerate_all_patterns(group.pattern.n, group.pattern.d) if p != group.pattern)
+        for member in group.member_ids:
+            qc = replace(cm.qlayers[member], pattern=other)
+            broken = replace(cm, qlayers={**cm.qlayers, member: qc})
+            with pytest.raises(ValidationError, match=f"^layer {member!r}: pattern differs from its group$"):
+                broken.validate()
 
 
 def test_compressed_payload_matches_recounts(toy_cnn_hck, toy_cnn_lck, tmp_path):
@@ -227,8 +246,7 @@ def test_compressed_1x1_roundtrip(toy_1x1):
     cm2 = deserialize_compressed(data)
     assert serialize_compressed(cm2) == data
     for lid in cm.qlayers:
-        d = cm.group_for(lid).pattern.d
-        assert np.array_equal(dequantized_weights(cm.qlayers[lid], d), dequantized_weights(cm2.qlayers[lid], d))
+        assert np.array_equal(dequantized_weights(cm.qlayers[lid]), dequantized_weights(cm2.qlayers[lid]))
 
 
 def test_1x1_payload_rejects_nonzero_off_pattern_cell_in_last_partial_block():
@@ -240,9 +258,9 @@ def test_1x1_payload_rejects_nonzero_off_pattern_cell_in_last_partial_block():
     model.validate()
     cm = upaq.compress_model(model, upaq.hck_profile(seed=42))
     qc = cm.qlayers["pw"]
-    assert cm.group_for("pw").pattern.d == 3 and qc.scales.shape == (2,)
+    assert qc.pattern.d == 3 and qc.scales.shape == (2,)
     cm.validate()  # the pad cells past the 12th weight are not checked as payload
-    keep = cm.group_for("pw").pattern.mask().reshape(-1)
+    keep = qc.pattern.mask().reshape(-1)
     off = [f for f in range(9, 12) if not keep[f - 9]]
     assert off, "hck keeps 2 cells, so one of the last block's 3 cells is off-pattern"
     qc.q.reshape(-1)[off[0]] = 1
@@ -259,7 +277,7 @@ def test_truncated_compressed_rejected(toy_cnn_hck):
 @pytest.fixture(scope="module")
 def toy_1x1_lck_bytes(toy_1x1):
     cm = upaq.compress_model(toy_1x1[0], upaq.lck_profile(seed=42))
-    assert [(cm.qlayers[lid].shape[2:], cm.group_for(lid).pattern.d) for lid in ("conv_a", "conv_b")] == [
+    assert [(cm.qlayers[lid].shape[2:], cm.qlayers[lid].pattern.d) for lid in ("conv_a", "conv_b")] == [
         ((3, 3), 3), ((1, 1), 3),
     ]
     return serialize_compressed(cm)

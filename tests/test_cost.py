@@ -132,10 +132,11 @@ def test_compressed_conv_stats_match_the_decompressed_graph(arch, profile):
     dense = upaq.decompress_model(cm)
     shapes = infer_shapes(dense)
     expected = []
+    group_of = {member: group for group in cm.groups for member in group.member_ids}
     for layer in dense.conv_layers():
         wt = layer.weights
         if layer.id in cm.qlayers:
-            group = cm.group_for(layer.id)
+            group = group_of[layer.id]
             nnz, bits = int(stored_slots(wt.shape, group.pattern).sum()), group.bitwidth
         else:
             nnz, bits = int(np.count_nonzero(wt.data)), 32

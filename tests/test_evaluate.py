@@ -47,7 +47,7 @@ def _lossless_pair(seed=51):
             LayerSpec("g", "global_avg_pool", ("c",)),
         ],
         groups=[CompressedGroup("c", (), pattern, bits)],
-        qlayers={"c": QuantizedConv((2, 1, 3, 3), bits, q, scales)},
+        qlayers={"c": QuantizedConv((2, 1, 3, 3), bits, q, scales, pattern)},
         profile=CompressionProfile("custom", (8,), candidates=1, exhaustive=True),
         base_payload_nbytes=dense_payload_nbytes(base),
     )
@@ -187,7 +187,7 @@ def _slice_sqnr_db_loop(base, cm):
         for member in group.member_ids:
             w = base.by_id(member).weights
             qc = cm.qlayers[member]
-            deq = dequantized_weights(qc, d)
+            deq = dequantized_weights(qc)
             if (w.kh, w.kw) == (d, d):
                 pairs = [(w.data[o, i], deq[o, i]) for o in range(w.out_ch) for i in range(w.in_ch)]
             else:  # a 1x1 layer: zero-padded d x d blocks of the flat weights
@@ -214,7 +214,7 @@ def test_model_sqnr_db_equals_slice_loop(toy_cnn, toy_residual, toy_1x1):
     from upaq.compressor import compress_model, hck_profile, lck_profile
 
     def per_slice(base, cm):
-        return np.concatenate([payload_sqnr_db(base.by_id(m).weights.data, cm.qlayers[m], g.pattern)
+        return np.concatenate([payload_sqnr_db(base.by_id(m).weights.data, cm.qlayers[m])
                                for g in cm.groups for m in g.member_ids]).tolist()
 
     for model, _ in (toy_cnn, toy_residual, toy_1x1):
@@ -251,8 +251,7 @@ def test_winner_sqnr_term_is_the_payload_sqnr(arch):
             cm = compress_model(model, profile(seed=42, exhaustive=exhaustive))
             loaded = deserialize_compressed(serialize_compressed(cm))
             for dec in cm.groups:
-                pattern = loaded.group_for(dec.root_id).pattern
-                sqnr_db = payload_sqnr_db(model.by_id(dec.root_id).weights.data, loaded.qlayers[dec.root_id], pattern)
+                sqnr_db = payload_sqnr_db(model.by_id(dec.root_id).weights.data, loaded.qlayers[dec.root_id])
                 assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0
 
 
@@ -267,5 +266,5 @@ def test_winner_sqnr_term_is_the_payload_sqnr_on_a_lone_9x9_slice():
         model = single_conv_model(seed=seed, out_ch=1, in_ch=1, k=9)
         cm = compress_model(model, lck_profile(seed=seed, candidates=1))
         (dec,) = cm.groups
-        sqnr_db = payload_sqnr_db(model.by_id("conv").weights.data, cm.qlayers["conv"], cm.group_for("conv").pattern)
+        sqnr_db = payload_sqnr_db(model.by_id("conv").weights.data, cm.qlayers["conv"])
         assert dec.score.sqnr_term == min(float(np.mean(sqnr_db)), 120.0) / 40.0

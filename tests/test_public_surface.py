@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import upaq
-from upaq import compressed, compressor, container, cost, inference, model, patterns, quantizer
+from upaq import compressed, compressor, container, cost, evaluate, inference, model, patterns, quantizer
 
 SRC = Path(upaq.__file__).parent
 
@@ -59,6 +59,19 @@ def test_one_record_of_a_compression():
     # the model carries the profile and each group's score; layers are looked up on the graph
     assert not hasattr(compressed.CompressedModel, "by_id")
     assert list(inspect.signature(compressor.compression_decisions).parameters) == ["cm"]
+
+
+def test_a_payload_carries_its_pattern():
+    # d and the stored cells come from the payload, not from a group lookup beside it
+    assert not hasattr(compressed.CompressedModel, "group_for")
+    for fn in (compressed.dequantized_weights, container.packed_layer_nbytes, evaluate.payload_sqnr_db):
+        params = inspect.signature(fn).parameters
+        assert "d" not in params and "pattern" not in params
+    for module in (compressed, compressor, container, cost, evaluate, inference):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            if any("QuantizedConv" in str(p.annotation) for p in params.values()):
+                assert "d" not in params and "pattern" not in params, f"{module.__name__}.{name}"
 
 
 def test_engine_takes_no_sparse_switch():

@@ -13,7 +13,7 @@ from upaq.compressor import _search_group, compress_model, hck_profile
 from upaq.cost import layer_costs
 from upaq.errors import ValidationError
 from upaq.grouping import find_root_groups
-from upaq.patterns import enumerate_all_patterns
+from upaq.patterns import KernelPattern, enumerate_all_patterns
 from upaq.quantizer import (
     SCORE_BLOCK,
     SQNR_CAP,
@@ -81,8 +81,9 @@ def test_exact_multiples_reach_the_cap():
 
 def test_dequantize_worked_example():
     q = np.array([[64, -127], [32, 0]], dtype=np.int32)
-    qc = QuantizedConv((1, 1, 2, 2), 8, q.reshape(1, 1, 2, 2), np.array([2.0 / 127.0]))
-    out = dequantized_weights(qc, 2)[0, 0]
+    pattern = KernelPattern("row", 2, ((0, 0), (0, 1)))  # dequantizing reads only its edge d = 2
+    qc = QuantizedConv((1, 1, 2, 2), 8, q.reshape(1, 1, 2, 2), np.array([2.0 / 127.0]), pattern)
+    out = dequantized_weights(qc)[0, 0]
     expect = np.array([[64 * 2.0 / 127.0, -2.0], [32 * 2.0 / 127.0, 0.0]], dtype=np.float32)
     assert np.array_equal(out, expect)
 
