@@ -8,6 +8,7 @@ sparsity, and compression at desk scale.
 """
 
 from .compressed import (
+    BLOCK_K,
     CompressedGroup,
     CompressedModel,
     CompressionProfile,
@@ -16,7 +17,6 @@ from .compressed import (
     decompress_model,
 )
 from .compressor import (
-    BLOCK_K,
     calculate_es,
     compress_model,
     hck_profile,

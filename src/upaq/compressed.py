@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import LayerSpec, ModelGraph, Tensor4, check_structure, infer_shapes
+from .model import LayerSpec, ModelGraph, Tensor4, infer_shapes
 from .patterns import KernelPattern
+
+BLOCK_K = 3  # pattern edge of 1x1 layers: their slices are 3x3 blocks of the flat weights
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,7 @@ class CompressedModel:
 
     def validate(self) -> None:
         self.profile.validate()
-        check_structure(self.layers, weightless_ids=frozenset(self.qlayers))
-        layer_ids = {layer.id for layer in self.layers}
+        shapes = infer_shapes(self, {layer_id: qc.shape for layer_id, qc in self.qlayers.items()})
         seen: dict[str, str] = {}
         for group in self.groups:
             for member in group.member_ids:
@@ -145,7 +146,7 @@ class CompressedModel:
                 seen[member] = group.root_id
                 if member not in self.qlayers:
                     raise ValidationError(f"group member {member!r} has no quantized payload")
-                if member not in layer_ids:
+                if member not in shapes:
                     raise ValidationError(f"group member {member!r} is not a layer")
             if group.bitwidth not in self.profile.quant_bits:
                 raise ValidationError(
@@ -157,7 +158,6 @@ class CompressedModel:
         for group in self.groups:
             for member in group.member_ids:
                 _check_payload(member, self.qlayers[member], group)
-        infer_shapes(self, {layer_id: qc.shape for layer_id, qc in self.qlayers.items()})
 
 
 def _check_payload(layer_id: str, qc: QuantizedConv, group: CompressedGroup) -> None:
@@ -197,9 +197,7 @@ def decompress_model(cm: CompressedModel) -> ModelGraph:
         if layer.id in cm.qlayers:
             copy.weights = Tensor4(dequantized_weights(cm.qlayers[layer.id]))
         layers.append(copy)
-    dense = ModelGraph(name=cm.name, input_shape=cm.input_shape, layers=layers)
-    dense.validate()
-    return dense
+    return ModelGraph(name=cm.name, input_shape=cm.input_shape, layers=layers)
 
 
 def slice_stack(w: np.ndarray, d: int) -> np.ndarray:
@@ -228,17 +226,25 @@ def dequantized_weights(qc: QuantizedConv) -> np.ndarray:
     return unstack(deq, qc.shape)
 
 
+def slice_edge(shape: tuple[int, int, int, int]) -> int:
+    """Edge of the slices a square kernel is stored in: its own, or
+    ``BLOCK_K`` for a 1 x 1 kernel, whose flat weights form the blocks."""
+    return BLOCK_K if shape[3] == 1 else shape[3]
+
+
 def stored_slots(shape: tuple[int, int, int, int], pattern: KernelPattern) -> np.ndarray:
     """The cells a payload stores, as an ``(S, d*d)`` bool array over its
     slice stack: ``pattern.mask() & valid``, where the pad cells of a 1 x 1
     layer's last block are not valid.  Each row lists its slice's cells in
     row-major order, the order the container packs the stored values in.
-    Only a 1 x 1 or a ``d x d`` kernel stacks into the pattern's slices.
+    Only a square kernel whose :func:`slice_edge` is ``d`` stacks into them.
     """
     d = pattern.d
     if tuple(shape[2:]) not in ((1, 1), (d, d)):
         raise ValidationError(
             f"a {tuple(shape)} payload does not stack into {d}x{d} slices: its kernel is not 1x1 or {d}x{d}"
         )
+    if slice_edge(shape) != d:
+        raise ValidationError(f"a {tuple(shape)} payload is stored as {BLOCK_K}x{BLOCK_K} blocks, not {d}x{d} slices")
     valid = slice_stack(np.ones(shape, dtype=bool), d)
     return (valid & pattern.mask()).reshape(len(valid), -1)

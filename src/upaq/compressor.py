@@ -27,12 +27,14 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .compressed import (
+from .compressed import (  # BLOCK_K stays importable from here
+    BLOCK_K,
     CompressedGroup,
     CompressedModel,
     CompressionProfile,
     EfficiencyScore,
     QuantizedConv,
+    slice_edge,
     slice_stack,
     unstack,
 )
@@ -43,8 +45,6 @@ from .grouping import RootGroup, find_root_groups
 from .model import ModelGraph, Tensor4
 from .patterns import KernelPattern, _draw_positions, enumerate_all_patterns, split_seed
 from .quantizer import SQNR_CAP_DB, _quantize_masked, mean_sqnr_db, stack_rows
-
-BLOCK_K = 3  # pattern edge of 1x1 groups: their slices are 3x3 blocks of the flat weights
 
 SQNR_TERM_SCALE = 40.0  # dB divisor that normalizes the SQNR addend
 
@@ -140,11 +140,10 @@ def _search_group(
     :func:`~upaq.cost.layer_costs`); a candidate replaces the root's entry
     with its stored-slot count and bitwidth.
     """
-    root = model.by_id(group.root_id).weights
-    assert root is not None
+    root = model.by_id(group.root_id).weights  # a conv of a checked model: it has weights
     if root.kh != root.kw:
         raise ValidationError(f"layer {group.root_id!r}: non-square kernels are unsupported")
-    d = root.kw if root.kw > 1 else BLOCK_K
+    d = slice_edge(root.shape)
     n = profile.n_for(d)
     baseline = sum_costs(costs)
     _, _, oh, ow = costs[group.root_id]
@@ -168,9 +167,7 @@ def _search_group(
 
     payloads = {}
     for layer_id in group.member_ids:
-        weights = model.by_id(layer_id).weights
-        assert weights is not None
-        payloads[layer_id] = _quantize_layer(weights, pattern, bits)
+        payloads[layer_id] = _quantize_layer(model.by_id(layer_id).weights, pattern, bits)
     return CompressedGroup(group.root_id, group.leaf_ids, pattern, bits, score), payloads
 
 
@@ -182,9 +179,8 @@ def compress_model(model: ModelGraph, profile: CompressionProfile) -> Compressed
     not depend on the other groups.  The result is validated when it is
     serialized, by :func:`~upaq.container.serialize_compressed`.
     """
-    model.validate()
+    costs = layer_costs(model)  # the one walk that checks the dense model and takes its shapes
     profile.validate()
-    costs = layer_costs(model)  # one shape walk over the dense model
     groups, qlayers = [], {}
     for root_group in find_root_groups(model):
         rng = np.random.default_rng(split_seed(profile.seed, root_group.root_id))

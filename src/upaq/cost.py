@@ -52,8 +52,7 @@ def _conv_stats(model):
         if layer.id in qlayers:
             qc = qlayers[layer.id]
             shape, nnz, bits = qc.shape, int(stored_slots(qc.shape, qc.pattern).sum()), qc.bitwidth
-        else:
-            assert layer.weights is not None
+        else:  # the shape walk checked that a conv without a payload has weights
             shape, nnz, bits = layer.weights.shape, int(np.count_nonzero(layer.weights.data)), DENSE_BITS
         _, oh, ow = shapes[layer.id]
         yield layer.id, shape[0] * shape[1], nnz, bits, oh, ow

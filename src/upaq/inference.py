@@ -35,7 +35,8 @@ activation (4 inputs of 64x32x32).  Each activation is dropped after its last
 consumer, and relu and add write over a source nothing else reads, so memory
 stays bounded for any batch.  :func:`run_batch` takes the finite ``(B, C, H,
 W)`` array that ``upaq run`` and ``upaq evaluate`` read, and writes the sinks
-to one ``(B, *sink)`` array.
+to one ``(B, *sink)`` array.  It checks the graph it is given as it takes its
+shapes (:func:`~upaq.model.infer_shapes`): a bad graph is a ValidationError.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def run_batch(model: ModelGraph, batch: np.ndarray) -> np.ndarray:
     chunk = max(1, CHUNK_BYTES // (4 * largest))
     plans = {layer.id: _conv_steps(layer) for layer in model.layers if layer.weights is not None}
     last_use = {src: idx for idx, layer in enumerate(model.layers) for src in layer.inputs}
-    sink_id = model.sink().id
+    sink_id = model.layers[-1].id  # a checked graph's one sink
     out = np.empty((len(batch), *shapes[sink_id]), dtype=np.float32)
     for lo in range(0, len(batch), chunk):
         x = np.ascontiguousarray(batch[lo:lo + chunk].transpose(1, 0, 2, 3), dtype=np.float32)
@@ -140,11 +141,9 @@ def _run(model: ModelGraph, x: np.ndarray, plans, last_use: dict[str, int]) -> d
             out = np.add(srcs[0], srcs[1], out=spent)
         elif layer.kind == "global_avg_pool":
             out = _global_avg_pool(srcs[0])
-        elif layer.kind == "linear":  # a 1x1 conv over each input's features in (C, H, W) order
+        else:  # linear, a 1x1 conv over each input's features in (C, H, W) order
             c, n, h, w = srcs[0].shape
             out = _conv2d(srcs[0].transpose(0, 2, 3, 1).reshape(c * h * w, n, 1, 1), plans[layer.id], 1, 0)
-        else:  # pragma: no cover - validated earlier
-            raise ValidationError(f"layer {layer.id!r}: unknown kind {layer.kind!r}")
         acts[layer.id] = out
         for src in layer.inputs:
             if last_use[src] == idx:

@@ -4,7 +4,9 @@ A model is an ordered list of layers whose list order is a valid topological
 order of the (acyclic) computation graph.  Weights are dense float32 tensors
 in row-major ``(out_ch, in_ch, kh, kw)`` layout.  Graphs are treated as
 immutable after construction; copy a layer with :meth:`LayerSpec.copy`
-before mutating it.
+before mutating it.  :func:`infer_shapes` is the one walk that checks a
+graph, so validation, the engine and the cost model, which all take their
+shapes from it, reject a malformed graph alike, naming the layer.
 """
 
 from __future__ import annotations
@@ -115,36 +117,32 @@ class ModelGraph:
     def conv_layers(self) -> list[LayerSpec]:
         return [l for l in self.layers if l.kind == "conv2d"]
 
-    def sink(self) -> LayerSpec:
-        consumed = {src for l in self.layers for src in l.inputs}
-        sinks = [l for l in self.layers if l.id not in consumed]
-        if len(sinks) != 1:
-            raise ValidationError(f"expected exactly one sink layer, found {len(sinks)}")
-        return sinks[0]
-
     def validate(self) -> None:
-        check_structure(self.layers)
         infer_shapes(self)
 
 
-def check_structure(layers: list[LayerSpec], weightless_ids: frozenset[str] = frozenset()) -> None:
-    """Structural checks shared by dense and compressed graphs.
+def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[int, int, int]]:
+    """Check the graph and propagate activation shapes (c, h, w) through it.
 
-    ``weightless_ids`` names conv layers whose dense weights are legitimately
-    absent (their payload lives in a quantized side table).
+    ``model`` needs ``input_shape`` and ``layers``; ``weight_shapes`` gives
+    the (out, in, kh, kw) of layers that carry no dense weights, such as the
+    quantized layers of a compressed model.  Each layer's structure is
+    checked, then its shapes; a checked graph has one sink, its last layer.
+    Raises ValidationError naming the offending layer on the first fault.
     """
-    if not layers:
+    if not model.layers:
         raise ValidationError("no sink layer (empty layer list)")
-    seen: set[str] = set()
-    for layer in layers:
-        if layer.id in seen:
+    weight_shapes = weight_shapes or {}
+    shapes: dict[str, tuple[int, int, int]] = {}
+    for layer in model.layers:
+        if layer.id in shapes:
             raise ValidationError(f"duplicate layer id {layer.id!r}")
         if layer.kind not in LAYER_KINDS:
             raise ValidationError(f"layer {layer.id!r}: unknown kind {layer.kind!r}")
         for src in layer.inputs:
             # inputs must precede their consumer: enforces both acyclicity and
             # that the list order is a valid topological order
-            if src not in seen:
+            if src not in shapes:
                 raise ValidationError(
                     f"layer {layer.id!r}: input {src!r} does not precede it in the layer list"
                 )
@@ -155,8 +153,9 @@ def check_structure(layers: list[LayerSpec], weightless_ids: frozenset[str] = fr
         elif arity > 1:
             raise ValidationError(f"layer {layer.id!r}: {layer.kind} takes at most 1 input, got {arity}")
         if layer.kind in WEIGHTED_KINDS:
-            if layer.weights is None and layer.id not in weightless_ids:
+            if layer.weights is None and layer.id not in weight_shapes:
                 raise ValidationError(f"layer {layer.id!r}: {layer.kind} requires weights")
+            out_ch, in_ch, kh, kw = layer.weights.shape if layer.weights is not None else weight_shapes[layer.id]
         else:
             if layer.weights is not None:
                 raise ValidationError(f"layer {layer.id!r}: {layer.kind} must not carry weights")
@@ -171,37 +170,14 @@ def check_structure(layers: list[LayerSpec], weightless_ids: frozenset[str] = fr
                 raise ValidationError(
                     f"layer {layer.id!r}: bias length {layer.bias.shape[0]} != out_ch {layer.weights.out_ch}"
                 )
+
+        in_shapes = [shapes[src] for src in layer.inputs] or [model.input_shape]
+        c, h, w = in_shapes[0]
         if layer.kind == "conv2d":
             if layer.stride < 1:
                 raise ValidationError(f"layer {layer.id!r}: stride must be >= 1")
             if layer.padding < 0:
                 raise ValidationError(f"layer {layer.id!r}: padding must be >= 0")
-        seen.add(layer.id)
-    consumed = {src for l in layers for src in l.inputs}
-    sinks = [l.id for l in layers if l.id not in consumed]
-    if len(sinks) != 1:
-        raise ValidationError(f"expected exactly one sink layer, found {len(sinks)}: {sinks}")
-
-
-def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[int, int, int]]:
-    """Propagate activation shapes (c, h, w) through the graph.
-
-    ``model`` needs ``input_shape`` and ``layers``; ``weight_shapes`` gives
-    the (out, in, kh, kw) of layers that carry no dense weights, such as the
-    quantized layers of a compressed model.  Raises ValidationError naming
-    the offending layer on any mismatch, or on a conv whose padding exceeds
-    its kernel edge.
-    """
-    shapes: dict[str, tuple[int, int, int]] = {}
-    for layer in model.layers:
-        if layer.inputs:
-            in_shapes = [shapes[src] for src in layer.inputs]
-        else:
-            in_shapes = [model.input_shape]
-        c, h, w = in_shapes[0]
-        if layer.kind in WEIGHTED_KINDS:
-            out_ch, in_ch, kh, kw = layer.weights.shape if layer.weights is not None else weight_shapes[layer.id]
-        if layer.kind == "conv2d":
             if in_ch != c:
                 raise ValidationError(
                     f"layer {layer.id!r}: expects {in_ch} input channels, got {c}"
@@ -226,7 +202,7 @@ def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[in
             shapes[layer.id] = (c, h, w)
         elif layer.kind == "global_avg_pool":
             shapes[layer.id] = (c, 1, 1)
-        elif layer.kind == "linear":
+        else:  # linear
             if kh != 1 or kw != 1:
                 raise ValidationError(f"layer {layer.id!r}: linear weights must be (out, in, 1, 1)")
             if c * h * w != in_ch:
@@ -234,7 +210,9 @@ def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[in
                     f"layer {layer.id!r}: expects {in_ch} input features, got {c * h * w}"
                 )
             shapes[layer.id] = (out_ch, 1, 1)
-        else:  # pragma: no cover - kinds checked in check_structure
-            raise ValidationError(f"layer {layer.id!r}: unknown kind {layer.kind!r}")
+    consumed = {src for l in model.layers for src in l.inputs}
+    sinks = [l.id for l in model.layers if l.id not in consumed]
+    if len(sinks) != 1:
+        raise ValidationError(f"expected exactly one sink layer, found {len(sinks)}: {sinks}")
     return shapes
 

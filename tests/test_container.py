@@ -19,7 +19,9 @@ from oracles import (
     stored_values_reference,
     unpack_ints,
 )
-from upaq.compressed import dequantized_weights, slice_stack, stored_slots
+from upaq import compressed
+from upaq.compressed import BLOCK_K, dequantized_weights, slice_stack, stored_slots
+from upaq.compressor import _quantize_layer
 from upaq.container import (
     _Payload,
     compressed_payload_nbytes,
@@ -36,7 +38,7 @@ from upaq.container import (
     unpack_slots,
 )
 from upaq.errors import FormatError, ValidationError
-from upaq.patterns import enumerate_all_patterns
+from upaq.patterns import KernelPattern, enumerate_all_patterns
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +64,12 @@ def test_pack_roundtrip_random():
 
 
 def _check_stack_packing(q, pattern, bits):
-    """Stack pack equals the per-slice oracle, and unpack restores the slots."""
+    """Stack pack equals the per-slice oracle, and unpack restores the slots;
+    a 1x1 layer stacks only into BLOCK_K x BLOCK_K blocks."""
+    if q.shape[2:] == (1, 1) and pattern.d != BLOCK_K:
+        with pytest.raises(ValidationError, match=r"stored as 3x3 blocks, not \d+x\d+ slices"):
+            stored_slots(q.shape, pattern)
+        return
     slots = stored_slots(q.shape, pattern)
     reference = stored_values_reference(q, pattern)
     packed = pack_slots(slice_stack(q, pattern.d).reshape(slots.shape), slots, bits)
@@ -328,6 +335,33 @@ def test_kernel_dims_off_the_pattern_name_the_layer(toy_1x1_lck_bytes, toy_1x1):
     qc.shape, qc.q = (9, 1, 1, 9), qc.q.reshape(9, 1, 1, 9)
     with pytest.raises(ValidationError, match="layer 'conv_a': .* does not stack into 3x3 slices"):
         cm.validate()
+
+
+def _toy_1x1_hck_in_4x4_rows(toy_1x1):
+    """toy-1x1 under hck with conv_b's group and payload re-quantized under a
+    4x4 row pattern: a 1x1 payload off the 3x3 blocks it is stored as."""
+    model, _ = toy_1x1
+    cm = upaq.compress_model(model, upaq.hck_profile(seed=42))
+    pattern = KernelPattern("row", 4, ((0, 0), (0, 1)))
+    (at,) = [i for i, group in enumerate(cm.groups) if group.root_id == "conv_b"]
+    cm.groups[at] = replace(cm.groups[at], pattern=pattern)
+    cm.qlayers["conv_b"] = _quantize_layer(model.by_id("conv_b").weights, pattern, cm.groups[at].bitwidth)
+    return cm
+
+
+def test_a_1x1_payload_off_3x3_blocks_fails_validation(toy_1x1):
+    cm = _toy_1x1_hck_in_4x4_rows(toy_1x1)
+    with pytest.raises(ValidationError, match=r"layer 'conv_b': .* stored as 3x3 blocks, not 4x4 slices"):
+        cm.validate()
+
+
+def test_a_1x1_payload_off_3x3_blocks_does_not_load(toy_1x1, monkeypatch):
+    cm = _toy_1x1_hck_in_4x4_rows(toy_1x1)
+    with monkeypatch.context() as patched:
+        patched.setattr(compressed, "BLOCK_K", 4)  # written as if 1x1 layers were stored as 4x4 blocks
+        data = serialize_compressed(cm)
+    with pytest.raises(FormatError, match=r"layer 'conv_b': .* stored as 3x3 blocks, not 4x4 slices"):
+        deserialize_compressed(data)
 
 
 @pytest.mark.parametrize("layer_id", ["conv_a", "conv_b"])  # a 3x3 layer and a 1x1 block layer

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import copy_model
 from upaq.container import serialize_model
+from upaq.cost import computational_cost, layer_costs, model_cost
 from upaq.errors import ValidationError
+from upaq.inference import run_batch
 from upaq.model import LayerSpec, ModelGraph, Tensor4, infer_shapes
 
 
@@ -96,6 +100,48 @@ def test_nonfinite_weights_rejected():
     layer.weights.data[0, 0, 0, 0] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         ModelGraph("m", (1, 4, 4), [layer]).validate()
+
+
+def _broken_graph(fault):
+    """An unvalidated graph with one fault, and the message that names it."""
+    if fault == "input after its consumer":
+        return [_conv("a", 1, 1, inputs=("b",)), _conv("b", 1, 1)], "layer 'a': input 'b' does not precede it"
+    if fault == "conv without weights":
+        return [LayerSpec("c", "conv2d", ())], "layer 'c': conv2d requires weights"
+    if fault == "relu carrying weights":
+        relu = LayerSpec("r", "relu", ("a",), weights=Tensor4(np.ones((1, 1, 1, 1), dtype=np.float32)))
+        return [_conv("a", 1, 1), relu], "layer 'r': relu must not carry weights"
+    if fault == "two sinks":
+        layers = [_conv("a", 1, 1), _conv("b", 1, 1, inputs=("a",)), _conv("c", 1, 1, inputs=("a",))]
+        return layers, r"exactly one sink layer, found 2: \['b', 'c'\]"
+    assert fault == "nan weight"
+    layer = _conv("a", 1, 1)
+    layer.weights.data[0, 0, 0, 0] = np.nan
+    return [layer], "layer 'a': non-finite weight values"
+
+
+@pytest.mark.parametrize("fault", [
+    "input after its consumer", "conv without weights", "relu carrying weights", "two sinks", "nan weight",
+])
+@pytest.mark.parametrize("walk", [
+    lambda m: run_batch(m, np.ones((1, *m.input_shape), dtype=np.float32)),
+    layer_costs, model_cost, computational_cost, lambda m: m.validate(),
+], ids=["run_batch", "layer_costs", "model_cost", "computational_cost", "validate"])
+def test_every_walk_rejects_a_broken_graph_naming_the_layer(fault, walk):
+    # the engine and the cost model check the graph they are given, as validate does
+    layers, message = _broken_graph(fault)
+    with pytest.raises(ValidationError, match=message):
+        walk(ModelGraph("m", (1, 4, 4), layers))
+
+
+def test_a_payload_shape_that_breaks_the_chain_raises_as_before(toy_cnn_hck):
+    # conv3's (8, 16, 3, 3) payload restacked as (16, 8, 3, 3): the same slices and
+    # scales, so every payload check passes and the shape walk names the layer
+    qc = toy_cnn_hck.qlayers["conv3"]
+    flipped = replace(qc, shape=(16, 8, 3, 3), q=qc.q.reshape(16, 8, 3, 3))
+    cm = replace(toy_cnn_hck, qlayers={**toy_cnn_hck.qlayers, "conv3": flipped})
+    with pytest.raises(ValidationError, match="^layer 'conv3': expects 8 input channels, got 16$"):
+        cm.validate()
 
 
 def test_infer_shapes_toy_cnn(toy_cnn):

@@ -17,7 +17,7 @@ from upaq import compressed, compressor, container, cost, evaluate, inference, m
 SRC = Path(upaq.__file__).parent
 
 REMOVED = {
-    model: ("deep_copy",),
+    model: ("deep_copy", "check_structure"),
     cost: ("AnalyticCostModel", "estimate_latency", "estimate_energy"),
     patterns: ("apply_pattern",),
     quantizer: ("QuantResult", "mp_quantize", "dequantize", "masked_mean_sqnr_db", "_row_sums"),
@@ -72,6 +72,12 @@ def test_a_payload_carries_its_pattern():
             params = inspect.signature(fn).parameters
             if any("QuantizedConv" in str(p.annotation) for p in params.values()):
                 assert "d" not in params and "pattern" not in params, f"{module.__name__}.{name}"
+
+
+def test_one_walk_checks_a_graph():
+    # a checked graph's last layer is its one sink, and a payload's shape marks its layer weightless
+    assert not hasattr(model.ModelGraph, "sink")
+    assert list(inspect.signature(model.infer_shapes).parameters) == ["model", "weight_shapes"]
 
 
 def test_engine_takes_no_sparse_switch():
