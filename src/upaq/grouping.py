@@ -6,13 +6,18 @@ both share the same spatial kernel size.  Connected components of this
 coupling relation form groups; the topologically first member of each
 component is the root, and one pruning pattern plus one bitwidth chosen at
 the root is later replicated to every leaf.
+
+The graph is checked as its shapes are taken (:func:`~upaq.model.infer_shapes`),
+so a bad one is a ValidationError naming the layer.  Then one pass in layer
+order carries each layer's nearest conv producers: the union over its
+inputs, reset to the layer itself at each conv.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ModelGraph
+from .model import ModelGraph, infer_shapes
 
 
 @dataclass(frozen=True)
@@ -31,35 +36,19 @@ def build_coupling_graph(model: ModelGraph) -> dict[str, set[str]]:
     Non-conv layers are transparent: a conv feeding a relu feeding a conv
     couples the two convs.  Edges require equal (kh, kw).
     """
-    by_id = {l.id: l for l in model.layers}
-    conv_ids = [l.id for l in model.layers if l.kind == "conv2d"]
-    adjacency: dict[str, set[str]] = {cid: set() for cid in conv_ids}
-
-    def nearest_conv_producers(layer_id: str) -> list[str]:
-        found: list[str] = []
-        stack = list(by_id[layer_id].inputs)
-        seen: set[str] = set()
-        while stack:
-            src = stack.pop()
-            if src in seen:
-                continue
-            seen.add(src)
-            src_layer = by_id[src]
-            if src_layer.kind == "conv2d":
-                found.append(src)
-            else:
-                stack.extend(src_layer.inputs)
-        return found
-
-    for cid in conv_ids:
-        wt = by_id[cid].weights
-        assert wt is not None
-        for producer in nearest_conv_producers(cid):
-            pw = by_id[producer].weights
-            assert pw is not None
-            if (pw.kh, pw.kw) == (wt.kh, wt.kw):
-                adjacency[cid].add(producer)
-                adjacency[producer].add(cid)
+    infer_shapes(model)
+    kernel = {l.id: l.weights.shape[2:] for l in model.layers if l.kind == "conv2d"}
+    adjacency: dict[str, set[str]] = {cid: set() for cid in kernel}
+    nearest: dict[str, set[str]] = {}  # each layer's nearest conv producers, or itself for a conv
+    for layer in model.layers:
+        feeding = set().union(*(nearest[src] for src in layer.inputs))
+        if layer.id in kernel:
+            for producer in feeding:
+                if kernel[producer] == kernel[layer.id]:
+                    adjacency[layer.id].add(producer)
+                    adjacency[producer].add(layer.id)
+            feeding = {layer.id}
+        nearest[layer.id] = feeding
     return adjacency
 
 
@@ -72,21 +61,17 @@ def find_root_groups(model: ModelGraph) -> list[RootGroup]:
     index, so it is the same on every run.
     """
     adjacency = build_coupling_graph(model)
-    topo = {l.id: i for i, l in enumerate(model.layers)}
     groups: list[RootGroup] = []
     assigned: set[str] = set()
-    for layer in model.layers:
-        if layer.kind != "conv2d" or layer.id in assigned:
+    for cid in adjacency:  # the conv ids, in layer order
+        if cid in assigned:
             continue
-        component = {layer.id}
-        stack = [layer.id]
+        component, stack = {cid}, [cid]
         while stack:
-            node = stack.pop()
-            for nb in adjacency[node]:
-                if nb not in component:
-                    component.add(nb)
-                    stack.append(nb)
-        ordered = sorted(component, key=lambda cid: topo[cid])
+            near = adjacency[stack.pop()] - component
+            component |= near
+            stack += near
+        ordered = [member for member in adjacency if member in component]
         groups.append(RootGroup(root_id=ordered[0], leaf_ids=tuple(ordered[1:])))
         assigned |= component
     return groups

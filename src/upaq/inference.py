@@ -27,8 +27,10 @@ the block transform stores weight ``(o, i)`` when ``(o * in_ch + i) mod 9`` is
 a pattern cell, so its rows fall in 9 groups, each over its own 14 to 16 of
 64 columns for a 64->64 layer under ``hck``.  A dense layer has one group over
 every column.  Skipping is exact: an einsum sum is never -0.0, so adding a
-+-0.0 product leaves it unchanged, but ``0 * inf`` is NaN, so a layer skips
-nothing over an activation that overflowed, or with a -0.0 bias entry.
++-0.0 product leaves it unchanged, but ``0 * inf`` is NaN, so a layer with a
+-0.0 bias entry plans one group over every column, and a plan that skips a
+column is swapped for such a plan, built then, over an activation that
+overflowed.  A plan that skips nothing never scans its input.
 
 A chunk holds as many inputs as fit ``CHUNK_BYTES`` in the model's largest
 activation (4 inputs of 64x32x32).  Each activation is dropped after its last
@@ -41,7 +43,6 @@ shapes (:func:`~upaq.model.infer_shapes`): a bad graph is a ValidationError.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -133,8 +134,12 @@ def _run(model: ModelGraph, x: np.ndarray, plans, last_use: dict[str, int]) -> d
         srcs = [acts[s] for s in layer.inputs] if layer.inputs else [x]
         # a first source read for the last time here takes the output in place
         spent = srcs[0] if layer.inputs and last_use[layer.inputs[0]] == idx else None
+        plan = plans.get(layer.id)
+        # 0 * inf is NaN, so a plan that skips a column runs only over a finite input
+        if plan is not None and plan.executed < layer.weights.data.size and not np.isfinite(srcs[0]).all():
+            plan = _conv_steps(layer, every=True)
         if layer.kind == "conv2d":
-            out = _conv2d(srcs[0], plans[layer.id], layer.stride, layer.padding)
+            out = _conv2d(srcs[0], plan, layer.stride, layer.padding)
         elif layer.kind == "relu":
             out = np.maximum(srcs[0], np.float32(0.0), out=spent)
         elif layer.kind == "add":
@@ -143,7 +148,7 @@ def _run(model: ModelGraph, x: np.ndarray, plans, last_use: dict[str, int]) -> d
             out = _global_avg_pool(srcs[0])
         else:  # linear, a 1x1 conv over each input's features in (C, H, W) order
             c, n, h, w = srcs[0].shape
-            out = _conv2d(srcs[0].transpose(0, 2, 3, 1).reshape(c * h * w, n, 1, 1), plans[layer.id], 1, 0)
+            out = _conv2d(srcs[0].transpose(0, 2, 3, 1).reshape(c * h * w, n, 1, 1), plan, 1, 0)
         acts[layer.id] = out
         for src in layer.inputs:
             if last_use[src] == idx:
@@ -163,36 +168,31 @@ class Group(NamedTuple):
 
 
 class ConvPlan(NamedTuple):
-    """One conv or linear layer's row groups: ``every`` runs every column, the reference
-    path; ``skipping`` runs over a finite input; rows ``negative_zero`` have a -0.0 bias."""
+    """One conv or linear layer's row groups; rows ``negative_zero`` have a -0.0 bias."""
 
     kh: int
     kw: int
-    every: list[Group]
-    skipping: list[Group]
+    groups: list[Group]
     negative_zero: np.ndarray
 
     @property
     def executed(self) -> int:
-        """The weights the skipping path runs: rows times columns over its groups."""
-        return sum(g.weights.shape[0] * (g.weights.shape[1] - 1) for g in self.skipping)
+        """The weights the plan runs: rows times columns over its groups."""
+        return sum(g.weights.shape[0] * (g.weights.shape[1] - 1) for g in self.groups)
 
 
-def _conv_steps(layer: LayerSpec) -> ConvPlan:
-    """The plan of one conv or linear layer: ``skipping`` is ``every`` unless
-    no bias is -0.0 and :func:`_row_groups` drops a column."""
+def _conv_steps(layer: LayerSpec, every: bool = False) -> ConvPlan:
+    """The plan of one conv or linear layer: the groups :func:`_row_groups`
+    takes over its nonzero weights or, with ``every`` or a -0.0 bias, over
+    every column, which is one group."""
     wt = layer.weights
     assert wt is not None
     flat = wt.data.reshape(wt.out_ch, -1)  # column k is step (in_ch, row, col) in loop order
     bias = layer.bias if layer.bias is not None else np.zeros(wt.out_ch, dtype=np.float32)
     negative_zero = np.flatnonzero((bias == 0) & np.signbit(bias))
-    group = functools.partial(_group, flat, bias, wt.in_ch, wt.kw)
-    every = [group(slice(0, wt.out_ch), np.ones(flat.shape[1], dtype=bool))]
-    plan = ConvPlan(wt.kh, wt.kw, every, every, negative_zero)
-    groups = [] if negative_zero.size else _row_groups(flat != 0)
-    if not groups or (len(groups) == 1 and groups[0][1].all()):
-        return plan
-    return plan._replace(skipping=[group(rows, cols) for rows, cols in groups])
+    live = np.ones(flat.shape, dtype=bool) if every or negative_zero.size else flat != 0
+    groups = [_group(flat, bias, wt.in_ch, wt.kw, rows, cols) for rows, cols in _row_groups(live)]
+    return ConvPlan(wt.kh, wt.kw, groups, negative_zero)
 
 
 def _row_groups(live: np.ndarray) -> list[tuple[slice | np.ndarray, np.ndarray]]:
@@ -252,9 +252,7 @@ def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
     _, n, h, w = x.shape
     oh, ow = (h + 2 * p - plan.kh) // s + 1, (w + 2 * p - plan.kw) // s + 1
     rows, cols = [_window(r, s, p, h, oh) for r in range(plan.kh)], [_window(q, s, p, w, ow) for q in range(plan.kw)]
-    # 0 * inf is NaN, so a zero weight only skips over a finite input
-    groups = plan.skipping if plan.skipping is plan.every or np.isfinite(x).all() else plan.every
-    depth = max(g.weights.shape[1] for g in groups)
+    depth = max(g.weights.shape[1] for g in plan.groups)
     # blocks (j0, j1, y0, y1), lines y0:y1 of images j0:j1: whole images if one fits, else line ranges
     span = BLOCK_BYTES // (4 * depth)
     whole = oh * ow <= span
@@ -262,14 +260,14 @@ def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
     per = -(-total // -(-total // most))
     blocks = ([(j, min(j + per, n), 0, oh) for j in range(0, n, per)] if whole
               else [(j, j + 1, y, min(y + per, oh)) for j in range(n) for y in range(0, oh, per)])
-    acc = np.empty((len(plan.every[0].weights), n * oh * ow), dtype=np.float32)
+    acc = np.empty((sum(len(g.weights) for g in plan.groups), n * oh * ow), dtype=np.float32)
     buf = np.empty(depth * max(2, per * (oh * ow if whole else ow)), dtype=np.float32)
     for j0, j1, y0, y1 in blocks:
         e0, size, cells = _block_cells((j0, j1, y0, y1), rows, cols, oh, ow)
         # one output column would make einsum sum as a dot product: run it beside a copy
         X = buf[:depth * max(2, size)].reshape(depth, -1)
         X[0] = 1.0
-        for g in groups:
+        for g in plan.groups:
             for r, q, xrows, ins in g.fills:
                 dst, take, blanks = cells[r][q]
                 view = X[xrows, :size].reshape(-1, j1 - j0, y1 - y0, ow)
@@ -283,8 +281,8 @@ def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
             else:
                 X[:k, size:] = X[:k, :1]  # the copy beside a lone column
                 acc[g.rows, e0:e0 + size] = np.einsum("ok,ke->oe", g.weights, X[:k], optimize=False)[:, :size]
-        if plan.negative_zero.size:  # then groups is plan.every, so X holds every column
-            wz = plan.every[0].weights[plan.negative_zero]
+        if plan.negative_zero.size:  # then the one group runs every column, so X holds them all
+            wz = plan.groups[0].weights[plan.negative_zero]
             sums = np.repeat(wz[:, :1], size, axis=1)
             for col in range(1, depth):
                 sums += wz[:, col:col + 1] * X[col, :size]

@@ -14,13 +14,8 @@ def run_every(model, batch):
     """``run_batch`` with every conv and linear layer running all its weight
     columns: the reference its skipping plans must equal bit for bit."""
     build = inference._conv_steps
-
-    def every(layer):
-        plan = build(layer)
-        return plan._replace(skipping=plan.every)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "_conv_steps", every)
+        mp.setattr(inference, "_conv_steps", lambda layer, every=False: build(layer, every=True))
         return inference.run_batch(model, batch)
 
 

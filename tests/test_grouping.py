@@ -1,5 +1,9 @@
-import numpy as np
+import re
 
+import numpy as np
+import pytest
+
+from upaq.errors import ValidationError
 from upaq.grouping import build_coupling_graph, find_root_groups
 from upaq.model import LayerSpec, ModelGraph, Tensor4
 
@@ -79,3 +83,15 @@ def test_partition_and_root_minimality(toy_cnn, toy_residual, toy_1x1):
 def test_grouping_is_deterministic(toy_residual):
     model, _ = toy_residual
     assert find_root_groups(model) == find_root_groups(model)
+
+
+@pytest.mark.parametrize("layers, message", [
+    ([LayerSpec("a", "conv2d", (), None, None, 1, 1)], "layer 'a': conv2d requires weights"),
+    ([_conv("a", 2, 1, 3, ("zz",))], "layer 'a': input 'zz' does not precede it"),
+    ([_conv("b", 2, 2, 3, ("a",)), _conv("a", 2, 1, 3)], "layer 'b': input 'a' does not precede it"),
+], ids=["weightless-conv", "unknown-input", "input-after-consumer"])
+def test_grouping_rejects_an_unchecked_graph_naming_the_layer(layers, message):
+    model = ModelGraph("g", (1, 8, 8), layers)  # built in memory and never validated
+    for walk in (build_coupling_graph, find_root_groups):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            walk(model)

@@ -228,11 +228,47 @@ def test_batched_engine_matches_single_input_forward_and_oracle(engine_case, chu
 def test_skipping_path_runs_only_retained_cells(toy_cnn_hck):
     dense = upaq.decompress_model(toy_cnn_hck)
     for layer in dense.conv_layers():
-        plan = inference._conv_steps(layer)
-        (every,), (skipping,) = plan.every, plan.skipping  # a k x k layer runs as one row group
+        (every,) = inference._conv_steps(layer, every=True).groups  # a k x k layer runs as one row group
+        (skipping,) = inference._conv_steps(layer).groups
         assert every.weights.shape == (layer.weights.out_ch, 1 + layer.weights.in_ch * 9)
         assert skipping.weights.shape == (layer.weights.out_ch, 1 + layer.weights.in_ch * 2)  # hck keeps 2 of 9 cells
         assert len(skipping.fills) == 2  # one fill per retained cell, over every in-channel
+
+
+def test_a_plan_builds_only_the_groups_it_runs(toy_cnn_hck, monkeypatch):
+    calls = []
+    build = inference._group
+    monkeypatch.setattr(inference, "_group", lambda *args: calls.append(args) or build(*args))
+    for layer in upaq.decompress_model(toy_cnn_hck).layers:
+        if layer.weights is not None:
+            calls.clear()
+            plan = inference._conv_steps(layer)
+            assert len(calls) == len(plan.groups), layer.id
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_every_column_plan_is_built_only_for_a_skipping_layer_over_an_overflow(monkeypatch):
+    # channel 0 of "a" overflows to inf on a nonzero input; "b" skips its pruned
+    # kernel row, so it then runs every column; dense "c" skips nothing either way
+    a = LayerSpec("a", "conv2d", (), Tensor4(np.array([3e38, 1.0], dtype=np.float32).reshape(2, 1, 1, 1)))
+    wb = np.random.default_rng(50).uniform(-1, 1, (2, 2, 3, 3)).astype(np.float32)
+    wb[:, :, 0, :] = 0.0
+    b = LayerSpec("b", "conv2d", ("a",), Tensor4(wb), None, 1, 1)
+    c = LayerSpec("c", "conv2d", ("b",), Tensor4(np.ones((1, 2, 1, 1), dtype=np.float32)))
+    model = ModelGraph("overflow", (1, 3, 4), [a, b, c])
+    model.validate()
+    plans = {layer.id: inference._conv_steps(layer) for layer in model.conv_layers()}
+    build, built = inference._conv_steps, []
+
+    def steps(layer, every=False):
+        built.append((layer.id, every))
+        return build(layer, every)
+
+    monkeypatch.setattr(inference, "_conv_steps", steps)
+    for value, rebuilt in ((0.0, []), (10.0, [("b", True)])):
+        built.clear()
+        inference._run(model, np.full((1, 1, 3, 4), value, dtype=np.float32), plans, {"a": 1, "b": 2})
+        assert built == rebuilt
 
 
 def test_batched_strided_padded_conv_with_pruned_cells_against_reference():
@@ -539,6 +575,14 @@ def _rows(group):
     return group.weights.shape[0]
 
 
+def _runs_every_column(layer):
+    """Whether the layer's plan is its every-column plan, group by group and fill by fill."""
+    plan, every = inference._conv_steps(layer), inference._conv_steps(layer, every=True)
+    return len(plan.groups) == len(every.groups) and all(
+        g.rows == e.rows and g.weights.tobytes() == e.weights.tobytes() and g.fills == e.fills
+        for g, e in zip(plan.groups, every.groups))
+
+
 @pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
 @pytest.mark.parametrize("out_ch, in_ch", [(13, 10), (13, 12), (13, 18), (64, 64)],
                          ids=["gcd-1", "gcd-3", "gcd-9", "64x64"])
@@ -547,7 +591,7 @@ def test_row_groups_of_1x1_layers_against_reference(out_ch, in_ch, profile):
     plan = inference._conv_steps(model.layers[0])
     if math.gcd(in_ch, 9) < 9:  # when 9 divides I, I * O does too and each column is all zero or all live
         assert (out_ch * in_ch) % 9, "the last 3x3 block of the flat weights is partial"
-        assert len(plan.skipping) > 1 and max(map(_rows, plan.skipping)) < out_ch  # row groups run
+        assert len(plan.groups) > 1 and max(map(_rows, plan.groups)) < out_ch  # row groups run
     rng = np.random.default_rng(44)
     _assert_engine_matches(model, _inputs(rng, model.input_shape, 3), oracle_idx=(0, 2))
 
@@ -555,7 +599,7 @@ def test_row_groups_of_1x1_layers_against_reference(out_ch, in_ch, profile):
 @pytest.mark.parametrize("size", [4, 160, 640], ids=["line", "two-lines", "two-images"])
 def test_row_groups_over_blocks_of_any_size(size, monkeypatch):
     model = upaq.decompress_model(_block_1x1(40, 10, upaq.lck_profile))  # classes of 4 or 5 rows mod 9
-    assert len(inference._conv_steps(model.layers[0]).skipping) > 1
+    assert len(inference._conv_steps(model.layers[0]).groups) > 1
     rng = np.random.default_rng(45)
     xs = _inputs(rng, model.input_shape, 3)
     monkeypatch.setattr(inference, "BLOCK_BYTES", size)  # 3 inputs of 3 lines of 4
@@ -568,7 +612,7 @@ def test_negative_zero_bias_turns_row_groups_off():
     layer.weights.data[4] = 0.0  # out-channel 4 stays at its bias on a skipping path
     layer.bias[4] = -0.0
     plan = inference._conv_steps(layer)
-    assert plan.skipping is plan.every and len(plan.every) == 1
+    assert _runs_every_column(layer) and len(plan.groups) == 1
     assert plan.negative_zero.tolist() == [4]
     rng = np.random.default_rng(46)
     xs = _inputs(rng, model.input_shape, 2)
@@ -590,13 +634,13 @@ def test_row_groups_do_not_skip_over_a_non_finite_input():
     model.validate()
     plan = inference._conv_steps(pw)
     # some group skips in-channel 0: none of its fills starts at that channel
-    assert any(all(ins.start != 0 for *_, ins in group.fills) for group in plan.skipping)
+    assert any(all(ins.start != 0 for *_, ins in group.fills) for group in plan.groups)
     x = np.full((10, 1, 3, 4), 10.0, dtype=np.float32)
     ref = forward_reference(model, x[:, 0])
     assert np.isnan(ref).any()
     plans = {layer.id: inference._conv_steps(layer) for layer in model.conv_layers()}
     # the plans as built, then running every column
-    for steps in (plans, {lid: p._replace(skipping=p.every) for lid, p in plans.items()}):
+    for steps in (plans, {lid: inference._conv_steps(model.by_id(lid), every=True) for lid in plans}):
         out = inference._run(model, x, steps, {"a": 1})["pw"][:, 0]
         np.testing.assert_array_equal(out, ref)
 
@@ -608,11 +652,11 @@ def test_64x64_1x1_layer_runs_nine_row_groups(profile, cells):
     # classes mod 9 of in-channels, set by o mod 9: 9 groups of 7 or 8 rows
     cm = _block_1x1(64, 64, profile)
     plan = inference._conv_steps(upaq.decompress_model(cm).layers[0])
-    assert len(plan.skipping) == 9
-    assert sorted(group.rows.start for group in plan.skipping) == list(range(9))
-    assert all(group.rows.step == 9 for group in plan.skipping)
+    assert len(plan.groups) == 9
+    assert sorted(group.rows.start for group in plan.groups) == list(range(9))
+    assert all(group.rows.step == 9 for group in plan.groups)
     # each class of in-channels fills its rows of X as one strided copy
-    assert all(len(group.fills) == cells for group in plan.skipping)
+    assert all(len(group.fills) == cells for group in plan.groups)
     # the weights run are exactly the stored slots: 910 of 4096 (hck), 1365 (lck)
     assert plan.executed == int(stored_slots(cm.qlayers["pw"].shape, cm.groups[0].pattern).sum())
 
@@ -630,9 +674,9 @@ def test_row_groups_past_the_cap_run_as_one_group(out_ch):
     model.validate()
     plan = inference._conv_steps(layer)
     if out_ch <= inference.MAX_GROUPS:
-        assert len(plan.skipping) == out_ch and plan.executed == out_ch * (out_ch - 1)
+        assert len(plan.groups) == out_ch and plan.executed == out_ch * (out_ch - 1)
     else:  # one group over the columns nonzero in some row: all but the last
-        assert len(plan.skipping) == 1 and plan.executed == out_ch * out_ch
+        assert len(plan.groups) == 1 and plan.executed == out_ch * out_ch
     _assert_engine_matches(model, _inputs(rng, model.input_shape, 3), oracle_idx=(0, 2))
 
 
@@ -678,8 +722,7 @@ def test_same_convs_take_shifted_planes_bit_exactly(k, hw, monkeypatch):
     layers[2].bias[1] = -0.0  # "b" skips nothing: every step runs over a -0.0 accumulator
     model = ModelGraph("same", (2, *hw), layers)
     model.validate()
-    plan = inference._conv_steps(layers[2])
-    assert plan.skipping is plan.every
+    assert _runs_every_column(layers[2])
     monkeypatch.setattr(inference, "CHUNK_BYTES", 3 * 4 * _largest_activation(model))  # chunks of 3, 3 and 1
     _assert_engine_matches(model, _inputs(rng, (2, *hw), 7), oracle_idx=(0, 3, 6))
 
@@ -699,7 +742,7 @@ def test_same_convs_do_not_skip_over_a_non_finite_input():
     x[0, 1] = 0.0  # the middle input of the chunk stays finite all through
     plans = {layer.id: inference._conv_steps(layer) for layer in model.conv_layers()}
     # the plans as built, then running every column
-    for steps in (plans, {lid: p._replace(skipping=p.every) for lid, p in plans.items()}):
+    for steps in (plans, {lid: inference._conv_steps(model.by_id(lid), every=True) for lid in plans}):
         out = inference._run(model, x, steps, {"a": 1})["b"]
         for j in range(3):
             ref = forward_reference(model, x[:, j])

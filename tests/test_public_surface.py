@@ -118,3 +118,8 @@ def test_every_public_definition_has_a_caller_or_is_exported():
             if not any(node.name in _names_used(other, node) for other in callers.values()):
                 uncalled.append(f"{fname}:{node.name}")
     assert uncalled == []
+
+
+def test_a_plan_is_one_list_of_row_groups():
+    # the every-column plan is built only where it runs, not beside each plan
+    assert not {"every", "skipping"} & set(inference.ConvPlan._fields)
