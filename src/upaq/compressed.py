@@ -26,6 +26,7 @@ from .model import LayerSpec, ModelGraph, Tensor4, infer_shapes
 from .patterns import KernelPattern
 
 BLOCK_K = 3  # pattern edge of 1x1 layers: their slices are 3x3 blocks of the flat weights
+MAX_EDGE = 11  # largest kernel edge a compressed layer may have, checked before a payload is sized by it
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,10 @@ def dequantized_weights(qc: QuantizedConv) -> np.ndarray:
 
 def slice_edge(shape: tuple[int, int, int, int]) -> int:
     """Edge of the slices a square kernel is stored in: its own, or
-    ``BLOCK_K`` for a 1 x 1 kernel, whose flat weights form the blocks."""
+    ``BLOCK_K`` for a 1 x 1 kernel, whose flat weights form the blocks.
+    An edge over ``MAX_EDGE`` is refused before anything is sized by it."""
+    if shape[3] > MAX_EDGE:
+        raise ValidationError(f"kernel edge {shape[3]} is over the bound of {MAX_EDGE}")
     return BLOCK_K if shape[3] == 1 else shape[3]
 
 

@@ -143,7 +143,10 @@ def _search_group(
     root = model.by_id(group.root_id).weights  # a conv of a checked model: it has weights
     if root.kh != root.kw:
         raise ValidationError(f"layer {group.root_id!r}: non-square kernels are unsupported")
-    d = slice_edge(root.shape)
+    try:
+        d = slice_edge(root.shape)
+    except ValidationError as exc:
+        raise ValidationError(f"layer {group.root_id!r}: {exc}") from None
     n = profile.n_for(d)
     baseline = sum_costs(costs)
     _, _, oh, ow = costs[group.root_id]

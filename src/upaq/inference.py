@@ -14,10 +14,12 @@ as X86_V2, but not aarch64): only there is the engine bit-exact, as
 ``tests/test_inference.py`` checks.  Over a lone column einsum would sum as a
 dot product, in another order, so that column runs beside a copy.  It starts
 at +0.0, not at the bias, so rows of a -0.0 bias, where the scalar loop may
-end at -0.0, run again as that loop.  Each kernel cell's rows of ``X`` take
-the window of the input that cell reads, zero where it reads the padding,
-whatever the stride and padding.  ``linear`` is the same contraction
-over each input's (C, H, W) features; global average pooling sums each (c, n)
+end at -0.0, run again as that loop.  Each kernel cell a group runs fills its
+rows of ``X`` with the window of the input it reads over the block's output
+lines, whatever the stride and padding: a cell that reads padding has its
+rows zeroed, one write each, then its window copied.  ``linear`` is the same
+contraction over each input's (C, H, W) features; relu maps NaN to +0.0, as
+the scalar ``v if v > 0 else 0``; global average pooling sums each (c, n)
 plane strictly in row-major order.
 
 Each layer runs only the weight columns nonzero in some row of a row group,
@@ -43,7 +45,6 @@ shapes (:func:`~upaq.model.infer_shapes`): a bad graph is a ValidationError.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -68,8 +69,6 @@ BLOCK_BYTES = 512 * 1024
 POOL_BYTES = 128 * 1024
 # Row groups a skipping plan may have; past this many a layer runs as one group.
 MAX_GROUPS = 9
-
-ALL = slice(None)
 
 
 # kept, with its finiteness check, only because perfbench/workloads.py builds inputs from it
@@ -141,7 +140,7 @@ def _run(model: ModelGraph, x: np.ndarray, plans, last_use: dict[str, int]) -> d
         if layer.kind == "conv2d":
             out = _conv2d(srcs[0], plan, layer.stride, layer.padding)
         elif layer.kind == "relu":
-            out = np.maximum(srcs[0], np.float32(0.0), out=spent)
+            out = np.fmax(srcs[0], np.float32(0.0), out=spent)  # NaN, -inf and -0.0 give +0.0
         elif layer.kind == "add":
             out = np.add(srcs[0], srcs[1], out=spent)
         elif layer.kind == "global_avg_pool":
@@ -251,7 +250,6 @@ def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
     group fills its rows of the contraction input ``X`` and runs one einsum."""
     _, n, h, w = x.shape
     oh, ow = (h + 2 * p - plan.kh) // s + 1, (w + 2 * p - plan.kw) // s + 1
-    rows, cols = [_window(r, s, p, h, oh) for r in range(plan.kh)], [_window(q, s, p, w, ow) for q in range(plan.kw)]
     depth = max(g.weights.shape[1] for g in plan.groups)
     # blocks (j0, j1, y0, y1), lines y0:y1 of images j0:j1: whole images if one fits, else line ranges
     span = BLOCK_BYTES // (4 * depth)
@@ -263,18 +261,18 @@ def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
     acc = np.empty((sum(len(g.weights) for g in plan.groups), n * oh * ow), dtype=np.float32)
     buf = np.empty(depth * max(2, per * (oh * ow if whole else ow)), dtype=np.float32)
     for j0, j1, y0, y1 in blocks:
-        e0, size, cells = _block_cells((j0, j1, y0, y1), rows, cols, oh, ow)
+        e0, size = (j0 * oh + y0) * ow, (j1 - j0) * (y1 - y0) * ow
         # one output column would make einsum sum as a dot product: run it beside a copy
         X = buf[:depth * max(2, size)].reshape(depth, -1)
         X[0] = 1.0
         for g in plan.groups:
             for r, q, xrows, ins in g.fills:
-                dst, take, blanks = cells[r][q]
+                a, b, ys = _window(r, s, p, h, y0, y1)
+                c, d, xs = _window(q, s, p, w, 0, ow)
                 view = X[xrows, :size].reshape(-1, j1 - j0, y1 - y0, ow)
-                if take is not None:
-                    view[dst] = x[(ins, *take)]
-                for blank in blanks:
-                    view[blank] = 0.0
+                if b - a < y1 - y0 or d - c < ow:  # the cell reads padding: zero its rows, each one write
+                    view[...] = 0.0
+                view[:, :, a:b, c:d] = x[ins, j0:j1, ys, xs]
             k = g.weights.shape[1]
             if size > 1 and isinstance(g.rows, slice):
                 np.einsum("ok,ke->oe", g.weights, X[:k], out=acc[g.rows, e0:e0 + size], optimize=False)
@@ -288,28 +286,6 @@ def _conv2d(x: np.ndarray, plan: ConvPlan, s: int, p: int) -> np.ndarray:
                 sums += wz[:, col:col + 1] * X[col, :size]
             acc[plan.negative_zero, e0:e0 + size] = sums
     return acc.reshape(-1, n, oh, ow)
-
-
-def _block_cells(block, rows, cols, oh: int, ow: int):
-    """A block's first output column, its column count and, per kernel cell
-    (r, c), ``(dst, take, blanks)``: a channel's values ``[take]`` go to
-    ``[dst]`` of its row of ``X``, seen as ``(images, lines, ow)``, then
-    ``blanks`` (lines and columns reading the padding) are zeroed."""
-    j0, j1, ya, yb = block
-    e0, size = (j0 * oh + ya) * ow, (j1 - j0) * (yb - ya) * ow
-    cells = [[(None, None, [(ALL,)])] * len(cols) for _ in rows]
-    for (r, (y0, y1, ys)), (q, (x0, x1, xs)) in itertools.product(enumerate(rows), enumerate(cols)):
-        u0, u1 = max(y0, ya), min(y1, yb)  # the block's lines whose input row is inside
-        if u0 >= u1 or x0 >= x1:
-            continue
-        blanks = [v for v, edge in (((ALL, ALL, slice(0, u0 - ya)), u0 > ya),
-                                    ((ALL, ALL, slice(u1 - ya, None)), u1 < yb),
-                                    ((ALL, ALL, ALL, slice(0, x0)), x0 > 0),
-                                    ((ALL, ALL, ALL, slice(x1, None)), x1 < ow)) if edge]
-        first = ys.start + (u0 - y0) * ys.step
-        take = (slice(j0, j1), slice(first, first + (u1 - u0 - 1) * ys.step + 1, ys.step), xs)
-        cells[r][q] = ((ALL, ALL, slice(u0 - ya, u1 - ya), slice(x0, x1)), take, blanks)
-    return e0, size, cells
 
 
 def _global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -335,12 +311,13 @@ def _global_avg_pool(x: np.ndarray) -> np.ndarray:
     return (total / np.float32(h * w)).reshape(c, n, 1, 1)
 
 
-def _window(k: int, stride: int, pad: int, size: int, out: int) -> tuple[int, int, slice]:
-    """Outputs ``[lo, hi)`` whose kernel offset ``k`` lands inside the input, and their input slice."""
-    lo = max(0, -((k - pad) // stride))
-    hi = max(lo, min(out, (size - 1 + pad - k) // stride + 1))
-    first = lo * stride + k - pad
-    return lo, hi, slice(first, first + max(0, stride * (hi - lo - 1) + 1), stride)
+def _window(k: int, stride: int, pad: int, size: int, lo: int, hi: int) -> tuple[int, int, slice]:
+    """Of the output lines ``[lo, hi)``, those ``a:b`` (counted from ``lo``)
+    whose kernel offset ``k`` lands inside the input, and their input slice."""
+    a = max(lo, -((k - pad) // stride))
+    b = max(a, min(hi, (size - 1 + pad - k) // stride + 1))
+    first = a * stride + k - pad
+    return a - lo, b - lo, slice(first, first + max(0, stride * (b - a - 1) + 1), stride)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from oracles import (
     unpack_ints,
 )
 from upaq import compressed
-from upaq.compressed import BLOCK_K, dequantized_weights, slice_stack, stored_slots
+from upaq.compressed import BLOCK_K, MAX_EDGE, dequantized_weights, slice_stack, stored_slots
 from upaq.compressor import _quantize_layer
 from upaq.container import (
     _Payload,
@@ -362,6 +363,44 @@ def test_a_1x1_payload_off_3x3_blocks_does_not_load(toy_1x1, monkeypatch):
         data = serialize_compressed(cm)
     with pytest.raises(FormatError, match=r"layer 'conv_b': .* stored as 3x3 blocks, not 4x4 slices"):
         deserialize_compressed(data)
+
+
+def test_a_kernel_edge_over_the_bound_does_not_load(toy_1x1):
+    """toy-1x1's hck ``conv_a`` declared 1000x1000 under a 1000-edge row
+    pattern: its 9 scales and its mask still fit, so only the kernel-edge
+    bound keeps the loader from sizing a 9 M-cell slot stack by the header."""
+    data = serialize_compressed(upaq.compress_model(toy_1x1[0], upaq.hck_profile(seed=42)))
+    mask = pack_mask(KernelPattern("row", 1000, ((0, 0), (0, 1))))
+    (hlen,) = struct.unpack("<I", data[5:9])
+
+    def enlarge(header):
+        header["payload_nbytes"] += len(mask)
+        (group,) = [g for g in header["groups"] if g["root"] == "conv_a"]
+        group["pattern"].update(kind="row", d=1000, mask_offset=len(data) - 9 - hlen, mask_nbytes=len(mask))
+        (entry,) = [e for e in header["layers"] if e["id"] == "conv_a"]
+        entry["quantized"]["shape"] = [9, 1, 1000, 1000]
+
+    crafted = patch_header(data + mask, enlarge)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"layer 'conv_a': kernel edge 1000 is over the bound of {MAX_EDGE}"):
+            deserialize_compressed(crafted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("k", [MAX_EDGE, MAX_EDGE + 1])
+def test_a_kernel_edge_over_the_bound_does_not_compress(k):
+    rng = np.random.default_rng(11)
+    weights = upaq.Tensor4(rng.uniform(-1, 1, (2, 1, k, k)).astype(np.float32))
+    model = upaq.ModelGraph("edge", (1, k, k), [upaq.LayerSpec("big", "conv2d", (), weights)])
+    if k <= MAX_EDGE:
+        assert upaq.compress_model(model, upaq.hck_profile()).qlayers["big"].pattern.d == k
+    else:
+        with pytest.raises(ValidationError, match=f"layer 'big': kernel edge {k} is over the bound of {MAX_EDGE}"):
+            upaq.compress_model(model, upaq.hck_profile())
 
 
 @pytest.mark.parametrize("layer_id", ["conv_a", "conv_b"])  # a 3x3 layer and a 1x1 block layer

@@ -485,8 +485,12 @@ def test_einsum_contraction_is_the_two_rounding_loop():
     (3, 20, 3, (7, 8)),  # one output pixel, over the padding for every kernel cell
     (9, 3, 3, (5, 6)), (10, 2, 3, (4, 5)),  # kernel rows whose window holds no output row
 ])
-def test_strided_padded_windows_against_reference(k, stride, padding, hw):
-    # a kernel cell over the padding reads zeros: its products still accumulate
+@pytest.mark.parametrize("block_bytes", [None, 4], ids=["default-blocks", "line-blocks"])
+def test_strided_padded_windows_against_reference(k, stride, padding, hw, block_bytes, monkeypatch):
+    # a kernel cell over the padding reads zeros: its products still accumulate;
+    # with blocks of one output line, each block clips the cell's window to its line
+    if block_bytes is not None:
+        monkeypatch.setattr(inference, "BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(38)
     model = ModelGraph("windows", (2, *hw), [_conv(rng, "c", 4, 2, k, stride=stride, padding=padding,
                                                  pruned=[(0, k - 1), (k - 1, 0)])])
@@ -643,6 +647,29 @@ def test_row_groups_do_not_skip_over_a_non_finite_input():
     for steps in (plans, {lid: inference._conv_steps(model.by_id(lid), every=True) for lid in plans}):
         out = inference._run(model, x, steps, {"a": 1})["pw"][:, 0]
         np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("a_weights, b_weights", [((3e38, -3e38), (1.0, 1.0)), ((3e38, 1.0), (0.0, 1.0))],
+                         ids=["inf-plus-minus-inf", "every-column-zero-times-inf"])
+def test_relu_maps_nan_to_zero(a_weights, b_weights):
+    # "a" overflows 10.0 to inf; "b" sums inf + -inf, or runs every column over
+    # the overflowed input, where its skipped zero weight gives 0 * inf: NaN
+    # either way, which relu, as the scalar loop's ``v if v > 0 else 0``, makes +0.0
+    weights = lambda values, shape: Tensor4(np.array(values, dtype=np.float32).reshape(shape))
+    layers = [
+        LayerSpec("a", "conv2d", (), weights(a_weights, (2, 1, 1, 1))),
+        LayerSpec("b", "conv2d", ("a",), weights(b_weights, (1, 2, 1, 1))),
+        LayerSpec("r", "relu", ("b",)),
+        LayerSpec("g", "global_avg_pool", ("r",)),
+    ]
+    model = ModelGraph("nan-relu", (1, 2, 2), layers)
+    model.validate()
+    x = np.full((1, 1, 2, 2), 10.0, dtype=np.float32)
+    ref = forward_reference(model, x[0])
+    assert ref.tobytes() == np.zeros((1, 1, 1), dtype=np.float32).tobytes()
+    for run in (run_every, run_batch):
+        assert run(model, x)[0].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("profile, cells", [(upaq.hck_profile, 2), (upaq.lck_profile, 3)], ids=["hck", "lck"])

@@ -3,7 +3,8 @@
 Both ``upaq`` packages are imported into one process.  For the three fixtures (seed 42, 64 inputs)
 and perfbench's wide model (8 inputs), dense and compressed under hck and lck, each pair runs A then B
 or B then A in turn; it prints the median of A's time over B's (above 1, B is faster) and the pairs B
-won.  Needs numpy only.
+won.  Before it times anything it runs each case once on both sides, and exits 1 naming the first case
+whose outputs differ in a single bit.  Needs numpy only.
 """
 
 import importlib.util
@@ -54,6 +55,9 @@ if __name__ == "__main__":
     sides = [load(src, f"upaq_{side}") for side, src in zip("ab", sys.argv[1:3])]
     pairs = int(sys.argv[3]) if len(sys.argv) > 3 else 41
     both = [cases(upaq) for upaq in sides]
+    for name in both[0]:
+        if len({sides[side].inference.run_batch(*both[side][name]).tobytes() for side in (0, 1)}) > 1:
+            sys.exit(f"{name}: the outputs of A and B differ")
     for name in both[0]:
         times = ([], [])
         for pair in range(pairs):
