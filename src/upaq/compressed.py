@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import LayerSpec, ModelGraph, Tensor4, infer_shapes
 from .patterns import KernelPattern
+from .quantizer import SUPPORTED_BITS
 
 BLOCK_K = 3  # pattern edge of 1x1 layers: their slices are 3x3 blocks of the flat weights
 MAX_EDGE = 11  # largest kernel edge a compressed layer may have, checked before a payload is sized by it
@@ -51,8 +52,8 @@ class CompressionProfile:
         if not self.quant_bits:
             raise ValidationError("profile declares no quantization bitwidths")
         for b in self.quant_bits:
-            if b not in (4, 8, 16):
-                raise ValidationError(f"profile bitwidth {b} outside supported {{4, 8, 16}}")
+            if b not in SUPPORTED_BITS:
+                raise ValidationError(f"profile bitwidth {b} outside supported {{{', '.join(map(str, SUPPORTED_BITS))}}}")
         if self.candidates < 1:
             raise ValidationError("candidate count must be >= 1")
         for w in self.es_weights:

@@ -8,8 +8,8 @@ Dense payload: float32 weight and bias arrays, laid out per layer in list
 order (weights then bias).  Compressed payload: per layer in list order, the
 float32 bias, then either dense float32 weights (uncompressed layers) or the
 float32 scale table followed by the packed integers; after the layer sections
-come the per-group pattern masks, one bit per kernel cell in row-major order,
-LSB first.
+come the group masks, each its pattern's ``KernelPattern.mask()`` packed LSB
+first, and left undecoded when the pattern's edge is over ``MAX_EDGE`` (11).
 
 A compressed layer has one stored-slot layout whatever its kernel shape: its
 row-major weights form a stack of ``d x d`` slices, ``d`` being its
@@ -49,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .compressed import (
+    MAX_EDGE,
     CompressedGroup,
     CompressedModel,
     CompressionProfile,
@@ -116,17 +117,15 @@ def unpack_slots(data: bytes, slots: np.ndarray, bits: int) -> np.ndarray:
 
 
 def pack_mask(pattern: KernelPattern) -> bytes:
-    """d*d-cell bitmask, row-major cell order, LSB first within each byte."""
-    nbits = pattern.d * pattern.d
-    buf = bytearray(math.ceil(nbits / 8))
-    for r, c in pattern.positions:
-        bit = r * pattern.d + c
-        buf[bit // 8] |= 1 << (bit % 8)
-    return bytes(buf)
+    """``pattern.mask()`` as bits: row-major cell order, LSB first within each byte."""
+    return np.packbits(pattern.mask(), bitorder="little").tobytes()
 
 
 def _positions_from_mask(mask: bytes, d: int) -> tuple[tuple[int, int], ...]:
-    return tuple((bit // d, bit % d) for bit in range(d * d) if mask[bit // 8] >> (bit % 8) & 1)
+    """Inverse of :func:`pack_mask`: the set cells of a d*d-bit mask, in row-major order."""
+    bits = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=d * d, bitorder="little")
+    rows, cols = np.divmod(np.flatnonzero(bits), d)
+    return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +261,8 @@ def _read_group(payload: _Payload, entry: dict, index: int) -> CompressedGroup:
     mask = payload.read(_get(pat, "mask_offset", where), _get(pat, "mask_nbytes", where), root, "group mask")
     if type(d) is not int or d < 1 or len(mask) != -(-d * d // 8):
         raise FormatError(f"{where}: pattern d={d!r} does not fit its {len(mask)}-byte mask")
+    if d > MAX_EDGE:
+        raise FormatError(f"{where}: pattern d={d} is over the bound of {MAX_EDGE}")
     try:
         pattern = KernelPattern(kind=_get(pat, "kind", where), d=d, positions=_positions_from_mask(mask, d))
     except ValueError as exc:

@@ -56,8 +56,6 @@ class KernelPattern:
         n = len(self.positions)
         if n < 1 or n > self.d:
             raise ValueError(f"pattern must keep between 1 and d={self.d} positions, got {n}")
-        if len(set(self.positions)) != n:
-            raise ValueError("pattern positions must be distinct")
         for r, c in self.positions:
             if not (0 <= r < self.d and 0 <= c < self.d):
                 raise ValueError(f"position ({r}, {c}) outside [0, {self.d})")
@@ -73,8 +71,7 @@ class KernelPattern:
     def mask(self) -> np.ndarray:
         """Boolean d x d mask, True at retained positions."""
         m = np.zeros((self.d, self.d), dtype=bool)
-        for r, c in self.positions:
-            m[r, c] = True
+        m[tuple(zip(*self.positions))] = True
         return m
 
 

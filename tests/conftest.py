@@ -8,6 +8,8 @@ import pytest
 
 import upaq
 from upaq import inference
+from upaq.container import pack_mask
+from upaq.patterns import KernelPattern
 
 
 def run_every(model, batch):
@@ -121,6 +123,20 @@ def patch_header(data, edit):
     edit(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return data[:5] + struct.pack("<I", len(raw)) + raw + data[9 + hlen:]
+
+
+def with_long_row_group(data, root, d):
+    """``data`` with ``root``'s group pattern set to a two-cell row of edge ``d``,
+    its mask appended to the payload; every layer shape is left as it was."""
+    mask = pack_mask(KernelPattern("row", d, ((0, 0), (0, 1))))
+    (hlen,) = struct.unpack("<I", data[5:9])
+
+    def point(header):
+        header["payload_nbytes"] += len(mask)
+        (group,) = [g for g in header["groups"] if g["root"] == root]
+        group["pattern"].update(kind="row", d=d, mask_offset=len(data) - 9 - hlen, mask_nbytes=len(mask))
+
+    return patch_header(data + mask, point)
 
 
 def _header_paths(node, path=()):

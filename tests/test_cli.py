@@ -3,8 +3,9 @@ import struct
 
 import pytest
 
-from conftest import patch_header, run_every
+from conftest import patch_header, run_every, with_long_row_group
 from upaq.cli import main
+from upaq.container import dense_payload_nbytes, load_model
 
 
 def _gen(tmp_path, arch="toy-cnn", seed=42):
@@ -58,6 +59,16 @@ def test_compress_run_evaluate_inspect_pipeline(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["format"] == "upaqc"
     assert summary["compression_ratio"] == report["compression_ratio"]
+
+
+def test_inspect_of_a_dense_model(tmp_path, capsys):
+    model_path, _ = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["inspect", str(model_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["format"] == "upaq" and summary["name"] == "toy-cnn"
+    assert (summary["layers"], summary["conv_layers"]) == (6, 3)
+    assert summary["payload_nbytes"] == dense_payload_nbytes(load_model(model_path))
 
 
 def test_exhaustive_pattern_flag(tmp_path, capsys):
@@ -130,6 +141,16 @@ def _non_object_header(data):
     return data[:5] + struct.pack("<I", 2) + b"[]" + data[9 + hlen:]
 
 
+def _cut_in_header(data):
+    (hlen,) = struct.unpack("<I", data[5:9])
+    return data[:9 + hlen - 1]
+
+
+def _non_utf8_header(data):
+    (hlen,) = struct.unpack("<I", data[5:9])
+    return data[:9] + b"\xff" * hlen + data[9 + hlen:]
+
+
 def _short_bias(data):
     def edit(header):
         header["layers"][-1]["bias"]["nbytes"] -= 1
@@ -139,8 +160,10 @@ def _short_bias(data):
 @pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
 @pytest.mark.parametrize("corrupt,message", [
     (_non_object_header, "header is not a JSON object"),
+    (_cut_in_header, "container truncated inside the header"),
+    (_non_utf8_header, "header is not valid JSON"),
     (_short_bias, "layer 'fc': float32 section of 15 bytes is not a multiple of 4"),
-], ids=["non-object-header", "short-bias"])
+], ids=["non-object-header", "cut-in-header", "non-utf8-header", "short-bias"])
 def test_hostile_header_exits_1_with_one_line(tmp_path, capsys, compressed, corrupt, message):
     path, _ = _gen(tmp_path)
     if compressed:
@@ -179,6 +202,17 @@ def test_hostile_header_field_exits_1_with_one_line(tmp_path, capsys, compressed
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"upaq: error: {message}\n"
+
+
+def test_a_pattern_edge_over_the_bound_exits_1_with_one_line(tmp_path, capsys):
+    model_path, _ = _gen(tmp_path, arch="toy-1x1")
+    good = tmp_path / "good.upaqc"
+    assert main(["compress", str(model_path), "-o", str(good), "--profile", "hck", "--seed", "42"]) == 0
+    bad = tmp_path / "bad.upaqc"
+    bad.write_bytes(with_long_row_group(good.read_bytes(), "conv_a", 3000))
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 1
+    assert capsys.readouterr().err == "upaq: error: group 'conv_a': pattern d=3000 is over the bound of 11\n"
 
 
 def test_group_leaves_not_a_list_exits_1(tmp_path, capsys):

@@ -435,6 +435,42 @@ def test_payload_holding_int32_min_rejected(toy_cnn_hck):
         serialize_compressed(broken)
 
 
+def _broken_record(cm, fault):
+    """``cm`` with one fault in its group table or a payload, and the message that names it."""
+    group, conv2 = cm.groups[0], cm.qlayers["conv2"]
+    if fault == "group listed twice":
+        return replace(cm, groups=[group, group]), "layer 'conv1' appears in groups rooted at 'conv1' and 'conv1'"
+    if fault == "member with dense weights and no payload":
+        dense = Tensor4(dequantized_weights(conv2))
+        layers = [replace(layer, weights=dense) if layer.id == "conv2" else layer for layer in cm.layers]
+        qlayers = {k: v for k, v in cm.qlayers.items() if k != "conv2"}
+        return replace(cm, layers=layers, qlayers=qlayers), "group member 'conv2' has no quantized payload"
+    if fault == "payload in no group":
+        return replace(cm, groups=[replace(group, leaf_ids=("conv2",))]), "quantized layer 'conv3' belongs to no group"
+    if fault == "q of another shape":
+        conv2 = replace(conv2, q=conv2.q.reshape(8, 16, 3, 3))
+        message = r"layer 'conv2': q shape \(8, 16, 3, 3\) != declared \(16, 8, 3, 3\)"
+    elif fault == "bitwidth off its group":
+        conv2, message = replace(conv2, bitwidth=4), "layer 'conv2': bitwidth differs from its group"
+    else:
+        assert fault == "one scale short"
+        conv2, message = replace(conv2, scales=conv2.scales[:-1]), "layer 'conv2': expected 128 scales, one per stacked slice"
+    return replace(cm, qlayers={**cm.qlayers, "conv2": conv2}), message
+
+
+@pytest.mark.parametrize("fault", [
+    "group listed twice", "member with dense weights and no payload", "payload in no group",
+    "q of another shape", "bitwidth off its group", "one scale short",
+])
+def test_a_broken_compressed_record_is_refused_by_validate_and_the_writer(toy_cnn_hck, fault):
+    assert toy_cnn_hck.groups[0].bitwidth == 8
+    broken, message = _broken_record(toy_cnn_hck, fault)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        broken.validate()
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        serialize_compressed(broken)
+
+
 def test_empty_model_rejected():
     with pytest.raises(ValidationError, match="no sink layer"):
         compress_model(ModelGraph("m", (1, 4, 4), []), hck_profile())

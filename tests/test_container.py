@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import upaq
-from conftest import copy_model, header_mutations, patch_header
+from conftest import copy_model, header_mutations, patch_header, with_long_row_group
 from oracles import (
     pack_ints,
     read_container,
@@ -20,7 +20,7 @@ from oracles import (
     stored_values_reference,
     unpack_ints,
 )
-from upaq import compressed
+from upaq import compressed, container
 from upaq.compressed import BLOCK_K, MAX_EDGE, dequantized_weights, slice_stack, stored_slots
 from upaq.compressor import _quantize_layer
 from upaq.container import (
@@ -383,12 +383,29 @@ def test_a_kernel_edge_over_the_bound_does_not_load(toy_1x1):
     crafted = patch_header(data + mask, enlarge)
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match=f"layer 'conv_a': kernel edge 1000 is over the bound of {MAX_EDGE}"):
+        with pytest.raises(FormatError, match=f"group 'conv_a': pattern d=1000 is over the bound of {MAX_EDGE}"):
             deserialize_compressed(crafted)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_a_pattern_edge_over_the_bound_is_refused_before_its_mask_is_decoded(toy_1x1, monkeypatch):
+    """A 1.1 MB file whose group declares a 3000-edge pattern: its 9 M-bit mask
+    fits, so only the edge bound keeps the loader from decoding it."""
+    data = serialize_compressed(upaq.compress_model(toy_1x1[0], upaq.hck_profile(seed=42)))
+    crafted = with_long_row_group(data, "conv_a", 3000)
+    assert len(crafted) > 2**20
+    decoded = []
+    decode = container._positions_from_mask
+    monkeypatch.setattr(container, "_positions_from_mask", lambda mask, d: decoded.append(d) or decode(mask, d))
+    deserialize_compressed(data)
+    assert decoded  # the wrapper sees each group's decode
+    decoded.clear()
+    with pytest.raises(FormatError, match=f"^group 'conv_a': pattern d=3000 is over the bound of {MAX_EDGE}$"):
+        deserialize_compressed(crafted)
+    assert all(d <= MAX_EDGE for d in decoded)
 
 
 @pytest.mark.parametrize("k", [MAX_EDGE, MAX_EDGE + 1])

@@ -151,6 +151,24 @@ def test_hostile_sidecar_raises_format_error(tmp_path, toy_cnn, meta, message):
         load_activations(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("{count: 5", "bad shape sidecar"),
+    ("[5, [1, 16, 16]]", "is not a JSON object"),
+], ids=["not-json", "json-list"])
+def test_sidecar_that_is_not_a_json_object_raises_format_error(tmp_path, toy_cnn, text, message):
+    path = tmp_path / "inputs.bin"
+    save_activations(path, toy_cnn[1][:5])
+    inference.sidecar_path(path).write_text(text)
+    with pytest.raises(FormatError, match=rf"inputs\.bin\.json:? {message}"):
+        load_activations(path)
+
+
+def test_save_activations_rejects_an_empty_batch(tmp_path):
+    with pytest.raises(ValidationError, match="^empty activation batch$"):
+        save_activations(tmp_path / "x.bin", np.zeros((0, 1, 4, 4), dtype=np.float32))
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_blob_length_off_its_sidecar_raises_format_error(tmp_path, toy_cnn):
     path = tmp_path / "inputs.bin"
     save_activations(path, toy_cnn[1][:5])

@@ -102,6 +102,35 @@ def test_nonfinite_weights_rejected():
         ModelGraph("m", (1, 4, 4), [layer]).validate()
 
 
+def _relu(lid, inputs, **kw):
+    return LayerSpec(lid, "relu", inputs, **kw)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Tensor4(np.zeros((0, 1, 3, 3))), "Tensor4 must be non-empty"),
+    (lambda: ModelGraph("m", (1, 4, 4), [_conv("a", 1, 1)]).by_id("b"), "unknown layer id 'b'"),
+    (lambda: ModelGraph("m", (1, 4, 4), [_conv("a", 1, 1), _conv("a", 1, 1, inputs=("a",))]).validate(),
+     "duplicate layer id 'a'"),
+    (lambda: ModelGraph("m", (1, 4, 4), [_conv("a", 1, 1), _conv("b", 1, 1), _relu("r", ("a", "b"))]).validate(),
+     "layer 'r': relu takes at most 1 input, got 2"),
+    (lambda: ModelGraph("m", (1, 4, 4), [_conv("a", 1, 1), _relu("r", ("a",), bias=np.zeros(1))]).validate(),
+     "layer 'r': relu must not carry a bias"),
+    (lambda: ModelGraph("m", (1, 4, 4), [replace(_conv("a", 1, 1), bias=np.array([np.nan]))]).validate(),
+     "layer 'a': non-finite bias values"),
+    (lambda: ModelGraph("m", (1, 2, 2), [_conv("a", 1, 1, k=5, padding=0)]).validate(),
+     "layer 'a': kernel larger than padded input"),
+    (lambda: ModelGraph("m", (1, 4, 4), [_conv("a", 2, 1), _conv("b", 1, 1),
+                                         LayerSpec("add", "add", ("a", "b"))]).validate(),
+     r"layer 'add': add operands differ: \(2, 4, 4\) vs \(1, 4, 4\)"),
+    (lambda: ModelGraph("m", (1, 4, 4), [LayerSpec("fc", "linear", (), Tensor4(np.ones((2, 1, 3, 3))))]).validate(),
+     r"layer 'fc': linear weights must be \(out, in, 1, 1\)"),
+], ids=["empty-tensor", "unknown-id", "duplicate-id", "relu-two-inputs", "relu-bias", "nan-bias",
+        "kernel-over-input", "add-shapes", "linear-3x3"])
+def test_each_graph_fault_raises_its_message(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
 def _broken_graph(fault):
     """An unvalidated graph with one fault, and the message that names it."""
     if fault == "input after its consumer":

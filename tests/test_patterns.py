@@ -138,6 +138,14 @@ def test_invalid_pattern_construction():
         KernelPattern("row", 3, ((0, 2), (0, 3)))  # out of range
 
 
+@pytest.mark.parametrize("kind,cell", [("main_diagonal", (0, 0)), ("anti_diagonal", (0, 2)),
+                                       ("row", (1, 0)), ("column", (0, 1))])
+def test_a_repeated_cell_is_not_an_arrangement(kind, cell):
+    # n cells of an arrangement are n distinct cells, so a repeat fails the arrangement check
+    with pytest.raises(ValueError, match=f"are not a {kind} arrangement"):
+        KernelPattern(kind, 3, (cell, cell))
+
+
 def test_split_seed_is_stable_and_label_sensitive():
     assert split_seed(42, "conv1") == split_seed(42, "conv1")
     assert split_seed(42, "conv1") != split_seed(42, "conv2")
