@@ -2,9 +2,9 @@
 
 A compressed model keeps the graph topology, biases, and any uncompressed
 weights dense at float32, while every compressed conv layer is replaced by
-integer weights plus quantization scales: its row-major weights cut into
+its integer slice stack, one scale per slice: its row-major weights cut into
 ``d x d`` slices, ``d`` being its pattern's edge (see :func:`slice_stack`),
-with one scale per slice.  Each payload carries its group's pattern and
+one row of ``d*d`` cells each.  Each payload carries its group's pattern and
 bitwidth, so whatever reads a payload takes ``d`` and the stored cells from
 it; group records tie each root and its leaves to that shared decision.
 
@@ -98,16 +98,16 @@ class CompressedGroup:
 class QuantizedConv:
     """Integer payload of one compressed conv layer.
 
-    ``q`` holds zeros at pruned positions and the signed quantized values at
-    retained positions.  ``scales`` has one entry per ``d x d`` slice of
-    :func:`slice_stack`, ``d`` being the edge of ``pattern``, its group's.
+    ``q`` is the ``(S, d*d)`` slice stack that :func:`stored_slots` indexes,
+    ``d`` being the edge of ``pattern``, its group's: the quantized values on
+    the stored cells, zeros elsewhere.  ``scales`` has one entry per slice.
     An integer ``q`` is stored as int32; any other ``q``, or a value outside
     int32, is a :class:`ValidationError`, not a silent cast.
     """
 
     shape: tuple[int, int, int, int]
     bitwidth: int
-    q: np.ndarray  # int32, shape == shape
+    q: np.ndarray  # int32 (S, d*d) slice stack; unstack(q, shape) has the layer's shape
     scales: np.ndarray  # float32 1-D
     pattern: KernelPattern
 
@@ -164,8 +164,6 @@ class CompressedModel:
 
 def _check_payload(layer_id: str, qc: QuantizedConv, group: CompressedGroup) -> None:
     max_value = 2 ** (qc.bitwidth - 1) - 1
-    if qc.q.shape != qc.shape:
-        raise ValidationError(f"layer {layer_id!r}: q shape {qc.q.shape} != declared {qc.shape}")
     if qc.bitwidth != group.bitwidth:
         raise ValidationError(f"layer {layer_id!r}: bitwidth differs from its group")
     if qc.pattern != group.pattern:
@@ -174,19 +172,20 @@ def _check_payload(layer_id: str, qc: QuantizedConv, group: CompressedGroup) -> 
         slots = stored_slots(qc.shape, qc.pattern)
     except ValidationError as exc:
         raise ValidationError(f"layer {layer_id!r}: {exc}") from None
+    if qc.q.shape != slots.shape:
+        raise ValidationError(f"layer {layer_id!r}: q shape {qc.q.shape} != its slice stack's {slots.shape}")
     if qc.scales.shape[0] != len(slots):
         raise ValidationError(f"layer {layer_id!r}: expected {len(slots)} scales, one per stacked slice")
     # min and max, not np.abs: the absolute value of int32's minimum overflows
     if qc.q.min(initial=0) < -max_value or qc.q.max(initial=0) > max_value:
         raise ValidationError(f"layer {layer_id!r}: quantized value outside symmetric {qc.bitwidth}-bit range")
-    stack = slice_stack(qc.q, qc.pattern.d).reshape(slots.shape)
-    if np.any(stack[~slots]):
+    if np.any(qc.q[~slots]):
         raise ValidationError(f"layer {layer_id!r}: nonzero value outside the block pattern")
     # only a non-finite scale, or one above float32 max / max_value, can dequantize past float32
     scales = qc.scales.astype(np.float64)
     risky = ~(np.abs(scales) <= float(np.finfo(np.float32).max) / max_value)
     with np.errstate(over="ignore", invalid="ignore"):  # rounded as dequantized_weights rounds it
-        largest = (np.abs(stack[risky]).max(axis=1) * scales[risky]).astype(np.float32)
+        largest = (np.abs(qc.q[risky]).max(axis=1) * scales[risky]).astype(np.float32)
     if not np.isfinite(largest).all():
         raise ValidationError(f"layer {layer_id!r}: a scale dequantizes to a non-finite weight")
 
@@ -223,9 +222,7 @@ def unstack(stack: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
 
 def dequantized_weights(qc: QuantizedConv) -> np.ndarray:
     """Float32 weights of one payload, dequantized slice by slice."""
-    q = slice_stack(qc.q, qc.pattern.d)
-    deq = (q * qc.scales.astype(np.float64)[:, None, None]).astype(np.float32)
-    return unstack(deq, qc.shape)
+    return unstack((qc.q * qc.scales.astype(np.float64)[:, None]).astype(np.float32), qc.shape)
 
 
 def slice_edge(shape: tuple[int, int, int, int]) -> int:

@@ -36,7 +36,6 @@ from .compressed import (  # BLOCK_K stays importable from here
     QuantizedConv,
     slice_edge,
     slice_stack,
-    unstack,
 )
 from .container import dense_payload_nbytes
 from .cost import ModelCost, layer_costs, sum_costs
@@ -76,16 +75,17 @@ def calculate_es(
 
     The SQNR addend is the capped mean dB over the group's slices divided by
     40; the cost addends are baseline/candidate ratios, so improvements push
-    them above 1.
+    them above 1.  A term whose baseline and candidate both cost 0 (a model
+    with no conv layer) is 1: nothing was compressed.
     """
-    if candidate.latency <= 0.0:
+    if candidate.latency <= 0.0 < baseline.latency:
         raise ValueError("candidate model has zero latency cost")
-    if candidate.energy <= 0.0:
+    if candidate.energy <= 0.0 < baseline.energy:
         raise ValueError("candidate model has zero energy cost")
     alpha, beta, gamma = weights
     sqnr_term = min(mean_sqnr_db, SQNR_CAP_DB) / SQNR_TERM_SCALE
-    latency_term = baseline.latency / candidate.latency
-    energy_term = baseline.energy / candidate.energy
+    latency_term = baseline.latency / candidate.latency if candidate.latency else 1.0
+    energy_term = baseline.energy / candidate.energy if candidate.energy else 1.0
     total = alpha * sqnr_term + beta * latency_term + gamma * energy_term
     return EfficiencyScore(sqnr_term, latency_term, energy_term, total)
 
@@ -93,11 +93,10 @@ def calculate_es(
 def _quantize_layer(weights: Tensor4, pattern: KernelPattern, bits: int) -> QuantizedConv:
     """Quantize the cells ``pattern`` keeps of a layer's stack of
     ``pattern.d x pattern.d`` slices (see :func:`slice_stack`) in one pass,
-    one scale per slice, stored as the float32 scales that
+    one scale per slice, into the stack's rows and the float32 scales that
     :func:`~upaq.quantizer.quantize_slices` ships."""
     q, _, scale32, _, _ = _quantize_masked(slice_stack(weights.data, pattern.d), bits, pattern.mask())
-    return QuantizedConv(shape=weights.shape, bitwidth=bits, q=unstack(q, weights.shape), scales=scale32,
-                         pattern=pattern)
+    return QuantizedConv(shape=weights.shape, bitwidth=bits, q=q, scales=scale32, pattern=pattern)
 
 
 def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.random.Generator) -> list[KernelPattern]:

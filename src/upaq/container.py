@@ -16,9 +16,10 @@ row-major weights form a stack of ``d x d`` slices, ``d`` being its
 pattern's edge (the kernel slices of a d x d layer, or the zero-padded
 blocks of a 1 x 1 layer's flat weights), one scale per slice, and
 :func:`~upaq.compressed.stored_slots` marks the cells stored in each slice:
-the pattern's cells, less the pad cells of the last block.  The file stores
-each pattern once, in its group's record; the reader hands it to each
-member's payload.
+the pattern's cells, less the pad cells of the last block.  That stack is
+``QuantizedConv.q`` itself: the writer packs it and the reader hands the
+unpacked stack to the payload as it is.  The file stores each pattern once,
+in its group's record; the reader hands it to each member's payload.
 Each slice's stored values are written in row-major cell order as
 two's-complement 4/8/16-bit fields, LSB first, and each slice is padded to a
 byte boundary.
@@ -54,9 +55,7 @@ from .compressed import (
     CompressedModel,
     CompressionProfile,
     QuantizedConv,
-    slice_stack,
     stored_slots,
-    unstack,
 )
 from .errors import FormatError, ValidationError
 from .model import LayerSpec, ModelGraph, Tensor4
@@ -201,12 +200,11 @@ def serialize_compressed(cm: CompressedModel) -> bytes:
             entry["weights"] = _append_weights(blob, layer.weights)
         if layer.id in cm.qlayers:
             qc = cm.qlayers[layer.id]
-            slots = stored_slots(qc.shape, qc.pattern)
             entry["quantized"] = {
                 "shape": list(qc.shape),
                 "bitwidth": qc.bitwidth,
                 "scales": _append(blob, _f32(qc.scales)),
-                "packed": _append(blob, pack_slots(slice_stack(qc.q, qc.pattern.d).reshape(slots.shape), slots, qc.bitwidth)),
+                "packed": _append(blob, pack_slots(qc.q, stored_slots(qc.shape, qc.pattern), qc.bitwidth)),
             }
         entries.append(entry)
     groups = []
@@ -289,8 +287,8 @@ def _read_quantized(payload: _Payload, meta: dict, layer_id: str, pattern: Kerne
     packed = _get(meta, "packed", where, dict)
     if _get(packed, "nbytes", where, int) != nbytes:
         raise FormatError(f"{where}: packed section holds {packed['nbytes']} bytes, expected {nbytes}")
-    stack = unpack_slots(payload.read(_get(packed, "offset", where), nbytes, layer_id, "packed integers"), slots, bits)
-    return QuantizedConv(shape=shape, bitwidth=bits, q=unstack(stack, shape), scales=scales, pattern=pattern)
+    q = unpack_slots(payload.read(_get(packed, "offset", where), nbytes, layer_id, "packed integers"), slots, bits)
+    return QuantizedConv(shape=shape, bitwidth=bits, q=q, scales=scales, pattern=pattern)
 
 
 def save_compressed(cm: CompressedModel, path) -> None:

@@ -15,14 +15,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .compressed import CompressedModel, QuantizedConv, decompress_model, dequantized_weights, slice_stack
+from .compressed import CompressedModel, QuantizedConv, decompress_model, slice_stack
 from .container import compressed_payload_nbytes, dense_payload_nbytes
 from .cost import compression_ratio, model_cost
 from .compressor import calculate_es
 from .errors import ValidationError
 from .inference import run_batch
 from .model import ModelGraph
-from .quantizer import SQNR_CAP_DB, slice_sqnr
+from .quantizer import SQNR_CAP_DB, _error, slice_sqnr
 
 _NORM_FLOOR = 1e-30
 
@@ -111,10 +111,10 @@ def payload_sqnr_db(weights: np.ndarray, qc: QuantizedConv) -> np.ndarray:
     """Per-slice SQNR (dB) of a stored payload against the dense ``weights``
     it was quantized from, by :func:`~upaq.quantizer.slice_sqnr`: the cells
     the payload's pattern keeps of each slice against their dequantized
-    values, the same rule on the same cells that scored the search's
-    candidates."""
+    values ``f32(q * f64(scale))``, the same rule on the same cells that
+    scored the search's candidates."""
     d = qc.pattern.d
     keep = np.flatnonzero(qc.pattern.mask())
     x = slice_stack(weights, d).reshape(-1, d * d).T[keep].astype(np.float64)
-    err = x - slice_stack(dequantized_weights(qc), d).reshape(-1, d * d).T[keep]
+    err = _error(x, qc.q.T[keep].astype(np.float64), qc.scales)
     return slice_sqnr(x, err, d * d - keep.size)[1]

@@ -112,9 +112,7 @@ def slice_sqnr(x: np.ndarray, err: np.ndarray, zeros: int) -> tuple[np.ndarray, 
     itself when the error variance is below ``ERR_VAR_FLOOR``; a zero signal
     variance over a live error gives ``-inf`` dB.
     """
-    # the signal beside the error: one set of row sums for both, never a lone column
-    var = _variance(np.concatenate((x, err), axis=1), zeros)
-    return _sqnr(var[: x.shape[1]], var[x.shape[1]:])
+    return _sqnr(_variance(x, zeros), _variance(err, zeros))
 
 
 def _sqnr(signal_var: np.ndarray, err_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,20 +138,21 @@ def quantize_slices(x: np.ndarray, bits: int, mask: np.ndarray | None = None):
     and a capped SQNR, so callers need no zero case.
     """
     q, scale, scale32, kept, r = _quantize_masked(x, bits, mask)
-    sqnr_linear, sqnr_db = slice_sqnr(kept, _error(kept, r, scale32), q.shape[1] * q.shape[2] - len(kept))
-    return q, scale, sqnr_linear, sqnr_db, scale32
+    sqnr_linear, sqnr_db = slice_sqnr(kept, _error(kept, r, scale32), q.shape[1] - len(kept))
+    return q.reshape(np.shape(x)), scale, sqnr_linear, sqnr_db, scale32
 
 
 def _quantize_masked(x: np.ndarray, bits: int, mask: np.ndarray | None):
-    """:func:`quantize_slices` without the SQNR: ``(q, scale, scale32)``, then
-    the cell-major float64 kept cells and their clipped integers."""
+    """:func:`quantize_slices` without the SQNR, ``q`` in ``(S, h*w)`` rows:
+    ``(q, scale, scale32)``, then the cell-major float64 kept cells and their
+    clipped integers."""
     rows = stack_rows(x)
     keep = slice(None) if mask is None else np.flatnonzero(mask)
     kept = np.ascontiguousarray(rows.T[keep])  # C-ordered, as _cell_sums needs
     r, scale = _scale_and_round(kept, np.abs(kept).max(axis=0), bits)
     q = np.zeros(rows.shape, dtype=np.int32)
     q[:, keep] = r.T
-    return q.reshape(np.shape(x)), scale, shipped_scales(scale, bits), kept, r
+    return q, scale, shipped_scales(scale, bits), kept, r
 
 
 def mean_sqnr_db(rows: np.ndarray, keeps: np.ndarray, bits_list) -> np.ndarray:

@@ -111,6 +111,16 @@ def wide_model(seed=42):
     return model
 
 
+def linear_only_model(seed=7):
+    """A model with no conv layer, one linear 8 -> 3 over a 2x2x2 input, and four inputs."""
+    rng = np.random.default_rng(seed)
+    weights = upaq.Tensor4(rng.uniform(-1, 1, (3, 8, 1, 1)).astype(np.float32))
+    layer = upaq.LayerSpec("fc", "linear", (), weights, rng.uniform(-1, 1, 3).astype(np.float32))
+    model = upaq.ModelGraph(name="linear-only", input_shape=(2, 2, 2), layers=[layer])
+    model.validate()
+    return model, rng.uniform(-1, 1, (4, 2, 2, 2)).astype(np.float32)
+
+
 def copy_model(model):
     """A model sharing no mutable storage with ``model``: every layer copied."""
     return upaq.ModelGraph(model.name, model.input_shape, [layer.copy() for layer in model.layers])
@@ -137,6 +147,15 @@ def with_long_row_group(data, root, d):
         group["pattern"].update(kind="row", d=d, mask_offset=len(data) - 9 - hlen, mask_nbytes=len(mask))
 
     return patch_header(data + mask, point)
+
+
+def with_group_mask(data, root, mask):
+    """``data`` with the mask bytes of ``root``'s group overwritten by ``mask``, of the same length."""
+    (hlen,) = struct.unpack("<I", data[5:9])
+    (group,) = [g for g in json.loads(data[9:9 + hlen])["groups"] if g["root"] == root]
+    assert len(mask) == group["pattern"]["mask_nbytes"]
+    at = 9 + hlen + group["pattern"]["mask_offset"]
+    return data[:at] + mask + data[at + len(mask):]
 
 
 def _header_paths(node, path=()):

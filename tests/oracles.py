@@ -307,7 +307,7 @@ def recount_payload_nbytes(cm):
         for member in group.member_ids:
             qc = cm.qlayers[member]
             total += 4 * qc.scales.size
-            for values in stored_values_reference(qc.q, group.pattern):
+            for values in stored_values_reference(qc.q.reshape(-1)[: math.prod(qc.shape)].reshape(qc.shape), group.pattern):
                 total += math.ceil(len(values) * qc.bitwidth / 8)
     for layer in cm.layers:
         if layer.weights is not None:

@@ -145,7 +145,7 @@ def test_criterion_3_oracle_equivalence():
             shipped = CompressedModel(
                 name=model.name, input_shape=model.input_shape, layers=[layer],
                 groups=[CompressedGroup("conv", (), pattern, bits)],
-                qlayers={"conv": QuantizedConv(weights.shape, bits, q, scales.reshape(-1), pattern)},
+                qlayers={"conv": QuantizedConv(weights.shape, bits, q.reshape(-1, 9), scales.reshape(-1), pattern)},
                 profile=cm.profile,
             )
             shipped.validate()

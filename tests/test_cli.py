@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from conftest import patch_header, run_every, with_long_row_group
+from conftest import linear_only_model, patch_header, run_every, with_group_mask, with_long_row_group
 from upaq.cli import main
 from upaq.container import dense_payload_nbytes, load_model
 
@@ -213,6 +213,49 @@ def test_a_pattern_edge_over_the_bound_exits_1_with_one_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", str(bad)]) == 1
     assert capsys.readouterr().err == "upaq: error: group 'conv_a': pattern d=3000 is over the bound of 11\n"
+
+
+@pytest.mark.parametrize("mask,kept", [(b"\x00\x00", 0), (b"\xff\x01", 9)], ids=["no-cell", "every-cell"])
+def test_group_mask_keeping_no_cell_or_more_than_d_exits_1_with_one_line(tmp_path, capsys, mask, kept):
+    model_path, _ = _gen(tmp_path)
+    good = tmp_path / "good.upaqc"
+    assert main(["compress", str(model_path), "-o", str(good)]) == 0
+    bad = tmp_path / "bad.upaqc"
+    bad.write_bytes(with_group_mask(good.read_bytes(), "conv1", mask))
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"upaq: error: group 'conv1': bad pattern: pattern must keep between 1 and d=3 positions, got {kept}\n"
+    )
+
+
+def test_a_model_with_no_conv_layer_compresses_runs_and_evaluates(tmp_path, capsys):
+    """Nothing is compressed and nothing costs: every verb exits 0, and each
+    cost term of the efficiency score reads 1."""
+    import upaq
+    from upaq.inference import save_activations
+
+    model, inputs = linear_only_model()
+    model_path, inputs_path, out_model = tmp_path / "lin.upaq", tmp_path / "inputs.bin", tmp_path / "lin.upaqc"
+    upaq.save_model(model, model_path)
+    save_activations(inputs_path, inputs)
+    assert main(["compress", str(model_path), "-o", str(out_model)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["groups"] == [] and report["compression_ratio"] == 1.0
+    assert report["computational_cost"] == {
+        "conv_layers": 0, "mean_kernels_per_layer": 0.0, "mean_nnz_per_kernel": 0.0, "product": 0.0, "total_nnz": 0,
+    }
+    assert main(["run", str(out_model), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]) == 0
+    assert main(["inspect", str(out_model)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(model_path), str(out_model), "--inputs", str(inputs_path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    evaluated = json.loads(out.out)
+    assert evaluated["compression_ratio"] == 1.0
+    for key in ("latency_units_base", "latency_units_compressed", "energy_units_base", "energy_units_compressed"):
+        assert evaluated[key] == 0.0
+    assert evaluated["es_total"] == pytest.approx(0.3 * 3 + 0.4 + 0.3)
 
 
 def test_group_leaves_not_a_list_exits_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,8 +25,8 @@ from upaq.compressor import (
     hck_profile,
     lck_profile,
 )
-from upaq.container import serialize_compressed
-from conftest import copy_model
+from upaq.container import deserialize_compressed, serialize_compressed
+from conftest import copy_model, wide_model
 from upaq.cost import model_cost
 from upaq.evaluate import payload_sqnr_db
 from upaq.errors import ValidationError
@@ -94,6 +95,18 @@ def test_calculate_es_caps_sqnr_and_rejects_zero_cost():
     assert capped.sqnr_term == 120.0 / 40.0
     with pytest.raises(ValueError, match="zero latency"):
         calculate_es(10.0, ModelCost(0.0, 1.0), ModelCost(1.0, 1.0), (0.3, 0.4, 0.3))
+    with pytest.raises(ValueError, match="^candidate model has zero energy cost$"):
+        calculate_es(10.0, ModelCost(1.0, 0.0), ModelCost(1.0, 1.0), (0.3, 0.4, 0.3))
+
+
+def test_calculate_es_cost_terms_of_a_model_that_costs_nothing():
+    """A cost term whose baseline and candidate both cost 0 is 1, since
+    nothing was compressed; a zero cost against a nonzero baseline is refused."""
+    es = calculate_es(120.0, ModelCost(0.0, 0.0), ModelCost(0.0, 0.0), (0.3, 0.4, 0.3))
+    assert (es.latency_term, es.energy_term) == (1.0, 1.0)
+    assert es.total == pytest.approx(0.3 * 3 + 0.4 + 0.3)
+    with pytest.raises(ValueError, match="^candidate model has zero latency cost$"):
+        calculate_es(10.0, ModelCost(0.0, 0.0), ModelCost(1.0, 1.0), (0.3, 0.4, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +462,31 @@ def _broken_record(cm, fault):
         return replace(cm, groups=[replace(group, leaf_ids=("conv2",))]), "quantized layer 'conv3' belongs to no group"
     if fault == "q of another shape":
         conv2 = replace(conv2, q=conv2.q.reshape(8, 16, 3, 3))
-        message = r"layer 'conv2': q shape \(8, 16, 3, 3\) != declared \(16, 8, 3, 3\)"
+        message = r"layer 'conv2': q shape \(8, 16, 3, 3\) != its slice stack's \(128, 9\)"
     elif fault == "bitwidth off its group":
         conv2, message = replace(conv2, bitwidth=4), "layer 'conv2': bitwidth differs from its group"
     else:
         assert fault == "one scale short"
         conv2, message = replace(conv2, scales=conv2.scales[:-1]), "layer 'conv2': expected 128 scales, one per stacked slice"
     return replace(cm, qlayers={**cm.qlayers, "conv2": conv2}), message
+
+
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1", "wide"])
+@pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
+def test_a_payload_is_its_slice_stack(arch, profile):
+    """Each payload's ``q`` is the (S, d*d) stack ``stored_slots`` indexes, as
+    built and as loaded; the same integers in the layer's shape are refused,
+    naming the layer."""
+    model = wide_model() if arch == "wide" else upaq.gen_fixture(arch, 42)[0]
+    cm = upaq.compress_model(model, profile(seed=42))
+    for built in (cm, deserialize_compressed(serialize_compressed(cm))):
+        for qc in built.qlayers.values():
+            assert qc.q.shape == stored_slots(qc.shape, qc.pattern).shape
+    for layer_id, qc in cm.qlayers.items():
+        layered = replace(qc, q=unstack(qc.q, qc.shape))
+        message = f"layer {layer_id!r}: q shape {qc.shape} != its slice stack's {qc.q.shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            replace(cm, qlayers={**cm.qlayers, layer_id: layered}).validate()
 
 
 @pytest.mark.parametrize("fault", [

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import upaq
-from conftest import copy_model, header_mutations, patch_header, with_long_row_group
+from conftest import copy_model, header_mutations, patch_header, with_group_mask, with_long_row_group
 from oracles import (
     pack_ints,
     read_container,
@@ -489,6 +489,15 @@ def test_group_pattern_kind_off_its_mask_raises_format_error(toy_cnn_hck, kind):
         deserialize_compressed(patch_header(data, lambda h: h["groups"][0]["pattern"].update(kind=kind)))
 
 
+@pytest.mark.parametrize("mask,kept", [(b"\x00\x00", 0), (b"\x0f\x00", 4), (b"\xff\x01", 9)],
+                         ids=["no-cell", "d-plus-one", "every-cell"])
+def test_group_mask_keeping_no_cell_or_more_than_d_raises_format_error(toy_cnn_hck, mask, kept):
+    data = with_group_mask(serialize_compressed(toy_cnn_hck), "conv1", mask)
+    message = f"group 'conv1': bad pattern: pattern must keep between 1 and d=3 positions, got {kept}"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        deserialize_compressed(data)
+
+
 @pytest.mark.parametrize("field", ["mask_offset", "mask_nbytes"])
 @pytest.mark.parametrize("value", ["0", None, 1.5, [2]])
 def test_group_mask_section_not_an_int_raises_format_error(toy_cnn_hck, field, value):
@@ -542,7 +551,7 @@ def test_scale_that_dequantizes_to_non_finite_fails_at_load(toy_cnn_hck, scale):
     with pytest.raises(FormatError, match="layer 'conv1': a scale dequantizes to a non-finite weight"):
         deserialize_compressed(patched)
     cm = deserialize_compressed(data)
-    assert np.abs(cm.qlayers["conv1"].q[0, 0]).max() == 127
+    assert np.abs(cm.qlayers["conv1"].q[0]).max() == 127
     cm.qlayers["conv1"].scales[0] = scale
     with pytest.raises(ValidationError, match="non-finite weight"):
         cm.validate()

@@ -8,7 +8,7 @@ from upaq.compressed import CompressedGroup, CompressedModel, CompressionProfile
 from upaq.container import compressed_payload_nbytes, dense_payload_nbytes
 from upaq.cost import compression_ratio
 from upaq.errors import ValidationError
-from conftest import copy_model, run_every, single_conv_model, wide_model
+from conftest import copy_model, linear_only_model, run_every, single_conv_model, wide_model
 from oracles import recount_payload_nbytes
 from upaq.evaluate import evaluate_fidelity, model_sqnr_db, payload_sqnr_db
 from upaq.model import LayerSpec, ModelGraph, Tensor4
@@ -47,7 +47,7 @@ def _lossless_pair(seed=51):
             LayerSpec("g", "global_avg_pool", ("c",)),
         ],
         groups=[CompressedGroup("c", (), pattern, bits)],
-        qlayers={"c": QuantizedConv((2, 1, 3, 3), bits, q, scales, pattern)},
+        qlayers={"c": QuantizedConv((2, 1, 3, 3), bits, q.reshape(2, 9), scales, pattern)},
         profile=CompressionProfile("custom", (8,), candidates=1, exhaustive=True),
         base_payload_nbytes=dense_payload_nbytes(base),
     )
@@ -226,6 +226,41 @@ def test_model_sqnr_db_equals_slice_loop(toy_cnn, toy_residual, toy_1x1):
     base, lossless, _ = _lossless_pair()
     assert per_slice(base, lossless) == _slice_sqnr_db_loop(base, lossless)
     assert model_sqnr_db(base, lossless) == SQNR_CAP_DB
+
+
+def test_all_zero_sinks_agree():
+    """Both sinks all zero, a relu after a conv whose bias outweighs any
+    input: the relative error is 0 and the cosine 1."""
+    rng = np.random.default_rng(5)
+    weights = Tensor4(rng.uniform(-0.1, 0.1, (2, 1, 3, 3)).astype(np.float32))
+    layers = [LayerSpec("c", "conv2d", (), weights, np.full(2, -10.0, dtype=np.float32), 1, 1),
+              LayerSpec("r", "relu", ("c",))]
+    base = ModelGraph("dark", (1, 6, 6), layers)
+    cm = upaq.compress_model(base, upaq.hck_profile(seed=42))
+    inputs = rng.uniform(-1, 1, (4, 1, 6, 6)).astype(np.float32)
+    assert not run_every(base, inputs).any() and not run_every(upaq.decompress_model(cm), inputs).any()
+    report = evaluate_fidelity(base, cm, inputs)
+    assert report.mean_rel_err == 0.0
+    assert report.cosine_sim == 1.0
+
+
+def test_a_model_with_no_conv_layer_evaluates_as_uncompressed():
+    base, inputs = linear_only_model()
+    cm = upaq.compress_model(base, upaq.hck_profile(seed=42))
+    assert not cm.groups and not cm.qlayers
+    report = evaluate_fidelity(base, cm, inputs)
+    assert report.compression_ratio == 1.0
+    assert report.latency_units_base == report.latency_units_compressed == 0.0
+    assert report.energy_units_base == report.energy_units_compressed == 0.0
+    assert report.es_total == pytest.approx(0.3 * 3 + 0.4 + 0.3)
+
+
+def test_model_sqnr_db_rejects_a_base_member_without_weights(toy_cnn, toy_cnn_hck):
+    other = copy_model(toy_cnn[0])
+    root = toy_cnn_hck.groups[0].root_id
+    other.by_id(root).weights = None
+    with pytest.raises(ValidationError, match=f"^layer {root!r}: base model has no weights$"):
+        model_sqnr_db(other, toy_cnn_hck)
 
 
 def test_model_sqnr_db_rejects_mismatched_base(toy_cnn, toy_cnn_hck):

@@ -3,8 +3,9 @@
 Both ``upaq`` packages are imported into one process.  For the three fixtures (seed 42, 64 inputs)
 and perfbench's wide model (8 inputs), dense and compressed under hck and lck, each pair runs A then B
 or B then A in turn; it prints the median of A's time over B's (above 1, B is faster) and the pairs B
-won.  Before it times anything it runs each case once on both sides, and exits 1 naming the first case
-whose outputs differ in a single bit.  Needs numpy only.
+won.  Before it times anything it checks that both sides give the same bytes, and exits 1 naming the
+first case that differs: each timed case's outputs, and each model's ``.upaqc`` bytes and evaluate
+report under hck and lck, with drawn and with exhaustive patterns.  Needs numpy only.
 """
 
 import importlib.util
@@ -39,11 +40,15 @@ def wide(upaq):
     return upaq.ModelGraph("wide", (3, 32, 32), layers), rng.uniform(-1, 1, (8, 3, 32, 32)).astype(np.float32)
 
 
+def models(upaq):
+    """``{arch: (model, batch)}`` for the three fixtures and the wide model."""
+    return {arch: upaq.gen_fixture(arch, 42) for arch in upaq.fixtures.ARCH_NAMES} | {"wide": wide(upaq)}
+
+
 def cases(upaq):
     """``{name: (model, batch)}`` for every model, dense and decompressed under hck and lck."""
-    models = {arch: upaq.gen_fixture(arch, 42) for arch in upaq.fixtures.ARCH_NAMES} | {"wide": wide(upaq)}
     out = {}
-    for arch, (model, batch) in models.items():
+    for arch, (model, batch) in models(upaq).items():
         out[f"{arch} dense"] = (model, batch)
         for profile in (upaq.hck_profile, upaq.lck_profile):
             cm = upaq.compress_model(model, profile(seed=42))
@@ -51,13 +56,29 @@ def cases(upaq):
     return out
 
 
+def artifacts(upaq, timed):
+    """``{name: bytes}``: each timed case's outputs, then each model's container and evaluate report
+    under hck and lck, drawn and exhaustive."""
+    out = {f"{name} outputs": upaq.inference.run_batch(*case).tobytes() for name, case in timed.items()}
+    for arch, (model, batch) in models(upaq).items():
+        for profile in (upaq.hck_profile, upaq.lck_profile):
+            for exhaustive in (False, True):
+                cm = upaq.compress_model(model, profile(seed=42, exhaustive=exhaustive))
+                name = f"{arch} {cm.profile.name}{' all' if exhaustive else ''}"
+                out[f"{name} .upaqc"] = upaq.container.serialize_compressed(cm)
+                out[f"{name} evaluate"] = upaq.evaluate_fidelity(model, cm, batch).to_json().encode()
+    return out
+
+
 if __name__ == "__main__":
     sides = [load(src, f"upaq_{side}") for side, src in zip("ab", sys.argv[1:3])]
     pairs = int(sys.argv[3]) if len(sys.argv) > 3 else 41
     both = [cases(upaq) for upaq in sides]
-    for name in both[0]:
-        if len({sides[side].inference.run_batch(*both[side][name]).tobytes() for side in (0, 1)}) > 1:
-            sys.exit(f"{name}: the outputs of A and B differ")
+    checked = [artifacts(upaq, timed) for upaq, timed in zip(sides, both)]
+    for name in checked[0]:
+        if checked[0][name] != checked[1][name]:
+            sys.exit(f"{name}: A and B differ")
+    print(f"{len(checked[0])} outputs, containers and reports identical")
     for name in both[0]:
         times = ([], [])
         for pair in range(pairs):
