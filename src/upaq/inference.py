@@ -37,10 +37,21 @@ overflowed.  A plan that skips nothing never scans its input.
 A chunk holds as many inputs as fit ``CHUNK_BYTES`` in the model's largest
 activation (4 inputs of 64x32x32).  Each activation is dropped after its last
 consumer, and relu and add write over a source nothing else reads, so memory
-stays bounded for any batch.  :func:`run_batch` takes the finite ``(B, C, H,
-W)`` array that ``upaq run`` and ``upaq evaluate`` read, and writes the sinks
-to one ``(B, *sink)`` array.  It checks the graph it is given as it takes its
-shapes (:func:`~upaq.model.infer_shapes`): a bad graph is a ValidationError.
+stays bounded for any batch.  A batch of more than one chunk is split over
+``workers = min(CPUs, chunk)`` threads, CPUs being those this process may run
+on (:func:`usable_cpus`): each runs chunks of ``chunk // workers`` inputs,
+worker ``w`` taking every ``workers``-th of them from the ``w``-th, and the
+calling thread runs share 0.  At most ``chunk`` inputs are in flight, as on
+one thread, plus one contraction buffer per extra thread; einsum releases the
+GIL, so the shares overlap.  Each chunk writes only its own rows of the output
+and the plans are built before any thread starts, so the bits are the same for
+any CPU count.  A batch of one chunk starts no thread.  :func:`run_batch`
+takes the finite ``(B, C, H, W)`` array that ``upaq run`` and ``upaq
+evaluate`` read, and writes the sinks to one ``(B, *sink)`` array.  It checks
+the graph it is given as it takes its shapes
+(:func:`~upaq.model.infer_shapes`): a bad graph is a ValidationError.  It casts
+the batch to float32 and checks it finite, naming the first bad input, before
+any thread starts: an input past float32's range is inf, and named so.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -105,25 +117,64 @@ def forward_compressed(cm: CompressedModel, input_act: Activation, sparse: bool 
 
 def run_batch(model: ModelGraph, batch: np.ndarray) -> np.ndarray:
     """Run the model over a finite ``(B, C, H, W)`` array, as :func:`load_activations`
-    gives it; returns the sinks as one ``(B, *sink)`` float32 array."""
+    gives it; returns the sinks as one ``(B, *sink)`` float32 array.
+
+    A batch of more than one chunk is split over up to one thread per usable
+    CPU, the calling thread running one share; every thread is joined before
+    this returns or raises."""
     if batch.shape[1:] != model.input_shape:
         raise ValidationError(f"input shape {batch.shape[1:]} does not match model input {model.input_shape}")
     shapes = infer_shapes(model)
     largest = max(math.prod(shape) for shape in (model.input_shape, *shapes.values()))
     chunk = max(1, CHUNK_BYTES // (4 * largest))
+    if batch.dtype != np.float32:  # an input past float32's range casts to inf, which the check below names
+        with np.errstate(over="ignore"):
+            batch = batch.astype(np.float32)
+    for lo in range(0, len(batch), chunk):
+        if not np.isfinite(part := batch[lo:lo + chunk]).all():
+            bad = lo + int(np.flatnonzero(~np.isfinite(part).reshape(len(part), -1).all(axis=1))[0])
+            raise ValidationError(f"input {bad} contains non-finite values")
     plans = {layer.id: _conv_steps(layer) for layer in model.layers if layer.weights is not None}
     last_use = {src: idx for idx, layer in enumerate(model.layers) for src in layer.inputs}
     sink_id = model.layers[-1].id  # a checked graph's one sink
     out = np.empty((len(batch), *shapes[sink_id]), dtype=np.float32)
-    for lo in range(0, len(batch), chunk):
-        x = np.ascontiguousarray(batch[lo:lo + chunk].transpose(1, 0, 2, 3), dtype=np.float32)
-        if not np.isfinite(x).all():
-            bad = lo + int(np.flatnonzero(~np.isfinite(x).all(axis=(0, 2, 3)))[0])
-            raise ValidationError(f"input {bad} contains non-finite values")
-        # no name keeps this chunk's sink alive while the next chunk runs
-        out[lo:lo + chunk] = np.moveaxis(_run(model, x, plans, last_use)[sink_id], 1, 0)
-        _finite(out[lo:lo + chunk])
+    # each share runs chunks of chunk // workers inputs, so at most chunk inputs are in flight
+    workers = min(usable_cpus(), chunk) if len(batch) > chunk else 1
+    step = chunk // workers
+    starts = range(0, len(batch), step)
+    errors: list[BaseException | None] = [None] * workers
+
+    def share(w: int) -> None:
+        try:
+            for lo in starts[w::workers]:
+                x = np.ascontiguousarray(batch[lo:lo + step].transpose(1, 0, 2, 3))
+                # no name keeps this chunk's sink alive while the next chunk runs
+                out[lo:lo + step] = np.moveaxis(_run(model, x, plans, last_use)[sink_id], 1, 0)
+                _finite(out[lo:lo + step])
+        except BaseException as exc:  # re-raised by the caller once every share has stopped
+            errors[w] = exc
+
+    threads = [threading.Thread(target=share, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        share(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return out
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: :func:`run_batch` splits a batch of
+    more than one chunk over up to this many threads."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run(model: ModelGraph, x: np.ndarray, plans, last_use: dict[str, int]) -> dict[str, np.ndarray]:

@@ -24,12 +24,14 @@ def run_every(model, batch):
 def pytest_report_header(config):
     """Name the numpy build the bit-exact engine tests ran on: its einsum and
     reductions are compiled for the SIMD baseline, the dispatched kernels for
-    the rest."""
+    the rest.  Also name the CPUs ``run_batch`` splits a batch of more than one
+    chunk over: with one, its threaded path ran only where a test patched the count."""
     try:
         simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
     except TypeError:  # numpy before 1.26 only prints its configuration
         simd = {}
-    return f"numpy {np.__version__}: SIMD baseline {simd.get('baseline', '?')}, found {simd.get('found', '?')}"
+    return (f"numpy {np.__version__}: SIMD baseline {simd.get('baseline', '?')}, found {simd.get('found', '?')}; "
+            f"engine CPUs {inference.usable_cpus()}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

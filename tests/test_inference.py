@@ -1,6 +1,9 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +389,17 @@ def test_non_finite_input_is_rejected_naming_its_index(chunk, monkeypatch):
         run_batch(model, batch)
 
 
+def test_float64_input_past_float32_is_named_without_a_warning(toy_cnn):
+    # 1e39 is finite in float64 but inf once cast to the engine's float32
+    model, _ = toy_cnn
+    batch = np.zeros((3, 1, 16, 16))
+    batch[1, 0, 5, 5] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^input 1 contains non-finite values$"):
+            run_batch(model, batch)
+
+
 # ---------------------------------------------------------------------------
 # channel-major layout: flatten order, output blocks, windows, chunk edges
 # ---------------------------------------------------------------------------
@@ -559,6 +573,122 @@ def test_memory_stays_bounded_for_any_batch():
     # the three extra chunks may only add their output rows, not chunk working memory
     assert four_peak - one_peak <= 3 * chunk * row + 64 * 1024
     assert four_out[:chunk].tobytes() == one_out.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a batch of more than one chunk split over threads
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def counted_threads(monkeypatch):
+    """The list of every ``threading.Thread`` the test starts."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+@pytest.fixture(scope="module")
+def residual_case():
+    """A pruned residual model over (2, 6, 6), 13 inputs, and each input run alone over every column."""
+    rng = np.random.default_rng(41)
+    layers = [
+        _conv(rng, "a", 8, 2, 3, padding=1, pruned=[(0, 1)]),
+        LayerSpec("ra", "relu", ("a",)),
+        _conv(rng, "b", 8, 8, 3, ("ra",), padding=1, pruned=[(2, 2), (1, 0)]),
+        LayerSpec("sum", "add", ("b", "ra")),
+        LayerSpec("fc", "linear", ("sum",), Tensor4(rng.uniform(-1, 1, (4, 8 * 6 * 6, 1, 1)).astype(np.float32)),
+                  rng.uniform(-1, 1, 4).astype(np.float32)),
+    ]
+    model = ModelGraph("residual-small", (2, 6, 6), layers)
+    model.validate()
+    xs = _inputs(rng, (2, 6, 6), 13)
+    singles = [run_every(model, xs[i:i + 1])[0].tobytes() for i in range(len(xs))]
+    for idx in (0, 12):
+        assert singles[idx] == forward_reference(model, xs[idx]).tobytes()
+    return model, xs, singles
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("chunk", [5, 6])
+def test_threaded_shares_give_the_bytes_of_one_input_at_a_time(residual_case, chunk, cpus, counted_threads,
+                                                               monkeypatch):
+    # 6, 11 and 13 inputs straddle the chunk edges; 8 CPUs are more threads than cores
+    model, xs, singles = residual_case
+    monkeypatch.setattr(inference, "CHUNK_BYTES", chunk * 4 * _largest_activation(model))
+    monkeypatch.setattr(inference, "usable_cpus", lambda: cpus)
+    run_chunk, sizes = inference._run, []
+    monkeypatch.setattr(inference, "_run", lambda m, x, *rest: sizes.append(x.shape[1]) or run_chunk(m, x, *rest))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for size in (chunk, chunk + 1, 2 * chunk - 1, 13):
+            workers = min(cpus, chunk) if size > chunk else 1
+            for run in (run_every, run_batch):
+                counted_threads.clear()
+                sizes.clear()
+                assert [out.tobytes() for out in run(model, xs[:size])] == singles[:size], (size, run)
+                assert len(counted_threads) == workers - 1
+                assert not any(thread.is_alive() for thread in counted_threads)
+                # so at most one chunk of inputs is in flight over all the threads
+                assert sum(sizes) == size and max(sizes) == min(size, chunk // workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_batch_of_one_chunk_starts_no_thread(toy_cnn, monkeypatch):
+    model, inputs = toy_cnn
+    assert inference.CHUNK_BYTES // (4 * _largest_activation(model)) == len(inputs)
+    monkeypatch.setattr(inference, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(threading, "Thread", _no_thread)
+    for size in (1, len(inputs)):
+        assert run_batch(model, inputs[:size]).tobytes() == run_every(model, inputs[:size]).tobytes()
+
+
+def _overflow_model():
+    """A 1x1 conv whose channel 0 overflows to inf on any input above 1.2."""
+    layer = LayerSpec("a", "conv2d", (), Tensor4(np.array([3e38, 1.0], dtype=np.float32).reshape(2, 1, 1, 1)))
+    model = ModelGraph("overflow", (1, 3, 4), [layer])
+    model.validate()
+    return model
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("bad", [0, 3, 6], ids=["caller-share", "worker-share", "last-worker-chunk"])
+def test_an_overflow_in_any_share_raises_and_leaves_no_thread(bad, counted_threads, monkeypatch):
+    # chunks of 2 over 2 CPUs: shares of 1 input, the caller taking even inputs and a thread odd ones
+    model = _overflow_model()
+    monkeypatch.setattr(inference, "CHUNK_BYTES", 2 * 4 * _largest_activation(model))
+    monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
+    batch = np.zeros((7, 1, 3, 4), dtype=np.float32)
+    baseline = threading.active_count()
+    assert run_batch(model, batch).tobytes() == np.zeros((7, 2, 3, 4), dtype=np.float32).tobytes()
+    batch[bad] = 10.0
+    with pytest.raises(ValidationError, match="^activation contains non-finite values$"):
+        run_batch(model, batch)
+    assert len(counted_threads) == 2
+    assert threading.active_count() == baseline
+
+
+def test_a_non_finite_input_in_a_worker_chunk_is_named_before_any_thread(monkeypatch):
+    model = _overflow_model()
+    monkeypatch.setattr(inference, "CHUNK_BYTES", 2 * 4 * _largest_activation(model))
+    monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", _no_thread)
+    batch = np.zeros((6, 1, 3, 4), dtype=np.float32)
+    batch[3, 0, 1, 2] = np.nan  # in the second chunk, in the thread's share
+    batch[5] = np.inf
+    with pytest.raises(ValidationError, match="^input 3 contains non-finite values$"):
+        run_batch(model, batch)
 
 
 def test_global_avg_pool_sums_in_blocks_without_a_full_size_temporary():

@@ -1,14 +1,18 @@
-"""Time ``run_batch`` of two source trees in interleaved pairs: ``python tools/ab.py A/src B/src [PAIRS]``.
+"""Time the engine of two source trees in interleaved pairs: ``python tools/ab.py A/src B/src [PAIRS]``.
 
 Both ``upaq`` packages are imported into one process.  For the three fixtures (seed 42, 64 inputs)
-and perfbench's wide model (8 inputs), dense and compressed under hck and lck, each pair runs A then B
-or B then A in turn; it prints the median of A's time over B's (above 1, B is faster) and the pairs B
-won.  Before it times anything it checks that both sides give the same bytes, and exits 1 naming the
-first case that differs: each timed case's outputs, and each model's ``.upaqc`` bytes and evaluate
-report under hck and lck, with drawn and with exhaustive patterns.  Needs numpy only.
+and perfbench's wide model (8 inputs), dense and compressed under hck and lck, and for
+``evaluate_fidelity`` of the wide model under hck, each pair runs A then B or B then A in turn; it
+prints the median of A's time over B's (above 1, B is faster) and the pairs B won.  Its first line
+names the CPUs this process may run on, which a batch of more than one chunk may be split over.
+Before it times anything it checks that both sides give the same bytes, and exits 1 naming the first
+case that differs: each timed case's outputs, and each model's ``.upaqc`` bytes and evaluate report
+under hck and lck, with drawn and with exhaustive patterns.  Needs numpy only.
 """
 
+import functools
 import importlib.util
+import os
 import statistics
 import sys
 import time
@@ -46,20 +50,29 @@ def models(upaq):
 
 
 def cases(upaq):
-    """``{name: (model, batch)}`` for every model, dense and decompressed under hck and lck."""
+    """``{name: call}``: ``run_batch`` of every model, dense and decompressed under hck and lck,
+    then ``evaluate_fidelity`` of the wide model under hck."""
     out = {}
     for arch, (model, batch) in models(upaq).items():
-        out[f"{arch} dense"] = (model, batch)
+        out[f"{arch} dense"] = functools.partial(upaq.inference.run_batch, model, batch)
         for profile in (upaq.hck_profile, upaq.lck_profile):
             cm = upaq.compress_model(model, profile(seed=42))
-            out[f"{arch} {cm.profile.name}"] = (upaq.decompress_model(cm), batch)
-    return out
+            out[f"{arch} {cm.profile.name}"] = functools.partial(upaq.inference.run_batch,
+                                                                 upaq.decompress_model(cm), batch)
+    model, batch = wide(upaq)
+    cm = upaq.compress_model(model, upaq.hck_profile(seed=42))
+    return out | {"wide hck evaluate": functools.partial(upaq.evaluate_fidelity, model, cm, batch)}
+
+
+def result_bytes(result):
+    """A ``run_batch`` output's bytes, or an evaluate report's JSON."""
+    return result.tobytes() if isinstance(result, np.ndarray) else result.to_json().encode()
 
 
 def artifacts(upaq, timed):
     """``{name: bytes}``: each timed case's outputs, then each model's container and evaluate report
     under hck and lck, drawn and exhaustive."""
-    out = {f"{name} outputs": upaq.inference.run_batch(*case).tobytes() for name, case in timed.items()}
+    out = {f"{name} outputs": result_bytes(call()) for name, call in timed.items()}
     for arch, (model, batch) in models(upaq).items():
         for profile in (upaq.hck_profile, upaq.lck_profile):
             for exhaustive in (False, True):
@@ -71,6 +84,8 @@ def artifacts(upaq, timed):
 
 
 if __name__ == "__main__":
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    print(f"{cpus} usable CPUs")
     sides = [load(src, f"upaq_{side}") for side, src in zip("ab", sys.argv[1:3])]
     pairs = int(sys.argv[3]) if len(sys.argv) > 3 else 41
     both = [cases(upaq) for upaq in sides]
@@ -84,7 +99,7 @@ if __name__ == "__main__":
         for pair in range(pairs):
             for side in (0, 1) if pair % 2 == 0 else (1, 0):
                 start = time.perf_counter()
-                sides[side].inference.run_batch(*both[side][name])
+                both[side][name]()
                 times[side].append(time.perf_counter() - start)
         ratio = statistics.median(a / b for a, b in zip(*times))
         print(f"{name:18} A/B {ratio:5.3f}  B faster in {sum(a > b for a, b in zip(*times))}/{pairs}")
