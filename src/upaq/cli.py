@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -127,7 +128,6 @@ def _cmd_compress(args) -> int:
     cm = compress_model(model, profile)
     save_compressed(cm, args.out)
 
-    summary = computational_cost(cm)
     base_cost, comp_cost = model_cost(model), model_cost(cm)
     report = {
         "model": model.name,
@@ -136,14 +136,8 @@ def _cmd_compress(args) -> int:
         "seed": args.seed,
         "patterns": "all" if exhaustive else candidates,
         "groups": compression_decisions(cm),
-        "compression_ratio": compression_ratio(dense_payload_nbytes(model), compressed_payload_nbytes(cm)),
-        "computational_cost": {
-            "conv_layers": summary.conv_layer_count,
-            "mean_kernels_per_layer": summary.mean_kernels_per_layer,
-            "mean_nnz_per_kernel": summary.mean_nnz_per_kernel,
-            "product": summary.product,
-            "total_nnz": summary.total_nnz,
-        },
+        "compression_ratio": compression_ratio(cm.base_payload_nbytes, compressed_payload_nbytes(cm)),
+        "computational_cost": asdict(computational_cost(cm)),
         "latency_units": {"base": base_cost.latency, "compressed": comp_cost.latency},
         "energy_units": {"base": base_cost.energy, "compressed": comp_cost.energy},
     }

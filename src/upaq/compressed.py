@@ -226,9 +226,12 @@ def dequantized_weights(qc: QuantizedConv) -> np.ndarray:
 
 
 def slice_edge(shape: tuple[int, int, int, int]) -> int:
-    """Edge of the slices a square kernel is stored in: its own, or
-    ``BLOCK_K`` for a 1 x 1 kernel, whose flat weights form the blocks.
-    An edge over ``MAX_EDGE`` is refused before anything is sized by it."""
+    """Edge of the slices a kernel is stored in: its own, or ``BLOCK_K``
+    for a 1 x 1 kernel, whose flat weights form the blocks.  A non-square
+    kernel is refused, and an edge over ``MAX_EDGE`` before anything is
+    sized by it."""
+    if shape[2] != shape[3]:
+        raise ValidationError(f"a {shape[2]}x{shape[3]} kernel is non-square: only square kernels are stored")
     if shape[3] > MAX_EDGE:
         raise ValidationError(f"kernel edge {shape[3]} is over the bound of {MAX_EDGE}")
     return BLOCK_K if shape[3] == 1 else shape[3]
@@ -239,14 +242,11 @@ def stored_slots(shape: tuple[int, int, int, int], pattern: KernelPattern) -> np
     slice stack: ``pattern.mask() & valid``, where the pad cells of a 1 x 1
     layer's last block are not valid.  Each row lists its slice's cells in
     row-major order, the order the container packs the stored values in.
-    Only a square kernel whose :func:`slice_edge` is ``d`` stacks into them.
+    Only a kernel whose :func:`slice_edge` is ``d`` stacks into them.
     """
     d = pattern.d
-    if tuple(shape[2:]) not in ((1, 1), (d, d)):
-        raise ValidationError(
-            f"a {tuple(shape)} payload does not stack into {d}x{d} slices: its kernel is not 1x1 or {d}x{d}"
-        )
-    if slice_edge(shape) != d:
-        raise ValidationError(f"a {tuple(shape)} payload is stored as {BLOCK_K}x{BLOCK_K} blocks, not {d}x{d} slices")
+    if (edge := slice_edge(shape)) != d:
+        kind = "blocks" if shape[3] == 1 else "slices"
+        raise ValidationError(f"a {tuple(shape)} payload is stored as {edge}x{edge} {kind}, not {d}x{d} slices")
     valid = slice_stack(np.ones(shape, dtype=bool), d)
     return (valid & pattern.mask()).reshape(len(valid), -1)

@@ -140,8 +140,6 @@ def _search_group(
     with its stored-slot count and bitwidth.
     """
     root = model.by_id(group.root_id).weights  # a conv of a checked model: it has weights
-    if root.kh != root.kw:
-        raise ValidationError(f"layer {group.root_id!r}: non-square kernels are unsupported")
     try:
         d = slice_edge(root.shape)
     except ValidationError as exc:

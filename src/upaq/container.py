@@ -184,7 +184,7 @@ def compressed_payload_nbytes(cm: CompressedModel) -> int:
     total = dense_payload_nbytes(cm)  # the biases and uncompressed weights
     for qc in cm.qlayers.values():
         total += 4 * qc.scales.size + packed_layer_nbytes(qc)
-    return total + sum(math.ceil(group.pattern.d ** 2 / 8) for group in cm.groups)
+    return total + sum(len(pack_mask(group.pattern)) for group in cm.groups)
 
 
 def serialize_compressed(cm: CompressedModel) -> bytes:

@@ -29,10 +29,10 @@ DENSE_BITS = 32
 class CostSummary:
     """Nonzero-weight accounting in both the product and exact sum forms."""
 
-    conv_layer_count: int
+    conv_layers: int
     mean_kernels_per_layer: float
     mean_nnz_per_kernel: float
-    product: float  # conv_layer_count * mean_kernels * mean_nnz
+    product: float  # conv_layers * mean_kernels * mean_nnz
     total_nnz: int  # exact sum over layers and kernel slices
 
 
@@ -101,7 +101,7 @@ def computational_cost(model) -> CostSummary:
     mean_kernels = total_kernels / layer_count
     mean_nnz = total_nnz / total_kernels if total_kernels else 0.0
     return CostSummary(
-        conv_layer_count=layer_count,
+        conv_layers=layer_count,
         mean_kernels_per_layer=mean_kernels,
         mean_nnz_per_kernel=mean_nnz,
         product=layer_count * mean_kernels * mean_nnz,

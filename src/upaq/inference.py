@@ -46,12 +46,13 @@ one thread, plus one contraction buffer per extra thread; einsum releases the
 GIL, so the shares overlap.  Each chunk writes only its own rows of the output
 and the plans are built before any thread starts, so the bits are the same for
 any CPU count.  A batch of one chunk starts no thread.  :func:`run_batch`
-takes the finite ``(B, C, H, W)`` array that ``upaq run`` and ``upaq
-evaluate`` read, and writes the sinks to one ``(B, *sink)`` array.  It checks
-the graph it is given as it takes its shapes
-(:func:`~upaq.model.infer_shapes`): a bad graph is a ValidationError.  It casts
-the batch to float32 and checks it finite, naming the first bad input, before
-any thread starts: an input past float32's range is inf, and named so.
+takes the ``(B, C, H, W)`` array that ``upaq run`` and ``upaq evaluate`` read
+(:func:`load_activations` checks its size, not its values), and writes the
+sinks to one ``(B, *sink)`` array.  It checks the graph it is given as it
+takes its shapes (:func:`~upaq.model.infer_shapes`): a bad graph is a
+ValidationError.  It is the one check of the values: it casts the batch to
+float32 and checks it finite, naming the first bad input, before any thread
+starts; an input past float32's range is inf, and named so.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def forward_compressed(cm: CompressedModel, input_act: Activation, sparse: bool 
 
 
 def run_batch(model: ModelGraph, batch: np.ndarray) -> np.ndarray:
-    """Run the model over a finite ``(B, C, H, W)`` array, as :func:`load_activations`
+    """Run the model over a ``(B, C, H, W)`` array, as :func:`load_activations`
     gives it; returns the sinks as one ``(B, *sink)`` float32 array.
 
     A batch of more than one chunk is split over up to one thread per usable
@@ -397,7 +398,7 @@ def save_activations(path, batch: np.ndarray) -> None:
 
 
 def load_activations(path) -> np.ndarray:
-    """A batch written by :func:`save_activations`, as one finite ``(B, C, H, W)`` float32 array."""
+    """A batch written by :func:`save_activations`, its bits as one ``(B, C, H, W)`` float32 array."""
     where = str(sidecar_path(path))
     try:
         meta = json.loads(sidecar_path(path).read_text())
@@ -416,4 +417,4 @@ def load_activations(path) -> np.ndarray:
             size = blob.readinto(batch)
     if size != expected:
         raise FormatError(f"{path}: expected {expected} bytes for {count} inputs, got {size}")
-    return _finite(batch.astype(np.float32, copy=False))
+    return batch.astype(np.float32, copy=False)

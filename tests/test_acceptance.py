@@ -228,7 +228,7 @@ def test_criterion_6_cost_model():
     model = ModelGraph("cost", (2, 8, 8), layers)
     model.validate()
     summary = upaq.computational_cost(model)
-    assert (summary.conv_layer_count, summary.mean_kernels_per_layer, summary.mean_nnz_per_kernel) == (2, 4.0, 5.0)
+    assert (summary.conv_layers, summary.mean_kernels_per_layer, summary.mean_nnz_per_kernel) == (2, 4.0, 5.0)
     assert summary.product == 40.0
 
     full = ModelGraph("f", (2, 8, 8), [_nnz_conv("a", 2, 2, 8)])

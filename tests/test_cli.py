@@ -286,6 +286,24 @@ def test_bad_sidecar_shape_exits_1(tmp_path, capsys):
     assert "is not 3 positive integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_input_is_named_by_run_and_evaluate(tmp_path, capsys, bad):
+    out = tmp_path / "toy-cnn"
+    assert main(["gen-fixture", "toy-cnn", "--inputs", "8", "-o", str(out)]) == 0
+    model_path, inputs_path, compressed = out / "toy-cnn.upaq", out / "inputs.bin", tmp_path / "toy.upaqc"
+    assert main(["compress", str(model_path), "-o", str(compressed)]) == 0
+    blob = bytearray(inputs_path.read_bytes())
+    blob[(3 * 256 + 17) * 4:(3 * 256 + 18) * 4] = struct.pack("<f", bad)  # input 3, row 1, column 1
+    inputs_path.write_bytes(blob)
+    capsys.readouterr()
+    for argv in (["run", str(model_path), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")],
+                 ["run", str(compressed), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")],
+                 ["evaluate", str(model_path), str(compressed), "--inputs", str(inputs_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "upaq: error: input 3 contains non-finite values\n")
+    assert not (tmp_path / "y.bin").exists()
+
+
 def test_workers_flag_is_gone(tmp_path, capsys):
     model_path, _ = _gen(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -325,17 +325,44 @@ def _set_quantized(layer_id, field, value):
 
 
 def test_kernel_dims_off_the_pattern_name_the_layer(toy_1x1_lck_bytes, toy_1x1):
-    # 9x1x1x9 keeps conv_a's 81 cells and 9 scales, but its 1x9 kernel is neither 1x1 nor 3x3
+    # 9x1x1x9 keeps conv_a's 81 cells and 9 scales, but its 1x9 kernel is not square
     def flatten_kernel(header):
         header["layers"][0]["quantized"]["shape"] = [9, 1, 1, 9]
 
-    with pytest.raises(FormatError, match="layer 'conv_a': .* does not stack into 3x3 slices"):
+    with pytest.raises(FormatError, match="^layer 'conv_a': a 1x9 kernel is non-square"):
         deserialize_compressed(patch_header(toy_1x1_lck_bytes, flatten_kernel))
     cm = upaq.compress_model(toy_1x1[0], upaq.lck_profile(seed=42))
     qc = cm.qlayers["conv_a"]
     qc.shape, qc.q = (9, 1, 1, 9), qc.q.reshape(9, 1, 1, 9)
-    with pytest.raises(ValidationError, match="layer 'conv_a': .* does not stack into 3x3 slices"):
+    with pytest.raises(ValidationError, match="^layer 'conv_a': a 1x9 kernel is non-square"):
         cm.validate()
+
+
+@pytest.mark.parametrize("kh,kw", [(3, 1), (1, 3), (3, 2), (1, 9)])
+def test_a_non_square_kernel_is_refused_by_slice_edge_on_every_route(kh, kw):
+    """One 1 -> 1 conv: a kernel of at most 9 cells is one 3x3 block, so its
+    one scale fits the loader's count and only the kernel's shape is off."""
+    message = f"^layer 'c': a {kh}x{kw} kernel is non-square: only square kernels are stored$"
+
+    def conv(k):
+        weights = upaq.Tensor4(np.arange(1, 1 + k[0] * k[1], dtype=np.float32).reshape(1, 1, *k))
+        model = upaq.ModelGraph("m", (1, 9, 9), [upaq.LayerSpec("c", "conv2d", (), weights)])
+        model.validate()
+        return model
+
+    with pytest.raises(ValidationError, match=message):
+        upaq.compress_model(conv((kh, kw)), upaq.hck_profile())
+    cm = upaq.compress_model(conv((3, 3)), upaq.hck_profile())
+    data = serialize_compressed(cm)
+    cm.qlayers["c"].shape = (1, 1, kh, kw)
+    with pytest.raises(ValidationError, match=message):
+        cm.validate()
+
+    def reshape(header):
+        header["layers"][0]["quantized"]["shape"] = [1, 1, kh, kw]
+
+    with pytest.raises(FormatError, match=message):
+        deserialize_compressed(patch_header(data, reshape))
 
 
 def _toy_1x1_hck_in_4x4_rows(toy_1x1):

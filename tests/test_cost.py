@@ -29,7 +29,7 @@ def _two_layer_model(nnz_per_slice=5):
 def test_product_form_example():
     # 2 layers x 4 kernels x 5 nonzero weights -> 40
     summary = computational_cost(_two_layer_model(5))
-    assert summary.conv_layer_count == 2
+    assert summary.conv_layers == 2
     assert summary.mean_kernels_per_layer == 4.0
     assert summary.mean_nnz_per_kernel == 5.0
     assert summary.product == 40.0

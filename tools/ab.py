@@ -4,7 +4,8 @@ Both ``upaq`` packages are imported into one process.  For the three fixtures (s
 and perfbench's wide model (8 inputs), dense and compressed under hck and lck, and for
 ``evaluate_fidelity`` of the wide model under hck, each pair runs A then B or B then A in turn; it
 prints the median of A's time over B's (above 1, B is faster) and the pairs B won.  Its first line
-names the CPUs this process may run on, which a batch of more than one chunk may be split over.
+names the CPUs B's ``inference.usable_cpus()`` counts, which a batch of more than one chunk may be
+split over.
 Before it times anything it checks that both sides give the same bytes, and exits 1 naming the first
 case that differs: each timed case's outputs, and each model's ``.upaqc`` bytes and evaluate report
 under hck and lck, with drawn and with exhaustive patterns.  Needs numpy only.
@@ -12,7 +13,6 @@ under hck and lck, with drawn and with exhaustive patterns.  Needs numpy only.
 
 import functools
 import importlib.util
-import os
 import statistics
 import sys
 import time
@@ -84,9 +84,8 @@ def artifacts(upaq, timed):
 
 
 if __name__ == "__main__":
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    print(f"{cpus} usable CPUs")
     sides = [load(src, f"upaq_{side}") for side, src in zip("ab", sys.argv[1:3])]
+    print(f"{sides[1].inference.usable_cpus()} usable CPUs")
     pairs = int(sys.argv[3]) if len(sys.argv) > 3 else 41
     both = [cases(upaq) for upaq in sides]
     checked = [artifacts(upaq, timed) for upaq, timed in zip(sides, both)]
