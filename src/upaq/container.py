@@ -1,15 +1,19 @@
 """On-disk containers for dense (.upaq) and compressed (.upaqc) models.
 
-Both formats are: 5-byte magic, u32 little-endian header length, a canonical
-JSON header (sorted keys, no whitespace) holding the graph plus byte offsets,
-then a single binary payload.  All multi-byte values are little-endian.
+Both formats are: 5-byte magic, u32 header length, the u32 ``zlib.crc32`` of
+the header and payload, a canonical JSON header (sorted keys, no whitespace)
+holding the graph, then a single binary payload.  All multi-byte values are
+little-endian.  The header states no offset or size: the payload's sections
+lie end to end in the order below, each sized by the shapes, pattern edges
+and bitwidths the header holds.  Files of format version 1, which stored an
+offset and size for every section, are not read.
 
-Dense payload: float32 weight and bias arrays, laid out per layer in list
-order (weights then bias).  Compressed payload: per layer in list order, the
+Dense payload: per layer in list order, the float32 weights, then the bias
+(``out_ch`` floats).  Compressed payload: per layer in list order, the
 float32 bias, then either dense float32 weights (uncompressed layers) or the
 float32 scale table followed by the packed integers; after the layer sections
-come the group masks, each its pattern's ``KernelPattern.mask()`` packed LSB
-first, and left undecoded when the pattern's edge is over ``MAX_EDGE`` (11).
+come the group masks, in group order, each its pattern's
+``KernelPattern.mask()`` packed LSB first in ``ceil(d*d/8)`` bytes.
 
 A compressed layer has one stored-slot layout whatever its kernel shape: its
 row-major weights form a stack of ``d x d`` slices, ``d`` being its
@@ -26,24 +30,27 @@ byte boundary.
 
 Compression ratios compare payload lengths only; headers are excluded.
 
-Both formats share one graph writer (:func:`_base_entry` and :func:`_append`,
-each writer appending sections in the order above) and one graph reader,
-:func:`_read_graph`; the compressed reader adds only its group table, profile
-and quantized payloads.  Every header value goes through :func:`_get` or
-:func:`_get_list`, which raise FormatError naming the layer, group or field
-for a missing key or a wrong JSON type (a bool is not an int), and each reader
-ends in :func:`_validated`, so a file that breaks a graph or payload
-invariant is a FormatError too.  Every section is read through one
-:class:`_Payload`, which rejects a section outside the payload or one that
-overlaps a non-empty section read before it.
+Both formats share one graph writer (:func:`_base_entry`, each writer
+appending sections in the order above, and :func:`_assemble`, which alone
+seals a file with its CRC) and one graph reader, :func:`_read_graph`.
+:func:`_split` checks the CRC before it parses the header.  The compressed
+reader first takes the group masks from the payload's tail, each pattern's
+edge checked against ``MAX_EDGE`` (11) before any size is taken from it.
+Every header value goes through :func:`_get` or :func:`_get_list`, which raise
+FormatError naming the layer, group or field for a missing key or a wrong
+JSON type (a bool is not an int), and each reader ends in :func:`_validated`,
+so a file that breaks a graph or payload invariant is a FormatError too.  The
+layer sections are read by one :class:`_Cursor`, which refuses a section
+that runs past the payload before anything is sized by it, and the walk must
+end exactly where the group masks begin (a dense file: at the payload's end).
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import struct
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -64,7 +71,8 @@ from .quantizer import SUPPORTED_BITS
 
 MAGIC_DENSE = b"UPAQ1"
 MAGIC_COMPRESSED = b"UPQC1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+PREAMBLE = struct.Struct("<5sII")  # magic, header length, CRC32 of the header and payload
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +153,18 @@ def dense_payload_nbytes(model: ModelGraph | CompressedModel) -> int:
 def serialize_model(model: ModelGraph) -> bytes:
     model.validate()
     blob = bytearray()
-    entries = []
     for layer in model.layers:
-        entry = _base_entry(layer)
         if layer.weights is not None:
-            entry["weights"] = _append_weights(blob, layer.weights)
+            blob += _f32(layer.weights.data)
         if layer.bias is not None:
-            entry["bias"] = _append(blob, _f32(layer.bias))
-        entries.append(entry)
-    return _assemble(MAGIC_DENSE, model, entries, blob)
+            blob += _f32(layer.bias)
+    return _assemble(MAGIC_DENSE, model, [_base_entry(layer) for layer in model.layers], blob)
 
 
 def deserialize_model(data: bytes) -> ModelGraph:
     header, payload = _split(data, MAGIC_DENSE, "dense model")
-    name, input_shape, graph = _read_graph(header, payload)
-    return _validated(ModelGraph(name=name, input_shape=input_shape, layers=[layer for layer, _ in graph]))
+    name, input_shape, layers, _ = _read_graph(header, _Cursor(payload))
+    return _validated(ModelGraph(name=name, input_shape=input_shape, layers=layers))
 
 
 def save_model(model: ModelGraph, path) -> None:
@@ -195,50 +200,42 @@ def serialize_compressed(cm: CompressedModel) -> bytes:
         entry = _base_entry(layer)
         entry["quantized"] = None
         if layer.bias is not None:
-            entry["bias"] = _append(blob, _f32(layer.bias))
+            blob += _f32(layer.bias)
         if layer.weights is not None:
-            entry["weights"] = _append_weights(blob, layer.weights)
+            blob += _f32(layer.weights.data)
         if layer.id in cm.qlayers:
             qc = cm.qlayers[layer.id]
-            entry["quantized"] = {
-                "shape": list(qc.shape),
-                "bitwidth": qc.bitwidth,
-                "scales": _append(blob, _f32(qc.scales)),
-                "packed": _append(blob, pack_slots(qc.q, stored_slots(qc.shape, qc.pattern), qc.bitwidth)),
-            }
+            entry["quantized"] = {"shape": list(qc.shape), "bitwidth": qc.bitwidth}
+            blob += _f32(qc.scales)
+            blob += pack_slots(qc.q, stored_slots(qc.shape, qc.pattern), qc.bitwidth)
         entries.append(entry)
     groups = []
     for group in cm.groups:
-        mask = _append(blob, pack_mask(group.pattern))
-        groups.append({
-            "root": group.root_id,
-            "leaves": list(group.leaf_ids),
-            "bitwidth": group.bitwidth,
-            "pattern": {"kind": group.pattern.kind, "d": group.pattern.d,
-                        "mask_offset": mask["offset"], "mask_nbytes": mask["nbytes"]},
-        })
+        blob += pack_mask(group.pattern)
+        groups.append({"root": group.root_id, "leaves": list(group.leaf_ids), "bitwidth": group.bitwidth,
+                       "pattern": {"kind": group.pattern.kind, "d": group.pattern.d}})
     return _assemble(MAGIC_COMPRESSED, cm, entries, blob, groups=groups, profile=asdict(cm.profile),
                      base_payload_nbytes=cm.base_payload_nbytes)
 
 
 def deserialize_compressed(data: bytes) -> CompressedModel:
     header, payload = _split(data, MAGIC_COMPRESSED, "compressed model")
-    groups = [_read_group(payload, entry, i) for i, entry in enumerate(_get_list(header, "groups", "header", dict))]
+    entries = _get_list(header, "groups", "header", dict)
+    edges = [_pattern_edge(entry, i) for i, entry in enumerate(entries)]
+    tail = sum(_mask_nbytes(d) for d in edges)
+    if tail > len(payload):
+        raise FormatError(f"payload of {len(payload)} bytes is too short for its {tail}-byte group-mask tail")
+    masks_at = len(payload) - tail
+    masks = _Cursor(payload[masks_at:])
+    groups = [_read_group(entry, d, masks) for entry, d in zip(entries, edges)]
     patterns = {member: group.pattern for group in groups for member in group.member_ids}
-    name, input_shape, graph = _read_graph(header, payload)
-    qlayers: dict[str, QuantizedConv] = {}
-    for layer, entry in graph:
-        meta = _get(entry, "quantized", f"layer {layer.id!r}", (dict, type(None)))
-        if meta is not None:
-            if layer.id not in patterns:
-                raise FormatError(f"quantized layer {layer.id!r} missing from the group table")
-            qlayers[layer.id] = _read_quantized(payload, meta, layer.id, patterns[layer.id])
+    name, input_shape, layers, qlayers = _read_graph(header, _Cursor(payload[:masks_at]), patterns)
     profile = _get(header, "profile", "header", dict)
     base_payload_nbytes = _get(header, "base_payload_nbytes", "header", int)
     if base_payload_nbytes < 0:
         raise FormatError(f"header: base_payload_nbytes {base_payload_nbytes} is negative")
     return _validated(CompressedModel(
-        name=name, input_shape=input_shape, layers=[layer for layer, _ in graph], groups=groups, qlayers=qlayers,
+        name=name, input_shape=input_shape, layers=layers, groups=groups, qlayers=qlayers,
         profile=CompressionProfile(
             name=_get(profile, "name", "profile", str),
             quant_bits=tuple(_get_list(profile, "quant_bits", "profile", int)),
@@ -251,44 +248,47 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
     ))
 
 
-def _read_group(payload: _Payload, entry: dict, index: int) -> CompressedGroup:
-    root = _get(entry, "root", f"groups[{index}]", str)
-    where = f"group {root!r}"
-    pat = _get(entry, "pattern", where, dict)
-    d = _get(pat, "d", where)
-    mask = payload.read(_get(pat, "mask_offset", where), _get(pat, "mask_nbytes", where), root, "group mask")
-    if type(d) is not int or d < 1 or len(mask) != -(-d * d // 8):
-        raise FormatError(f"{where}: pattern d={d!r} does not fit its {len(mask)}-byte mask")
+def _mask_nbytes(d: int) -> int:
+    return -(-d * d // 8)
+
+
+def _pattern_edge(entry: dict, index: int) -> int:
+    """A group's pattern edge, checked before any size is taken from it."""
+    where = f"group {_get(entry, 'root', f'groups[{index}]', str)!r}"
+    d = _get(_get(entry, "pattern", where, dict), "d", where, int)
+    if d < 1:
+        raise FormatError(f"{where}: pattern d={d} is not positive")
     if d > MAX_EDGE:
         raise FormatError(f"{where}: pattern d={d} is over the bound of {MAX_EDGE}")
+    return d
+
+
+def _read_group(entry: dict, d: int, masks: _Cursor) -> CompressedGroup:
+    where = f"group {entry['root']!r}"
+    positions = _positions_from_mask(masks.take(_mask_nbytes(d), where, "group mask"), d)
     try:
-        pattern = KernelPattern(kind=_get(pat, "kind", where), d=d, positions=_positions_from_mask(mask, d))
+        pattern = KernelPattern(kind=_get(entry["pattern"], "kind", where), d=d, positions=positions)
     except ValueError as exc:
         raise FormatError(f"{where}: bad pattern: {exc}") from None
     leaves = tuple(_get_list(entry, "leaves", where, str))
-    return CompressedGroup(root_id=root, leaf_ids=leaves, pattern=pattern, bitwidth=_get(entry, "bitwidth", where, int))
+    return CompressedGroup(root_id=entry["root"], leaf_ids=leaves, pattern=pattern,
+                           bitwidth=_get(entry, "bitwidth", where, int))
 
 
-def _read_quantized(payload: _Payload, meta: dict, layer_id: str, pattern: KernelPattern) -> QuantizedConv:
-    where = f"layer {layer_id!r}"
-    # header fields are checked before anything is allocated from them
+def _read_quantized(sections: _Cursor, meta: dict, shape: tuple[int, ...], where: str,
+                    pattern: KernelPattern) -> QuantizedConv:
     bits = _get(meta, "bitwidth", where, int)
     if bits not in SUPPORTED_BITS:
         raise FormatError(f"{where}: bitwidth {bits!r} is not one of {SUPPORTED_BITS}")
-    shape = _get_shape(meta, "shape", where, 4)
-    scales = _read_f32(payload, _get(meta, "scales", where, dict), layer_id, "scales")
-    if scales.size != -(-math.prod(shape) // pattern.d ** 2):
-        raise FormatError(f"{where}: {scales.size} scales do not fit a {list(shape)} payload")
+    # the scale table is taken before the slot stack is sized by the shape
+    scales = sections.f32((-(-math.prod(shape) // pattern.d ** 2),), where, "scales")
     try:
         slots = stored_slots(shape, pattern)
     except ValidationError as exc:
         raise FormatError(f"{where}: {exc}") from None
-    nbytes = int(_row_nbytes(slots, bits).sum())
-    packed = _get(meta, "packed", where, dict)
-    if _get(packed, "nbytes", where, int) != nbytes:
-        raise FormatError(f"{where}: packed section holds {packed['nbytes']} bytes, expected {nbytes}")
-    q = unpack_slots(payload.read(_get(packed, "offset", where), nbytes, layer_id, "packed integers"), slots, bits)
-    return QuantizedConv(shape=shape, bitwidth=bits, q=q, scales=scales, pattern=pattern)
+    packed = sections.take(int(_row_nbytes(slots, bits).sum()), where, "packed integers")
+    return QuantizedConv(shape=shape, bitwidth=bits, q=unpack_slots(packed, slots, bits), scales=scales,
+                         pattern=pattern)
 
 
 def save_compressed(cm: CompressedModel, path) -> None:
@@ -316,21 +316,10 @@ def load_any(path) -> ModelGraph | CompressedModel:
 # ---------------------------------------------------------------------------
 
 def _base_entry(layer: LayerSpec) -> dict:
-    """A layer's header entry with no sections yet; each writer appends the
-    layer's sections in its own order."""
+    """A layer's header entry: its graph fields, weight shape and whether it has a bias."""
     return {"id": layer.id, "kind": layer.kind, "stride": layer.stride, "padding": layer.padding,
-            "inputs": list(layer.inputs), "weights": None, "bias": None}
-
-
-def _append(blob: bytearray, raw: bytes) -> dict:
-    """Append ``raw`` to the payload and return its section reference."""
-    ref = {"offset": len(blob), "nbytes": len(raw)}
-    blob.extend(raw)
-    return ref
-
-
-def _append_weights(blob: bytearray, weights: Tensor4) -> dict:
-    return {"shape": list(weights.shape), **_append(blob, _f32(weights.data))}
+            "inputs": list(layer.inputs), "weights": None if layer.weights is None else list(layer.weights.shape),
+            "bias": layer.bias is not None}
 
 
 def _f32(array: np.ndarray) -> bytes:
@@ -338,17 +327,16 @@ def _f32(array: np.ndarray) -> bytes:
 
 
 def _assemble(magic: bytes, model, layer_entries: list[dict], blob: bytearray, **fields) -> bytes:
-    """Container bytes: the graph fields both formats share plus ``fields``."""
+    """Container bytes, sealed by their CRC: the graph fields both formats share plus ``fields``."""
     header = {
         "format_version": FORMAT_VERSION,
         "name": model.name,
         "input_shape": list(model.input_shape),
         "layers": layer_entries,
-        "payload_nbytes": len(blob),
         **fields,
     }
-    header_raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return magic + struct.pack("<I", len(header_raw)) + header_raw + bytes(blob)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return PREAMBLE.pack(magic, len(raw), zlib.crc32(blob, zlib.crc32(raw))) + raw + bytes(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +375,29 @@ def _get_list(obj, key: str, where: str, kind, length: int | None = None) -> lis
     return [_checked(item, kind, where, f"{key}[{i}]") for i, item in enumerate(items)]
 
 
-def _is_shape(value, ndim: int) -> bool:
-    return isinstance(value, list) and len(value) == ndim and all(type(v) is int and v > 0 for v in value)
-
-
-def _get_shape(obj, key: str, where: str, ndim: int) -> tuple[int, ...]:
-    """``obj[key]`` as a tuple of ``ndim`` positive integers."""
+def _get_shape(obj, key: str, where: str, ndim: int, optional: bool = False) -> tuple[int, ...] | None:
+    """``obj[key]`` as a tuple of ``ndim`` positive integers, or None if it is
+    null and ``optional``."""
     shape = _get(obj, key, where)
-    if not _is_shape(shape, ndim):
+    if optional and shape is None:
+        return None
+    if not (isinstance(shape, list) and len(shape) == ndim and all(type(v) is int and v > 0 for v in shape)):
         raise FormatError(f"{where}: {key} {shape!r} is not {ndim} positive integers")
     return tuple(shape)
 
 
-def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, _Payload]:
-    if len(data) < 9 or data[:5] != magic:
+def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, memoryview]:
+    """A container's header and payload, once its magic, CRC and format version hold."""
+    if len(data) < PREAMBLE.size or data[:5] != magic:
         raise FormatError(f"not a {what} container (bad magic)")
-    (header_len,) = struct.unpack("<I", data[5:9])
-    if len(data) < 9 + header_len:
+    _, header_len, crc = PREAMBLE.unpack_from(data)
+    start = PREAMBLE.size + header_len
+    if len(data) < start:
         raise FormatError(f"{what} container truncated inside the header")
+    if zlib.crc32(memoryview(data)[PREAMBLE.size:]) != crc:
+        raise FormatError(f"{what} container is corrupt or truncated: its CRC32 does not match")
     try:
-        header = json.loads(data[9:9 + header_len].decode("utf-8"))
+        header = json.loads(data[PREAMBLE.size:start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{what} header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -414,33 +405,42 @@ def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, _Payload]:
     version = _get(header, "format_version", "header")
     if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(f"format-version mismatch: file has {version}, expected {FORMAT_VERSION}")
-    blob = data[9 + header_len:]
-    payload_nbytes = _get(header, "payload_nbytes", "header", int)
-    if len(blob) != payload_nbytes:
-        raise FormatError(f"{what} payload truncated: expected {payload_nbytes} bytes, got {len(blob)}")
-    return header, _Payload(blob)
+    return header, memoryview(data)[start:]
 
 
-def _read_graph(header: dict, payload: _Payload) -> tuple[str, tuple[int, ...], list[tuple[LayerSpec, dict]]]:
-    """What both containers share: the model name, the input shape, and each
-    layer with its dense weights and bias, paired with its header entry."""
-    graph = []
+def _read_graph(header: dict, sections: _Cursor, patterns: dict[str, KernelPattern] | None = None):
+    """What both containers share: the model name, the input shape and each
+    layer with its dense weights and bias, then the quantized payloads of a
+    compressed file, whose ``patterns`` maps each group member to its group's
+    pattern.  Each layer's sections are read in its writer's order, and they
+    must leave no byte of ``sections`` unread."""
+    layers, qlayers = [], {}
     for i, entry in enumerate(_get_list(header, "layers", "header", dict)):
         layer_id = _get(entry, "id", f"layers[{i}]", str)
         where = f"layer {layer_id!r}"
-        weights = _get(entry, "weights", where, (dict, type(None)))
-        bias = _get(entry, "bias", where, (dict, type(None)))
-        layer = LayerSpec(
-            id=layer_id,
-            kind=_get(entry, "kind", where, str),
-            inputs=tuple(_get_list(entry, "inputs", where, str)),
-            weights=None if weights is None else _read_weights(payload, weights, layer_id),
-            bias=None if bias is None else _read_f32(payload, bias, layer_id, "bias"),
-            stride=_get(entry, "stride", where, int),
-            padding=_get(entry, "padding", where, int),
-        )
-        graph.append((layer, entry))
-    return _get(header, "name", "header", str), _get_shape(header, "input_shape", "header", 3), graph
+        shape = _get_shape(entry, "weights", where, 4, optional=True)
+        meta = None if patterns is None else _get(entry, "quantized", where, (dict, type(None)))
+        qshape = None if meta is None else _get_shape(meta, "shape", where, 4)
+        out_shape = shape or qshape
+        has_bias = _get(entry, "bias", where, bool)
+        if has_bias and out_shape is None:
+            raise FormatError(f"{where}: has a bias but no weights")
+        bias = None
+        if has_bias and patterns is not None:  # a compressed file: bias, weights, then the quantized payload
+            bias = sections.f32(out_shape[:1], where, "bias")
+        weights = None if shape is None else Tensor4(sections.f32(shape, where, "weights"))
+        if has_bias and patterns is None:  # a dense file: weights, then bias
+            bias = sections.f32(out_shape[:1], where, "bias")
+        if meta is not None:
+            if layer_id not in patterns:
+                raise FormatError(f"quantized layer {layer_id!r} missing from the group table")
+            qlayers[layer_id] = _read_quantized(sections, meta, qshape, where, patterns[layer_id])
+        layers.append(LayerSpec(id=layer_id, kind=_get(entry, "kind", where, str),
+                                inputs=tuple(_get_list(entry, "inputs", where, str)), weights=weights, bias=bias,
+                                stride=_get(entry, "stride", where, int), padding=_get(entry, "padding", where, int)))
+    if sections.rest:
+        raise FormatError(f"{len(sections.rest)} payload bytes follow the last layer section")
+    return _get(header, "name", "header", str), _get_shape(header, "input_shape", "header", 3), layers, qlayers
 
 
 def _validated(model):
@@ -453,45 +453,21 @@ def _validated(model):
     return model
 
 
-class _Payload:
-    """A container's payload bytes, handed out one checked section at a time."""
+class _Cursor:
+    """Payload sections read end to end; ``rest`` holds the bytes not yet read."""
 
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.spans: list[tuple[int, int, str]] = []  # non-empty sections read so far, by offset
+    def __init__(self, rest: memoryview):
+        self.rest = rest
 
-    def read(self, offset: int, nbytes: int, layer_id: str, section: str) -> bytes:
-        """The ``nbytes`` at ``offset``, once they lie inside the payload and
-        overlap no non-empty section read before; ``section`` names them."""
-        if type(offset) is not int or type(nbytes) is not int:
-            raise FormatError(f"layer {layer_id!r}: section offset {offset!r} or size {nbytes!r} is not an integer")
-        end = offset + nbytes
-        if offset < 0 or nbytes < 0 or end > len(self.blob):
-            raise FormatError(f"layer {layer_id!r}: section [{offset}, {end}) outside payload")
-        if nbytes:
-            span = (offset, end, f"{section} of {layer_id!r}")
-            at = bisect.bisect(self.spans, span)
-            for other in self.spans[max(at - 1, 0):at + 1]:
-                if other[0] < end and offset < other[1]:
-                    first, second = sorted((other, span))
-                    raise FormatError(f"payload sections overlap: {first[2]} [{first[0]}, {first[1]}) "
-                                      f"and {second[2]} [{second[0]}, {second[1]})")
-            self.spans.insert(at, span)
-        return self.blob[offset:end]
+    def take(self, nbytes: int, where: str, section: str) -> memoryview:
+        """The next ``nbytes``, once they fit in ``rest``: nothing is sized by a
+        section before it is known to fit.  ``section`` names them."""
+        if nbytes > len(self.rest):
+            raise FormatError(f"{where}: {section} section of {nbytes} bytes runs past the {len(self.rest)} bytes left")
+        taken, self.rest = self.rest[:nbytes], self.rest[nbytes:]
+        return taken
 
-
-def _read_f32(payload: _Payload, ref: dict, layer_id: str, section: str) -> np.ndarray:
-    where = f"layer {layer_id!r}"
-    nbytes = _get(ref, "nbytes", where)
-    if type(nbytes) is int and nbytes % 4:
-        raise FormatError(f"{where}: float32 section of {nbytes} bytes is not a multiple of 4")
-    raw = payload.read(_get(ref, "offset", where), nbytes, layer_id, section)
-    return np.frombuffer(raw, dtype="<f4").astype(np.float32)
-
-
-def _read_weights(payload: _Payload, ref: dict, layer_id: str) -> Tensor4:
-    where = f"layer {layer_id!r}"
-    shape, nbytes = _get(ref, "shape", where), _get(ref, "nbytes", where)
-    if not _is_shape(shape, 4) or 4 * math.prod(shape) != nbytes:
-        raise FormatError(f"{where}: weight shape {shape!r} does not fit a {nbytes!r}-byte section")
-    return Tensor4(_read_f32(payload, ref, layer_id, "weights").reshape(shape))
+    def f32(self, shape: tuple[int, ...], where: str, section: str) -> np.ndarray:
+        """The next float32 section of ``shape``."""
+        raw = self.take(4 * math.prod(shape), where, section)
+        return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)

@@ -61,6 +61,7 @@ import json
 import math
 import os
 import threading
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -381,7 +382,8 @@ def sidecar_path(blob_path) -> Path:
 
 
 def save_activations(path, batch: np.ndarray) -> None:
-    """Write a ``(B, C, H, W)`` batch as one f32 blob; shapes go to ``<path>.json``."""
+    """Write a ``(B, C, H, W)`` batch as one f32 blob; its count, shape and
+    ``zlib.crc32`` go to ``<path>.json``."""
     if not len(batch):
         raise ValidationError("empty activation batch")
     if not isinstance(batch, np.ndarray):  # kept only because perfbench/workloads.py saves a list of Activation
@@ -391,9 +393,10 @@ def save_activations(path, batch: np.ndarray) -> None:
         batch = np.stack([act.data for act in batch])
     if batch.ndim != 4:
         raise ValidationError(f"activation batch requires 4 dimensions (B, C, H, W), got {batch.ndim}")
-    Path(path).write_bytes(np.ascontiguousarray(batch, dtype="<f4"))
+    blob = np.ascontiguousarray(batch, dtype="<f4")
+    Path(path).write_bytes(blob)
     sidecar_path(path).write_text(
-        json.dumps({"count": len(batch), "shape": list(batch.shape[1:])}, indent=2) + "\n"
+        json.dumps({"count": len(batch), "shape": list(batch.shape[1:]), "crc32": zlib.crc32(blob)}, indent=2) + "\n"
     )
 
 
@@ -408,6 +411,7 @@ def load_activations(path) -> np.ndarray:
     count = _get(meta, "count", where, int)
     if count < 1:
         raise FormatError(f"{where}: count {count!r} is not a positive integer")
+    crc = _get(meta, "crc32", where, int)
     expected = count * math.prod(shape) * 4
     # one copy of the blob: its size is checked before the batch is allocated, then read into it
     with open(path, "rb") as blob:
@@ -417,4 +421,6 @@ def load_activations(path) -> np.ndarray:
             size = blob.readinto(batch)
     if size != expected:
         raise FormatError(f"{path}: expected {expected} bytes for {count} inputs, got {size}")
+    if zlib.crc32(batch) != crc:
+        raise FormatError(f"{path}: CRC32 does not match its sidecar")
     return batch.astype(np.float32, copy=False)

@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -128,36 +129,68 @@ def copy_model(model):
     return upaq.ModelGraph(model.name, model.input_shape, [layer.copy() for layer in model.layers])
 
 
-def patch_header(data, edit):
-    """Container bytes with ``edit(header)`` applied to the JSON header."""
+def split_container(data):
+    """``(magic, header bytes, payload)`` of container bytes: the header length
+    is at bytes 5..9 and the CRC32 at 9..13."""
     (hlen,) = struct.unpack("<I", data[5:9])
-    header = json.loads(data[9:9 + hlen])
+    return data[:5], data[13:13 + hlen], data[13 + hlen:]
+
+
+def seal(magic, header_raw, payload):
+    """Container bytes whose CRC32 holds for ``header_raw`` and ``payload``."""
+    crc = zlib.crc32(header_raw + payload)
+    return magic + struct.pack("<II", len(header_raw), crc) + header_raw + payload
+
+
+def read_header(data):
+    return json.loads(split_container(data)[1])
+
+
+def patch_header(data, edit):
+    """Container bytes with ``edit(header)`` applied to the JSON header, resealed."""
+    magic, raw, payload = split_container(data)
+    header = json.loads(raw)
     edit(header)
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return data[:5] + struct.pack("<I", len(raw)) + raw + data[9 + hlen:]
+    return seal(magic, json.dumps(header, sort_keys=True, separators=(",", ":")).encode(), payload)
+
+
+def splice(data, at, raw, nbytes=None):
+    """Container bytes with the ``nbytes`` (default ``len(raw)``) payload bytes
+    at ``at`` replaced by ``raw``, resealed."""
+    magic, header_raw, payload = split_container(data)
+    end = at + (len(raw) if nbytes is None else nbytes)
+    return seal(magic, header_raw, payload[:at] + raw + payload[end:])
 
 
 def with_long_row_group(data, root, d):
     """``data`` with ``root``'s group pattern set to a two-cell row of edge ``d``,
-    its mask appended to the payload; every layer shape is left as it was."""
-    mask = pack_mask(KernelPattern("row", d, ((0, 0), (0, 1))))
-    (hlen,) = struct.unpack("<I", data[5:9])
-
+    its mask in place of the group's own; every layer shape is left as it was."""
     def point(header):
-        header["payload_nbytes"] += len(mask)
         (group,) = [g for g in header["groups"] if g["root"] == root]
-        group["pattern"].update(kind="row", d=d, mask_offset=len(data) - 9 - hlen, mask_nbytes=len(mask))
+        group["pattern"].update(kind="row", d=d)
 
-    return patch_header(data + mask, point)
+    at, nbytes = mask_spans(data)[root]
+    return splice(patch_header(data, point), at, pack_mask(KernelPattern("row", d, ((0, 0), (0, 1)))), nbytes)
 
 
 def with_group_mask(data, root, mask):
     """``data`` with the mask bytes of ``root``'s group overwritten by ``mask``, of the same length."""
-    (hlen,) = struct.unpack("<I", data[5:9])
-    (group,) = [g for g in json.loads(data[9:9 + hlen])["groups"] if g["root"] == root]
-    assert len(mask) == group["pattern"]["mask_nbytes"]
-    at = 9 + hlen + group["pattern"]["mask_offset"]
-    return data[:at] + mask + data[at + len(mask):]
+    at, nbytes = mask_spans(data)[root]
+    assert len(mask) == nbytes
+    return splice(data, at, mask)
+
+
+def mask_spans(data):
+    """``{root: (payload offset, size)}`` of each group's mask: the masks are
+    the payload's tail, ``ceil(d*d/8)`` bytes each, in group order."""
+    groups = read_header(data)["groups"]
+    sizes = [-(-g["pattern"]["d"] ** 2 // 8) for g in groups]
+    at = len(split_container(data)[2]) - sum(sizes)
+    spans = {}
+    for group, size in zip(groups, sizes):
+        spans[group["root"]] = (at, size)
+        at += size
+    return spans
 
 
 def _header_paths(node, path=()):
@@ -175,8 +208,7 @@ def header_mutations(data, values):
     header (each object member and list item, at any depth), set in turn to
     each of ``values`` and then deleted.  ``path`` is the tuple of keys and
     list indices that leads to the node."""
-    (hlen,) = struct.unpack("<I", data[5:9])
-    for path in list(_header_paths(json.loads(data[9:9 + hlen]))):
+    for path in list(_header_paths(read_header(data))):
         for value in (*values, _DELETE):
             def edit(header, path=path, value=value):
                 parent = functools.reduce(operator.getitem, path[:-1], header)

@@ -166,12 +166,14 @@ def latency_reference(model, bits_by_layer=None):
 # ---------------------------------------------------------------------------
 
 def read_container(path):
-    """Parse magic/header/payload of either container with struct + json only."""
+    """Parse magic/header/payload of either container with struct + json only:
+    a u32 header length at bytes 5..9, the CRC32 at 9..13 (skipped here), the
+    header, then the payload."""
     data = open(path, "rb").read()
     magic = data[:5]
     (header_len,) = struct.unpack("<I", data[5:9])
-    header = json.loads(data[9:9 + header_len].decode("utf-8"))
-    payload = data[9 + header_len:]
+    header = json.loads(data[13:13 + header_len].decode("utf-8"))
+    payload = data[13 + header_len:]
     return magic, header, payload
 
 
@@ -182,25 +184,27 @@ def recount_dense_payload(path):
     total = 0
     for entry in header["layers"]:
         if entry["weights"] is not None:
-            o, i, kh, kw = entry["weights"]["shape"]
+            o, i, kh, kw = entry["weights"]
             total += 4 * o * i * kh * kw
-        if entry["bias"] is not None:
+        if entry["bias"]:
             # biases are one f32 per output channel of the owning layer
-            o = entry["weights"]["shape"][0]
-            total += 4 * o
+            total += 4 * entry["weights"][0]
     assert total == len(payload)
     return total
 
 
 def recount_compressed_payload(path):
-    """Recount the compressed payload from shapes, patterns, and bitwidths."""
+    """Recount the compressed payload from shapes, patterns, and bitwidths;
+    the group masks are the payload's last bytes, in group order."""
     magic, header, payload = read_container(path)
     assert magic == b"UPQC1"
     pattern_by_member = {}
+    mask_at = len(payload) - sum(math.ceil(g["pattern"]["d"] ** 2 / 8) for g in header["groups"])
     total = 0
     for g in header["groups"]:
         d = g["pattern"]["d"]
-        mask = payload[g["pattern"]["mask_offset"]:g["pattern"]["mask_offset"] + g["pattern"]["mask_nbytes"]]
+        mask = payload[mask_at:mask_at + math.ceil(d * d / 8)]
+        mask_at += len(mask)
         n = sum(bin(byte).count("1") for byte in mask)
         keep = [bit for bit in range(d * d) if mask[bit // 8] >> (bit % 8) & 1]
         total += math.ceil(d * d / 8)
@@ -223,10 +227,10 @@ def recount_compressed_payload(path):
                     survivors = sum(1 for idx in keep if j * d * d + idx < count)
                     total += math.ceil(survivors * bits / 8)
         if entry["weights"] is not None:
-            shape = entry["weights"]["shape"]
+            shape = entry["weights"]
             o, i, kh, kw = shape
             total += 4 * o * i * kh * kw
-        if entry["bias"] is not None:
+        if entry["bias"]:
             total += 4 * shape[0]
     assert total == len(payload), (total, len(payload))
     return total

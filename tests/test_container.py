@@ -1,7 +1,7 @@
 import json
 import re
-import struct
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import upaq
-from conftest import copy_model, header_mutations, patch_header, with_group_mask, with_long_row_group
+from conftest import (
+    copy_model,
+    header_mutations,
+    mask_spans,
+    patch_header,
+    seal,
+    splice,
+    split_container,
+    with_group_mask,
+    with_long_row_group,
+)
 from oracles import (
     pack_ints,
     read_container,
@@ -24,7 +34,6 @@ from upaq import compressed, container
 from upaq.compressed import BLOCK_K, MAX_EDGE, dequantized_weights, slice_stack, stored_slots
 from upaq.compressor import _quantize_layer
 from upaq.container import (
-    _Payload,
     compressed_payload_nbytes,
     dense_payload_nbytes,
     deserialize_compressed,
@@ -167,15 +176,11 @@ def test_bad_magic_rejected(toy_cnn):
 
 
 def test_format_version_mismatch(toy_cnn):
-    model, _ = toy_cnn
-    data = serialize_model(model)
-    (hlen,) = struct.unpack("<I", data[5:9])
-    header = json.loads(data[9:9 + hlen])
-    header["format_version"] = 99
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    patched = data[:5] + struct.pack("<I", len(raw)) + raw + data[9 + hlen:]
-    with pytest.raises(FormatError, match="format-version mismatch"):
-        deserialize_model(patched)
+    """A version-1 header is no longer read, nor is one from a later version."""
+    data = serialize_model(toy_cnn[0])
+    for version in (1, 99):
+        with pytest.raises(FormatError, match=f"^format-version mismatch: file has {version}, expected 2$"):
+            deserialize_model(patch_header(data, lambda header: header.update(format_version=version)))
 
 
 def test_nan_weight_refuses_to_serialize(toy_cnn):
@@ -240,8 +245,7 @@ def test_compressed_payload_matches_recounts(toy_cnn_hck, toy_cnn_lck, tmp_path)
     for name, cm in (("hck", toy_cnn_hck), ("lck", toy_cnn_lck)):
         path = tmp_path / f"{name}.upaqc"
         save_compressed(cm, path)
-        _, header, payload = read_container(path)
-        assert header["payload_nbytes"] == len(payload)
+        _, _, payload = read_container(path)
         assert compressed_payload_nbytes(cm) == len(payload)
         assert recount_payload_nbytes(cm) == len(payload)
         assert recount_compressed_payload(path) == len(payload)
@@ -293,7 +297,8 @@ def toy_1x1_lck_bytes(toy_1x1):
 
 def test_v1_header_with_cost_mode_loads_to_the_same_model(toy_cnn_hck, toy_1x1_lck_bytes):
     """Keys that older writers emitted, ``profile.cost_mode``,
-    ``profile.block_k`` and each quantized layer's ``block_k``, are ignored."""
+    ``profile.block_k`` and each quantized layer's ``block_k``, are ignored
+    in a header of the current version."""
     data = serialize_compressed(toy_cnn_hck)
     for mode in ("analytic", "measured"):
         older = patch_header(data, lambda h: h["profile"].update(cost_mode=mode))
@@ -317,10 +322,7 @@ def test_v1_header_with_cost_mode_loads_to_the_same_model(toy_cnn_hck, toy_1x1_l
 def _set_quantized(layer_id, field, value):
     def edit(header):
         (meta,) = [e["quantized"] for e in header["layers"] if e["id"] == layer_id]
-        if field.endswith("_nbytes"):
-            meta[field[:-len("_nbytes")]]["nbytes"] += value
-        else:
-            meta[field] = value
+        meta[field] = value
     return edit
 
 
@@ -397,17 +399,12 @@ def test_a_kernel_edge_over_the_bound_does_not_load(toy_1x1):
     pattern: its 9 scales and its mask still fit, so only the kernel-edge
     bound keeps the loader from sizing a 9 M-cell slot stack by the header."""
     data = serialize_compressed(upaq.compress_model(toy_1x1[0], upaq.hck_profile(seed=42)))
-    mask = pack_mask(KernelPattern("row", 1000, ((0, 0), (0, 1))))
-    (hlen,) = struct.unpack("<I", data[5:9])
 
     def enlarge(header):
-        header["payload_nbytes"] += len(mask)
-        (group,) = [g for g in header["groups"] if g["root"] == "conv_a"]
-        group["pattern"].update(kind="row", d=1000, mask_offset=len(data) - 9 - hlen, mask_nbytes=len(mask))
         (entry,) = [e for e in header["layers"] if e["id"] == "conv_a"]
         entry["quantized"]["shape"] = [9, 1, 1000, 1000]
 
-    crafted = patch_header(data + mask, enlarge)
+    crafted = patch_header(with_long_row_group(data, "conv_a", 1000), enlarge)
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match=f"group 'conv_a': pattern d=1000 is over the bound of {MAX_EDGE}"):
@@ -448,63 +445,53 @@ def test_a_kernel_edge_over_the_bound_does_not_compress(k):
 
 
 @pytest.mark.parametrize("layer_id", ["conv_a", "conv_b"])  # a 3x3 layer and a 1x1 block layer
-@pytest.mark.parametrize("field,value", [
-    ("bitwidth", 0), ("bitwidth", -3), ("bitwidth", 64), ("bitwidth", 10**12),
-    ("packed_nbytes", 1), ("packed_nbytes", -1), ("scales_nbytes", -1), ("scales_nbytes", 2),
-])
+@pytest.mark.parametrize("field,value", [("bitwidth", 0), ("bitwidth", -3), ("bitwidth", 64), ("bitwidth", 10**12)])
 def test_hostile_quantized_header_raises_format_error(toy_1x1_lck_bytes, layer_id, field, value):
-    message = {"bitwidth": f"bitwidth {value} is not", "packed_nbytes": "packed section holds",
-               "scales_nbytes": "float32 section of .* bytes is not a multiple of 4"}[field]
-    with pytest.raises(FormatError, match=f"layer '{layer_id}': {message}"):
+    with pytest.raises(FormatError, match=f"layer '{layer_id}': bitwidth {value} is not"):
         deserialize_compressed(patch_header(toy_1x1_lck_bytes, _set_quantized(layer_id, field, value)))
+
+
+def _container(toy_cnn, toy_cnn_hck, compressed):
+    """toy-cnn's .upaqc under hck or its .upaq, with its loader."""
+    if compressed:
+        return serialize_compressed(toy_cnn_hck), deserialize_compressed
+    return serialize_model(toy_cnn[0]), deserialize_model
 
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
 @pytest.mark.parametrize("header", [[], 3, "x", None])
 def test_non_object_header_raises_format_error(toy_cnn, toy_cnn_hck, compressed, header):
-    data = serialize_compressed(toy_cnn_hck) if compressed else serialize_model(toy_cnn[0])
-    (hlen,) = struct.unpack("<I", data[5:9])
-    raw = json.dumps(header).encode()
-    patched = data[:5] + struct.pack("<I", len(raw)) + raw + data[9 + hlen:]
+    data, load = _container(toy_cnn, toy_cnn_hck, compressed)
+    magic, _, payload = split_container(data)
     with pytest.raises(FormatError, match="header is not a JSON object"):
-        (deserialize_compressed if compressed else deserialize_model)(patched)
+        load(seal(magic, json.dumps(header).encode(), payload))
 
 
-def _edit_fc(section, field, value):
-    """Header edit of the dense ``fc`` layer's weights or bias reference."""
+def _fc_weights(shape):
+    """Header edit of the dense ``fc`` layer's weight shape."""
     def edit(header):
         (entry,) = [e for e in header["layers"] if e["id"] == "fc"]
-        if field == "nbytes":
-            entry[section]["nbytes"] += value
-        else:
-            entry[section][field] = value
+        entry["weights"] = shape
     return edit
 
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
-@pytest.mark.parametrize("section,field,value,message", [
-    ("bias", "nbytes", -1, "float32 section of 15 bytes is not a multiple of 4"),
-    ("bias", "nbytes", 2, "float32 section of 18 bytes is not a multiple of 4"),
-    ("weights", "nbytes", -1, r"weight shape \[4, 8, 1, 1\] does not fit a 127-byte section"),
-    ("weights", "nbytes", -4, r"weight shape \[4, 8, 1, 1\] does not fit a 124-byte section"),
-    ("weights", "shape", [4, 8, 2, 1], r"weight shape .* does not fit a 128-byte section"),
-    ("weights", "shape", [32, 1, 1], r"weight shape .* does not fit a 128-byte section"),
-    ("weights", "shape", [4, 8, 1, 0], r"weight shape .* does not fit a 128-byte section"),
-    ("weights", "shape", [4, 8, 1, True], r"weight shape .* does not fit a 128-byte section"),
-    ("weights", "shape", "4x8", r"weight shape .* does not fit a 128-byte section"),
-])
-def test_bad_f32_section_raises_format_error(toy_cnn, toy_cnn_hck, compressed, section, field, value, message):
-    data = serialize_compressed(toy_cnn_hck) if compressed else serialize_model(toy_cnn[0])
-    with pytest.raises(FormatError, match=f"layer 'fc': {message}"):
-        (deserialize_compressed if compressed else deserialize_model)(
-            patch_header(data, _edit_fc(section, field, value))
-        )
+@pytest.mark.parametrize("shape", [[32, 1, 1], [4, 8, 1, 0], [4, 8, 1, True], "4x8"], ids=["3d", "zero", "bool", "str"])
+def test_bad_weight_shape_raises_format_error(toy_cnn, toy_cnn_hck, compressed, shape):
+    data, load = _container(toy_cnn, toy_cnn_hck, compressed)
+    with pytest.raises(FormatError, match=f"^layer 'fc': weights {re.escape(repr(shape))} is not 4 positive integers$"):
+        load(patch_header(data, _fc_weights(shape)))
 
 
 @pytest.mark.parametrize("d", [5, 0, -3, 10**9, True, "3", None])
 def test_group_pattern_d_off_its_mask_raises_format_error(toy_cnn_hck, d):
+    """The edge is checked before the mask tail is sized by it; d=5 takes the
+    last 4 payload bytes as its mask, which keep 14 cells."""
+    message = {5: "bad pattern: pattern must keep between 1 and d=5 positions, got 14",
+               0: "pattern d=0 is not positive", -3: "pattern d=-3 is not positive",
+               10**9: f"pattern d={10**9} is over the bound of {MAX_EDGE}"}.get(d, f"d {d!r} is not an integer")
     data = serialize_compressed(toy_cnn_hck)
-    with pytest.raises(FormatError, match="group 'conv1': pattern d=.* does not fit its 2-byte mask"):
+    with pytest.raises(FormatError, match=f"^group 'conv1': {re.escape(message)}$"):
         deserialize_compressed(patch_header(data, lambda h: h["groups"][0]["pattern"].update(d=d)))
 
 
@@ -525,14 +512,6 @@ def test_group_mask_keeping_no_cell_or_more_than_d_raises_format_error(toy_cnn_h
         deserialize_compressed(data)
 
 
-@pytest.mark.parametrize("field", ["mask_offset", "mask_nbytes"])
-@pytest.mark.parametrize("value", ["0", None, 1.5, [2]])
-def test_group_mask_section_not_an_int_raises_format_error(toy_cnn_hck, field, value):
-    data = serialize_compressed(toy_cnn_hck)
-    with pytest.raises(FormatError, match="layer 'conv1': section offset .* is not an integer"):
-        deserialize_compressed(patch_header(data, lambda h: h["groups"][0]["pattern"].update({field: value})))
-
-
 # ---------------------------------------------------------------------------
 # hostile headers: every field type-checked, every broken invariant a FormatError
 # ---------------------------------------------------------------------------
@@ -543,19 +522,20 @@ SWEEP_VALUES = (None, "x", -1, 2**40, 1.5, True, [], {})
 def test_header_sweep_raises_only_format_error(toy_cnn, toy_cnn_hck):
     """Every header node of a .upaq and a .upaqc, set to each sweep value and
     deleted: each load either succeeds or raises FormatError."""
-    others, loads = [], 0
+    others, sums, loads = [], [], 0
     for data, load in ((serialize_model(toy_cnn[0]), deserialize_model),
                        (serialize_compressed(toy_cnn_hck), deserialize_compressed)):
         for path, patched in header_mutations(data, SWEEP_VALUES):
             loads += 1
             try:
                 load(patched)
-            except FormatError:
-                pass
+            except FormatError as exc:
+                if "CRC32" in str(exc):
+                    sums.append(path)  # a patched file that stops at its checksum tests nothing
             except Exception as exc:
                 others.append((path, f"{type(exc).__name__}: {exc}"))
-    assert loads == 2160
-    assert others == []
+    assert loads == 1683
+    assert others == [] and sums == []
 
 
 def test_compressed_graph_that_does_not_chain_fails_at_load(toy_cnn_hck):
@@ -571,10 +551,8 @@ def test_compressed_graph_that_does_not_chain_fails_at_load(toy_cnn_hck):
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 1e38])  # 1e38 * 127 overflows float32
 def test_scale_that_dequantizes_to_non_finite_fails_at_load(toy_cnn_hck, scale):
     data = serialize_compressed(toy_cnn_hck)
-    (hlen,) = struct.unpack("<I", data[5:9])
-    scales = json.loads(data[9:9 + hlen])["layers"][0]["quantized"]["scales"]
-    at = 9 + hlen + scales["offset"]
-    patched = data[:at] + np.array([scale], dtype="<f4").tobytes() + data[at + 4:]
+    # conv1's scales follow its bias, the payload's first section
+    patched = splice(data, 4 * toy_cnn_hck.layers[0].bias.size, np.array([scale], dtype="<f4").tobytes())
     with pytest.raises(FormatError, match="layer 'conv1': a scale dequantizes to a non-finite weight"):
         deserialize_compressed(patched)
     cm = deserialize_compressed(data)
@@ -610,8 +588,7 @@ def test_profile_out_of_range_raises_format_error(toy_cnn_hck, field, value, mes
 @pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
 @pytest.mark.parametrize("layer_id", ["conv1", "conv2", "conv3"])
 def test_padding_past_the_kernel_edge_raises_format_error(toy_cnn, toy_cnn_hck, compressed, layer_id):
-    data = serialize_compressed(toy_cnn_hck) if compressed else serialize_model(toy_cnn[0])
-    load = deserialize_compressed if compressed else deserialize_model
+    data, load = _container(toy_cnn, toy_cnn_hck, compressed)
 
     def padded(value):
         def edit(header):
@@ -629,40 +606,117 @@ def test_padding_past_the_kernel_edge_raises_format_error(toy_cnn, toy_cnn_hck, 
         model.validate()
 
 
-def _move_section(layer_id, key, offset):
-    def edit(header):
-        (entry,) = [e for e in header["layers"] if e["id"] == layer_id]
-        ref = entry["quantized"][key] if key in ("scales", "packed") else entry[key]
-        ref["offset"] = offset
-    return edit
+# ---------------------------------------------------------------------------
+# every section sized by the header and read end to end; one CRC32 seals the file
+# ---------------------------------------------------------------------------
+
+def _sections_end(data, compressed):
+    """Where the layer sections end: at the group masks, or at the payload's end."""
+    return min(at for at, _ in mask_spans(data).values()) if compressed else len(split_container(data)[2])
 
 
-@pytest.mark.parametrize("edit,message", [
-    (_move_section("fc", "bias", 9744), "weights of 'fc' [9632, 9760) and bias of 'fc' [9744, 9760)"),
-    (_move_section("conv2", "weights", 0), "weights of 'conv1' [0, 288) and weights of 'conv2' [0, 4608)"),
-], ids=["bias-in-weights", "weights-on-weights"])
-def test_overlapping_dense_sections_raise_format_error(toy_cnn, edit, message):
-    with pytest.raises(FormatError, match=f"^payload sections overlap: {re.escape(message)}$"):
-        deserialize_model(patch_header(serialize_model(toy_cnn[0]), edit))
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+def test_a_section_that_runs_past_the_payload_raises_format_error(toy_cnn, toy_cnn_hck, compressed):
+    """fc, the last layer, holds 128 bytes of weights and 16 of bias: the bias
+    last in a .upaq, first in a .upaqc."""
+    data, load = _container(toy_cnn, toy_cnn_hck, compressed)
+    cut = "weights section of 128 bytes runs past the 124" if compressed else "bias section of 16 bytes runs past the 12"
+    with pytest.raises(FormatError, match=f"^layer 'fc': {cut} bytes left$"):
+        load(splice(data, _sections_end(data, compressed) - 4, b"", 4))
+    grown = f"weights section of 256 bytes runs past the {128 if compressed else 144}"
+    with pytest.raises(FormatError, match=f"^layer 'fc': {grown} bytes left$"):
+        load(patch_header(data, _fc_weights([4, 8, 2, 1])))
 
 
-@pytest.mark.parametrize("edit,message", [
-    (lambda h: h["groups"][0]["pattern"].update(mask_offset=0),
-     "group mask of 'conv1' [0, 2) and bias of 'conv1' [0, 32)"),
-    (_move_section("conv2", "packed", 1456),
-     "packed integers of 'conv2' [1456, 1712) and packed integers of 'conv3' [1456, 1712)"),
-    (_move_section("conv3", "scales", 900), "packed integers of 'conv2' [656, 912) and scales of 'conv3' [900, 1412)"),
-], ids=["mask-in-bias", "packed-on-packed", "scales-into-packed"])
-def test_overlapping_compressed_sections_raise_format_error(toy_cnn_hck, edit, message):
-    with pytest.raises(FormatError, match=f"^payload sections overlap: {re.escape(message)}$"):
-        deserialize_compressed(patch_header(serialize_compressed(toy_cnn_hck), edit))
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+def test_bytes_after_the_last_section_raise_format_error(toy_cnn, toy_cnn_hck, compressed):
+    data, load = _container(toy_cnn, toy_cnn_hck, compressed)
+    with pytest.raises(FormatError, match="^4 payload bytes follow the last layer section$"):
+        load(splice(data, _sections_end(data, compressed), bytes(4), 0))
+    # fc declared 2x8 reads 64 bytes of weights and 8 of bias out of its 144
+    with pytest.raises(FormatError, match="^72 payload bytes follow the last layer section$"):
+        load(patch_header(data, _fc_weights([2, 8, 1, 1])))
 
 
-def test_zero_length_and_adjacent_sections_do_not_overlap():
-    payload = _Payload(bytes(16))
-    assert payload.read(0, 8, "a", "weights") == bytes(8)
-    assert payload.read(8, 8, "a", "bias") == bytes(8)  # touching, not overlapping
-    assert payload.read(4, 0, "b", "bias") == b""  # zero-length sections are exempt
-    assert payload.read(4, 0, "c", "bias") == b""
-    with pytest.raises(FormatError, match=r"^payload sections overlap: weights of 'a' \[0, 8\) and scales of 'd' \[7, 9\)$"):
-        payload.read(7, 2, "d", "scales")
+def test_a_payload_too_short_for_its_mask_tail_raises_format_error(toy_cnn_hck):
+    data = serialize_compressed(toy_cnn_hck)
+    empty = splice(data, 0, b"", len(split_container(data)[2]))
+    with pytest.raises(FormatError, match="^payload of 0 bytes is too short for its 2-byte group-mask tail$"):
+        deserialize_compressed(empty)
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+def test_a_bias_on_a_layer_with_no_weights_raises_format_error(toy_cnn, toy_cnn_hck, compressed):
+    data, load = _container(toy_cnn, toy_cnn_hck, compressed)
+    with pytest.raises(FormatError, match="^layer 'relu1': has a bias but no weights$"):
+        load(patch_header(data, lambda header: header["layers"][1].update(bias=True)))
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+def test_a_file_that_fails_its_crc_raises_format_error(toy_cnn, toy_cnn_hck, compressed):
+    data, load = _container(toy_cnn, toy_cnn_hck, compressed)
+    assert data[9:13] == zlib.crc32(data[13:]).to_bytes(4, "little")  # the header and payload, after the preamble
+    what = "compressed model" if compressed else "dense model"
+    for at in (9, 13, len(data) - 1):  # the CRC itself, the header's first byte, the payload's last
+        bad = bytearray(data)
+        bad[at] ^= 1
+        with pytest.raises(FormatError, match=f"^{what} container is corrupt or truncated: its CRC32 does not match$"):
+            load(bytes(bad))
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
+@pytest.mark.parametrize("how", ["preamble", "header", "payload", "cut", "extend"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_no_flip_cut_or_extension_of_a_container_loads(toy_cnn, toy_cnn_hck, compressed, how, draw):
+    """One to three bits flipped in the preamble, the header or the payload,
+    the file cut short, or bytes appended: each raises FormatError alone."""
+    data, load = _container(toy_cnn, toy_cnn_hck, compressed)
+    header_end = len(data) - len(split_container(data)[2])
+    if how == "cut":
+        bad = data[:draw.draw(st.integers(0, len(data) - 1), label="length")]
+    elif how == "extend":
+        bad = data + draw.draw(st.binary(min_size=1, max_size=16), label="tail")
+    else:
+        lo, hi = {"preamble": (0, 13), "header": (13, header_end), "payload": (header_end, len(data))}[how]
+        bad = bytearray(data)
+        for bit in draw.draw(st.sets(st.integers(8 * lo, 8 * hi - 1), min_size=1, max_size=3), label="bits"):
+            bad[bit // 8] ^= 1 << bit % 8
+    with pytest.raises(FormatError):
+        load(bytes(bad))
+
+
+def _mask_bits(pattern):
+    """A pattern's mask bytes, set bit by bit: cell ``r*d+c`` is bit ``(r*d+c) % 8``
+    of byte ``(r*d+c) // 8``."""
+    cells = [r * pattern.d + c for r, c in pattern.positions]
+    return bytes(sum(1 << cell % 8 for cell in cells if cell // 8 == i) for i in range(-(-pattern.d ** 2 // 8)))
+
+
+def _f32_bytes(array):
+    return b"" if array is None else np.asarray(array, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1"])
+@pytest.mark.parametrize("profile", [None, upaq.hck_profile, upaq.lck_profile], ids=["dense", "hck", "lck"])
+def test_the_payload_is_its_sections_end_to_end(arch, profile):
+    """The payload holds the sections its header sizes, in the documented order
+    and nothing else: dense weights then bias per layer; or per layer the
+    bias, dense weights, scales and packed integers, then every group mask."""
+    model = upaq.gen_fixture(arch, 42)[0]
+    weights = lambda layer: None if layer.weights is None else layer.weights.data
+    if profile is None:
+        data = serialize_model(model)
+        parts = [_f32_bytes(array) for layer in model.layers for array in (weights(layer), layer.bias)]
+    else:
+        cm = upaq.compress_model(model, profile(seed=42))
+        data = serialize_compressed(cm)
+        parts = []
+        for layer in cm.layers:
+            parts += [_f32_bytes(layer.bias), _f32_bytes(weights(layer))]
+            if layer.id in cm.qlayers:
+                qc = cm.qlayers[layer.id]
+                values = stored_values_reference(qc.q.reshape(-1)[:np.prod(qc.shape)].reshape(qc.shape), qc.pattern)
+                parts += [_f32_bytes(qc.scales), b"".join(pack_ints(row, qc.bitwidth) for row in values)]
+        parts += [_mask_bits(group.pattern) for group in cm.groups]
+    assert split_container(data)[2] == b"".join(parts)

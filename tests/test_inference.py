@@ -184,6 +184,24 @@ def test_blob_length_off_its_sidecar_raises_format_error(tmp_path, toy_cnn):
         load_activations(path)
 
 
+@pytest.mark.parametrize("damage", ["flip", "no-crc"])
+def test_a_blob_off_its_sidecar_crc_raises_format_error(tmp_path, toy_cnn, damage):
+    path = tmp_path / "inputs.bin"
+    save_activations(path, toy_cnn[1][:5])
+    if damage == "flip":
+        blob = bytearray(path.read_bytes())
+        blob[100] ^= 1
+        path.write_bytes(blob)
+        message = r"inputs\.bin: CRC32 does not match its sidecar$"
+    else:
+        meta = json.loads(inference.sidecar_path(path).read_text())
+        del meta["crc32"]
+        inference.sidecar_path(path).write_text(json.dumps(meta))
+        message = r"inputs\.bin\.json: missing 'crc32'$"
+    with pytest.raises(FormatError, match=message):
+        load_activations(path)
+
+
 def test_load_activations_holds_one_copy_of_the_blob(tmp_path):
     path = tmp_path / "inputs.bin"
     batch = np.random.default_rng(48).normal(size=(256, 1, 32, 32)).astype(np.float32)  # 1 MiB

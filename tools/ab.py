@@ -6,9 +6,9 @@ and perfbench's wide model (8 inputs), dense and compressed under hck and lck, a
 prints the median of A's time over B's (above 1, B is faster) and the pairs B won.  Its first line
 names the CPUs B's ``inference.usable_cpus()`` counts, which a batch of more than one chunk may be
 split over.
-Before it times anything it checks that both sides give the same bytes, and exits 1 naming the first
-case that differs: each timed case's outputs, and each model's ``.upaqc`` bytes and evaluate report
-under hck and lck, with drawn and with exhaustive patterns.  Needs numpy only.
+Before it times anything it checks that both sides give the same bytes: each timed case's outputs,
+and each model's ``.upaqc`` bytes and evaluate report under hck and lck, with drawn and with
+exhaustive patterns.  It lists every case that differs and exits 1 if any does.  Needs numpy only.
 """
 
 import functools
@@ -89,9 +89,11 @@ if __name__ == "__main__":
     pairs = int(sys.argv[3]) if len(sys.argv) > 3 else 41
     both = [cases(upaq) for upaq in sides]
     checked = [artifacts(upaq, timed) for upaq, timed in zip(sides, both)]
-    for name in checked[0]:
-        if checked[0][name] != checked[1][name]:
-            sys.exit(f"{name}: A and B differ")
+    differ = [name for name in checked[0] if checked[0][name] != checked[1][name]]
+    for name in differ:
+        print(f"{name}: A and B differ")
+    if differ:
+        sys.exit(f"{len(differ)} of {len(checked[0])} outputs, containers and reports differ")
     print(f"{len(checked[0])} outputs, containers and reports identical")
     for name in both[0]:
         times = ([], [])
