@@ -136,7 +136,7 @@ def _cmd_compress(args) -> int:
         "seed": args.seed,
         "patterns": "all" if exhaustive else candidates,
         "groups": compression_decisions(cm),
-        "compression_ratio": compression_ratio(cm.base_payload_nbytes, compressed_payload_nbytes(cm)),
+        "compression_ratio": compression_ratio(dense_payload_nbytes(cm), compressed_payload_nbytes(cm)),
         "computational_cost": asdict(computational_cost(cm)),
         "latency_units": {"base": base_cost.latency, "compressed": comp_cost.latency},
         "energy_units": {"base": base_cost.energy, "compressed": comp_cost.energy},
@@ -205,10 +205,7 @@ def _cmd_inspect(args) -> int:
         "groups": compression_decisions(model),
         "profile": model.profile.name,
         "payload_nbytes": compressed_payload_nbytes(model),
-        "compression_ratio": (
-            compression_ratio(model.base_payload_nbytes, compressed_payload_nbytes(model))
-            if model.base_payload_nbytes else None
-        ),
+        "compression_ratio": compression_ratio(dense_payload_nbytes(model), compressed_payload_nbytes(model)),
     }, indent=2))
     return 0
 

@@ -4,9 +4,13 @@ A compressed model keeps the graph topology, biases, and any uncompressed
 weights dense at float32, while every compressed conv layer is replaced by
 its integer slice stack, one scale per slice: its row-major weights cut into
 ``d x d`` slices, ``d`` being its pattern's edge (see :func:`slice_stack`),
-one row of ``d*d`` cells each.  Each payload carries its group's pattern and
-bitwidth, so whatever reads a payload takes ``d`` and the stored cells from
-it; group records tie each root and its leaves to that shared decision.
+one row of ``d*d`` cells each.  A layer holds dense weights or a payload,
+never both, and its bias must match the ``out_ch`` of whichever it holds.
+Each payload carries its group's pattern and bitwidth, so whatever reads a
+payload takes ``d`` and the stored cells from it; group records tie each
+root and its leaves to that shared decision, and a file stores it in the
+group record alone.  The model keeps no dense size of its source: each
+payload's shape gives it (see :func:`~upaq.container.dense_payload_nbytes`).
 
 :class:`CompressedModel` is the one record of a compression: its
 ``profile`` is the :class:`CompressionProfile` that made it, and each group
@@ -133,7 +137,6 @@ class CompressedModel:
     groups: list[CompressedGroup]
     qlayers: dict[str, QuantizedConv]
     profile: CompressionProfile
-    base_payload_nbytes: int = 0  # dense payload size of the source model
 
     def validate(self) -> None:
         self.profile.validate()

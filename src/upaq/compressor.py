@@ -37,7 +37,6 @@ from .compressed import (  # BLOCK_K stays importable from here
     slice_edge,
     slice_stack,
 )
-from .container import dense_payload_nbytes
 from .cost import ModelCost, layer_costs, sum_costs
 from .errors import ValidationError
 from .grouping import RootGroup, find_root_groups
@@ -192,10 +191,8 @@ def compress_model(model: ModelGraph, profile: CompressionProfile) -> Compressed
     for layer in layers:
         if layer.id in qlayers:
             layer.weights = None
-    return CompressedModel(
-        name=model.name, input_shape=model.input_shape, layers=layers, groups=groups, qlayers=qlayers,
-        profile=profile, base_payload_nbytes=dense_payload_nbytes(model),
-    )
+    return CompressedModel(name=model.name, input_shape=model.input_shape, layers=layers, groups=groups,
+                           qlayers=qlayers, profile=profile)
 
 
 def compression_decisions(cm: CompressedModel) -> list[dict]:

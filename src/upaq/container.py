@@ -3,15 +3,19 @@
 Both formats are: 5-byte magic, u32 header length, the u32 ``zlib.crc32`` of
 the header and payload, a canonical JSON header (sorted keys, no whitespace)
 holding the graph, then a single binary payload.  All multi-byte values are
-little-endian.  The header states no offset or size: the payload's sections
-lie end to end in the order below, each sized by the shapes, pattern edges
-and bitwidths the header holds.  Files of format version 1, which stored an
-offset and size for every section, are not read.
+little-endian.  The header states each fact once and no offset or size: the
+payload's sections lie end to end in the order below, each sized by the
+shapes, pattern edges and bitwidths the header holds.  Files of format
+versions 1 and 2 are not read.
 
-Dense payload: per layer in list order, the float32 weights, then the bias
-(``out_ch`` floats).  Compressed payload: per layer in list order, the
-float32 bias, then either dense float32 weights (uncompressed layers) or the
-float32 scale table followed by the packed integers; after the layer sections
+Every layer's header entry is ``{id, kind, inputs, stride, padding, weights,
+bias}``: ``weights`` is its weight shape (a quantized layer's payload shape)
+or null, ``bias`` whether it has one.  Both payloads hold, per layer in list
+order, the float32 bias (``out_ch`` floats), then the weights section: dense
+float32 weights, or a quantized layer's float32 scale table followed by its
+packed integers.  A compressed file's layer is quantized if and only if a
+group names it, and it takes that group's pattern and bitwidth, which the
+group record alone states.  After the layer sections of a compressed payload
 come the group masks, in group order, each its pattern's
 ``KernelPattern.mask()`` packed LSB first in ``ceil(d*d/8)`` bytes.
 
@@ -22,20 +26,21 @@ blocks of a 1 x 1 layer's flat weights), one scale per slice, and
 :func:`~upaq.compressed.stored_slots` marks the cells stored in each slice:
 the pattern's cells, less the pad cells of the last block.  That stack is
 ``QuantizedConv.q`` itself: the writer packs it and the reader hands the
-unpacked stack to the payload as it is.  The file stores each pattern once,
-in its group's record; the reader hands it to each member's payload.
-Each slice's stored values are written in row-major cell order as
+unpacked stack to the payload as it is.  Each slice's stored values are written in row-major cell order as
 two's-complement 4/8/16-bit fields, LSB first, and each slice is padded to a
 byte boundary.
 
-Compression ratios compare payload lengths only; headers are excluded.
+Compression ratios compare payload lengths only; headers are excluded.  A
+file stores no ratio: :func:`dense_payload_nbytes` counts a quantized layer
+at 4 bytes per value of its payload shape, the dense size of the model it
+came from.
 
-Both formats share one graph writer (:func:`_base_entry`, each writer
-appending sections in the order above, and :func:`_assemble`, which alone
-seals a file with its CRC) and one graph reader, :func:`_read_graph`.
-:func:`_split` checks the CRC before it parses the header.  The compressed
-reader first takes the group masks from the payload's tail, each pattern's
-edge checked against ``MAX_EDGE`` (11) before any size is taken from it.
+Both formats share one layer writer, :func:`_layer_sections`, one sealer,
+:func:`_assemble`, and one layer reader, :func:`_read_graph`.  :func:`_split`
+checks the CRC before it parses the header.  The compressed reader first
+takes the group masks from the payload's tail, each pattern's edge checked
+against ``MAX_EDGE`` (11) and each bitwidth against ``SUPPORTED_BITS``
+before any size is taken from them.
 Every header value goes through :func:`_get` or :func:`_get_list`, which raise
 FormatError naming the layer, group or field for a missing key or a wrong
 JSON type (a bool is not an int), and each reader ends in :func:`_validated`,
@@ -71,7 +76,7 @@ from .quantizer import SUPPORTED_BITS
 
 MAGIC_DENSE = b"UPAQ1"
 MAGIC_COMPRESSED = b"UPQC1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 PREAMBLE = struct.Struct("<5sII")  # magic, header length, CRC32 of the header and payload
 
 
@@ -140,10 +145,14 @@ def _positions_from_mask(mask: bytes, d: int) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 def dense_payload_nbytes(model: ModelGraph | CompressedModel) -> int:
-    """Payload size of the dense container: 4 bytes per dense weight and bias value."""
+    """Payload size of the dense container: 4 bytes per weight and bias
+    value, a quantized layer's weights counted at its payload's shape."""
+    qlayers = model.qlayers if isinstance(model, CompressedModel) else {}
     total = 0
     for layer in model.layers:
-        if layer.weights is not None:
+        if layer.id in qlayers:
+            total += 4 * math.prod(qlayers[layer.id].shape)
+        elif layer.weights is not None:
             total += 4 * layer.weights.data.size
         if layer.bias is not None:
             total += 4 * layer.bias.size
@@ -152,18 +161,12 @@ def dense_payload_nbytes(model: ModelGraph | CompressedModel) -> int:
 
 def serialize_model(model: ModelGraph) -> bytes:
     model.validate()
-    blob = bytearray()
-    for layer in model.layers:
-        if layer.weights is not None:
-            blob += _f32(layer.weights.data)
-        if layer.bias is not None:
-            blob += _f32(layer.bias)
-    return _assemble(MAGIC_DENSE, model, [_base_entry(layer) for layer in model.layers], blob)
+    return _assemble(MAGIC_DENSE, model, *_layer_sections(model.layers, {}))
 
 
 def deserialize_model(data: bytes) -> ModelGraph:
     header, payload = _split(data, MAGIC_DENSE, "dense model")
-    name, input_shape, layers, _ = _read_graph(header, _Cursor(payload))
+    name, input_shape, layers, _ = _read_graph(header, _Cursor(payload), {})
     return _validated(ModelGraph(name=name, input_shape=input_shape, layers=layers))
 
 
@@ -186,36 +189,21 @@ def packed_layer_nbytes(qc: QuantizedConv) -> int:
 
 def compressed_payload_nbytes(cm: CompressedModel) -> int:
     """Payload size of the compressed container, by direct accounting."""
-    total = dense_payload_nbytes(cm)  # the biases and uncompressed weights
+    total = dense_payload_nbytes(cm)  # the biases, and the weights at 4 bytes a value
     for qc in cm.qlayers.values():
-        total += 4 * qc.scales.size + packed_layer_nbytes(qc)
+        total += 4 * qc.scales.size + packed_layer_nbytes(qc) - 4 * math.prod(qc.shape)
     return total + sum(len(pack_mask(group.pattern)) for group in cm.groups)
 
 
 def serialize_compressed(cm: CompressedModel) -> bytes:
     cm.validate()
-    blob = bytearray()
-    entries = []
-    for layer in cm.layers:
-        entry = _base_entry(layer)
-        entry["quantized"] = None
-        if layer.bias is not None:
-            blob += _f32(layer.bias)
-        if layer.weights is not None:
-            blob += _f32(layer.weights.data)
-        if layer.id in cm.qlayers:
-            qc = cm.qlayers[layer.id]
-            entry["quantized"] = {"shape": list(qc.shape), "bitwidth": qc.bitwidth}
-            blob += _f32(qc.scales)
-            blob += pack_slots(qc.q, stored_slots(qc.shape, qc.pattern), qc.bitwidth)
-        entries.append(entry)
+    entries, blob = _layer_sections(cm.layers, cm.qlayers)
     groups = []
     for group in cm.groups:
         blob += pack_mask(group.pattern)
         groups.append({"root": group.root_id, "leaves": list(group.leaf_ids), "bitwidth": group.bitwidth,
                        "pattern": {"kind": group.pattern.kind, "d": group.pattern.d}})
-    return _assemble(MAGIC_COMPRESSED, cm, entries, blob, groups=groups, profile=asdict(cm.profile),
-                     base_payload_nbytes=cm.base_payload_nbytes)
+    return _assemble(MAGIC_COMPRESSED, cm, entries, blob, groups=groups, profile=asdict(cm.profile))
 
 
 def deserialize_compressed(data: bytes) -> CompressedModel:
@@ -228,12 +216,9 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
     masks_at = len(payload) - tail
     masks = _Cursor(payload[masks_at:])
     groups = [_read_group(entry, d, masks) for entry, d in zip(entries, edges)]
-    patterns = {member: group.pattern for group in groups for member in group.member_ids}
-    name, input_shape, layers, qlayers = _read_graph(header, _Cursor(payload[:masks_at]), patterns)
+    owners = {member: group for group in groups for member in group.member_ids}
+    name, input_shape, layers, qlayers = _read_graph(header, _Cursor(payload[:masks_at]), owners)
     profile = _get(header, "profile", "header", dict)
-    base_payload_nbytes = _get(header, "base_payload_nbytes", "header", int)
-    if base_payload_nbytes < 0:
-        raise FormatError(f"header: base_payload_nbytes {base_payload_nbytes} is negative")
     return _validated(CompressedModel(
         name=name, input_shape=input_shape, layers=layers, groups=groups, qlayers=qlayers,
         profile=CompressionProfile(
@@ -244,7 +229,6 @@ def deserialize_compressed(data: bytes) -> CompressedModel:
             candidates=_get(profile, "candidates", "profile", int),
             exhaustive=_get(profile, "exhaustive", "profile", bool),
         ),
-        base_payload_nbytes=base_payload_nbytes,
     ))
 
 
@@ -264,22 +248,23 @@ def _pattern_edge(entry: dict, index: int) -> int:
 
 
 def _read_group(entry: dict, d: int, masks: _Cursor) -> CompressedGroup:
+    """A group record, its bitwidth checked before any section is sized by it."""
     where = f"group {entry['root']!r}"
+    bits = _get(entry, "bitwidth", where, int)
+    if bits not in SUPPORTED_BITS:
+        raise FormatError(f"{where}: bitwidth {bits!r} is not one of {SUPPORTED_BITS}")
     positions = _positions_from_mask(masks.take(_mask_nbytes(d), where, "group mask"), d)
     try:
         pattern = KernelPattern(kind=_get(entry["pattern"], "kind", where), d=d, positions=positions)
     except ValueError as exc:
         raise FormatError(f"{where}: bad pattern: {exc}") from None
     leaves = tuple(_get_list(entry, "leaves", where, str))
-    return CompressedGroup(root_id=entry["root"], leaf_ids=leaves, pattern=pattern,
-                           bitwidth=_get(entry, "bitwidth", where, int))
+    return CompressedGroup(root_id=entry["root"], leaf_ids=leaves, pattern=pattern, bitwidth=bits)
 
 
-def _read_quantized(sections: _Cursor, meta: dict, shape: tuple[int, ...], where: str,
-                    pattern: KernelPattern) -> QuantizedConv:
-    bits = _get(meta, "bitwidth", where, int)
-    if bits not in SUPPORTED_BITS:
-        raise FormatError(f"{where}: bitwidth {bits!r} is not one of {SUPPORTED_BITS}")
+def _read_quantized(sections: _Cursor, shape: tuple[int, ...], where: str, group: CompressedGroup) -> QuantizedConv:
+    """A group member's payload, under its group's pattern and bitwidth."""
+    pattern, bits = group.pattern, group.bitwidth
     # the scale table is taken before the slot stack is sized by the shape
     scales = sections.f32((-(-math.prod(shape) // pattern.d ** 2),), where, "scales")
     try:
@@ -312,14 +297,26 @@ def load_any(path) -> ModelGraph | CompressedModel:
 
 
 # ---------------------------------------------------------------------------
-# the shared graph writer
+# the shared layer writer
 # ---------------------------------------------------------------------------
 
-def _base_entry(layer: LayerSpec) -> dict:
-    """A layer's header entry: its graph fields, weight shape and whether it has a bias."""
-    return {"id": layer.id, "kind": layer.kind, "stride": layer.stride, "padding": layer.padding,
-            "inputs": list(layer.inputs), "weights": None if layer.weights is None else list(layer.weights.shape),
-            "bias": layer.bias is not None}
+def _layer_sections(layers: list[LayerSpec], qlayers: dict[str, QuantizedConv]) -> tuple[list[dict], bytearray]:
+    """Each layer's header entry, and its payload sections: the bias, then its
+    dense weights or its ``qlayers`` payload's scales and packed integers."""
+    entries, blob = [], bytearray()
+    for layer in layers:
+        qc = qlayers.get(layer.id)
+        shape = qc.shape if qc is not None else (None if layer.weights is None else layer.weights.shape)
+        entries.append({"id": layer.id, "kind": layer.kind, "stride": layer.stride, "padding": layer.padding,
+                        "inputs": list(layer.inputs), "weights": None if shape is None else list(shape),
+                        "bias": layer.bias is not None})
+        if layer.bias is not None:
+            blob += _f32(layer.bias)
+        if qc is not None:
+            blob += _f32(qc.scales) + pack_slots(qc.q, stored_slots(qc.shape, qc.pattern), qc.bitwidth)
+        elif layer.weights is not None:
+            blob += _f32(layer.weights.data)
+    return entries, blob
 
 
 def _f32(array: np.ndarray) -> bytes:
@@ -408,33 +405,25 @@ def _split(data: bytes, magic: bytes, what: str) -> tuple[dict, memoryview]:
     return header, memoryview(data)[start:]
 
 
-def _read_graph(header: dict, sections: _Cursor, patterns: dict[str, KernelPattern] | None = None):
-    """What both containers share: the model name, the input shape and each
-    layer with its dense weights and bias, then the quantized payloads of a
-    compressed file, whose ``patterns`` maps each group member to its group's
-    pattern.  Each layer's sections are read in its writer's order, and they
+def _read_graph(header: dict, sections: _Cursor, owners: dict[str, CompressedGroup]):
+    """The model name, the input shape, and each layer with its bias and
+    weights section: a payload if a group of ``owners`` (each member's group;
+    none in a dense file) names the layer, else dense weights.  The sections
     must leave no byte of ``sections`` unread."""
     layers, qlayers = [], {}
     for i, entry in enumerate(_get_list(header, "layers", "header", dict)):
         layer_id = _get(entry, "id", f"layers[{i}]", str)
         where = f"layer {layer_id!r}"
         shape = _get_shape(entry, "weights", where, 4, optional=True)
-        meta = None if patterns is None else _get(entry, "quantized", where, (dict, type(None)))
-        qshape = None if meta is None else _get_shape(meta, "shape", where, 4)
-        out_shape = shape or qshape
         has_bias = _get(entry, "bias", where, bool)
-        if has_bias and out_shape is None:
+        if has_bias and shape is None:
             raise FormatError(f"{where}: has a bias but no weights")
-        bias = None
-        if has_bias and patterns is not None:  # a compressed file: bias, weights, then the quantized payload
-            bias = sections.f32(out_shape[:1], where, "bias")
-        weights = None if shape is None else Tensor4(sections.f32(shape, where, "weights"))
-        if has_bias and patterns is None:  # a dense file: weights, then bias
-            bias = sections.f32(out_shape[:1], where, "bias")
-        if meta is not None:
-            if layer_id not in patterns:
-                raise FormatError(f"quantized layer {layer_id!r} missing from the group table")
-            qlayers[layer_id] = _read_quantized(sections, meta, qshape, where, patterns[layer_id])
+        bias = sections.f32(shape[:1], where, "bias") if has_bias else None
+        weights = None
+        if shape is not None and layer_id in owners:
+            qlayers[layer_id] = _read_quantized(sections, shape, where, owners[layer_id])
+        elif shape is not None:
+            weights = Tensor4(sections.f32(shape, where, "weights"))
         layers.append(LayerSpec(id=layer_id, kind=_get(entry, "kind", where, str),
                                 inputs=tuple(_get_list(entry, "inputs", where, str)), weights=weights, bias=bias,
                                 stride=_get(entry, "stride", where, int), padding=_get(entry, "padding", where, int)))

@@ -110,7 +110,10 @@ def computational_cost(model) -> CostSummary:
 
 
 def compression_ratio(dense_bytes: int, compressed_bytes: int) -> float:
-    """Dense payload bytes over compressed payload bytes (headers excluded)."""
+    """Dense payload bytes over compressed payload bytes (headers excluded);
+    1.0 when both are empty, a model with no weights: nothing was compressed."""
+    if dense_bytes == compressed_bytes == 0:
+        return 1.0
     if dense_bytes <= 0:
         raise ValueError("dense payload must be positive")
     if compressed_bytes <= 0:

@@ -126,8 +126,11 @@ def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[in
 
     ``model`` needs ``input_shape`` and ``layers``; ``weight_shapes`` gives
     the (out, in, kh, kw) of layers that carry no dense weights, such as the
-    quantized layers of a compressed model.  Each layer's structure is
-    checked, then its shapes; a checked graph has one sink, its last layer.
+    quantized layers of a compressed model.  A layer's weight shape is its
+    dense one or its ``weight_shapes`` entry, never both, and only a weighted
+    kind has one; its bias is checked against that shape's ``out_ch``.  Each
+    layer's structure is checked, then its shapes; a checked graph has one
+    sink, its last layer.
     Raises ValidationError naming the offending layer on the first fault.
     """
     if not model.layers:
@@ -152,24 +155,22 @@ def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[in
                 raise ValidationError(f"layer {layer.id!r}: add requires exactly 2 inputs, got {arity}")
         elif arity > 1:
             raise ValidationError(f"layer {layer.id!r}: {layer.kind} takes at most 1 input, got {arity}")
+        if layer.weights is not None and layer.id in weight_shapes:
+            raise ValidationError(f"layer {layer.id!r}: holds both dense weights and a payload")
+        shape = layer.weights.shape if layer.weights is not None else weight_shapes.get(layer.id)
         if layer.kind in WEIGHTED_KINDS:
-            if layer.weights is None and layer.id not in weight_shapes:
+            if shape is None:
                 raise ValidationError(f"layer {layer.id!r}: {layer.kind} requires weights")
-            out_ch, in_ch, kh, kw = layer.weights.shape if layer.weights is not None else weight_shapes[layer.id]
+            out_ch, in_ch, kh, kw = shape
         else:
-            if layer.weights is not None:
+            if shape is not None:
                 raise ValidationError(f"layer {layer.id!r}: {layer.kind} must not carry weights")
             if layer.bias is not None:
                 raise ValidationError(f"layer {layer.id!r}: {layer.kind} must not carry a bias")
         if layer.weights is not None and not np.isfinite(layer.weights.data).all():
             raise ValidationError(f"layer {layer.id!r}: non-finite weight values")
-        if layer.bias is not None:
-            if not np.isfinite(layer.bias).all():
-                raise ValidationError(f"layer {layer.id!r}: non-finite bias values")
-            if layer.weights is not None and layer.bias.shape[0] != layer.weights.out_ch:
-                raise ValidationError(
-                    f"layer {layer.id!r}: bias length {layer.bias.shape[0]} != out_ch {layer.weights.out_ch}"
-                )
+        if layer.bias is not None and not np.isfinite(layer.bias).all():
+            raise ValidationError(f"layer {layer.id!r}: non-finite bias values")
 
         in_shapes = [shapes[src] for src in layer.inputs] or [model.input_shape]
         c, h, w = in_shapes[0]
@@ -210,6 +211,9 @@ def infer_shapes(model, weight_shapes: dict | None = None) -> dict[str, tuple[in
                     f"layer {layer.id!r}: expects {in_ch} input features, got {c * h * w}"
                 )
             shapes[layer.id] = (out_ch, 1, 1)
+        # after the channel checks, so a payload that breaks the chain is named as such
+        if layer.bias is not None and layer.bias.shape[0] != out_ch:
+            raise ValidationError(f"layer {layer.id!r}: bias length {layer.bias.shape[0]} != out_ch {out_ch}")
     consumed = {src for l in model.layers for src in l.inputs}
     sinks = [l.id for l in model.layers if l.id not in consumed]
     if len(sinks) != 1:

@@ -195,7 +195,8 @@ def recount_dense_payload(path):
 
 def recount_compressed_payload(path):
     """Recount the compressed payload from shapes, patterns, and bitwidths;
-    the group masks are the payload's last bytes, in group order."""
+    a layer is quantized if a group names it, and the group masks are the
+    payload's last bytes, in group order."""
     magic, header, payload = read_container(path)
     assert magic == b"UPQC1"
     pattern_by_member = {}
@@ -211,27 +212,26 @@ def recount_compressed_payload(path):
         for member in [g["root"]] + g["leaves"]:
             pattern_by_member[member] = (d, n, keep, g["bitwidth"])
     for entry in header["layers"]:
-        shape = None
-        if entry["quantized"] is not None:
-            shape = entry["quantized"]["shape"]
-            o, i, kh, kw = shape
-            d, n, keep, bits = pattern_by_member[entry["id"]]
-            if (kh, kw) == (d, d):
-                total += 4 * o * i  # one scale per slice
-                total += o * i * math.ceil(n * bits / 8)
-            else:  # a 1x1 layer: d x d blocks of its flat weights
-                count = o * i
-                n_blocks = math.ceil(count / (d * d))
-                total += 4 * n_blocks
-                for j in range(n_blocks):
-                    survivors = sum(1 for idx in keep if j * d * d + idx < count)
-                    total += math.ceil(survivors * bits / 8)
-        if entry["weights"] is not None:
-            shape = entry["weights"]
-            o, i, kh, kw = shape
-            total += 4 * o * i * kh * kw
         if entry["bias"]:
-            total += 4 * shape[0]
+            total += 4 * entry["weights"][0]
+        if entry["weights"] is None:
+            continue
+        o, i, kh, kw = entry["weights"]
+        if entry["id"] not in pattern_by_member:  # a layer no group names keeps dense weights
+            total += 4 * o * i * kh * kw
+            continue
+        # a group member: its weights shape is its payload's
+        d, n, keep, bits = pattern_by_member[entry["id"]]
+        if (kh, kw) == (d, d):
+            total += 4 * o * i  # one scale per slice
+            total += o * i * math.ceil(n * bits / 8)
+        else:  # a 1x1 layer: d x d blocks of its flat weights
+            count = o * i
+            n_blocks = math.ceil(count / (d * d))
+            total += 4 * n_blocks
+            for j in range(n_blocks):
+                survivors = sum(1 for idx in keep if j * d * d + idx < count)
+                total += math.ceil(survivors * bits / 8)
     assert total == len(payload), (total, len(payload))
     return total
 

@@ -137,13 +137,13 @@ def test_bad_bitwidth_in_compressed_file_exits_1(tmp_path, capsys):
     assert main(["compress", str(model_path), "-o", str(good)]) == 0
 
     def zero_bits(header):
-        header["layers"][0]["quantized"]["bitwidth"] = 0
+        header["groups"][0]["bitwidth"] = 0
 
     bad = tmp_path / "bad.upaqc"
     bad.write_bytes(patch_header(good.read_bytes(), zero_bits))
     capsys.readouterr()
     assert main(["run", str(bad), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]) == 1
-    assert "bitwidth 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "upaq: error: group 'conv_a': bitwidth 0 is not one of (4, 8, 16)\n"
 
 
 @pytest.mark.parametrize("edit", [
@@ -279,6 +279,29 @@ def test_a_model_with_no_conv_layer_compresses_runs_and_evaluates(tmp_path, caps
     for key in ("latency_units_base", "latency_units_compressed", "energy_units_base", "energy_units_compressed"):
         assert evaluated[key] == 0.0
     assert evaluated["es_total"] == pytest.approx(0.3 * 3 + 0.4 + 0.3)
+
+
+def test_a_model_with_no_weights_compresses_runs_and_evaluates(tmp_path, capsys):
+    """A relu-only model's payloads are empty in both formats: every verb
+    exits 0 and reports the ratio 1.0, nothing compressed."""
+    import numpy as np
+
+    import upaq
+
+    model = upaq.ModelGraph("relu-only", (1, 4, 4), [upaq.LayerSpec("r", "relu")])
+    model_path, inputs_path, out_model = tmp_path / "relu.upaq", tmp_path / "inputs.bin", tmp_path / "relu.upaqc"
+    upaq.save_model(model, model_path)
+    save_activations(inputs_path, np.linspace(-1, 1, 32, dtype=np.float32).reshape(2, 1, 4, 4))
+    assert main(["compress", str(model_path), "-o", str(out_model)]) == 0
+    assert json.loads(capsys.readouterr().out)["compression_ratio"] == 1.0
+    assert main(["run", str(out_model), "--inputs", str(inputs_path), "--out", str(tmp_path / "y.bin")]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(out_model)]) == 0
+    inspected = json.loads(capsys.readouterr().out)
+    assert inspected["payload_nbytes"] == 0 and inspected["compression_ratio"] == 1.0
+    assert main(["evaluate", str(model_path), str(out_model), "--inputs", str(inputs_path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and json.loads(out.out)["compression_ratio"] == 1.0
 
 
 def test_group_leaves_not_a_list_exits_1(tmp_path, capsys):
@@ -494,12 +517,12 @@ def test_compressed_model_is_the_one_record_of_its_compression(tmp_path, capsys,
 # sha256 of `upaq compress <arch>.upaq --profile <profile> --patterns 16 --seed 42`
 # on the seed-42 fixtures; a change that moves them moves every such file
 GOLDEN_UPAQC_SHA256 = {
-    ("toy-cnn", "hck"): "eeebde8df9e5fae864446ae871e39a2df90435eb934209c031855f38e2939905",
-    ("toy-cnn", "lck"): "c1911c253b18f13a14102f0aa8b0c7c15a52fb6e1b6ec4f9f7939c6ee9311203",
-    ("toy-residual", "hck"): "125f204538a744f076fd21c48fbea38ccb0b814ceb9380c8532dd74318c82e03",
-    ("toy-residual", "lck"): "22f0e6440a4c0530af0b9ad3627810caf7301e98dbfd8c1dab3892e8931d5e37",
-    ("toy-1x1", "hck"): "81c161b21ad9f55a20970964f532583f92d836884d7be0363a53ec2c9ef3233c",
-    ("toy-1x1", "lck"): "517d9a737b82d2a48edd79969966e8d3979175cfe1f10bc74b3294f43b809e11",
+    ("toy-cnn", "hck"): "e223252a8525ce3d0fc99df6268316ede3e4c07e5f9aeecb2cc3bac138f36590",
+    ("toy-cnn", "lck"): "f9faadacbecd50527f54304e58cff4928a26ce3db61bada66647d3046fd1ca06",
+    ("toy-residual", "hck"): "c2da7b255b7a05f3feeaf754c37f0047dadea03cb47127281d264c1b55ef3549",
+    ("toy-residual", "lck"): "e016371a763e05c0a519f558fe07e6b5ead4c80795bc72342f68084f4a12bfef",
+    ("toy-1x1", "hck"): "518524686864821776838ee6a50584462b1668fb8a2f4429542b2eb79d121122",
+    ("toy-1x1", "lck"): "3a839ec59f640dd1af915e72aa44411bc34dd81ca7a5384d83739fd8aeb579fe",
 }
 
 

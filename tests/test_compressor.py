@@ -30,7 +30,7 @@ from conftest import copy_model, wide_model
 from upaq.cost import model_cost
 from upaq.evaluate import payload_sqnr_db
 from upaq.errors import ValidationError
-from upaq.model import LayerSpec, ModelGraph, Tensor4
+from upaq.model import ModelGraph, Tensor4
 from upaq.patterns import KernelPattern, enumerate_all_patterns, generate_pattern, split_seed
 from upaq.quantizer import quantize_slices
 
@@ -392,16 +392,6 @@ def test_decompressed_weights_match_payload(toy_cnn, toy_cnn_hck):
 # ---------------------------------------------------------------------------
 # guards
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("kh,kw", [(3, 1), (1, 3), (3, 2)])
-def test_non_square_kernel_rejected(kh, kw):
-    w = Tensor4(np.ones((1, 1, kh, kw), dtype=np.float32))
-    layer = LayerSpec("c", "conv2d", (), w, np.zeros(1, dtype=np.float32), 1, 1)
-    model = ModelGraph("m", (1, 8, 8), [layer])
-    model.validate()
-    with pytest.raises(ValidationError, match="non-square"):
-        compress_model(model, hck_profile(seed=1))
-
 
 def test_group_member_missing_from_the_layers_rejected(toy_cnn_hck):
     # a payload for a layer the graph does not hold is a ValidationError, not a KeyError

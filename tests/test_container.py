@@ -176,10 +176,10 @@ def test_bad_magic_rejected(toy_cnn):
 
 
 def test_format_version_mismatch(toy_cnn):
-    """A version-1 header is no longer read, nor is one from a later version."""
+    """A version-1 or version-2 header is no longer read, nor is one from a later version."""
     data = serialize_model(toy_cnn[0])
-    for version in (1, 99):
-        with pytest.raises(FormatError, match=f"^format-version mismatch: file has {version}, expected 2$"):
+    for version in (1, 2, 99):
+        with pytest.raises(FormatError, match=f"^format-version mismatch: file has {version}, expected 3$"):
             deserialize_model(patch_header(data, lambda header: header.update(format_version=version)))
 
 
@@ -297,8 +297,9 @@ def toy_1x1_lck_bytes(toy_1x1):
 
 def test_v1_header_with_cost_mode_loads_to_the_same_model(toy_cnn_hck, toy_1x1_lck_bytes):
     """Keys that older writers emitted, ``profile.cost_mode``,
-    ``profile.block_k`` and each quantized layer's ``block_k``, are ignored
-    in a header of the current version."""
+    ``profile.block_k`` and each quantized layer's ``quantized`` record with
+    its ``block_k``, are ignored in a header of the current version: a group
+    alone makes a layer quantized and gives its bitwidth."""
     data = serialize_compressed(toy_cnn_hck)
     for mode in ("analytic", "measured"):
         older = patch_header(data, lambda h: h["profile"].update(cost_mode=mode))
@@ -309,8 +310,10 @@ def test_v1_header_with_cost_mode_loads_to_the_same_model(toy_cnn_hck, toy_1x1_l
         def edit(header):
             header["profile"]["block_k"] = 3
             for entry in header["layers"]:
-                if entry["quantized"] is not None:
-                    entry["quantized"]["block_k"] = value
+                if entry["id"] in ("conv_a", "conv_b"):
+                    entry["quantized"] = {"shape": entry["weights"], "bitwidth": 99, "block_k": value}
+                else:
+                    entry["quantized"] = None
         return edit
 
     for value in (None, 3, 0, -1, 2, "x"):
@@ -319,17 +322,10 @@ def test_v1_header_with_cost_mode_loads_to_the_same_model(toy_cnn_hck, toy_1x1_l
         assert serialize_compressed(deserialize_compressed(older)) == toy_1x1_lck_bytes
 
 
-def _set_quantized(layer_id, field, value):
-    def edit(header):
-        (meta,) = [e["quantized"] for e in header["layers"] if e["id"] == layer_id]
-        meta[field] = value
-    return edit
-
-
 def test_kernel_dims_off_the_pattern_name_the_layer(toy_1x1_lck_bytes, toy_1x1):
     # 9x1x1x9 keeps conv_a's 81 cells and 9 scales, but its 1x9 kernel is not square
     def flatten_kernel(header):
-        header["layers"][0]["quantized"]["shape"] = [9, 1, 1, 9]
+        header["layers"][0]["weights"] = [9, 1, 1, 9]
 
     with pytest.raises(FormatError, match="^layer 'conv_a': a 1x9 kernel is non-square"):
         deserialize_compressed(patch_header(toy_1x1_lck_bytes, flatten_kernel))
@@ -361,7 +357,7 @@ def test_a_non_square_kernel_is_refused_by_slice_edge_on_every_route(kh, kw):
         cm.validate()
 
     def reshape(header):
-        header["layers"][0]["quantized"]["shape"] = [1, 1, kh, kw]
+        header["layers"][0]["weights"] = [1, 1, kh, kw]
 
     with pytest.raises(FormatError, match=message):
         deserialize_compressed(patch_header(data, reshape))
@@ -402,7 +398,7 @@ def test_a_kernel_edge_over_the_bound_does_not_load(toy_1x1):
 
     def enlarge(header):
         (entry,) = [e for e in header["layers"] if e["id"] == "conv_a"]
-        entry["quantized"]["shape"] = [9, 1, 1000, 1000]
+        entry["weights"] = [9, 1, 1000, 1000]
 
     crafted = patch_header(with_long_row_group(data, "conv_a", 1000), enlarge)
     tracemalloc.start()
@@ -444,11 +440,23 @@ def test_a_kernel_edge_over_the_bound_does_not_compress(k):
             upaq.compress_model(model, upaq.hck_profile())
 
 
-@pytest.mark.parametrize("layer_id", ["conv_a", "conv_b"])  # a 3x3 layer and a 1x1 block layer
+@pytest.mark.parametrize("root", ["conv_a", "conv_b"])  # the groups of a 3x3 layer and of a 1x1 block layer
 @pytest.mark.parametrize("field,value", [("bitwidth", 0), ("bitwidth", -3), ("bitwidth", 64), ("bitwidth", 10**12)])
-def test_hostile_quantized_header_raises_format_error(toy_1x1_lck_bytes, layer_id, field, value):
-    with pytest.raises(FormatError, match=f"layer '{layer_id}': bitwidth {value} is not"):
-        deserialize_compressed(patch_header(toy_1x1_lck_bytes, _set_quantized(layer_id, field, value)))
+def test_hostile_quantized_header_raises_format_error(toy_1x1_lck_bytes, root, field, value, monkeypatch):
+    """A group's bitwidth, the one its members' payloads are sized by, is
+    refused before its mask or any section is read."""
+    def edit(header):
+        (group,) = [g for g in header["groups"] if g["root"] == root]
+        group[field] = value
+
+    taken = []
+    take = container._Cursor.take
+    monkeypatch.setattr(container._Cursor, "take", lambda self, *args: taken.append(args) or take(self, *args))
+    crafted = patch_header(toy_1x1_lck_bytes, edit)
+    with pytest.raises(FormatError, match=rf"^group '{root}': bitwidth {value} is not one of \(4, 8, 16\)$"):
+        deserialize_compressed(crafted)
+    # only the masks of the groups before it were read
+    assert [args[1:] for args in taken] == [("group 'conv_a'", "group mask")] * (root == "conv_b")
 
 
 def _container(toy_cnn, toy_cnn_hck, compressed):
@@ -534,7 +542,7 @@ def test_header_sweep_raises_only_format_error(toy_cnn, toy_cnn_hck):
                     sums.append(path)  # a patched file that stops at its checksum tests nothing
             except Exception as exc:
                 others.append((path, f"{type(exc).__name__}: {exc}"))
-    assert loads == 1683
+    assert loads == 1566
     assert others == [] and sums == []
 
 
@@ -560,12 +568,6 @@ def test_scale_that_dequantizes_to_non_finite_fails_at_load(toy_cnn_hck, scale):
     cm.qlayers["conv1"].scales[0] = scale
     with pytest.raises(ValidationError, match="non-finite weight"):
         cm.validate()
-
-
-def test_negative_base_payload_nbytes_raises_format_error(toy_cnn_hck):
-    data = patch_header(serialize_compressed(toy_cnn_hck), lambda h: h.update(base_payload_nbytes=-1))
-    with pytest.raises(FormatError, match="base_payload_nbytes -1 is negative"):
-        deserialize_compressed(data)
 
 
 PROFILE_OUT_OF_RANGE = [
@@ -617,14 +619,12 @@ def _sections_end(data, compressed):
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
 def test_a_section_that_runs_past_the_payload_raises_format_error(toy_cnn, toy_cnn_hck, compressed):
-    """fc, the last layer, holds 128 bytes of weights and 16 of bias: the bias
-    last in a .upaq, first in a .upaqc."""
+    """fc, the last layer, holds 16 bytes of bias and then 128 of weights, in
+    both formats."""
     data, load = _container(toy_cnn, toy_cnn_hck, compressed)
-    cut = "weights section of 128 bytes runs past the 124" if compressed else "bias section of 16 bytes runs past the 12"
-    with pytest.raises(FormatError, match=f"^layer 'fc': {cut} bytes left$"):
+    with pytest.raises(FormatError, match="^layer 'fc': weights section of 128 bytes runs past the 124 bytes left$"):
         load(splice(data, _sections_end(data, compressed) - 4, b"", 4))
-    grown = f"weights section of 256 bytes runs past the {128 if compressed else 144}"
-    with pytest.raises(FormatError, match=f"^layer 'fc': {grown} bytes left$"):
+    with pytest.raises(FormatError, match="^layer 'fc': weights section of 256 bytes runs past the 128 bytes left$"):
         load(patch_header(data, _fc_weights([4, 8, 2, 1])))
 
 
@@ -650,6 +650,26 @@ def test_a_bias_on_a_layer_with_no_weights_raises_format_error(toy_cnn, toy_cnn_
     data, load = _container(toy_cnn, toy_cnn_hck, compressed)
     with pytest.raises(FormatError, match="^layer 'relu1': has a bias but no weights$"):
         load(patch_header(data, lambda header: header["layers"][1].update(bias=True)))
+
+
+def test_a_group_that_names_a_weightless_layer_does_not_load(toy_cnn_hck):
+    """relu1 named a leaf of conv1's group, with conv1's shape and a copy of
+    its scales and packed integers after conv1's sections: the payload reads
+    end to end, and the loader refuses the weights on a relu."""
+    qc = toy_cnn_hck.qlayers["conv1"]
+    section = _f32_bytes(qc.scales) + pack_slots(qc.q, stored_slots(qc.shape, qc.pattern), qc.bitwidth)
+    at = 4 * qc.shape[0] + len(section)  # after conv1's bias and weights sections
+
+    def name_relu1(header):
+        header["layers"][1]["weights"] = list(qc.shape)
+        header["groups"][0]["leaves"].append("relu1")
+
+    crafted = patch_header(splice(serialize_compressed(toy_cnn_hck), at, section, 0), name_relu1)
+    with pytest.raises(FormatError, match="^layer 'relu1': relu must not carry weights$"):
+        deserialize_compressed(crafted)
+    no_payload = patch_header(serialize_compressed(toy_cnn_hck), lambda h: h["groups"][0]["leaves"].append("relu1"))
+    with pytest.raises(FormatError, match="^group member 'relu1' has no quantized payload$"):
+        deserialize_compressed(no_payload)
 
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["upaq", "upaqc"])
@@ -701,22 +721,19 @@ def _f32_bytes(array):
 @pytest.mark.parametrize("profile", [None, upaq.hck_profile, upaq.lck_profile], ids=["dense", "hck", "lck"])
 def test_the_payload_is_its_sections_end_to_end(arch, profile):
     """The payload holds the sections its header sizes, in the documented order
-    and nothing else: dense weights then bias per layer; or per layer the
-    bias, dense weights, scales and packed integers, then every group mask."""
+    and nothing else, the same in both formats: per layer the bias, then dense
+    weights or the scales and packed integers; a .upaqc then every group mask."""
     model = upaq.gen_fixture(arch, 42)[0]
-    weights = lambda layer: None if layer.weights is None else layer.weights.data
-    if profile is None:
-        data = serialize_model(model)
-        parts = [_f32_bytes(array) for layer in model.layers for array in (weights(layer), layer.bias)]
-    else:
-        cm = upaq.compress_model(model, profile(seed=42))
-        data = serialize_compressed(cm)
-        parts = []
-        for layer in cm.layers:
-            parts += [_f32_bytes(layer.bias), _f32_bytes(weights(layer))]
-            if layer.id in cm.qlayers:
-                qc = cm.qlayers[layer.id]
-                values = stored_values_reference(qc.q.reshape(-1)[:np.prod(qc.shape)].reshape(qc.shape), qc.pattern)
-                parts += [_f32_bytes(qc.scales), b"".join(pack_ints(row, qc.bitwidth) for row in values)]
-        parts += [_mask_bits(group.pattern) for group in cm.groups]
+    cm = None if profile is None else upaq.compress_model(model, profile(seed=42))
+    data = serialize_model(model) if cm is None else serialize_compressed(cm)
+    parts = []
+    for layer in model.layers if cm is None else cm.layers:
+        parts.append(_f32_bytes(layer.bias))
+        if cm is not None and layer.id in cm.qlayers:
+            qc = cm.qlayers[layer.id]
+            values = stored_values_reference(qc.q.reshape(-1)[:np.prod(qc.shape)].reshape(qc.shape), qc.pattern)
+            parts += [_f32_bytes(qc.scales), b"".join(pack_ints(row, qc.bitwidth) for row in values)]
+        elif layer.weights is not None:
+            parts.append(_f32_bytes(layer.weights.data))
+    parts += [] if cm is None else [_mask_bits(group.pattern) for group in cm.groups]
     assert split_container(data)[2] == b"".join(parts)

@@ -49,7 +49,6 @@ def _lossless_pair(seed=51):
         groups=[CompressedGroup("c", (), pattern, bits)],
         qlayers={"c": QuantizedConv((2, 1, 3, 3), bits, q.reshape(2, 9), scales, pattern)},
         profile=CompressionProfile("custom", (8,), candidates=1, exhaustive=True),
-        base_payload_nbytes=dense_payload_nbytes(base),
     )
     cm.validate()
     inputs = rng.uniform(-1, 1, (10, 1, 6, 6)).astype(np.float32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import copy_model
-from upaq.container import serialize_model
+from upaq.container import serialize_compressed, serialize_model
 from upaq.cost import computational_cost, layer_costs, model_cost
 from upaq.errors import ValidationError
 from upaq.inference import run_batch
@@ -171,6 +171,29 @@ def test_a_payload_shape_that_breaks_the_chain_raises_as_before(toy_cnn_hck):
     cm = replace(toy_cnn_hck, qlayers={**toy_cnn_hck.qlayers, "conv3": flipped})
     with pytest.raises(ValidationError, match="^layer 'conv3': expects 8 input channels, got 16$"):
         cm.validate()
+
+
+def test_a_bias_is_checked_against_the_payload_shape(toy_cnn_hck):
+    # conv1's payload is (8, 1, 3, 3), so a 3-float bias is refused before the file is written
+    layers = [replace(l, bias=np.zeros(3, dtype=np.float32)) if l.id == "conv1" else l for l in toy_cnn_hck.layers]
+    with pytest.raises(ValidationError, match="^layer 'conv1': bias length 3 != out_ch 8$"):
+        serialize_compressed(replace(toy_cnn_hck, layers=layers))
+
+
+def test_a_payload_on_a_weightless_layer_is_refused(toy_cnn_hck):
+    # relu1 given a copy of conv1's payload and named a leaf of its group
+    group = toy_cnn_hck.groups[0]
+    cm = replace(toy_cnn_hck, groups=[replace(group, leaf_ids=group.leaf_ids + ("relu1",))],
+                 qlayers={**toy_cnn_hck.qlayers, "relu1": toy_cnn_hck.qlayers["conv1"]})
+    with pytest.raises(ValidationError, match="^layer 'relu1': relu must not carry weights$"):
+        cm.validate()
+
+
+def test_a_layer_with_dense_weights_and_a_payload_is_refused(toy_cnn, toy_cnn_hck):
+    dense = toy_cnn[0].by_id("conv1").weights
+    layers = [replace(l, weights=dense) if l.id == "conv1" else l for l in toy_cnn_hck.layers]
+    with pytest.raises(ValidationError, match="^layer 'conv1': holds both dense weights and a payload$"):
+        replace(toy_cnn_hck, layers=layers).validate()
 
 
 def test_infer_shapes_toy_cnn(toy_cnn):

@@ -7,8 +7,8 @@ prints the median of A's time over B's (above 1, B is faster) and the pairs B wo
 names the CPUs B's ``inference.usable_cpus()`` counts, which a batch of more than one chunk may be
 split over.
 Before it times anything it checks that both sides give the same bytes: each timed case's outputs,
-and each model's ``.upaqc`` bytes and evaluate report under hck and lck, with drawn and with
-exhaustive patterns.  It lists every case that differs and exits 1 if any does.  Needs numpy only.
+each model's ``.upaq`` bytes, and its ``.upaqc`` bytes and evaluate report under hck and lck, with
+drawn and with exhaustive patterns.  It lists every case that differs and exits 1 if any does.  Needs numpy only.
 """
 
 import functools
@@ -70,10 +70,11 @@ def result_bytes(result):
 
 
 def artifacts(upaq, timed):
-    """``{name: bytes}``: each timed case's outputs, then each model's container and evaluate report
-    under hck and lck, drawn and exhaustive."""
+    """``{name: bytes}``: each timed case's outputs, then each model's dense container, and its
+    compressed container and evaluate report under hck and lck, drawn and exhaustive."""
     out = {f"{name} outputs": result_bytes(call()) for name, call in timed.items()}
     for arch, (model, batch) in models(upaq).items():
+        out[f"{arch} .upaq"] = upaq.container.serialize_model(model)
         for profile in (upaq.hck_profile, upaq.lck_profile):
             for exhaustive in (False, True):
                 cm = upaq.compress_model(model, profile(seed=42, exhaustive=exhaustive))
