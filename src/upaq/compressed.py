@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import LayerSpec, ModelGraph, Tensor4, infer_shapes
 from .patterns import KernelPattern
-from .quantizer import SUPPORTED_BITS
+from .quantizer import SUPPORTED_BITS, _max_value
 
 BLOCK_K = 3  # pattern edge of 1x1 layers: their slices are 3x3 blocks of the flat weights
 MAX_EDGE = 11  # largest kernel edge a compressed layer may have, checked before a payload is sized by it
@@ -166,9 +166,9 @@ class CompressedModel:
 
 
 def _check_payload(layer_id: str, qc: QuantizedConv, group: CompressedGroup) -> None:
-    max_value = 2 ** (qc.bitwidth - 1) - 1
     if qc.bitwidth != group.bitwidth:
         raise ValidationError(f"layer {layer_id!r}: bitwidth differs from its group")
+    max_value = _max_value(qc.bitwidth)
     if qc.pattern != group.pattern:
         raise ValidationError(f"layer {layer_id!r}: pattern differs from its group")
     try:
@@ -242,14 +242,17 @@ def slice_edge(shape: tuple[int, int, int, int]) -> int:
 
 def stored_slots(shape: tuple[int, int, int, int], pattern: KernelPattern) -> np.ndarray:
     """The cells a payload stores, as an ``(S, d*d)`` bool array over its
-    slice stack: ``pattern.mask() & valid``, where the pad cells of a 1 x 1
-    layer's last block are not valid.  Each row lists its slice's cells in
-    row-major order, the order the container packs the stored values in.
-    Only a kernel whose :func:`slice_edge` is ``d`` stacks into them.
+    slice stack: ``pattern.mask()`` on each slice's :func:`valid_cells`.  Each
+    row lists its cells in row-major order, the order the container packs the
+    stored values in.  Only a kernel whose :func:`slice_edge` is ``d`` stacks into them.
     """
     d = pattern.d
     if (edge := slice_edge(shape)) != d:
         kind = "blocks" if shape[3] == 1 else "slices"
         raise ValidationError(f"a {tuple(shape)} payload is stored as {edge}x{edge} {kind}, not {d}x{d} slices")
-    valid = slice_stack(np.ones(shape, dtype=bool), d)
-    return (valid & pattern.mask()).reshape(len(valid), -1)
+    return valid_cells(shape, d) & pattern.mask().reshape(-1)
+
+
+def valid_cells(shape: tuple[int, int, int, int], d: int) -> np.ndarray:
+    """The cells of a kernel's ``(S, d*d)`` slice stack that hold a weight: not a 1 x 1 layer's pad."""
+    return slice_stack(np.ones(shape, dtype=bool), d).reshape(-1, d * d)

@@ -12,9 +12,10 @@ weights (see :func:`~upaq.compressed.slice_stack`).
 A candidate is scored from numbers, with no candidate model: each conv
 layer's ``(nnz, bits, out_h, out_w)`` is taken once from the dense model,
 and a candidate replaces only its root's entry with the stored-slot count
-of its pattern (what the container ships) and its bitwidth.  A drawn
-pattern whose cells were already drawn is skipped: it would score the same
-and cannot beat the first under the strict argmax.
+of its pattern (what the container ships) and its bitwidth.  A mask that
+stores no weight of a member is no candidate.  A drawn pattern whose cells
+were already drawn is skipped: it would score the same and cannot beat the
+first under the strict argmax.
 
 The result is one record: the :class:`~upaq.compressed.CompressedModel`
 holds the profile that made it, and each of its groups the winner's
@@ -36,6 +37,7 @@ from .compressed import (  # BLOCK_K stays importable from here
     QuantizedConv,
     slice_edge,
     slice_stack,
+    valid_cells,
 )
 from .cost import ModelCost, layer_costs, sum_costs
 from .errors import ValidationError
@@ -111,13 +113,6 @@ def _candidate_patterns(n: int, d: int, profile: CompressionProfile, rng: np.ran
     return [KernelPattern(kind, d, positions) for positions, kind in distinct.items()]
 
 
-def _slot_counts(size: int, d: int, keeps: np.ndarray) -> np.ndarray:
-    """Stored-slot count of each mask of ``keeps`` (rows of kept flat cells) on
-    ``size`` weights: ``n`` a slice, less those in the last slice's pad."""
-    slices = -(-size // (d * d))
-    return slices * keeps.shape[1] - (keeps >= size - (slices - 1) * d * d).sum(axis=1)
-
-
 def _search_group(
     group: RootGroup,
     model: ModelGraph,
@@ -136,7 +131,8 @@ def _search_group(
     at every bitwidth, and builds no payload.  ``costs`` holds every conv
     layer's dense ``(nnz, bits, out_h, out_w)`` (see
     :func:`~upaq.cost.layer_costs`); a candidate replaces the root's entry
-    with its stored-slot count and bitwidth.
+    with its stored-slot count and bitwidth.  A group with no mask that
+    stores a weight of every member is a :class:`ValidationError`.
     """
     root = model.by_id(group.root_id).weights  # a conv of a checked model: it has weights
     try:
@@ -149,10 +145,15 @@ def _search_group(
 
     patterns = _candidate_patterns(n, d, profile, rng)
     keeps = np.array([np.flatnonzero(pattern.mask()) for pattern in patterns])
+    # each mask's stored slots in each member: over its cells, the slices that hold a weight there
+    slots = np.array([valid_cells(model.by_id(member).weights.shape, d).sum(axis=0)[keeps].sum(axis=1)
+                      for member in group.member_ids])
+    if not (stores := slots.all(axis=0)).any():
+        raise ValidationError(f"group {group.root_id!r}: no candidate pattern stores a weight of every member")
+    patterns, keeps, slots = [p for p, keep in zip(patterns, stores) if keep], keeps[stores], slots[0, stores]
     # scored against the float32 reconstruction the payload ships, so the
     # winner's SQNR term is the one evaluate recomputes from the payload
     means = mean_sqnr_db(stack_rows(slice_stack(root.data, d)), keeps, profile.quant_bits)
-    slots = _slot_counts(root.data.size, d, keeps)
 
     best: tuple[KernelPattern, int, EfficiencyScore] | None = None
     for pattern, slot_count, mean_dbs in zip(patterns, slots.tolist(), means.tolist()):

@@ -31,9 +31,10 @@ two's-complement 4/8/16-bit fields, LSB first, and each slice is padded to a
 byte boundary.
 
 Compression ratios compare payload lengths only; headers are excluded.  A
-file stores no ratio: :func:`dense_payload_nbytes` counts a quantized layer
-at 4 bytes per value of its payload shape, the dense size of the model it
-came from.
+file stores no ratio: :func:`compressed_payload_nbytes` is the length of
+the payload the writer builds, and :func:`dense_payload_nbytes` counts a
+quantized layer at 4 bytes per value of its payload shape, the dense size
+of the model it came from.
 
 Both formats share one layer writer, :func:`_layer_sections`, one sealer,
 :func:`_assemble`, and one layer reader, :func:`_read_graph`.  :func:`_split`
@@ -83,11 +84,6 @@ PREAMBLE = struct.Struct("<5sII")  # magic, header length, CRC32 of the header a
 # ---------------------------------------------------------------------------
 # bit packing
 # ---------------------------------------------------------------------------
-
-def _row_nbytes(slots: np.ndarray, bits: int) -> np.ndarray:
-    """Packed bytes of each slice: its stored values, padded to a byte."""
-    return -(-slots.sum(axis=1) * bits // 8)
-
 
 def _nibble_slots(slots: np.ndarray) -> np.ndarray:
     """``slots`` with one more column that marks the pad nibble of each slice
@@ -182,28 +178,22 @@ def load_model(path) -> ModelGraph:
 # compressed container
 # ---------------------------------------------------------------------------
 
-def packed_layer_nbytes(qc: QuantizedConv) -> int:
-    """Packed-integer byte count for one layer (each slice byte-padded)."""
-    return int(_row_nbytes(stored_slots(qc.shape, qc.pattern), qc.bitwidth).sum())
-
-
 def compressed_payload_nbytes(cm: CompressedModel) -> int:
-    """Payload size of the compressed container, by direct accounting."""
-    total = dense_payload_nbytes(cm)  # the biases, and the weights at 4 bytes a value
-    for qc in cm.qlayers.values():
-        total += 4 * qc.scales.size + packed_layer_nbytes(qc) - 4 * math.prod(qc.shape)
-    return total + sum(len(pack_mask(group.pattern)) for group in cm.groups)
+    """Payload size of the compressed container: the length of the sections its writer builds."""
+    return len(_compressed_sections(cm)[1])
 
 
 def serialize_compressed(cm: CompressedModel) -> bytes:
     cm.validate()
+    groups = [{"root": group.root_id, "leaves": list(group.leaf_ids), "bitwidth": group.bitwidth,
+               "pattern": {"kind": group.pattern.kind, "d": group.pattern.d}} for group in cm.groups]
+    return _assemble(MAGIC_COMPRESSED, cm, *_compressed_sections(cm), groups=groups, profile=asdict(cm.profile))
+
+
+def _compressed_sections(cm: CompressedModel) -> tuple[list[dict], bytearray]:
+    """The layer entries, and the payload: the layer sections, then each group's mask."""
     entries, blob = _layer_sections(cm.layers, cm.qlayers)
-    groups = []
-    for group in cm.groups:
-        blob += pack_mask(group.pattern)
-        groups.append({"root": group.root_id, "leaves": list(group.leaf_ids), "bitwidth": group.bitwidth,
-                       "pattern": {"kind": group.pattern.kind, "d": group.pattern.d}})
-    return _assemble(MAGIC_COMPRESSED, cm, entries, blob, groups=groups, profile=asdict(cm.profile))
+    return entries, blob + b"".join(pack_mask(group.pattern) for group in cm.groups)
 
 
 def deserialize_compressed(data: bytes) -> CompressedModel:
@@ -271,7 +261,8 @@ def _read_quantized(sections: _Cursor, shape: tuple[int, ...], where: str, group
         slots = stored_slots(shape, pattern)
     except ValidationError as exc:
         raise FormatError(f"{where}: {exc}") from None
-    packed = sections.take(int(_row_nbytes(slots, bits).sum()), where, "packed integers")
+    # each slice's stored values, padded to a byte
+    packed = sections.take(int((-(-slots.sum(axis=1) * bits // 8)).sum()), where, "packed integers")
     return QuantizedConv(shape=shape, bitwidth=bits, q=unpack_slots(packed, slots, bits), scales=scales,
                          pattern=pattern)
 

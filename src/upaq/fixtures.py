@@ -28,6 +28,8 @@ def gen_fixture(arch: str, seed: int, n_inputs: int = DEFAULT_INPUT_COUNT):
     """
     if arch not in ARCH_NAMES:
         raise ValidationError(f"unknown fixture arch {arch!r}; expected one of {ARCH_NAMES}")
+    if n_inputs < 1:
+        raise ValidationError(f"input count {n_inputs} is not positive")
     wrng = np.random.default_rng(split_seed(seed, f"{arch}:weights"))
     irng = np.random.default_rng(split_seed(seed, f"{arch}:inputs"))
 

@@ -84,20 +84,22 @@ def single_conv_model(seed=42, out_ch=4, in_ch=4, k=3, hw=8):
     return model
 
 
+def _weighted(rng, lid, kind, out_ch, in_ch, k, inputs, padding=0):
+    """A weighted layer with uniform(-b, b) weights, then bias, b = 1/sqrt(fan_in)."""
+    bound = 1.0 / np.sqrt(in_ch * k * k)
+    return upaq.LayerSpec(
+        id=lid, kind=kind, inputs=inputs,
+        weights=upaq.Tensor4(rng.uniform(-bound, bound, (out_ch, in_ch, k, k)).astype(np.float32)),
+        bias=rng.uniform(-bound, bound, out_ch).astype(np.float32),
+        padding=padding,
+    )
+
+
 def wide_model(seed=42):
     """A 3x32x32 model with the layer shapes of the benchmark's wide model:
     a lone 5x5 group, a 3x3 root with one leaf and a 1x1 block group."""
     rng = np.random.default_rng(seed)
-
-    def weighted(lid, kind, out_ch, in_ch, k, inputs, padding=0):
-        bound = 1.0 / np.sqrt(in_ch * k * k)
-        return upaq.LayerSpec(
-            id=lid, kind=kind, inputs=inputs,
-            weights=upaq.Tensor4(rng.uniform(-bound, bound, (out_ch, in_ch, k, k)).astype(np.float32)),
-            bias=rng.uniform(-bound, bound, out_ch).astype(np.float32),
-            padding=padding,
-        )
-
+    weighted = functools.partial(_weighted, rng)
     layers = [
         weighted("stem", "conv2d", 32, 3, 5, (), padding=2),
         upaq.LayerSpec(id="relu1", kind="relu", inputs=("stem",)),
@@ -110,6 +112,32 @@ def wide_model(seed=42):
         weighted("fc", "linear", 10, 64, 1, ("gap",)),
     ]
     model = upaq.ModelGraph(name="wide", input_shape=(3, 32, 32), layers=layers)
+    model.validate()
+    return model
+
+
+def tiny_model():
+    """``tools/ab.py``'s tiny model and its 8 inputs: a 3x3 stem, then a 1x1
+    layer ``mix`` of 6 weights, whose one 3x3 block has 3 pad cells."""
+    rng = np.random.default_rng(42)
+    weighted = functools.partial(_weighted, rng)
+    layers = [
+        weighted("stem", "conv2d", 3, 1, 3, (), padding=1),
+        upaq.LayerSpec(id="relu", kind="relu", inputs=("stem",)),
+        weighted("mix", "conv2d", 2, 3, 1, ("relu",)),
+        upaq.LayerSpec(id="gap", kind="global_avg_pool", inputs=("mix",)),
+        weighted("fc", "linear", 2, 2, 1, ("gap",)),
+    ]
+    model = upaq.ModelGraph(name="tiny", input_shape=(1, 8, 8), layers=layers)
+    model.validate()
+    return model, rng.uniform(-1, 1, (8, 1, 8, 8)).astype(np.float32)
+
+
+def mix_only_model():
+    """One conv, the 1x1 layer ``mix`` of 2 in and 3 out channels: its 6
+    weights fill one 3x3 block but for 3 pad cells, which a drawn mask may
+    land on alone."""
+    model = upaq.ModelGraph("mix-only", (2, 4, 4), [_weighted(np.random.default_rng(7), "mix", "conv2d", 3, 2, 1, ())])
     model.validate()
     return model
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     linear_only_model,
+    mix_only_model,
     patch_header,
     run_every,
     seal,
@@ -13,7 +14,7 @@ from conftest import (
     with_long_row_group,
 )
 from upaq.cli import main
-from upaq.container import dense_payload_nbytes, load_model
+from upaq.container import dense_payload_nbytes, load_model, save_model
 from upaq.inference import load_activations, save_activations
 
 
@@ -381,6 +382,33 @@ def test_bad_patterns_value_exits_2(tmp_path, capsys):
                  "--patterns", "zero"]) == 2
     assert main(["compress", str(model_path), "-o", str(tmp_path / "x.upaqc"),
                  "--patterns", "0"]) == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_fixture_refuses_a_non_positive_input_count_before_writing(tmp_path, capsys, count):
+    assert main(["gen-fixture", "toy-cnn", "--inputs", count, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"upaq: error: input count {count} is not positive\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["42", "7"])
+@pytest.mark.parametrize("patterns", ["16", "all"])
+@pytest.mark.parametrize("profile", ["hck", "lck"])
+def test_a_1x1_layer_with_pad_cells_compresses(tmp_path, capsys, profile, patterns, seed):
+    # a mask on the pad cells alone stores no weight: it is no candidate, not a zero-cost model
+    save_model(mix_only_model(), tmp_path / "mix.upaq")
+    argv = ["compress", str(tmp_path / "mix.upaq"), "-o", str(tmp_path / "mix.upaqc"),
+            "--profile", profile, "--patterns", patterns, "--seed", seed]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_draw_that_stores_no_weight_exits_2_naming_the_group(tmp_path, capsys):
+    save_model(mix_only_model(), tmp_path / "mix.upaq")
+    argv = ["compress", str(tmp_path / "mix.upaq"), "-o", str(tmp_path / "mix.upaqc"), "--patterns", "1", "--seed", "37"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "upaq: error: group 'mix': no candidate pattern stores a weight of every member\n"
+    assert not (tmp_path / "mix.upaqc").exists()
 
 
 def test_unknown_arch_exits_2(tmp_path, capsys):

@@ -1,9 +1,10 @@
-import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import upaq
 from upaq.compressed import (
@@ -19,14 +20,13 @@ from upaq.compressor import (
     BLOCK_K,
     CompressionProfile,
     ModelCost,
-    _slot_counts,
     calculate_es,
     compress_model,
     hck_profile,
     lck_profile,
 )
 from upaq.container import deserialize_compressed, serialize_compressed
-from conftest import copy_model, wide_model
+from conftest import copy_model, tiny_model, wide_model
 from upaq.cost import model_cost
 from upaq.evaluate import payload_sqnr_db
 from upaq.errors import ValidationError
@@ -368,19 +368,52 @@ def test_search_scores_what_ships(arch, profile, exhaustive, monkeypatch):
     assert calls == [dec.bitwidth for dec in cm.groups for _ in dec.member_ids]
 
 
-@pytest.mark.parametrize("d", [3, 5])
-def test_slot_counts_equal_stored_slots(d):
-    shapes = [(2, 9, 1, 1), (5, 7, 1, 1), (1, 1, 1, 1), (4, 2, d, d), (1, 1, d, d)]
-    for n in range(1, d + 1):
-        patterns = enumerate_all_patterns(n, d)
-        keeps = np.array([np.flatnonzero(p.mask()) for p in patterns])
-        for shape in shapes:
-            if shape[2:] == (1, 1) and d != BLOCK_K:  # a 1x1 layer stacks only into 3x3 blocks
-                with pytest.raises(ValidationError, match="stored as 3x3 blocks"):
-                    stored_slots(shape, patterns[0])
+@pytest.mark.parametrize("profile", [hck_profile, lck_profile], ids=["hck", "lck"])
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["16", "all"])
+def test_every_payload_of_the_tiny_model_stores_a_weight(profile, exhaustive):
+    # mix's 6 weights leave 3 pad cells in its one 3x3 block; a mask on them alone is no candidate
+    cm = compress_model(tiny_model()[0], profile(seed=42, exhaustive=exhaustive))
+    for layer_id, qc in cm.qlayers.items():
+        assert stored_slots(qc.shape, qc.pattern).any(), layer_id
+
+
+@st.composite
+def conv_chains(draw):
+    """1 to 3 chained convs on a 4x4 input: each k x k, k in {1, 3}, padding
+    k // 2, 1 to 5 channels, some weights exactly zero, an optional relu after."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    channels = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    layers, inputs = [], ()
+    for i, (in_ch, out_ch) in enumerate(zip(channels, channels[1:])):
+        k = draw(st.sampled_from([1, 3]))
+        w = rng.uniform(-1, 1, (out_ch, in_ch, k, k)).astype(np.float32)
+        w[rng.random(w.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+        layers.append(upaq.LayerSpec(f"conv{i}", "conv2d", inputs, Tensor4(w),
+                                     rng.uniform(-1, 1, out_ch).astype(np.float32), padding=k // 2))
+        inputs = (f"conv{i}",)
+        if draw(st.booleans()):
+            layers.append(upaq.LayerSpec(f"relu{i}", "relu", inputs))
+            inputs = (f"relu{i}",)
+    return ModelGraph("chain", (channels[0], 4, 4), layers)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(conv_chains())
+def test_compress_of_a_small_chain_stores_a_weight_of_every_payload(model):
+    """Compress succeeds, or in sampled mode finds no mask that stores a weight
+    of every member; every payload stores a slot, and the file round-trips."""
+    for profile in (hck_profile, lck_profile):
+        for exhaustive in (False, True):
+            try:
+                cm = compress_model(model, profile(seed=42, exhaustive=exhaustive))
+            except ValidationError as exc:
+                assert not exhaustive
+                assert re.fullmatch(r"group 'conv\d': no candidate pattern stores a weight of every member", str(exc))
                 continue
-            expected = [int(stored_slots(shape, p).sum()) for p in patterns]
-            assert _slot_counts(math.prod(shape), d, keeps).tolist() == expected
+            for qc in cm.qlayers.values():
+                assert stored_slots(qc.shape, qc.pattern).any()
+            data = serialize_compressed(cm)
+            assert serialize_compressed(deserialize_compressed(data)) == data
 
 
 def test_decompressed_weights_match_payload(toy_cnn, toy_cnn_hck):

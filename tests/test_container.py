@@ -18,6 +18,7 @@ from conftest import (
     seal,
     splice,
     split_container,
+    tiny_model,
     with_group_mask,
     with_long_row_group,
 )
@@ -241,14 +242,18 @@ def test_every_payload_carries_its_group_pattern(arch, profile):
                 broken.validate()
 
 
-def test_compressed_payload_matches_recounts(toy_cnn_hck, toy_cnn_lck, tmp_path):
-    for name, cm in (("hck", toy_cnn_hck), ("lck", toy_cnn_lck)):
-        path = tmp_path / f"{name}.upaqc"
-        save_compressed(cm, path)
-        _, _, payload = read_container(path)
-        assert compressed_payload_nbytes(cm) == len(payload)
-        assert recount_payload_nbytes(cm) == len(payload)
-        assert recount_compressed_payload(path) == len(payload)
+@pytest.mark.parametrize("arch", ["toy-cnn", "toy-residual", "toy-1x1", "tiny"])
+@pytest.mark.parametrize("profile", [upaq.hck_profile, upaq.lck_profile], ids=["hck", "lck"])
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["16", "all"])
+def test_compressed_payload_matches_recounts(tmp_path, arch, profile, exhaustive):
+    model = tiny_model()[0] if arch == "tiny" else upaq.gen_fixture(arch, 42)[0]
+    cm = upaq.compress_model(model, profile(seed=42, exhaustive=exhaustive))
+    path = tmp_path / "m.upaqc"
+    save_compressed(cm, path)
+    _, _, payload = read_container(path)
+    assert compressed_payload_nbytes(cm) == len(payload)
+    assert recount_payload_nbytes(cm) == len(payload)
+    assert recount_compressed_payload(path) == len(payload)
 
 
 def test_compressed_1x1_roundtrip(toy_1x1):

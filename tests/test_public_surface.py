@@ -22,8 +22,8 @@ REMOVED = {
     patterns: ("apply_pattern",),
     quantizer: ("QuantResult", "mp_quantize", "dequantize", "masked_mean_sqnr_db", "_row_sums"),
     inference: ("forward", "forward_batch", "_residue_classes", "_tiles", "_plane_cells", "TILE_BYTES", "MAX_PARTS", "MAX_STRIDE"),
-    compressor: ("compress_kxk_group", "compress_1x1_group", "GroupDecision", "compress_with_decisions"),
-    container: ("sniff_format",),
+    compressor: ("compress_kxk_group", "compress_1x1_group", "GroupDecision", "compress_with_decisions", "_slot_counts"),
+    container: ("sniff_format", "packed_layer_nbytes"),
     compressed: ("stored_value_count", "ProfileInfo", "check_profile"),
 }
 
@@ -64,7 +64,7 @@ def test_one_record_of_a_compression():
 def test_a_payload_carries_its_pattern():
     # d and the stored cells come from the payload, not from a group lookup beside it
     assert not hasattr(compressed.CompressedModel, "group_for")
-    for fn in (compressed.dequantized_weights, container.packed_layer_nbytes, evaluate.payload_sqnr_db):
+    for fn in (compressed.dequantized_weights, evaluate.payload_sqnr_db):
         params = inspect.signature(fn).parameters
         assert "d" not in params and "pattern" not in params
     for module in (compressed, compressor, container, cost, evaluate, inference):

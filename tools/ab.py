@@ -1,11 +1,11 @@
 """Time the engine of two source trees in interleaved pairs: ``python tools/ab.py A/src B/src [PAIRS]``.
 
-Both ``upaq`` packages are imported into one process.  For the three fixtures (seed 42, 64 inputs)
-and perfbench's wide model (8 inputs), dense and compressed under hck and lck, and for
-``evaluate_fidelity`` of the wide model under hck, each pair runs A then B or B then A in turn; it
-prints the median of A's time over B's (above 1, B is faster) and the pairs B won.  Its first line
-names the CPUs B's ``inference.usable_cpus()`` counts, which a batch of more than one chunk may be
-split over.
+Both ``upaq`` packages are imported into one process.  For the three fixtures (seed 42, 64 inputs),
+perfbench's wide model and a tiny model whose 1x1 layer has a padded block (8 inputs each), dense
+and compressed under hck and lck, and for ``evaluate_fidelity`` of the wide model under hck, each
+pair runs A then B or B then A in turn; it prints the median of A's time over B's (above 1, B is
+faster) and the pairs B won.  Its first line names the CPUs B's ``inference.usable_cpus()`` counts,
+which a batch of more than one chunk may be split over.
 Before it times anything it checks that both sides give the same bytes: each timed case's outputs,
 each model's ``.upaq`` bytes, and its ``.upaqc`` bytes and evaluate report under hck and lck, with
 drawn and with exhaustive patterns.  It lists every case that differs and exits 1 if any does.  Needs numpy only.
@@ -44,9 +44,24 @@ def wide(upaq):
     return upaq.ModelGraph("wide", (3, 32, 32), layers), rng.uniform(-1, 1, (8, 3, 32, 32)).astype(np.float32)
 
 
+def tiny(upaq):
+    """A 3x3 stem and a 1x1 layer of 6 weights, whose one 3x3 block has 3 pad cells;
+    uniform(-b, b) weights and biases, b = 1/sqrt(fan_in)."""
+    rng = np.random.default_rng(42)
+    def weighted(lid, inputs, o, i, k, padding=0, kind="conv2d"):
+        b = 1.0 / np.sqrt(i * k * k)
+        weights = upaq.Tensor4(rng.uniform(-b, b, (o, i, k, k)).astype(np.float32))
+        return upaq.LayerSpec(lid, kind, inputs, weights, rng.uniform(-b, b, o).astype(np.float32), padding=padding)
+    layers = [weighted("stem", (), 3, 1, 3, 1), upaq.LayerSpec("relu", "relu", ("stem",)),
+              weighted("mix", ("relu",), 2, 3, 1), upaq.LayerSpec("gap", "global_avg_pool", ("mix",)),
+              weighted("fc", ("gap",), 2, 2, 1, kind="linear")]
+    return upaq.ModelGraph("tiny", (1, 8, 8), layers), rng.uniform(-1, 1, (8, 1, 8, 8)).astype(np.float32)
+
+
 def models(upaq):
-    """``{arch: (model, batch)}`` for the three fixtures and the wide model."""
-    return {arch: upaq.gen_fixture(arch, 42) for arch in upaq.fixtures.ARCH_NAMES} | {"wide": wide(upaq)}
+    """``{arch: (model, batch)}`` for the three fixtures, the wide model and the tiny model."""
+    fixtures = {arch: upaq.gen_fixture(arch, 42) for arch in upaq.fixtures.ARCH_NAMES}
+    return fixtures | {"wide": wide(upaq), "tiny": tiny(upaq)}
 
 
 def cases(upaq):
